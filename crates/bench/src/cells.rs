@@ -247,15 +247,23 @@ pub fn measure_cell(cfg: &RunConfig, os: OsKind, w: WorkloadKind) -> ScenarioMea
 /// global top-K: stable sort by latency descending (ties keep shard/time
 /// order, so the earlier episode wins exactly as in the per-shard store),
 /// then truncate to the per-cell cap. Each shard already kept at most the
-/// cap, so the concatenation holds every global top-K candidate.
+/// cap, so the concatenation holds every global top-K candidate. Episodes
+/// the truncation drops count as evicted, so `triggered == retained +
+/// evicted` holds at any shard count.
 pub fn finish_blame(m: &mut ScenarioMeasurement, cfg: &RunConfig) {
     if let Some(opts) = cfg.blame {
-        let cap = match opts.trigger {
-            wdm_latency::BlameTrigger::TopK(k) => k.min(opts.max_episodes),
-            _ => opts.max_episodes,
-        };
+        let cap = opts.capacity();
         m.blame_episodes.sort_by_key(|e| std::cmp::Reverse(e.0));
+        let dropped = m.blame_episodes.len().saturating_sub(cap) as u64;
         m.blame_episodes.truncate(cap);
+        let evicted = m
+            .metrics
+            .counter_value("latency.blame.evicted")
+            .unwrap_or(0);
+        m.metrics
+            .counter("latency.blame.evicted", evicted + dropped);
+        m.metrics
+            .counter("latency.blame.retained", m.blame_episodes.len() as u64);
     }
 }
 
@@ -706,6 +714,30 @@ mod tests {
         // Two closed one-minute shards concatenate to two completed blocks.
         assert_eq!(m.int_to_isr_all_ticks.blocks.maxima().len(), 2);
         assert!(m.int_to_isr_all_ticks.hist.count() > 1000);
+    }
+
+    #[test]
+    fn sharded_blame_counts_every_dropped_episode() {
+        let cfg = RunConfig {
+            duration: Duration::Minutes(2.0),
+            seed: 5,
+            threads: 1,
+            shards: 2,
+            blame: Some(wdm_latency::BlameOptions::default()),
+            ..RunConfig::default()
+        };
+        assert_eq!(cell_shards(&cfg, OsKind::Nt4, WorkloadKind::Games).len(), 2);
+        let m = measure_cell(&cfg, OsKind::Nt4, WorkloadKind::Games);
+        let c = |name: &str| m.metrics.counter_value(name).expect(name);
+        let retained = m.blame_episodes.len() as u64;
+        // Each shard kept its own top 4; the re-rank keeps 4 of those 8
+        // and must count the other 4 as evicted.
+        assert_eq!(retained, 4);
+        assert_eq!(c("latency.blame.retained"), retained);
+        assert_eq!(
+            c("latency.blame.triggered"),
+            retained + c("latency.blame.evicted")
+        );
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //! the invariant that the components sum bit-for-bit to the measured
 //! latency in cycles (proven by the `blame_exactness` proptest oracle).
 //!
-//! On a triggered sample the recorder additionally snapshots the flight
-//! ring around the episode window into a bounded per-cell episode store
-//! (largest-K retention with counted eviction), rendered post-run as a
-//! Perfetto trace with the episode window highlighted on its own track.
+//! A triggered sample that the bounded per-cell episode store admits
+//! (largest-K retention with counted eviction, decided before any copy)
+//! additionally snapshots the flight ring around the episode window,
+//! rendered post-run as a Perfetto trace with the episode window
+//! highlighted on its own track.
 //!
 //! Determinism contract: the recorder is read-only — it draws no
 //! randomness and mutates no kernel state — so arming it never changes a
@@ -66,6 +67,17 @@ impl Default for BlameOptions {
         BlameOptions {
             trigger: BlameTrigger::TopK(4),
             max_episodes: 4,
+        }
+    }
+}
+
+impl BlameOptions {
+    /// Episodes the store retains: `max_episodes`, further capped at `K`
+    /// under [`BlameTrigger::TopK`]. Per shard and per merged cell alike.
+    pub fn capacity(&self) -> usize {
+        match self.trigger {
+            BlameTrigger::TopK(k) => k.min(self.max_episodes),
+            _ => self.max_episodes,
         }
     }
 }
@@ -210,14 +222,15 @@ pub struct BlameSummary {
 }
 
 /// The forensics observer: decomposes every watched resume, triggers on
-/// tail samples, and captures the flight ring around each episode.
+/// tail samples, and captures the flight ring around each episode the
+/// store admits.
 pub struct BlameRecorder {
     /// Watched measurement threads with their series tags.
     watched: Vec<(ThreadId, &'static str)>,
     opts: BlameOptions,
     cpu_hz: u64,
-    /// Shared flight ring to snapshot on trigger; `None` records episodes
-    /// with empty windows (blame decomposition still works).
+    /// Shared flight ring to snapshot on admission; `None` records
+    /// episodes with empty windows (blame decomposition still works).
     flight: Option<Rc<RefCell<FlightRecorder>>>,
     /// Running maximum for [`BlameTrigger::BlockMax`].
     running_max: Option<u64>,
@@ -242,6 +255,7 @@ impl BlameRecorder {
         flight: Option<Rc<RefCell<FlightRecorder>>>,
     ) -> BlameRecorder {
         assert!(opts.max_episodes > 0, "need room for at least one episode");
+        assert!(opts.capacity() > 0, "TopK(0) retains no episode");
         BlameRecorder {
             watched,
             opts,
@@ -270,30 +284,29 @@ impl BlameRecorder {
         }
     }
 
-    /// Inserts a triggered episode under largest-K retention: when the
+    /// Largest-K admission of a triggered sample, decided from its latency
+    /// alone so a rejected arrival never touches the flight ring. When the
     /// store is full the smallest episode goes (ties evict the later
     /// arrival, so earlier episodes win deterministically), and a sample
-    /// no larger than the retained minimum is itself evicted on arrival.
-    fn retain(&mut self, ep: BlameEpisode) {
-        let cap = match self.opts.trigger {
-            BlameTrigger::TopK(k) => k.min(self.opts.max_episodes),
-            _ => self.opts.max_episodes,
-        };
-        if self.episodes.len() < cap {
-            self.episodes.push(ep);
-            return;
+    /// no larger than the retained minimum is itself evicted on arrival;
+    /// either way one eviction is counted. Returns whether the arrival is
+    /// to be stored.
+    fn admit(&mut self, latency_cycles: u64) -> bool {
+        if self.episodes.len() < self.opts.capacity() {
+            return true;
         }
+        self.summary.evicted += 1;
         let (min_i, min_ep) = self
             .episodes
             .iter()
             .enumerate()
             .min_by_key(|(_, e)| (e.latency_cycles, std::cmp::Reverse(e.ordinal)))
             .expect("store is non-empty at capacity");
-        if ep.latency_cycles > min_ep.latency_cycles {
-            self.episodes.remove(min_i);
-            self.episodes.push(ep);
+        if latency_cycles <= min_ep.latency_cycles {
+            return false;
         }
-        self.summary.evicted += 1;
+        self.episodes.remove(min_i);
+        true
     }
 }
 
@@ -329,6 +342,11 @@ impl Observer for BlameRecorder {
         }
         self.summary.triggered += 1;
         self.triggered_hist.record_cycles(Cycles(latency_cycles), self.cpu_hz);
+        let ordinal = self.next_ordinal;
+        self.next_ordinal += 1;
+        if !self.admit(latency_cycles) {
+            return;
+        }
         // Snapshot the flight ring around the window, one tick of padding
         // each side (the cause tool's convention).
         let pad = Cycles(self.cpu_hz / 1000);
@@ -342,8 +360,8 @@ impl Observer for BlameRecorder {
                 )
             })
             .unwrap_or_default();
-        let ep = BlameEpisode {
-            ordinal: self.next_ordinal,
+        self.episodes.push(BlameEpisode {
+            ordinal,
             tag,
             priority: e.priority,
             readied: e.readied,
@@ -352,9 +370,7 @@ impl Observer for BlameRecorder {
             latency_ms,
             breakdown: e.breakdown,
             window,
-        };
-        self.next_ordinal += 1;
-        self.retain(ep);
+        });
     }
 }
 
@@ -463,6 +479,37 @@ window [600000, 1650000] cycles, latency 3.500 ms, 0 flight events
         assert_eq!(rec.summary.evicted, 3);
         assert_eq!(rec.summary.watched_resumes, 5);
         assert_eq!(rec.triggered_hist.count(), 5);
+    }
+
+    #[test]
+    fn capacity_is_one_rule_for_every_trigger() {
+        let cap = |trigger, max_episodes| {
+            BlameOptions {
+                trigger,
+                max_episodes,
+            }
+            .capacity()
+        };
+        assert_eq!(cap(BlameTrigger::TopK(2), 8), 2);
+        assert_eq!(cap(BlameTrigger::TopK(16), 8), 8);
+        assert_eq!(cap(BlameTrigger::ThresholdMs(1.0), 8), 8);
+        assert_eq!(cap(BlameTrigger::BlockMax, 3), 3);
+        assert_eq!(BlameOptions::default().capacity(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "TopK(0) retains no episode")]
+    fn topk_zero_is_rejected_at_construction() {
+        let k = Kernel::new(KernelConfig::default());
+        let _ = BlameRecorder::new(
+            &k,
+            vec![(ThreadId(0), "rt24")],
+            BlameOptions {
+                trigger: BlameTrigger::TopK(0),
+                max_episodes: 4,
+            },
+            None,
+        );
     }
 
     #[test]

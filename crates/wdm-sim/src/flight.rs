@@ -1,10 +1,10 @@
 //! Flight recorder: a span-oriented trace sink with Chrome trace export.
 //!
 //! [`FlightRecorder`] is an [`Observer`] that keeps the most recent kernel
-//! instrumentation events in a bounded ring — like [`crate::trace::EventTrace`]
-//! but covering the full event vocabulary (calendar pops and quantum expiries
-//! included) and exporting **Chrome trace-event JSON** that loads directly in
-//! Perfetto / `chrome://tracing`. The paper explains long latencies with a
+//! instrumentation events in a bounded ring, covering the full event
+//! vocabulary (calendar pops and quantum expiries included) and exporting
+//! **Chrome trace-event JSON** that loads directly in Perfetto /
+//! `chrome://tracing`. The paper explains long latencies with a
 //! cause tool that samples what the machine was doing (§2.3); the flight
 //! recorder is the always-on equivalent: attach it to a cell, re-run the
 //! minute, and read the timeline.
@@ -154,6 +154,12 @@ impl FlightRecorder {
     }
 
     fn push(&mut self, e: FlightEvent) {
+        // The kernel stamps every event with its `now`, so arrival order is
+        // time order; `events_in` binary-searches on it.
+        debug_assert!(
+            self.ring.back().is_none_or(|b| b.at() <= e.at()),
+            "flight ring must stay time-ordered"
+        );
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
             self.dropped += 1;
@@ -187,16 +193,16 @@ impl FlightRecorder {
 
     /// Copies out the retained events whose timestamp falls in
     /// `[lo, hi]`, oldest first — the episode-capture window of the blame
-    /// tool. The ring is time-ordered, so this is one bounded scan.
+    /// tool. The ring is time-ordered (asserted in `push`), so two binary
+    /// searches find the window's ends and only the window is copied:
+    /// O(log ring + window). Empty when `lo > hi`.
     pub fn events_in(&self, lo: Instant, hi: Instant) -> Vec<FlightEvent> {
-        self.ring
-            .iter()
-            .filter(|e| {
-                let at = e.at();
-                at >= lo && at <= hi
-            })
-            .copied()
-            .collect()
+        if lo > hi {
+            return Vec::new();
+        }
+        let start = self.ring.partition_point(|e| e.at() < lo);
+        let end = self.ring.partition_point(|e| e.at() <= hi);
+        self.ring.range(start..end).copied().collect()
     }
 
     /// Renders the retained events as Chrome trace-event JSON objects, one
@@ -565,20 +571,40 @@ mod tests {
 
     #[test]
     fn events_in_copies_the_window() {
-        let (_k, rec) = run_kernel_with(4096, 50.0);
+        // A wrapped ring, so the retained window starts mid-stream.
+        let (_k, rec) = run_kernel_with(32, 200.0);
         let r = rec.borrow();
-        assert!(r.len() > 4);
+        assert_eq!(r.len(), 32);
+        assert!(r.total > 8 * 32, "ring wrapped: {} events", r.total);
+        // Reference: the linear filter over the whole ring.
+        let oracle = |lo: Instant, hi: Instant| -> Vec<FlightEvent> {
+            r.events()
+                .filter(|e| e.at() >= lo && e.at() <= hi)
+                .copied()
+                .collect()
+        };
         let times: Vec<Instant> = r.events().map(|e| e.at()).collect();
-        let lo = times[1];
-        let hi = times[times.len() - 2];
-        let window = r.events_in(lo, hi);
-        let expected = times.iter().filter(|t| **t >= lo && **t <= hi).count();
-        assert_eq!(window.len(), expected);
-        assert!(window.iter().all(|e| e.at() >= lo && e.at() <= hi));
-        // An empty window is empty, not an error.
-        assert!(r.events_in(hi + crate::time::Cycles(1), hi + crate::time::Cycles(2)).len()
-            <= times.iter().filter(|t| **t > hi).count());
-        assert_eq!(r.events_in(Instant(u64::MAX - 1), Instant(u64::MAX)).len(), 0);
+        let near = |t: Instant| [Instant(t.0 - 1), t, Instant(t.0 + 1)];
+        // Every window between two retained timestamps, each end nudged by
+        // ±1 cycle; `lo > hi` pairs included, which must come back empty.
+        for &a in &times {
+            for &b in &times {
+                for lo in near(a) {
+                    for hi in near(b) {
+                        assert_eq!(r.events_in(lo, hi), oracle(lo, hi), "[{lo:?}, {hi:?}]");
+                    }
+                }
+            }
+        }
+        let (first, last) = (times[0], times[times.len() - 1]);
+        assert_eq!(r.events_in(first, last).len(), r.len());
+        // Wholly before the oldest and after the newest retained event.
+        let (before, after) = (Instant(first.0 - 1), Instant(last.0 + 1));
+        assert!(r.events_in(Instant(0), before).is_empty());
+        assert!(r.events_in(after, Instant(u64::MAX)).is_empty());
+        // An inverted window is empty, not a panic inside `range`.
+        assert!(r.events_in(last, first).is_empty());
+        assert!(r.events_in(Instant(u64::MAX), Instant(0)).is_empty());
     }
 
     #[test]

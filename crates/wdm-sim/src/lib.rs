@@ -80,7 +80,6 @@ pub mod step;
 pub mod thread;
 pub mod timer;
 pub mod time;
-pub mod trace;
 
 /// One-stop imports for building simulations.
 pub mod prelude {
@@ -105,6 +104,5 @@ pub mod prelude {
         step::{Blackboard, FnProgram, LoopSeq, OpSeq, Program, Step, StepCtx},
         thread::{ThreadState, RT_DEFAULT_PRIORITY, RT_HIGH_PRIORITY},
         time::{Cycles, Instant, DEFAULT_CPU_HZ},
-        trace::{EventTrace, TraceEvent},
     };
 }
