@@ -5,7 +5,7 @@
 //! paper-equivalent durations) so the renderers can share them.
 
 use wdm_latency::session::{measure_scenario, FlightOptions, MeasureOptions, ScenarioMeasurement};
-use wdm_osmodel::{dist::SamplerMode, personality::OsKind};
+use wdm_osmodel::personality::OsKind;
 use wdm_workloads::{UsageModel, WorkloadKind};
 
 use crate::{progress, spans};
@@ -65,18 +65,12 @@ pub struct RunConfig {
     /// Compile fixed-shape programs into flat instruction streams (the
     /// default). `repro --no-compile` clears it to run every cell on the
     /// interpreted reference path; outputs are byte-identical either way
-    /// (CI's compile-smoke job asserts it against the committed digests).
+    /// (CI's digest-smoke job asserts it against the committed digests).
     pub compile: bool,
-    /// How distribution draws are lowered (`repro --sampler-mode`).
-    /// `Exact` (default) is bit-identical to the interpreted samplers;
-    /// `Table` swaps heavy-tail draws for quantile-table inverse-CDF
-    /// lookups and is pinned by its own digest baseline
-    /// (`artifacts/CELL_digests_table.txt`). See DESIGN.md §12.
-    pub sampler_mode: SamplerMode,
     /// Stage raw samples and fold them in batches (the default).
     /// `repro --no-batch-record` clears it to run the per-sample reference
     /// recording path; outputs are byte-identical either way (CI's
-    /// batch-smoke job asserts it against the committed digests). See
+    /// digest-smoke job asserts it against the committed digests). See
     /// DESIGN.md §13.
     pub batch_record: bool,
     /// Arm tail-episode forensics on every cell (`repro blame`): blame
@@ -99,7 +93,6 @@ impl Default for RunConfig {
             shards: 1,
             trace: false,
             compile: true,
-            sampler_mode: SamplerMode::Exact,
             batch_record: true,
             blame: None,
             flame_hz: None,
@@ -121,7 +114,6 @@ impl RunConfig {
             ..MeasureOptions::default()
         };
         opts.scenario.compile = self.compile;
-        opts.scenario.sampler_mode = self.sampler_mode;
         opts.batch_record = self.batch_record;
         opts
     }
@@ -624,7 +616,6 @@ mod tests {
             shards: 1,
             trace: false,
             compile: true,
-            sampler_mode: wdm_osmodel::dist::SamplerMode::Exact,
             batch_record: true,
             blame: None,
             flame_hz: None,
@@ -679,7 +670,6 @@ mod tests {
             shards: 8,
             trace: false,
             compile: true,
-            sampler_mode: wdm_osmodel::dist::SamplerMode::Exact,
             batch_record: true,
             blame: None,
             flame_hz: None,
@@ -701,7 +691,6 @@ mod tests {
             shards: 2,
             trace: false,
             compile: true,
-            sampler_mode: wdm_osmodel::dist::SamplerMode::Exact,
             batch_record: true,
             blame: None,
             flame_hz: None,

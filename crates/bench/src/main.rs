@@ -5,7 +5,6 @@
 //! ```text
 //! repro <artifact> [--minutes N | --full] [--seed S] [--threads T]
 //!                  [--shards K] [--out DIR] [--no-compile]
-//!                  [--sampler-mode exact|table]
 //!
 //! artifacts:
 //!   table1 table2 table3 table4 figure4 figure5 figure6 figure7
@@ -27,9 +26,8 @@ use wdm_bench::{
     cells::{measure_all, summary_digest, Duration, RunConfig},
     extras, figures, forensics, output, progress, tables, timing, tracecmd,
 };
-use wdm_osmodel::dist::SamplerMode;
 
-const USAGE: &str = "usage: repro <artifact> [--minutes N | --full] [--seed S] [--threads T] [--shards K] [--out DIR] [--trace] [--no-compile] [--no-batch-record] [--sampler-mode exact|table] [--blame-mode topk|threshold|blockmax] [--blame-threshold-ms T] [--blame-top K] [--flame-hz HZ] [--repeats R] [--quiet | --verbose]
+const USAGE: &str = "usage: repro <artifact> [--minutes N | --full] [--seed S] [--threads T] [--shards K] [--out DIR] [--trace] [--no-compile] [--no-batch-record] [--blame-mode topk|threshold|blockmax] [--blame-threshold-ms T] [--blame-top K] [--flame-hz HZ] [--repeats R] [--quiet | --verbose]
 
 artifacts:
   table1 table2 table3 table4 figure4 figure5 figure6 figure7
@@ -51,11 +49,6 @@ options:
   --no-batch-record
                 record each latency sample straight into its series instead
                 of staging and batch-folding (output byte-identical)
-  --sampler-mode exact|table
-                how distribution draws are lowered: 'exact' (default) is
-                bit-identical to the interpreted samplers; 'table' uses
-                quantile-table inverse-CDF lookups (own digest baseline,
-                artifacts/CELL_digests_table.txt)
   --blame-mode topk|threshold|blockmax
                 which latency samples trigger a forensic capture (DESIGN.md
                 \u{a7}15): the K largest per cell (default), samples at or above
@@ -86,6 +79,19 @@ fn fatal(what: &str, err: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
+/// Writes `text` to stdout, ending the run through [`fatal`] (exit 1) when
+/// stdout is a closed pipe or a full device, where `print!` would panic.
+fn out(text: &str) {
+    use std::io::Write;
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        fatal("writing to stdout", e);
+    }
+}
+
 /// Pulls the value of `--flag value`, failing with usage on a missing or
 /// malformed value.
 fn flag_value<T: std::str::FromStr>(args: &[String], i: &mut usize, what: &str) -> T {
@@ -108,7 +114,6 @@ fn main() {
     let mut trace = false;
     let mut compile = true;
     let mut batch_record = true;
-    let mut sampler_mode = SamplerMode::Exact;
     let mut blame_mode: Option<String> = None;
     let mut blame_threshold_ms = 1.0f64;
     let mut blame_top = 4usize;
@@ -174,14 +179,6 @@ fn main() {
                 }
                 repeats = Some(r);
             }
-            "--sampler-mode" => {
-                let raw: String = flag_value(&args, &mut i, "--sampler-mode");
-                sampler_mode = SamplerMode::parse(&raw).unwrap_or_else(|| {
-                    usage_error(&format!(
-                        "invalid value '{raw}' for --sampler-mode (expected 'exact' or 'table')"
-                    ))
-                });
-            }
             "--quiet" => {
                 if verbosity == Some(progress::Verbosity::Verbose) {
                     usage_error("--quiet and --verbose are mutually exclusive");
@@ -205,7 +202,7 @@ fn main() {
                 out_dir = Some(std::path::PathBuf::from(dir));
             }
             "--help" | "-h" => {
-                println!("{USAGE}");
+                out(&format!("{USAGE}\n"));
                 return;
             }
             a if !a.starts_with('-') && artifact.is_none() => {
@@ -236,7 +233,6 @@ fn main() {
         shards,
         trace,
         compile,
-        sampler_mode,
         batch_record,
         blame,
         // The 'flame' artifact arms the sampler at its default rate; an
@@ -271,16 +267,16 @@ fn main() {
     let cells = cells.as_ref();
 
     match artifact.as_str() {
-        "table1" => print!("{}", tables::table1()),
-        "table2" => print!("{}", tables::table2()),
+        "table1" => out(&tables::table1()),
+        "table2" => out(&tables::table2()),
         "table3" => {
-            print!("{}", tables::table3(cells.unwrap()));
-            println!();
-            print!("{}", tables::table3_nt(cells.unwrap()));
+            out(&tables::table3(cells.unwrap()));
+            out("\n");
+            out(&tables::table3_nt(cells.unwrap()));
         }
-        "table4" => print!("{}", tables::table4(&cfg)),
+        "table4" => out(&tables::table4(&cfg)),
         "figure4" => {
-            print!("{}", figures::figure4(cells.unwrap()));
+            out(&figures::figure4(cells.unwrap()));
             if let Some(dir) = &out_dir {
                 let files = output::write_figure4(cells.unwrap(), dir)
                     .unwrap_or_else(|e| fatal("writing figure4 TSVs", e));
@@ -291,7 +287,7 @@ fn main() {
         }
         "figure5" => {
             let f = figures::figure5(&cfg);
-            print!("{}", figures::render_figure5(&f));
+            out(&figures::render_figure5(&f));
             if let Some(dir) = &out_dir {
                 let path = output::write_figure5(&f, dir)
                     .unwrap_or_else(|e| fatal("writing figure5 TSV", e));
@@ -299,7 +295,7 @@ fn main() {
             }
         }
         "figure6" | "figure7" => {
-            print!("{}", figures::figures_6_7(cells.unwrap()));
+            out(&figures::figures_6_7(cells.unwrap()));
             if let Some(dir) = &out_dir {
                 let files = output::write_figures_6_7(cells.unwrap(), dir)
                     .unwrap_or_else(|e| fatal("writing figure 6/7 TSVs", e));
@@ -308,22 +304,22 @@ fn main() {
                 }
             }
         }
-        "throughput" => print!("{}", extras::throughput(cells.unwrap())),
-        "validate-mttf" => print!("{}", extras::validate(&cfg)),
-        "win2000" => print!("{}", extras::win2000(&cfg)),
-        "microbench" => print!("{}", extras::microbench(&cfg)),
-        "interactive" => print!("{}", extras::interactive(&cfg)),
-        "stability" => print!("{}", extras::stability(&cfg, 5)),
-        "sched" => print!("{}", extras::sched(cells.unwrap())),
-        "feasibility" => print!("{}", extras::feasibility(cells.unwrap())),
-        "ablations" => print!("{}", extras::ablations(minutes.min(5.0), seed, threads)),
+        "throughput" => out(&extras::throughput(cells.unwrap())),
+        "validate-mttf" => out(&extras::validate(&cfg)),
+        "win2000" => out(&extras::win2000(&cfg)),
+        "microbench" => out(&extras::microbench(&cfg)),
+        "interactive" => out(&extras::interactive(&cfg)),
+        "stability" => out(&extras::stability(&cfg, 5)),
+        "sched" => out(&extras::sched(cells.unwrap())),
+        "feasibility" => out(&extras::feasibility(cells.unwrap())),
+        "ablations" => out(&extras::ablations(minutes.min(5.0), seed, threads)),
         "digest" => {
             // One exact digest line per cell, NT first, paper workload
             // order. CI diffs this against a committed reference to prove
             // the harness still reproduces the recorded runs bit-for-bit.
             let cells = cells.unwrap();
             for m in cells.nt.iter().chain(&cells.win98) {
-                println!("{}", summary_digest(m));
+                out(&format!("{}\n", summary_digest(m)));
             }
         }
         "timing" => {
@@ -337,9 +333,9 @@ fn main() {
                 ),
             );
             let r = timing::run(&cfg, repeats);
-            print!("{}", timing::render_summary(&r));
+            out(&timing::render_summary(&r));
             let json = timing::render_json(&cfg, &r);
-            println!("{json}");
+            out(&format!("{json}\n"));
             if let Some(dir) = &out_dir {
                 std::fs::create_dir_all(dir)
                     .unwrap_or_else(|e| fatal("creating output directory", e));
@@ -409,7 +405,7 @@ fn main() {
         }
         "metrics" => {
             let json = tracecmd::render_metrics_json(&cfg, cells.unwrap());
-            print!("{json}");
+            out(&json);
             if let Some(dir) = &out_dir {
                 std::fs::create_dir_all(dir)
                     .unwrap_or_else(|e| fatal("creating output directory", e));
@@ -422,38 +418,38 @@ fn main() {
         "all" => {
             let cells = cells.unwrap();
             let hr = "\n================================================================\n\n";
-            print!("{}", tables::table1());
-            print!("{hr}");
-            print!("{}", tables::table2());
-            print!("{hr}");
-            print!("{}", figures::figure4(cells));
-            print!("{hr}");
-            print!("{}", tables::table3(cells));
-            println!();
-            print!("{}", tables::table3_nt(cells));
-            print!("{hr}");
+            out(&tables::table1());
+            out(hr);
+            out(&tables::table2());
+            out(hr);
+            out(&figures::figure4(cells));
+            out(hr);
+            out(&tables::table3(cells));
+            out("\n");
+            out(&tables::table3_nt(cells));
+            out(hr);
             let f5 = figures::figure5(&cfg);
-            print!("{}", figures::render_figure5(&f5));
-            print!("{hr}");
-            print!("{}", tables::table4(&cfg));
-            print!("{hr}");
-            print!("{}", figures::figures_6_7(cells));
-            print!("{hr}");
-            print!("{}", extras::throughput(cells));
-            print!("{hr}");
-            print!("{}", extras::validate(&cfg));
-            print!("{hr}");
-            print!("{}", extras::sched(cells));
-            print!("{hr}");
-            print!("{}", extras::feasibility(cells));
-            print!("{hr}");
-            print!("{}", extras::win2000(&cfg));
-            print!("{hr}");
-            print!("{}", extras::microbench(&cfg));
-            print!("{hr}");
-            print!("{}", extras::interactive(&cfg));
-            print!("{hr}");
-            print!("{}", extras::ablations(minutes.min(5.0), seed, threads));
+            out(&figures::render_figure5(&f5));
+            out(hr);
+            out(&tables::table4(&cfg));
+            out(hr);
+            out(&figures::figures_6_7(cells));
+            out(hr);
+            out(&extras::throughput(cells));
+            out(hr);
+            out(&extras::validate(&cfg));
+            out(hr);
+            out(&extras::sched(cells));
+            out(hr);
+            out(&extras::feasibility(cells));
+            out(hr);
+            out(&extras::win2000(&cfg));
+            out(hr);
+            out(&extras::microbench(&cfg));
+            out(hr);
+            out(&extras::interactive(&cfg));
+            out(hr);
+            out(&extras::ablations(minutes.min(5.0), seed, threads));
             if let Some(dir) = &out_dir {
                 let f4 = output::write_figure4(cells, dir)
                     .unwrap_or_else(|e| fatal("writing figure4 TSVs", e));

@@ -127,7 +127,6 @@ mod tests {
             shards: 1,
             trace: false,
             compile: true,
-            sampler_mode: wdm_osmodel::dist::SamplerMode::Exact,
         batch_record: true,
         blame: None,
         flame_hz: None,

@@ -116,45 +116,9 @@ where
     done.into_inner().unwrap()
 }
 
-/// Runs `run()` `repeats` times and keeps the attempt with the smallest
-/// `key` (e.g. total wall-clock). Timing comparisons built on one attempt
-/// per side are noise-biased — the loser of a single race may just have
-/// eaten a page fault — so the timing harness reports best-of-N for both
-/// the serial and the parallel side. `repeats` is clamped to at least 1.
-pub fn best_of<T, F, K>(repeats: usize, run: F, key: K) -> T
-where
-    F: Fn() -> T,
-    K: Fn(&T) -> f64,
-{
-    let mut best = run();
-    for _ in 1..repeats.max(1) {
-        let next = run();
-        if key(&next) < key(&best) {
-            best = next;
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn best_of_keeps_the_smallest_key() {
-        let calls = std::cell::Cell::new(0.0f64);
-        let picked = best_of(
-            4,
-            || {
-                // Descending keys: 8, 6, 4, 2 — the last attempt wins.
-                calls.set(calls.get() + 2.0);
-                10.0 - calls.get()
-            },
-            |&v| v,
-        );
-        assert_eq!(picked, 2.0);
-        assert_eq!(best_of(0, || 7, |_| 0.0), 7);
-    }
 
     #[test]
     fn results_arrive_in_job_order_at_any_thread_count() {

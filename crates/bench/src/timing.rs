@@ -1,21 +1,17 @@
 //! The `repro timing` artifact: harness self-measurement.
 //!
-//! Runs the 8-cell grid four times — once on a single worker as the
-//! serial reference, once fanned out over the requested worker count,
+//! Runs the 8-cell grid three times — once on a single worker as the
+//! serial reference, once fanned out over the requested worker count, and
 //! once serially with program compilation off (the interpreted reference
-//! path), and once serially in table sampler mode (`--sampler-mode
-//! table`) — verifies the first three runs are observably identical (see
-//! [`crate::cells::summary_digest`]; the table run draws a different
-//! sample stream by design and is pinned by its own digest baseline), and
-//! emits a `BENCH_cells.json` report with per-cell wall-clock cost, total
-//! wall clock for the runs, the measured thread speedup, the
-//! compiled-vs-interpreted and exact-vs-table event rates, the simulator
-//! event rate and the measurement-path sample rate.
+//! path) — verifies the three runs are observably identical (see
+//! [`crate::cells::summary_digest`]), and emits a `BENCH_cells.json`
+//! report with per-cell wall-clock cost, total wall clock for the runs,
+//! the measured thread speedup, the compiled-vs-interpreted event rates,
+//! the simulator event rate and the measurement-path sample rate.
 
 use crate::cells::{
     measure_all_timed, shard_imbalance, summary_digest, Duration, RunConfig, TimedCells,
 };
-use wdm_osmodel::dist::SamplerMode;
 
 /// Everything the `timing` artifact measured.
 pub struct TimingReport {
@@ -26,11 +22,6 @@ pub struct TimingReport {
     /// Serial run with program compilation off: the interpreted reference
     /// path's cost, for the compiled-vs-interpreted rate comparison.
     pub interpreted: TimedCells,
-    /// Serial run in table sampler mode. Its sample stream differs from
-    /// the exact runs by design (quantile-table draws), so it joins the
-    /// rate comparison but not the identity check; CI pins it against
-    /// `artifacts/CELL_digests_table.txt` instead.
-    pub table: TimedCells,
     /// Whether the serial, parallel and interpreted runs produced
     /// identical summaries (they must).
     pub identical: bool,
@@ -49,13 +40,6 @@ impl TimingReport {
     /// the single-core payoff of program compilation.
     pub fn compile_speedup(&self) -> f64 {
         self.interpreted.total_wall_s / self.serial.total_wall_s.max(1e-9)
-    }
-
-    /// Exact serial wall clock over table serial wall clock: the
-    /// single-core payoff of table sampler mode (>1 when table draws are
-    /// cheaper than exact ones).
-    pub fn table_speedup(&self) -> f64 {
-        self.serial.total_wall_s / self.table.total_wall_s.max(1e-9)
     }
 
     /// Latency samples recorded per serial wall-clock second: the
@@ -178,26 +162,12 @@ pub fn run(cfg: &RunConfig, repeats_override: Option<usize>) -> TimingReport {
         1,
         repeats,
     );
-    // The table pass re-runs the serial grid with quantile-table sampling.
-    // Its stream differs from exact by design, so it stays out of the
-    // identity check; determinism across its own repeats is still asserted
-    // inside `best_timed`.
-    let table = best_timed(
-        &RunConfig {
-            sampler_mode: SamplerMode::Table,
-            batch_record: true,
-            ..*cfg
-        },
-        1,
-        repeats,
-    );
     let identical =
         digests(&serial) == digests(&parallel) && digests(&serial) == digests(&interpreted);
     TimingReport {
         serial,
         parallel,
         interpreted,
-        table,
         identical,
         repeats,
     }
@@ -207,24 +177,21 @@ pub fn run(cfg: &RunConfig, repeats_override: Option<usize>) -> TimingReport {
 /// regression tool) comparing two timing artifacts is warned that the
 /// absolute rates depend on which machine — and which thermal/load phase
 /// of that machine — produced each artifact. Only the *ratios within one
-/// artifact* (speedups, compiled-vs-interpreted, v2-vs-`--stats-v1`) are
-/// host-phase-controlled, because their sides ran interleaved in one
-/// process. See EXPERIMENTS.md.
+/// artifact* (speedup, compiled-vs-interpreted) are host-phase-controlled,
+/// because their sides ran in one process. See EXPERIMENTS.md.
 pub const HOST_PHASE_NOTE: &str = "absolute events_per_sec values are \
-    host- and phase-dependent; compare ratios (speedup, compile_speedup, \
-    table_speedup) within one artifact, never absolute rates across \
-    artifacts";
+    host- and phase-dependent; compare ratios (speedup, compile_speedup) \
+    within one artifact, never absolute rates across artifacts";
 
 /// Renders the report as the `BENCH_cells.json` document.
 pub fn render_json(cfg: &RunConfig, r: &TimingReport) -> String {
     let mut cells = String::new();
-    for (i, (((t, s), n), b)) in r
+    for (i, ((t, s), n)) in r
         .parallel
         .timings
         .iter()
         .zip(&r.serial.timings)
         .zip(&r.interpreted.timings)
-        .zip(&r.table.timings)
         .enumerate()
     {
         assert_eq!(
@@ -236,11 +203,6 @@ pub fn render_json(cfg: &RunConfig, r: &TimingReport) -> String {
             (t.os, t.workload),
             (n.os, n.workload),
             "interpreted timings must list cells in the same order"
-        );
-        assert_eq!(
-            (t.os, t.workload),
-            (b.os, b.workload),
-            "table timings must list cells in the same order"
         );
         if i > 0 {
             cells.push_str(",\n");
@@ -258,9 +220,8 @@ pub fn render_json(cfg: &RunConfig, r: &TimingReport) -> String {
         // cell's window split for the 8 x K fan-out and how evenly its
         // pieces cost out. `samples_recorded` / `measure_events_per_sec`
         // are the serial cell's latency-sample count and rate through the
-        // cycle-domain measurement fast path (DESIGN.md §12);
-        // `table_events_per_sec` is the same cell's serial simulator rate
-        // under `--sampler-mode table`. `batch_flushes` /
+        // cycle-domain measurement fast path (DESIGN.md §12).
+        // `batch_flushes` /
         // `samples_per_flush` / `staged_samples_per_sec` describe the
         // serial cell's SoA staging traffic (DESIGN.md §13; zeros under
         // `--no-batch-record`).
@@ -277,7 +238,6 @@ pub fn render_json(cfg: &RunConfig, r: &TimingReport) -> String {
              \"shards\": {}, \"shard_wall_s\": [{}], \"shard_imbalance\": {}, \
              \"serial_wall_s\": {}, \
              \"serial_events_per_sec\": {}, \"interpreted_events_per_sec\": {}, \
-             \"table_events_per_sec\": {}, \
              \"samples_recorded\": {}, \"measure_events_per_sec\": {}, \
              \"batch_flushes\": {}, \"samples_per_flush\": {}, \
              \"staged_samples_per_sec\": {}, \
@@ -295,7 +255,6 @@ pub fn render_json(cfg: &RunConfig, r: &TimingReport) -> String {
             json_f64(s.wall_s),
             json_f64(s.sim_events as f64 / s.wall_s.max(1e-9)),
             json_f64(n.sim_events as f64 / n.wall_s.max(1e-9)),
-            json_f64(b.sim_events as f64 / b.wall_s.max(1e-9)),
             s.samples_recorded,
             json_f64(s.samples_recorded as f64 / s.wall_s.max(1e-9)),
             s.batch_flushes,
@@ -309,21 +268,18 @@ pub fn render_json(cfg: &RunConfig, r: &TimingReport) -> String {
     let total_compiled: u64 = r.parallel.timings.iter().map(|t| t.compiled_steps).sum();
     let total_dispatches: u64 = r.parallel.timings.iter().map(|t| t.step_dispatches).sum();
     let total_samples: u64 = r.serial.timings.iter().map(|t| t.samples_recorded).sum();
-    let table_events: u64 = r.table.timings.iter().map(|t| t.sim_events).sum();
     format!(
         "{{\n  \"artifact\": \"BENCH_cells\",\n  \"duration\": {},\n  \"seed\": {},\n  \
          \"threads\": {},\n  \"host_cores\": {},\n  \
          \"shards\": {},\n  \"repeats\": {},\n  \"compiled\": {},\n  \
-         \"sampler_mode\": {},\n  \"stats_mode\": {},\n  \
          \"host_phase_note\": {},\n  \"shard_imbalance\": {},\n  \
          \"serial_wall_s\": {},\n  \"parallel_wall_s\": {},\n  \
-         \"interpreted_serial_wall_s\": {},\n  \"table_serial_wall_s\": {},\n  \
-         \"speedup\": {},\n  \"compile_speedup\": {},\n  \"table_speedup\": {},\n  \
+         \"interpreted_serial_wall_s\": {},\n  \
+         \"speedup\": {},\n  \"compile_speedup\": {},\n  \
          \"identical\": {},\n  \
          \"total_sim_events\": {},\n  \
          \"events_per_sec\": {},\n  \"serial_events_per_sec\": {},\n  \
          \"interpreted_serial_events_per_sec\": {},\n  \
-         \"table_serial_events_per_sec\": {},\n  \
          \"samples_recorded\": {},\n  \"measure_events_per_sec\": {},\n  \
          \"batch_flushes\": {},\n  \"samples_per_flush\": {},\n  \
          \"staged_samples_per_sec\": {},\n  \
@@ -337,23 +293,18 @@ pub fn render_json(cfg: &RunConfig, r: &TimingReport) -> String {
         cfg.shards,
         r.repeats,
         cfg.compile,
-        json_str(cfg.sampler_mode.as_str()),
-        json_str("v2"),
         json_str(HOST_PHASE_NOTE),
         json_f64(r.grid_imbalance()),
         json_f64(r.serial.total_wall_s),
         json_f64(r.parallel.total_wall_s),
         json_f64(r.interpreted.total_wall_s),
-        json_f64(r.table.total_wall_s),
         json_f64(r.speedup()),
         json_f64(r.compile_speedup()),
-        json_f64(r.table_speedup()),
         r.identical,
         total_events,
         json_f64(total_events as f64 / r.parallel.total_wall_s.max(1e-9)),
         json_f64(total_events as f64 / r.serial.total_wall_s.max(1e-9)),
         json_f64(total_events as f64 / r.interpreted.total_wall_s.max(1e-9)),
-        json_f64(table_events as f64 / r.table.total_wall_s.max(1e-9)),
         total_samples,
         json_f64(r.measure_events_per_sec()),
         r.batch_flushes(),
@@ -371,8 +322,7 @@ pub fn render_summary(r: &TimingReport) -> String {
     let mut out = format!(
         "Harness timing: 8 cells ({} shard jobs), best of {}: serial {:.2} s \
          vs {} threads {:.2} s ({:.2}x speedup, shard imbalance {:.2}) \
-         vs interpreted serial {:.2} s ({:.2}x from compilation) \
-         vs table serial {:.2} s ({:.2}x from table sampling), \
+         vs interpreted serial {:.2} s ({:.2}x from compilation), \
          measure path {:.0} samples/s ({:.0} staged/flush), outputs {}\n\n",
         total_jobs,
         r.repeats,
@@ -383,8 +333,6 @@ pub fn render_summary(r: &TimingReport) -> String {
         r.grid_imbalance(),
         r.interpreted.total_wall_s,
         r.compile_speedup(),
-        r.table.total_wall_s,
-        r.table_speedup(),
         r.measure_events_per_sec(),
         r.samples_per_flush(),
         if r.identical {
@@ -394,7 +342,7 @@ pub fn render_summary(r: &TimingReport) -> String {
         }
     );
     out += &format!(
-        "{:<16}{:<18}{:>10}{:>16}{:>14}{:>16}{:>14}{:>13}{:>9}{:>12}{:>12}\n",
+        "{:<16}{:<18}{:>10}{:>16}{:>14}{:>16}{:>14}{:>9}{:>12}{:>12}\n",
         "OS",
         "workload",
         "wall s",
@@ -402,21 +350,19 @@ pub fn render_summary(r: &TimingReport) -> String {
         "events/s",
         "serial ev/s",
         "interp ev/s",
-        "table ev/s",
         "speedup",
         "steps/disp",
         "comp/disp"
     );
-    for (((t, s), n), b) in r
+    for ((t, s), n) in r
         .parallel
         .timings
         .iter()
         .zip(&r.serial.timings)
         .zip(&r.interpreted.timings)
-        .zip(&r.table.timings)
     {
         out += &format!(
-            "{:<16}{:<18}{:>10.2}{:>16}{:>14.0}{:>16.0}{:>14.0}{:>13.0}{:>8.2}x{:>12.2}{:>12.2}\n",
+            "{:<16}{:<18}{:>10.2}{:>16}{:>14.0}{:>16.0}{:>14.0}{:>8.2}x{:>12.2}{:>12.2}\n",
             t.os.name(),
             t.workload.name(),
             t.wall_s,
@@ -424,7 +370,6 @@ pub fn render_summary(r: &TimingReport) -> String {
             t.sim_events as f64 / t.wall_s.max(1e-9),
             s.sim_events as f64 / s.wall_s.max(1e-9),
             n.sim_events as f64 / n.wall_s.max(1e-9),
-            b.sim_events as f64 / b.wall_s.max(1e-9),
             s.wall_s / t.wall_s.max(1e-9),
             t.steps_executed as f64 / t.step_dispatches.max(1) as f64,
             t.compiled_steps as f64 / t.step_dispatches.max(1) as f64
@@ -469,7 +414,6 @@ mod tests {
             shards: 1,
             trace: false,
             compile: true,
-            sampler_mode: wdm_osmodel::dist::SamplerMode::Exact,
             batch_record: true,
             blame: None,
             flame_hz: None,
@@ -480,8 +424,8 @@ mod tests {
             "serial, parallel and interpreted summaries must match"
         );
         assert_eq!(r.parallel.timings.len(), 8);
+        assert_eq!(r.serial.timings.len(), 8);
         assert_eq!(r.interpreted.timings.len(), 8);
-        assert_eq!(r.table.timings.len(), 8);
         let json = render_json(&cfg, &r);
         assert!(json.contains("\"artifact\": \"BENCH_cells\""));
         assert!(json.contains("\"identical\": true"));
@@ -516,18 +460,10 @@ mod tests {
         assert_eq!(json.matches("\"interpreted_serial_wall_s\":").count(), 1);
         assert_eq!(json.matches("\"compile_speedup\":").count(), 1);
         assert_eq!(json.matches("\"host_cores\":").count(), 1);
-        // The table sampler pass and the measurement-path rate ride along:
-        // one aggregate each plus per-cell entries.
-        assert!(json.contains("\"sampler_mode\": \"exact\""));
-        // The statistics mode and the host-phase caveat ride in the
-        // aggregate block.
-        assert!(json.contains("\"stats_mode\": \"v2\""));
+        // The host-phase caveat rides in the aggregate block; the
+        // measurement-path rate has one aggregate plus per-cell entries.
         assert_eq!(json.matches("\"host_phase_note\":").count(), 1);
         assert!(json.contains("compare ratios"));
-        assert_eq!(json.matches("\"table_events_per_sec\":").count(), 8);
-        assert_eq!(json.matches("\"table_serial_events_per_sec\":").count(), 1);
-        assert_eq!(json.matches("\"table_serial_wall_s\":").count(), 1);
-        assert_eq!(json.matches("\"table_speedup\":").count(), 1);
         assert_eq!(json.matches("\"samples_recorded\":").count(), 8 + 1);
         assert_eq!(json.matches("\"measure_events_per_sec\":").count(), 8 + 1);
         // Staging traffic: per-cell entries plus one grid aggregate each.
@@ -594,7 +530,6 @@ mod tests {
         assert!(text.contains("identical"));
         assert!(text.contains("serial ev/s"));
         assert!(text.contains("interp ev/s"));
-        assert!(text.contains("table ev/s"));
         assert!(text.contains("samples/s"));
         assert!(text.contains("staged/flush"));
         assert!(text.contains("steps/disp"));

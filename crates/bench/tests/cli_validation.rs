@@ -1,6 +1,7 @@
 //! Integration tests for `repro`'s argument validation: every degenerate
 //! or malformed flag must exit 2 with the usage text on stderr before any
-//! simulation work starts, and the escape-hatch flags must parse.
+//! simulation work starts, the escape-hatch flags must parse, and a failed
+//! stdout must end the run with exit 1.
 
 use std::process::{Command, Output};
 
@@ -47,10 +48,6 @@ fn malformed_values_exit_2_with_usage() {
     assert_usage_rejection(&["digest", "--seed", "1999x"], "--seed");
     assert_usage_rejection(&["digest", "--shards", "two"], "--shards");
     assert_usage_rejection(&["timing", "--repeats", "-1"], "--repeats");
-    assert_usage_rejection(
-        &["digest", "--sampler-mode", "fast"],
-        "--sampler-mode",
-    );
 }
 
 #[test]
@@ -77,6 +74,32 @@ fn retired_and_unknown_stats_flags_exit_2_with_usage() {
     assert_usage_rejection(&["digest", "--stats-v0"], "--stats-v0");
     assert_usage_rejection(&["digest", "--stats-legacy"], "--stats-legacy");
     assert_usage_rejection(&["digest", "--stats-v1=1"], "--stats-v1=1");
+}
+
+#[test]
+fn retired_sampler_flag_exits_2_with_usage() {
+    // Exact is the only sampler lowering, so the flag is unknown under
+    // either of its old values: a stale script fails loudly.
+    assert_usage_rejection(&["digest", "--sampler-mode", "table"], "--sampler-mode");
+    assert_usage_rejection(&["digest", "--sampler-mode", "exact"], "--sampler-mode");
+}
+
+#[test]
+fn closed_stdout_exits_1_without_panicking() {
+    // A reader that goes away (`repro ... | head`) or a full device must
+    // end the run as a runtime error, not a panic (an abort under the
+    // release profile).
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("table1")
+        .stdout(writer)
+        .output()
+        .expect("repro binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(stderr.contains("writing to stdout"), "stderr: {stderr}");
 }
 
 #[test]

@@ -17,7 +17,6 @@ fn grid_digests_at(minutes: f64, seed: u64, threads: usize, shards: usize) -> Ve
         shards,
         trace: false,
         compile: true,
-        sampler_mode: wdm_osmodel::dist::SamplerMode::Exact,
         batch_record: true,
         blame: None,
         flame_hz: None,
@@ -81,7 +80,6 @@ fn tracing_leaves_the_grid_bit_identical() {
         shards: 1,
         trace: false,
         compile: true,
-        sampler_mode: wdm_osmodel::dist::SamplerMode::Exact,
         batch_record: true,
         blame: None,
         flame_hz: None,
@@ -137,7 +135,6 @@ fn forensics_armed_grid_is_digest_neutral_and_thread_deterministic() {
         shards: 2,
         trace: false,
         compile: true,
-        sampler_mode: wdm_osmodel::dist::SamplerMode::Exact,
         batch_record: true,
         blame: None,
         flame_hz: None,
@@ -220,7 +217,6 @@ fn shard_count_changes_the_stream_but_not_the_window() {
         shards: 1,
         trace: false,
         compile: true,
-        sampler_mode: wdm_osmodel::dist::SamplerMode::Exact,
         batch_record: true,
         blame: None,
         flame_hz: None,
@@ -407,7 +403,6 @@ fn digests_are_sensitive_to_the_seed() {
         shards: 1,
         trace: false,
         compile: true,
-        sampler_mode: wdm_osmodel::dist::SamplerMode::Exact,
         batch_record: true,
         blame: None,
         flame_hz: None,

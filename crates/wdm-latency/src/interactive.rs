@@ -37,8 +37,8 @@ pub struct InteractiveRecords {
     /// Raw-sample staging (DESIGN.md §13); sid 0 is `dispatch`.
     stage: SampleStage,
     /// Batched recording on (the default); off is the per-sample path.
-    /// Bit-identical either way: v2 accumulators are order-free exact
-    /// (DESIGN.md §14), and `--stats-v1` keeps the stable stage partition.
+    /// Bit-identical either way: the exact accumulators are order-free
+    /// (DESIGN.md §14).
     batch: bool,
 }
 

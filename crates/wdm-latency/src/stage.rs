@@ -163,8 +163,8 @@ impl SampleStage {
     }
 
     /// One series' partitioned run: parallel `(now, latency)` columns in
-    /// arrival order. Valid between [`Self::partition`] and
-    /// [`Self::reset`].
+    /// reversed arrival order (see [`Self::partition`]). Valid between
+    /// [`Self::partition`] and [`Self::reset`].
     pub fn run(&self, sid: u16) -> (&[u64], &[u64]) {
         let a = self.starts[sid as usize] as usize;
         let b = a + self.counts[sid as usize] as usize;

@@ -374,13 +374,11 @@ impl LatencySeries {
 
     /// Folds a staged batch of cycle-domain samples (parallel `now` /
     /// latency columns) at the series' clock rate. Bit-identical to
-    /// per-sample [`Self::record_cycles`] calls in timestamp order — in
-    /// any batch order under v2, where every accumulator is order-free
-    /// (DESIGN.md §14): histogram and block-maxima state are independent,
-    /// so folding the whole column into each in turn reproduces the
-    /// interleaved per-sample updates exactly. Under `--stats-v1` the
-    /// caller must present the columns in stream order (the legacy f64
-    /// sum is order-sensitive).
+    /// per-sample [`Self::record_cycles`] calls in timestamp order, in any
+    /// batch order, because every accumulator is order-free (DESIGN.md
+    /// §14): histogram and block-maxima state are independent, so folding
+    /// the whole column into each in turn reproduces the interleaved
+    /// per-sample updates exactly.
     pub fn record_cycles_batch(&mut self, nows: &[u64], cycles: &[u64]) {
         self.hist.record_cycles_batch(cycles, self.cpu_hz);
         self.blocks.record_cycles_batch(nows, cycles, self.cpu_hz);

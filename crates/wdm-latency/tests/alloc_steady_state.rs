@@ -4,12 +4,12 @@
 //! compiled step loop; this binary pins the *measurement* side of the
 //! cycle-domain fast path (DESIGN.md §12): once a [`LatencySeries`] has
 //! built its integer bin edges and grown its block-maxima vector to
-//! steady capacity, a record-heavy window — compiled sampler draws (exact
-//! and table mode) feeding `record_cycles` — must perform **zero** heap
-//! operations, sample for sample. A second window pins the batched path
-//! (DESIGN.md §13): `draw_batch` into a fixed buffer, 200k samples staged
-//! through a [`SampleStage`] and flushed (partition + fold + reset), also
-//! at zero heap operations.
+//! steady capacity, a record-heavy window — compiled sampler draws feeding
+//! `record_cycles` — must perform **zero** heap operations, sample for
+//! sample. A second window pins the batched path (DESIGN.md §13):
+//! `draw_batch` into a fixed buffer, 200k samples staged through a
+//! [`SampleStage`] and flushed (partition + fold + reset), also at zero
+//! heap operations.
 //!
 //! The file holds a single `#[test]` on purpose: the counter is global, so
 //! a sibling test running concurrently would bleed its allocations into
@@ -59,9 +59,8 @@ const BLOCK: u64 = 60 * CPU_HZ;
 
 #[test]
 fn record_heavy_window_is_allocation_free() {
-    // A heavy-tailed mixture like the scenario distributions, compiled
-    // both ways: exact draws run the closed-form sampler, table draws run
-    // the quantile-table lerp. Both must be draw-time allocation-free.
+    // A heavy-tailed mixture like the scenario distributions; its compiled
+    // draws must be allocation-free.
     let dist = Dist::Mixture(vec![
         (
             0.9,
@@ -81,7 +80,6 @@ fn record_heavy_window_is_allocation_free() {
         ),
     ]);
     let exact = dist.compile(CPU_HZ, SamplerMode::Exact);
-    let table = dist.compile(CPU_HZ, SamplerMode::Table);
     let mut series = LatencySeries::new("audit", CPU_HZ);
     let mut rng = StdRng::seed_from_u64(7);
 
@@ -92,7 +90,6 @@ fn record_heavy_window_is_allocation_free() {
     for i in 0..warm_samples {
         let now = Instant(i * (100 * BLOCK / warm_samples));
         series.record_cycles(now, exact.draw(&mut rng));
-        series.record_cycles(now, table.draw(&mut rng));
     }
     let warm_end = 100 * BLOCK;
     assert!(
@@ -102,22 +99,19 @@ fn record_heavy_window_is_allocation_free() {
     );
 
     // Measured window: 200k draw+record pairs spanning ~20 more blocks.
-    let samples = 100_000u64;
+    let samples = 200_000u64;
     let before = heap_ops();
     for i in 0..samples {
         let now = Instant(warm_end + i * (20 * BLOCK / samples));
         series.record_cycles(now, exact.draw(&mut rng));
-        series.record_cycles(now, table.draw(&mut rng));
     }
     let ops = heap_ops() - before;
     assert_eq!(
-        ops,
-        0,
-        "measurement steady state must not touch the heap ({ops} ops over {} records)",
-        2 * samples
+        ops, 0,
+        "measurement steady state must not touch the heap ({ops} ops over {samples} records)"
     );
-    assert_eq!(series.hist.fast_bin_samples(), 2 * (warm_samples + samples));
-    assert!(series.hist.count() == 2 * (warm_samples + samples));
+    assert_eq!(series.hist.fast_bin_samples(), warm_samples + samples);
+    assert!(series.hist.count() == warm_samples + samples);
 
     // Staged pipeline (DESIGN.md §13): batch draws into a fixed buffer,
     // stage raw triples, and run the full partition/fold/reset flush loop.

@@ -12,48 +12,23 @@
 //!
 //! Hot paths never interpret the [`Dist`] enum per draw: scenario build time
 //! lowers every distribution through [`Dist::compile`] into a
-//! [`CompiledSampler`] with precomputed constants. In
-//! [`SamplerMode::Exact`] the lowered sampler is draw-for-draw bit-identical
-//! to the interpreted closure (same RNG consumption, same f64 operation
-//! order); in [`SamplerMode::Table`] heavy-tail draws go through a
-//! precomputed monotone inverse-CDF quantile table in cycles, eliminating
-//! per-draw `exp`/`ln` at the cost of a re-baselined output stream (see
-//! DESIGN.md §12).
+//! [`CompiledSampler`] with precomputed constants. The lowered sampler is
+//! draw-for-draw bit-identical to the interpreted closure (same RNG
+//! consumption, same f64 operation order), so the committed digests pin
+//! both (see DESIGN.md §12).
 
 use rand::{rngs::StdRng, Rng};
 use wdm_sim::{env::Sampler, time::Cycles};
 
-/// How distributions are lowered into samplers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// How distributions are lowered into samplers. There is one lowering;
+/// the enum survives only because `perfbench/src/kernels.rs` calls
+/// `Dist::compile(hz, SamplerMode::Exact)`, and changes to the benchmark
+/// land on their own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SamplerMode {
     /// Bit-identical to the interpreted `Dist::sample` path: per-draw
     /// `exp`/`ln`/`powf` preserved so the committed digests do not move.
-    #[default]
     Exact,
-    /// Inverse-CDF quantile tables (in cycles) with linear interpolation and
-    /// alias-method mixture selection; no transcendental calls per draw.
-    /// Statistically equivalent, not bit-identical — pinned by its own
-    /// digest baseline (`artifacts/CELL_digests_table.txt`).
-    Table,
-}
-
-impl SamplerMode {
-    /// Parses the CLI spelling (`exact` / `table`).
-    pub fn parse(s: &str) -> Option<SamplerMode> {
-        match s {
-            "exact" => Some(SamplerMode::Exact),
-            "table" => Some(SamplerMode::Table),
-            _ => None,
-        }
-    }
-
-    /// The CLI / artifact spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SamplerMode::Exact => "exact",
-            SamplerMode::Table => "table",
-        }
-    }
 }
 
 /// A duration distribution with parameters in milliseconds.
@@ -201,16 +176,10 @@ impl Dist {
 
     /// Converts to a cycle-valued sampler for the simulator at `cpu_hz`.
     ///
-    /// Equivalent to [`Dist::sampler_mode`] with [`SamplerMode::Exact`]:
-    /// the draws are bit-identical to interpreting `self.sample(rng)` and
+    /// The draws are bit-identical to interpreting `self.sample(rng)` and
     /// converting with [`Cycles::from_ms_at`].
     pub fn sampler(&self, cpu_hz: u64) -> Sampler {
-        self.sampler_mode(cpu_hz, SamplerMode::Exact)
-    }
-
-    /// Converts to a cycle-valued sampler lowered in the given mode.
-    pub fn sampler_mode(&self, cpu_hz: u64, mode: SamplerMode) -> Sampler {
-        let c = self.compile(cpu_hz, mode);
+        let c = self.compile_exact(cpu_hz);
         Box::new(move |rng: &mut StdRng| c.draw(rng))
     }
 
@@ -219,11 +188,8 @@ impl Dist {
     /// Mixture weights are validated here (finite, non-negative, positive
     /// total) so a malformed mixture fails at scenario build time with a
     /// clear message instead of a `gen_range(0.0..0.0)` panic mid-run.
-    pub fn compile(&self, cpu_hz: u64, mode: SamplerMode) -> CompiledSampler {
-        match mode {
-            SamplerMode::Exact => self.compile_exact(cpu_hz),
-            SamplerMode::Table => self.compile_table(cpu_hz),
-        }
+    pub fn compile(&self, cpu_hz: u64, _mode: SamplerMode) -> CompiledSampler {
+        self.compile_exact(cpu_hz)
     }
 
     fn compile_exact(&self, cpu_hz: u64) -> CompiledSampler {
@@ -273,26 +239,6 @@ impl Dist {
             }
         }
     }
-
-    fn compile_table(&self, cpu_hz: u64) -> CompiledSampler {
-        match self {
-            // A constant needs no table; it compiles the same in both modes.
-            Dist::Constant(v) => {
-                CompiledSampler::Constant(Cycles::from_ms_at(v.max(0.0), cpu_hz))
-            }
-            Dist::Mixture(parts) => {
-                validate_mixture(parts);
-                let weights: Vec<f64> = parts.iter().map(|(w, _)| *w).collect();
-                let (accept, alias) = build_alias(&weights);
-                CompiledSampler::Alias {
-                    accept,
-                    alias,
-                    parts: parts.iter().map(|(_, d)| d.compile_table(cpu_hz)).collect(),
-                }
-            }
-            d => CompiledSampler::Table(QuantileTable::build(d, cpu_hz)),
-        }
-    }
 }
 
 /// Validates mixture weights and returns their total, summed in iteration
@@ -316,9 +262,8 @@ fn validate_mixture(parts: &[(f64, Dist)]) -> f64 {
 /// A distribution lowered at scenario build time: flat dispatch, constants
 /// precomputed, no per-draw `Dist` interpretation or heap traffic.
 ///
-/// The `Exact`-mode variants preserve the interpreted path's f64 operation
-/// order and RNG consumption exactly; `Table`/`Alias` are the table-mode
-/// lowering (own digest baseline).
+/// Every variant preserves the interpreted path's f64 operation order and
+/// RNG consumption exactly.
 #[derive(Debug, Clone)]
 pub enum CompiledSampler {
     /// Precomputed cycle count; consumes no randomness.
@@ -367,24 +312,13 @@ pub enum CompiledSampler {
         /// Clock rate for ms→cycles conversion.
         cpu_hz: u64,
     },
-    /// Exact-mode mixture: subtract-walk selection with the weight total
-    /// precomputed once (the interpreted path re-sums it per draw).
+    /// Mixture: subtract-walk selection with the weight total precomputed
+    /// once (the interpreted path re-sums it per draw).
     Mixture {
         /// Sum of the component weights, in component order.
         total: f64,
         /// `(weight, compiled component)` pairs.
         parts: Vec<(f64, CompiledSampler)>,
-    },
-    /// Table-mode leaf: monotone inverse-CDF quantile table in cycles.
-    Table(QuantileTable),
-    /// Table-mode mixture: Vose alias-method selection in O(1).
-    Alias {
-        /// Acceptance threshold per slot.
-        accept: Vec<f64>,
-        /// Alias target per slot.
-        alias: Vec<u32>,
-        /// Compiled components.
-        parts: Vec<CompiledSampler>,
     },
 }
 
@@ -438,22 +372,6 @@ impl CompiledSampler {
                     .expect("mixture must have at least one component")
                     .1
                     .draw(rng)
-            }
-            CompiledSampler::Table(t) => t.draw(rng),
-            CompiledSampler::Alias {
-                accept,
-                alias,
-                parts,
-            } => {
-                let u: f64 = rng.gen_range(0.0..1.0);
-                let scaled = u * parts.len() as f64;
-                let j = (scaled as usize).min(parts.len() - 1);
-                let idx = if scaled - j as f64 <= accept[j] {
-                    j
-                } else {
-                    alias[j] as usize
-                };
-                parts[idx].draw(rng)
             }
         }
     }
@@ -511,20 +429,9 @@ impl CompiledSampler {
                     *slot = Cycles::from_ms_at(x.clamp(*xmin, *cap).max(0.0), *cpu_hz);
                 }
             }
-            CompiledSampler::Table(t) => {
-                let knots = &t.knots;
-                for slot in out.iter_mut() {
-                    let u: f64 = rng.gen_range(0.0..1.0);
-                    let pos = u * (knots.len() - 1) as f64;
-                    let i = (pos as usize).min(knots.len() - 2);
-                    let frac = pos - i as f64;
-                    let c = knots[i] + frac * (knots[i + 1] - knots[i]);
-                    *slot = Cycles(c as u64);
-                }
-            }
             // Selection and component draws interleave on the one RNG, so
             // mixtures fall back to the per-sample path slot by slot.
-            CompiledSampler::Mixture { .. } | CompiledSampler::Alias { .. } => {
+            CompiledSampler::Mixture { .. } => {
                 for slot in out.iter_mut() {
                     *slot = self.draw(rng);
                 }
@@ -533,198 +440,14 @@ impl CompiledSampler {
     }
 }
 
-/// Number of knots in a quantile table: dense enough that linear
-/// interpolation of these smooth inverse CDFs passes a two-sample KS test
-/// against the exact sampler at n = 20k.
-const TABLE_KNOTS: usize = 4096;
-
-/// A precomputed monotone inverse CDF: `knots[i]` is the quantile at
-/// `u = i / (N-1)`, in *cycles* (f64 so interpolation stays sub-cycle
-/// accurate). One uniform draw plus a lerp per sample — no `exp`/`ln`.
-#[derive(Debug, Clone)]
-pub struct QuantileTable {
-    knots: Vec<f64>,
-}
-
-impl QuantileTable {
-    /// Builds the table for a non-mixture distribution at `cpu_hz`.
-    ///
-    /// Bounded supports (uniform, capped log-normal, bounded Pareto) get an
-    /// exact top knot; unbounded tails are truncated at the
-    /// `1 - 1/(2(N-1))` quantile — half a knot spacing past the last
-    /// representable interior point — so the table never extrapolates.
-    fn build(d: &Dist, cpu_hz: u64) -> QuantileTable {
-        let n = TABLE_KNOTS;
-        let bounded = match d {
-            Dist::Constant(_) | Dist::Uniform { .. } | Dist::ParetoBounded { .. } => true,
-            Dist::Exponential { .. } => false,
-            Dist::LogNormal { cap, .. } => cap.is_finite(),
-            Dist::Mixture(_) => unreachable!("mixtures compile to alias selection, not a table"),
-        };
-        let tail = 1.0 - 1.0 / (2.0 * (n - 1) as f64);
-        let mut knots = Vec::with_capacity(n);
-        let mut prev = 0.0f64;
-        for i in 0..n {
-            let mut u = i as f64 / (n - 1) as f64;
-            if !bounded {
-                u = u.min(tail);
-            }
-            let ms = quantile_ms(d, u).max(0.0);
-            let c = ms * cpu_hz as f64 / 1e3;
-            // Running max enforces monotonicity against approximation noise.
-            prev = prev.max(c);
-            knots.push(prev);
-        }
-        QuantileTable { knots }
-    }
-
-    /// One uniform draw, linear interpolation between adjacent knots,
-    /// truncation to whole cycles.
-    #[inline]
-    pub fn draw(&self, rng: &mut StdRng) -> Cycles {
-        let u: f64 = rng.gen_range(0.0..1.0);
-        let pos = u * (self.knots.len() - 1) as f64;
-        let i = (pos as usize).min(self.knots.len() - 2);
-        let frac = pos - i as f64;
-        let c = self.knots[i] + frac * (self.knots[i + 1] - self.knots[i]);
-        Cycles(c as u64)
-    }
-
-    /// The knot values in cycles (for tests and diagnostics).
-    pub fn knots(&self) -> &[f64] {
-        &self.knots
-    }
-}
-
-/// Exact quantile (inverse CDF) of a non-mixture distribution, in ms.
-fn quantile_ms(d: &Dist, u: f64) -> f64 {
-    match d {
-        Dist::Constant(v) => *v,
-        Dist::Uniform { lo, hi } => lo + u * (hi - lo),
-        Dist::Exponential { mean } => -mean * (1.0 - u).ln(),
-        Dist::LogNormal { median, sigma, cap } => {
-            (median * (sigma * inverse_normal_cdf(u)).exp()).min(*cap)
-        }
-        Dist::ParetoBounded { xmin, alpha, cap } => {
-            let l = xmin.powf(*alpha);
-            let h = cap.powf(*alpha);
-            let x = (-(u * h - u * l - h) / (h * l)).powf(-1.0 / alpha);
-            x.clamp(*xmin, *cap)
-        }
-        Dist::Mixture(_) => unreachable!("mixtures compile to alias selection, not a table"),
-    }
-}
-
-/// Vose alias-method tables for O(1) weighted selection among `weights`.
-/// Returns `(accept, alias)`: draw `u`, scale by `n`, take slot `j = ⌊un⌋`;
-/// keep `j` if the fractional part is within `accept[j]`, else `alias[j]`.
-fn build_alias(weights: &[f64]) -> (Vec<f64>, Vec<u32>) {
-    let n = weights.len();
-    let total: f64 = weights.iter().sum();
-    let mut scaled: Vec<f64> = weights.iter().map(|w| w * n as f64 / total).collect();
-    let mut accept = vec![0.0f64; n];
-    let mut alias: Vec<u32> = (0..n as u32).collect();
-    let mut small: Vec<usize> = Vec::new();
-    let mut large: Vec<usize> = Vec::new();
-    for (i, &s) in scaled.iter().enumerate() {
-        if s < 1.0 {
-            small.push(i);
-        } else {
-            large.push(i);
-        }
-    }
-    while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
-        accept[s] = scaled[s];
-        alias[s] = l as u32;
-        scaled[l] += scaled[s] - 1.0;
-        if scaled[l] < 1.0 {
-            small.push(l);
-        } else {
-            large.push(l);
-        }
-    }
-    // Leftovers are exactly full slots (modulo rounding).
-    while let Some(i) = large.pop() {
-        accept[i] = 1.0;
-    }
-    while let Some(i) = small.pop() {
-        accept[i] = 1.0;
-    }
-    (accept, alias)
-}
-
-/// Acklam's rational approximation to the inverse standard normal CDF
-/// (relative error < 1.15e-9 on (0,1)); ±∞ at the endpoints so capped
-/// log-normal tables get exact `0`/`cap` end knots.
-// Coefficients are kept digit-for-digit as published, even where a literal
-// carries more digits than the nearest f64 needs.
-#[allow(clippy::excessive_precision)]
-pub fn inverse_normal_cdf(p: f64) -> f64 {
-    if p <= 0.0 {
-        return f64::NEG_INFINITY;
-    }
-    if p >= 1.0 {
-        return f64::INFINITY;
-    }
-    const A: [f64; 6] = [
-        -3.969683028665376e+01,
-        2.209460984245205e+02,
-        -2.759285104469687e+02,
-        1.383577518672690e+02,
-        -3.066479806614716e+01,
-        2.506628277459239e+00,
-    ];
-    const B: [f64; 5] = [
-        -5.447609879822406e+01,
-        1.615858368580409e+02,
-        -1.556989798598866e+02,
-        6.680131188771972e+01,
-        -1.328068155288572e+01,
-    ];
-    const C: [f64; 6] = [
-        -7.784894002430293e-03,
-        -3.223964580411365e-01,
-        -2.400758277161838e+00,
-        -2.549732539343734e+00,
-        4.374664141464968e+00,
-        2.938163982698783e+00,
-    ];
-    const D: [f64; 4] = [
-        7.784695709041462e-03,
-        3.224671290700398e-01,
-        2.445134137142996e+00,
-        3.754408661907416e+00,
-    ];
-    const P_LOW: f64 = 0.02425;
-    if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    }
-}
-
 /// Inter-arrival sampler for a Poisson process of the given rate (events per
 /// second of simulated time).
 pub fn poisson_arrivals(rate_hz: f64, cpu_hz: u64) -> Sampler {
-    poisson_arrivals_mode(rate_hz, cpu_hz, SamplerMode::Exact)
-}
-
-/// [`poisson_arrivals`] lowered in the given [`SamplerMode`].
-pub fn poisson_arrivals_mode(rate_hz: f64, cpu_hz: u64, mode: SamplerMode) -> Sampler {
     assert!(rate_hz > 0.0, "arrival rate must be positive");
     Dist::Exponential {
         mean: 1000.0 / rate_hz,
     }
-    .sampler_mode(cpu_hz, mode)
+    .sampler(cpu_hz)
 }
 
 /// Inter-arrival sampler for a two-state Markov-modulated Poisson process:
@@ -741,70 +464,8 @@ pub fn bursty_arrivals(
     mean_off_ms: f64,
     cpu_hz: u64,
 ) -> Sampler {
-    bursty_arrivals_mode(
-        on_rate_hz,
-        off_rate_hz,
-        mean_on_ms,
-        mean_off_ms,
-        cpu_hz,
-        SamplerMode::Exact,
-    )
-}
-
-/// [`bursty_arrivals`] lowered in the given [`SamplerMode`].
-///
-/// Table mode runs the whole phase walk in the integer cycle domain: phase
-/// durations and candidate gaps come from exponential quantile tables and
-/// accumulate as `u64` cycles, so a draw costs a handful of uniform draws
-/// and integer compares — no `ln`, no float accumulation.
-pub fn bursty_arrivals_mode(
-    on_rate_hz: f64,
-    off_rate_hz: f64,
-    mean_on_ms: f64,
-    mean_off_ms: f64,
-    cpu_hz: u64,
-    mode: SamplerMode,
-) -> Sampler {
     assert!(on_rate_hz > 0.0 && off_rate_hz > 0.0, "rates must be positive");
     assert!(mean_on_ms > 0.0 && mean_off_ms > 0.0, "phases must be positive");
-    if mode == SamplerMode::Table {
-        let on_gap = QuantileTable::build(
-            &Dist::Exponential {
-                mean: 1000.0 / on_rate_hz,
-            },
-            cpu_hz,
-        );
-        let off_gap = QuantileTable::build(
-            &Dist::Exponential {
-                mean: 1000.0 / off_rate_hz,
-            },
-            cpu_hz,
-        );
-        let on_phase = QuantileTable::build(&Dist::Exponential { mean: mean_on_ms }, cpu_hz);
-        let off_phase = QuantileTable::build(&Dist::Exponential { mean: mean_off_ms }, cpu_hz);
-        let mut in_burst = false;
-        let mut phase_left = 0u64;
-        return Box::new(move |rng: &mut StdRng| {
-            let mut gap = 0u64;
-            loop {
-                if phase_left == 0 {
-                    in_burst = !in_burst;
-                    let t = if in_burst { &on_phase } else { &off_phase };
-                    // At least one cycle per phase so the walk always
-                    // consumes the phase it entered.
-                    phase_left = t.draw(rng).0.max(1);
-                }
-                let t = if in_burst { &on_gap } else { &off_gap };
-                let candidate = t.draw(rng).0;
-                if candidate <= phase_left {
-                    phase_left -= candidate;
-                    return Cycles(gap + candidate);
-                }
-                gap += phase_left;
-                phase_left = 0;
-            }
-        });
-    }
     // Phase state lives inside the closure: remaining time in the current
     // phase, and whether we're in a burst.
     let mut in_burst = false;
@@ -1103,98 +764,6 @@ mod tests {
     }
 
     #[test]
-    fn table_knots_are_monotone_and_bounded_at_caps() {
-        let hz = 300_000_000u64;
-        for d in zoo() {
-            if matches!(d, Dist::Mixture(_)) {
-                continue;
-            }
-            let t = QuantileTable::build(&d, hz);
-            let k = t.knots();
-            assert_eq!(k.len(), TABLE_KNOTS);
-            assert!(k.windows(2).all(|w| w[0] <= w[1]), "knots not monotone for {d:?}");
-            assert!(k[0] >= 0.0);
-        }
-        // Bounded supports end exactly at their caps.
-        let uni = QuantileTable::build(&Dist::Uniform { lo: 1.0, hi: 3.0 }, hz);
-        assert!((uni.knots()[TABLE_KNOTS - 1] - 3.0 * hz as f64 / 1e3).abs() < 1e-6);
-        let par = QuantileTable::build(
-            &Dist::ParetoBounded {
-                xmin: 0.1,
-                alpha: 1.3,
-                cap: 20.0,
-            },
-            hz,
-        );
-        assert!((par.knots()[TABLE_KNOTS - 1] - 20.0 * hz as f64 / 1e3).abs() < 1.0);
-        let logn = QuantileTable::build(
-            &Dist::LogNormal {
-                median: 0.8,
-                sigma: 0.8,
-                cap: 6.0,
-            },
-            hz,
-        );
-        assert!((logn.knots()[TABLE_KNOTS - 1] - 6.0 * hz as f64 / 1e3).abs() < 1e-6);
-    }
-
-    /// Two-sample Kolmogorov–Smirnov distance.
-    fn ks_distance(mut a: Vec<f64>, mut b: Vec<f64>) -> f64 {
-        a.sort_by(f64::total_cmp);
-        b.sort_by(f64::total_cmp);
-        let (n, m) = (a.len() as f64, b.len() as f64);
-        let (mut i, mut j, mut d) = (0usize, 0usize, 0.0f64);
-        while i < a.len() && j < b.len() {
-            if a[i] <= b[j] {
-                i += 1;
-            } else {
-                j += 1;
-            }
-            d = d.max((i as f64 / n - j as f64 / m).abs());
-        }
-        d
-    }
-
-    #[test]
-    fn table_mode_matches_exact_sampler_ks() {
-        let hz = 300_000_000;
-        let n = 20_000;
-        for d in zoo() {
-            if matches!(d, Dist::Constant(_)) {
-                continue;
-            }
-            let exact = d.compile(hz, SamplerMode::Exact);
-            let table = d.compile(hz, SamplerMode::Table);
-            let mut r = rng();
-            let a: Vec<f64> = (0..n).map(|_| exact.draw(&mut r).0 as f64).collect();
-            let b: Vec<f64> = (0..n).map(|_| table.draw(&mut r).0 as f64).collect();
-            let ks = ks_distance(a, b);
-            // KS_0.01 critical ≈ 1.63·√(2/n) ≈ 0.016 at n = 20k; the
-            // interpolation error budget doubles it.
-            assert!(ks < 0.03, "table-mode KS {ks:.4} too large for {d:?}");
-        }
-    }
-
-    #[test]
-    fn alias_mixture_respects_weights() {
-        let d = Dist::Mixture(vec![
-            (9.0, Dist::Constant(1.0)),
-            (1.0, Dist::Constant(100.0)),
-        ]);
-        let c = d.compile(300_000_000, SamplerMode::Table);
-        let mut r = rng();
-        let n = 50_000;
-        let big = (0..n)
-            .filter(|_| c.draw(&mut r) > Cycles::from_ms(50.0))
-            .count();
-        let frac = big as f64 / n as f64;
-        assert!(
-            (frac - 0.1).abs() < 0.01,
-            "10% of alias draws should hit the rare branch, got {frac}"
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "at least one component")]
     fn empty_mixture_fails_at_compile() {
         Dist::Mixture(vec![]).compile(300_000_000, SamplerMode::Exact);
@@ -1210,59 +779,7 @@ mod tests {
     #[should_panic(expected = "finite and non-negative")]
     fn negative_weight_mixture_fails_at_compile() {
         Dist::Mixture(vec![(-1.0, Dist::Constant(1.0)), (2.0, Dist::Constant(2.0))])
-            .compile(300_000_000, SamplerMode::Table);
-    }
-
-    #[test]
-    fn table_poisson_and_bursty_long_run_rates() {
-        let mut s = poisson_arrivals_mode(1000.0, 300_000_000, SamplerMode::Table);
-        let mut r = rng();
-        let n = 20_000u64;
-        let total: u64 = (0..n).map(|_| s(&mut r).0).sum();
-        let mean_gap_ms = Cycles(total / n).as_ms();
-        assert!(
-            (mean_gap_ms - 1.0).abs() < 0.05,
-            "1 kHz table arrivals should average 1 ms gaps, got {mean_gap_ms}"
-        );
-        let mut s = bursty_arrivals_mode(2_000.0, 20.0, 50.0, 450.0, 300_000_000, SamplerMode::Table);
-        let n = 50_000u64;
-        let total: u64 = (0..n).map(|_| s(&mut r).0).sum();
-        let secs = Cycles(total).as_ms() / 1000.0;
-        let rate = n as f64 / secs;
-        // Long-run rate = (2000*50 + 20*450) / 500 = 218/s.
-        assert!(
-            (150.0..300.0).contains(&rate),
-            "table-mode MMPP long-run rate should be ~218/s, got {rate}"
-        );
-    }
-
-    #[test]
-    fn inverse_normal_cdf_known_values() {
-        let cases = [
-            (0.5, 0.0),
-            (0.975, 1.959963984540054),
-            (0.025, -1.959963984540054),
-            (0.999, 3.090232306167813),
-            (0.001, -3.090232306167813),
-        ];
-        for (p, z) in cases {
-            let got = inverse_normal_cdf(p);
-            assert!(
-                (got - z).abs() < 1e-6,
-                "inverse_normal_cdf({p}) = {got}, want {z}"
-            );
-        }
-        assert_eq!(inverse_normal_cdf(0.0), f64::NEG_INFINITY);
-        assert_eq!(inverse_normal_cdf(1.0), f64::INFINITY);
-    }
-
-    #[test]
-    fn sampler_mode_parse_round_trips() {
-        assert_eq!(SamplerMode::parse("exact"), Some(SamplerMode::Exact));
-        assert_eq!(SamplerMode::parse("table"), Some(SamplerMode::Table));
-        assert_eq!(SamplerMode::parse("fast"), None);
-        assert_eq!(SamplerMode::default().as_str(), "exact");
-        assert_eq!(SamplerMode::Table.as_str(), "table");
+            .compile(300_000_000, SamplerMode::Exact);
     }
 
     #[test]
@@ -1287,22 +804,20 @@ mod tests {
             ]),
         ];
         for d in &dists {
-            for mode in [SamplerMode::Exact, SamplerMode::Table] {
-                let s = d.compile(300_000_000, mode);
-                // Odd length + interleaving exercises the RNG-order claim:
-                // batch, single draw, batch again, on one stream.
-                let mut a = rng();
-                let mut batched = vec![Cycles(0); 37];
-                s.draw_batch(&mut a, &mut batched[..17]);
-                let mid = s.draw(&mut a);
-                s.draw_batch(&mut a, &mut batched[17..]);
-                let mut b = rng();
-                for (k, want) in batched.iter().enumerate() {
-                    if k == 17 {
-                        assert_eq!(s.draw(&mut b), mid, "{d:?} {mode:?} mid");
-                    }
-                    assert_eq!(s.draw(&mut b), *want, "{d:?} {mode:?} draw {k}");
+            let s = d.compile(300_000_000, SamplerMode::Exact);
+            // Odd length + interleaving exercises the RNG-order claim:
+            // batch, single draw, batch again, on one stream.
+            let mut a = rng();
+            let mut batched = vec![Cycles(0); 37];
+            s.draw_batch(&mut a, &mut batched[..17]);
+            let mid = s.draw(&mut a);
+            s.draw_batch(&mut a, &mut batched[17..]);
+            let mut b = rng();
+            for (k, want) in batched.iter().enumerate() {
+                if k == 17 {
+                    assert_eq!(s.draw(&mut b), mid, "{d:?} mid");
                 }
+                assert_eq!(s.draw(&mut b), *want, "{d:?} draw {k}");
             }
         }
     }

@@ -29,7 +29,7 @@ use wdm_sim::{
     time::Cycles,
 };
 
-use crate::dist::{poisson_arrivals_mode, Dist, SamplerMode};
+use crate::dist::{poisson_arrivals, Dist};
 
 /// Which operating system is simulated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -280,29 +280,17 @@ impl OsPersonality {
     /// Installs the OS background activity, scaled by the workload factors.
     ///
     /// Returns the installed source ids (cli windows, then sections if any)
-    /// so callers can toggle them. Samplers compile in exact mode; use
-    /// [`OsPersonality::install_background_mode`] for the table fast path.
+    /// so callers can toggle them.
     pub fn install_background(&self, k: &mut Kernel, f: &LoadFactors) -> Vec<SourceId> {
-        self.install_background_mode(k, f, SamplerMode::Exact)
-    }
-
-    /// [`OsPersonality::install_background`] with an explicit sampler
-    /// compilation mode.
-    pub fn install_background_mode(
-        &self,
-        k: &mut Kernel,
-        f: &LoadFactors,
-        mode: SamplerMode,
-    ) -> Vec<SourceId> {
         let cpu = self.kernel.cpu_hz;
         let mut ids = Vec::new();
         let cli_rate = self.cli_rate_hz * f.cli_rate;
         if cli_rate > 0.0 {
             let label = k.intern(self.cli_module(), "_DisableInterrupts");
-            let duration = self.cli_duration.scaled(f.cli_scale).sampler_mode(cpu, mode);
+            let duration = self.cli_duration.scaled(f.cli_scale).sampler(cpu);
             ids.push(k.add_env_source(EnvSource::new(
                 "os-cli-windows",
-                poisson_arrivals_mode(cli_rate, cpu, mode),
+                poisson_arrivals(cli_rate, cpu),
                 EnvAction::Cli { duration, label },
             )));
         }
@@ -312,10 +300,10 @@ impl OsPersonality {
             let duration = self
                 .section_duration
                 .scaled(f.section_scale)
-                .sampler_mode(cpu, mode);
+                .sampler(cpu);
             ids.push(k.add_env_source(EnvSource::new(
                 "vmm-sections",
-                poisson_arrivals_mode(sect_rate, cpu, mode),
+                poisson_arrivals(sect_rate, cpu),
                 EnvAction::Section { duration, label },
             )));
         }

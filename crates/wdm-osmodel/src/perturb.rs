@@ -21,7 +21,7 @@ use wdm_sim::{
     kernel::Kernel,
 };
 
-use crate::dist::{poisson_arrivals_mode, Dist, SamplerMode};
+use crate::dist::{poisson_arrivals, Dist};
 
 /// Handle to an installed virus scanner perturbation.
 #[derive(Debug, Clone, Copy)]
@@ -36,14 +36,7 @@ impl VirusScanner {
     /// Each intercepted operation occasionally triggers a long scan in a
     /// non-preemptible filter path. Durations are tuned so that 16 ms thread
     /// latencies become ~100x more frequent (Figure 5's separation).
-    /// Samplers compile in exact mode; use [`VirusScanner::install_mode`]
-    /// for the table fast path.
     pub fn install(k: &mut Kernel, file_ops_hz: f64) -> VirusScanner {
-        VirusScanner::install_mode(k, file_ops_hz, SamplerMode::Exact)
-    }
-
-    /// [`VirusScanner::install`] with an explicit sampler compilation mode.
-    pub fn install_mode(k: &mut Kernel, file_ops_hz: f64, mode: SamplerMode) -> VirusScanner {
         let cpu = k.config().cpu_hz;
         let label = k.intern("PLUSPACK", "_AvScanBuffer");
         // Most intercepts are cheap; a few percent hit the full scan path
@@ -68,9 +61,9 @@ impl VirusScanner {
         ]);
         let source = k.add_env_source(EnvSource::new(
             "virus-scanner",
-            poisson_arrivals_mode(file_ops_hz.max(1e-9), cpu, mode),
+            poisson_arrivals(file_ops_hz.max(1e-9), cpu),
             EnvAction::Section {
-                duration: duration.sampler_mode(cpu, mode),
+                duration: duration.sampler(cpu),
                 label,
             },
         ));
@@ -106,20 +99,7 @@ impl SoundSchemePerturbation {
     /// Each sound playback walks the audio topology (`SYSAUDIO`), mixes
     /// (`KMIXER`) and occasionally allocates contiguous memory in the VMM at
     /// raised IRQL — the exact functions the paper's cause tool caught.
-    /// Samplers compile in exact mode; use
-    /// [`SoundSchemePerturbation::install_mode`] for the table fast path.
     pub fn install(k: &mut Kernel, scheme: SoundScheme, ui_events_hz: f64) -> SoundSchemePerturbation {
-        SoundSchemePerturbation::install_mode(k, scheme, ui_events_hz, SamplerMode::Exact)
-    }
-
-    /// [`SoundSchemePerturbation::install`] with an explicit sampler
-    /// compilation mode.
-    pub fn install_mode(
-        k: &mut Kernel,
-        scheme: SoundScheme,
-        ui_events_hz: f64,
-        mode: SamplerMode,
-    ) -> SoundSchemePerturbation {
         if scheme == SoundScheme::None || ui_events_hz <= 0.0 {
             return SoundSchemePerturbation { sources: vec![] };
         }
@@ -132,14 +112,14 @@ impl SoundSchemePerturbation {
         ]);
         sources.push(k.add_env_source(EnvSource::new(
             "sound-topology",
-            poisson_arrivals_mode(ui_events_hz, cpu, mode),
+            poisson_arrivals(ui_events_hz, cpu),
             EnvAction::Section {
                 duration: Dist::LogNormal {
                     median: 0.6,
                     sigma: 0.7,
                     cap: 5.0,
                 }
-                .sampler_mode(cpu, mode),
+                .sampler(cpu),
                 label: sysaudio,
             },
         )));
@@ -152,14 +132,14 @@ impl SoundSchemePerturbation {
         ]);
         sources.push(k.add_env_source(EnvSource::new(
             "sound-mm-alloc",
-            poisson_arrivals_mode(ui_events_hz * 0.25, cpu, mode),
+            poisson_arrivals(ui_events_hz * 0.25, cpu),
             EnvAction::Section {
                 duration: Dist::LogNormal {
                     median: 2.2,
                     sigma: 0.8,
                     cap: 14.0,
                 }
-                .sampler_mode(cpu, mode),
+                .sampler(cpu),
                 label: mmcalc,
             },
         )));
@@ -170,14 +150,14 @@ impl SoundSchemePerturbation {
         ]);
         sources.push(k.add_env_source(EnvSource::new(
             "sound-kmixer",
-            poisson_arrivals_mode(ui_events_hz * 2.0, cpu, mode),
+            poisson_arrivals(ui_events_hz * 2.0, cpu),
             EnvAction::Cli {
                 duration: Dist::LogNormal {
                     median: 0.05,
                     sigma: 0.9,
                     cap: 0.8,
                 }
-                .sampler_mode(cpu, mode),
+                .sampler(cpu),
                 label: kmixer,
             },
         )));

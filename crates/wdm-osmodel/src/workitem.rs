@@ -21,7 +21,7 @@ use wdm_sim::{
     time::Cycles,
 };
 
-use crate::dist::{poisson_arrivals_mode, Dist, SamplerMode};
+use crate::dist::{poisson_arrivals, Dist};
 
 /// Shared queue of pending work-item durations.
 type WorkFifo = Rc<RefCell<VecDeque<Cycles>>>;
@@ -61,19 +61,8 @@ impl WorkItemQueue {
     /// Installs the queue: worker thread + posting source.
     ///
     /// `rate_hz` is the post rate; `duration` samples per-item execution
-    /// time in milliseconds. Samplers compile in exact mode; use
-    /// [`WorkItemQueue::install_mode`] for the table fast path.
+    /// time in milliseconds.
     pub fn install(k: &mut Kernel, rate_hz: f64, duration: Dist) -> WorkItemQueue {
-        WorkItemQueue::install_mode(k, rate_hz, duration, SamplerMode::Exact)
-    }
-
-    /// [`WorkItemQueue::install`] with an explicit sampler compilation mode.
-    pub fn install_mode(
-        k: &mut Kernel,
-        rate_hz: f64,
-        duration: Dist,
-        mode: SamplerMode,
-    ) -> WorkItemQueue {
         let cpu = k.config().cpu_hz;
         let fifo: WorkFifo = Rc::new(RefCell::new(VecDeque::new()));
         let sem = k.create_semaphore(0, u32::MAX / 2);
@@ -91,8 +80,8 @@ impl WorkItemQueue {
         // releases the semaphore. We wrap the duration sampler so the
         // enqueue happens when the arrival gap is *consumed*, i.e. at the
         // moment of the post.
-        let mut dur_sampler = duration.sampler_mode(cpu, mode);
-        let mut arrival = poisson_arrivals_mode(rate_hz.max(1e-9), cpu, mode);
+        let mut dur_sampler = duration.sampler(cpu);
+        let mut arrival = poisson_arrivals(rate_hz.max(1e-9), cpu);
         let fifo_for_post = fifo.clone();
         let wrapped: Sampler = Box::new(move |rng| {
             // Called once per (re)scheduling: queue the item the *previous*

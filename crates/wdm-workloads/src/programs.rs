@@ -24,22 +24,10 @@ pub struct DeviceIsr {
 }
 
 impl DeviceIsr {
-    /// Creates the ISR. `dur` is the in-ISR work in milliseconds,
-    /// compiled in exact mode.
+    /// Creates the ISR. `dur` is the in-ISR work in milliseconds.
     pub fn new(dur: Dist, cpu_hz: u64, label: Label, dpc: Option<DpcId>) -> DeviceIsr {
-        DeviceIsr::new_mode(dur, cpu_hz, SamplerMode::Exact, label, dpc)
-    }
-
-    /// Creates the ISR with an explicit sampler compilation mode.
-    pub fn new_mode(
-        dur: Dist,
-        cpu_hz: u64,
-        mode: SamplerMode,
-        label: Label,
-        dpc: Option<DpcId>,
-    ) -> DeviceIsr {
         DeviceIsr {
-            dur: dur.compile(cpu_hz, mode),
+            dur: dur.compile(cpu_hz, SamplerMode::Exact),
             label,
             dpc,
             phase: 0,
@@ -81,16 +69,10 @@ pub struct DeviceDpc {
 }
 
 impl DeviceDpc {
-    /// Creates the DPC routine. `dur` is deferred work in milliseconds,
-    /// compiled in exact mode.
+    /// Creates the DPC routine. `dur` is deferred work in milliseconds.
     pub fn new(dur: Dist, cpu_hz: u64, label: Label) -> DeviceDpc {
-        DeviceDpc::new_mode(dur, cpu_hz, SamplerMode::Exact, label)
-    }
-
-    /// Creates the DPC routine with an explicit sampler compilation mode.
-    pub fn new_mode(dur: Dist, cpu_hz: u64, mode: SamplerMode, label: Label) -> DeviceDpc {
         DeviceDpc {
-            dur: dur.compile(cpu_hz, mode),
+            dur: dur.compile(cpu_hz, SamplerMode::Exact),
             label,
             done: false,
         }
@@ -127,24 +109,12 @@ pub struct AppTask {
 
 impl AppTask {
     /// Creates the task. `burst` and `idle` are per-iteration CPU work and
-    /// wait time in milliseconds (compiled in exact mode); each completed
-    /// burst counts one op into `ops_slot`.
+    /// wait time in milliseconds; each completed burst counts one op into
+    /// `ops_slot`.
     pub fn new(burst: Dist, idle: Dist, cpu_hz: u64, label: Label, ops_slot: Slot) -> AppTask {
-        AppTask::new_mode(burst, idle, cpu_hz, SamplerMode::Exact, label, ops_slot)
-    }
-
-    /// Creates the task with an explicit sampler compilation mode.
-    pub fn new_mode(
-        burst: Dist,
-        idle: Dist,
-        cpu_hz: u64,
-        mode: SamplerMode,
-        label: Label,
-        ops_slot: Slot,
-    ) -> AppTask {
         AppTask {
-            burst: burst.compile(cpu_hz, mode),
-            idle: idle.compile(cpu_hz, mode),
+            burst: burst.compile(cpu_hz, SamplerMode::Exact),
+            idle: idle.compile(cpu_hz, SamplerMode::Exact),
             label,
             ops_slot,
             phase: 0,

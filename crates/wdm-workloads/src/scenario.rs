@@ -6,7 +6,7 @@
 //! measurement tools in `wdm-latency`.
 
 use wdm_osmodel::{
-    dist::{bursty_arrivals_mode, poisson_arrivals_mode, SamplerMode},
+    dist::{bursty_arrivals, poisson_arrivals},
     personality::{OsKind, OsPersonality},
     perturb::{SoundScheme, SoundSchemePerturbation, VirusScanner},
     workitem::WorkItemQueue,
@@ -36,10 +36,6 @@ pub struct ScenarioOptions {
     /// default). Disable (`repro --no-compile`) to force the interpreted
     /// reference path; both settings are byte-identical.
     pub compile: bool,
-    /// How distribution draws are lowered: `Exact` (default, bit-identical
-    /// to the interpreted samplers) or `Table` (quantile-table inverse-CDF
-    /// fast path, `repro --sampler-mode table`). See DESIGN.md §12.
-    pub sampler_mode: SamplerMode,
 }
 
 impl Default for ScenarioOptions {
@@ -48,7 +44,6 @@ impl Default for ScenarioOptions {
             virus_scanner: false,
             sound_scheme: SoundScheme::None,
             compile: true,
-            sampler_mode: SamplerMode::Exact,
         }
     }
 }
@@ -100,10 +95,9 @@ pub fn build_scenario(
     // Attach-time switch: everything created below inherits it.
     k.set_program_compilation(opts.compile);
     let cpu = k.config().cpu_hz;
-    let mode = opts.sampler_mode;
 
     // OS background activity, scaled by the workload.
-    let background = personality.install_background_mode(&mut k, &spec.factors, mode);
+    let background = personality.install_background(&mut k, &spec.factors);
 
     // Devices: vector + DPC + Poisson arrival source. Durations are scaled
     // by the personality (legacy drivers do more interrupt-context work).
@@ -114,10 +108,9 @@ pub fn build_scenario(
             k.create_dpc(
                 &format!("{}-dpc", d.name),
                 d.importance,
-                Box::new(DeviceDpc::new_mode(
+                Box::new(DeviceDpc::new(
                     dist.scaled(personality.driver_dpc_scale),
                     cpu,
-                    mode,
                     dpc_label,
                 )),
             )
@@ -125,24 +118,21 @@ pub fn build_scenario(
         let v = k.install_vector(
             d.name,
             Irql(d.irql),
-            Box::new(DeviceIsr::new_mode(
+            Box::new(DeviceIsr::new(
                 d.isr_ms.scaled(personality.driver_isr_scale),
                 cpu,
-                mode,
                 isr_label,
                 dpc,
             )),
         );
         let arrivals = match d.arrival {
-            crate::spec::ArrivalSpec::Poisson(rate) => poisson_arrivals_mode(rate, cpu, mode),
+            crate::spec::ArrivalSpec::Poisson(rate) => poisson_arrivals(rate, cpu),
             crate::spec::ArrivalSpec::Bursty {
                 on_rate_hz,
                 off_rate_hz,
                 mean_on_ms,
                 mean_off_ms,
-            } => {
-                bursty_arrivals_mode(on_rate_hz, off_rate_hz, mean_on_ms, mean_off_ms, cpu, mode)
-            }
+            } => bursty_arrivals(on_rate_hz, off_rate_hz, mean_on_ms, mean_off_ms, cpu),
         };
         k.add_env_source(EnvSource::new(
             &format!("{}-arrivals", d.name),
@@ -160,11 +150,10 @@ pub fn build_scenario(
         let tid = k.create_thread(
             t.name,
             t.priority,
-            Box::new(AppTask::new_mode(
+            Box::new(AppTask::new(
                 t.burst_ms.clone(),
                 t.idle_ms.clone(),
                 cpu,
-                mode,
                 label,
                 slot,
             )),
@@ -175,11 +164,10 @@ pub fn build_scenario(
 
     // NT kernel work-item queue.
     let workitem = if personality.has_workitem_queue {
-        Some(WorkItemQueue::install_mode(
+        Some(WorkItemQueue::install(
             &mut k,
             personality.workitem_rate_hz * spec.factors.workitem_rate,
             personality.workitem_duration.clone(),
-            mode,
         ))
     } else {
         None
@@ -187,12 +175,12 @@ pub fn build_scenario(
 
     // Optional perturbations.
     let virus_scanner = if opts.virus_scanner {
-        Some(VirusScanner::install_mode(&mut k, spec.file_ops_hz, mode))
+        Some(VirusScanner::install(&mut k, spec.file_ops_hz))
     } else {
         None
     };
     let sound_scheme =
-        SoundSchemePerturbation::install_mode(&mut k, opts.sound_scheme, spec.ui_events_hz, mode);
+        SoundSchemePerturbation::install(&mut k, opts.sound_scheme, spec.ui_events_hz);
 
     Scenario {
         kernel: k,
