@@ -272,7 +272,8 @@ pub fn measure_all(cfg: &RunConfig) -> AllCells {
     measure_all_timed(cfg).cells
 }
 
-/// Wall-clock cost of one measured cell.
+/// Wall-clock cost and work counters of one measured cell, the per-cell
+/// input of the repository benchmark's ledger (`perfbench/`).
 pub struct CellTiming {
     /// Which OS ran.
     pub os: OsKind,
@@ -285,33 +286,33 @@ pub struct CellTiming {
     pub sim_events: u64,
     /// Program steps the cell's kernel executed.
     pub steps_executed: u64,
-    /// Entries into the kernel's inner step loops. The timing artifact
-    /// reports `steps_executed / step_dispatches` per cell as
-    /// `batch_steps_per_dispatch`.
+    /// Entries into the kernel's inner step loops. Perfbench reports
+    /// `steps_executed / step_dispatches` over the grid as
+    /// `kernel.steps_per_dispatch`.
     pub step_dispatches: u64,
     /// Steps executed through compiled instruction streams (a subset of
-    /// `steps_executed`; 0 under `--no-compile`). The timing artifact
-    /// reports `compiled_steps / step_dispatches` per cell as
-    /// `compile_steps_per_dispatch`.
+    /// `steps_executed`; 0 under `--no-compile`). Perfbench reports
+    /// `compiled_steps / steps_executed` over the grid as
+    /// `compile.compiled_step_share`.
     pub compiled_steps: u64,
     /// Latency samples recorded across the cell's 11 measurement series.
-    /// The timing artifact reports `samples_recorded / wall_s` per cell as
-    /// `measure_events_per_sec` — the throughput of the cycle-domain
-    /// measurement fast path (DESIGN.md §12).
+    /// Perfbench reports `samples_recorded / sim_events` over the grid as
+    /// `latency.samples_per_event`.
     pub samples_recorded: u64,
     /// Staging-buffer flushes across the cell's collectors (summed exactly
     /// over shards via the `latency.batch_flushes` counter; 0 under
-    /// `--no-batch-record`). The timing artifact reports this and
-    /// `samples_recorded / batch_flushes` as `samples_per_flush`.
+    /// `--no-batch-record`).
     pub batch_flushes: u64,
     /// Samples that went through the staging buffers (0 under
     /// `--no-batch-record`; equals the staged subset of
-    /// `samples_recorded` otherwise). The timing artifact reports
-    /// `staged_samples / wall_s` as `staged_samples_per_sec`.
+    /// `samples_recorded` otherwise). Perfbench reports
+    /// `staged_samples / batch_flushes` over the grid as
+    /// `latency.samples_per_flush`.
     pub staged_samples: u64,
     /// Wall-clock seconds of each shard, time order (one entry on the
-    /// unsharded path). The artifact reports these plus the max/mean
-    /// imbalance so load-balance losses in the 8 x K fan-out are visible.
+    /// unsharded path). Perfbench reports the max/mean over every shard
+    /// of the grid ([`shard_imbalance`]) as `fanout.imbalance`, so
+    /// load-balance losses in the 8 x K fan-out are visible.
     pub shard_wall_s: Vec<f64>,
 }
 
@@ -338,7 +339,8 @@ pub fn shard_imbalance(walls: &[f64]) -> f64 {
     max / mean.max(1e-12)
 }
 
-/// The 8 cells plus harness timing metadata (the `timing` artifact).
+/// The 8 cells plus harness timing metadata: the input of the repository
+/// benchmark (`perfbench/`) and of `repro trace`.
 pub struct TimedCells {
     /// The measurements, paper order.
     pub cells: AllCells,
@@ -546,8 +548,9 @@ pub fn measure_all_timed(cfg: &RunConfig) -> TimedCells {
 /// A complete, exact textual digest of a measurement's summary statistics:
 /// per-series sample counts, bin counts and extreme values (as exact f64
 /// bits), plus the run's counters. Two runs are observably identical for
-/// every renderer in this crate iff their digests match — the determinism
-/// test and the `timing` artifact compare these across thread counts.
+/// every renderer in this crate iff their digests match — `repro digest`,
+/// the determinism tests and perfbench's correctness gate compare these
+/// across thread counts and flag sets.
 pub fn summary_digest(m: &ScenarioMeasurement) -> String {
     use std::fmt::Write;
     let mut out = String::new();

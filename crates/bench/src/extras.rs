@@ -121,6 +121,16 @@ pub fn sched(cells: &AllCells) -> String {
     // Use the Business cell's high-RT thread-dispatch distribution as the
     // blocking source, as the paper's example does.
     let m = &cells.win98[0];
+    if m.thread_lat_28.hist.count() == 0 {
+        // A window shorter than one measurement period has no distribution
+        // to amortize, and a zero event rate has no pseudo worst case.
+        return format!(
+            "Schedulability analysis on Windows 98 / Business apps (§5.2):\n\
+             the {:.2e} h window recorded no RT-28 thread latency samples;\n\
+             analysis skipped.\n",
+            m.collected_hours
+        );
+    }
     let events_per_second =
         m.thread_lat_28.hist.count() as f64 / (m.collected_hours * 3600.0);
     let tasks = vec![

@@ -11,8 +11,6 @@
 //!   (§6.1), schedulability analysis (§5.2) and the DESIGN.md ablations;
 //! - [`parallel`] — deterministic scoped-thread fan-out for independent
 //!   runs;
-//! - [`timing`] — the harness self-measurement artifact
-//!   (`BENCH_cells.json`);
 //! - [`progress`] — `--quiet`/`--verbose`-aware stderr reporting;
 //! - [`spans`] — harness self-instrumentation spans for the trace;
 //! - [`tracecmd`] — the `repro trace` / `repro metrics` artifacts
@@ -20,8 +18,8 @@
 //! - [`forensics`] — the `repro blame` / `repro flame` artifacts
 //!   (`BLAME_cells.json`, `TRACE_blame_*.json`, `FLAME_cells.folded`).
 //!
-//! The `repro` binary is the CLI; the Criterion benches in `benches/` time
-//! the same harnesses.
+//! The `repro` binary is the CLI. Host timing lives in `perfbench/`, the
+//! repository benchmark, which links [`cells`] directly.
 
 pub mod cells;
 pub mod extras;
@@ -32,7 +30,6 @@ pub mod parallel;
 pub mod progress;
 pub mod spans;
 pub mod tables;
-pub mod timing;
 pub mod tracecmd;
 
 pub use cells::{measure_all, measure_all_timed, AllCells, Duration, RunConfig, TimedCells};

@@ -9,7 +9,7 @@
 //! artifacts:
 //!   table1 table2 table3 table4 figure4 figure5 figure6 figure7
 //!   throughput validate-mttf sched feasibility win2000 microbench
-//!   interactive stability ablations timing digest all
+//!   interactive stability ablations digest all
 //! ```
 //!
 //! `--full` collects for the paper's §3.1 durations (4–12.5 simulated hours
@@ -24,15 +24,15 @@
 
 use wdm_bench::{
     cells::{measure_all, summary_digest, Duration, RunConfig},
-    extras, figures, forensics, output, progress, tables, timing, tracecmd,
+    extras, figures, forensics, output, progress, tables, tracecmd,
 };
 
-const USAGE: &str = "usage: repro <artifact> [--minutes N | --full] [--seed S] [--threads T] [--shards K] [--out DIR] [--trace] [--no-compile] [--no-batch-record] [--blame-mode topk|threshold|blockmax] [--blame-threshold-ms T] [--blame-top K] [--flame-hz HZ] [--repeats R] [--quiet | --verbose]
+const USAGE: &str = "usage: repro <artifact> [--minutes N | --full] [--seed S] [--threads T] [--shards K] [--out DIR] [--trace] [--no-compile] [--no-batch-record] [--blame-mode topk|threshold|blockmax] [--blame-threshold-ms T] [--blame-top K] [--flame-hz HZ] [--quiet | --verbose]
 
 artifacts:
   table1 table2 table3 table4 figure4 figure5 figure6 figure7
   throughput validate-mttf sched feasibility win2000 microbench
-  interactive stability ablations timing digest trace metrics
+  interactive stability ablations digest trace metrics
   blame flame all
 
 options:
@@ -60,9 +60,6 @@ options:
   --blame-top K retained episodes per cell (default 4)
   --flame-hz HZ virtual-time sampling rate for the 'flame' artifact in
                 samples per simulated second (default 8000)
-  --repeats R   wall-clock attempts per timing side; each cell reports its
-                fastest attempt (timing artifact only; default 3 for quick
-                grids, 1 for --full)
   --quiet       suppress progress lines on stderr
   --verbose     per-shard progress lines on stderr";
 
@@ -118,7 +115,6 @@ fn main() {
     let mut blame_threshold_ms = 1.0f64;
     let mut blame_top = 4usize;
     let mut flame_hz: Option<f64> = None;
-    let mut repeats: Option<usize> = None;
     let mut out_dir: Option<std::path::PathBuf> = None;
     let mut verbosity: Option<progress::Verbosity> = None;
     let mut i = 0;
@@ -171,13 +167,6 @@ fn main() {
                     usage_error("--flame-hz must be a positive number");
                 }
                 flame_hz = Some(hz);
-            }
-            "--repeats" => {
-                let r: usize = flag_value(&args, &mut i, "--repeats");
-                if r < 1 {
-                    usage_error("--repeats must be at least 1");
-                }
-                repeats = Some(r);
             }
             "--quiet" => {
                 if verbosity == Some(progress::Verbosity::Verbose) {
@@ -320,33 +309,6 @@ fn main() {
             let cells = cells.unwrap();
             for m in cells.nt.iter().chain(&cells.win98) {
                 out(&format!("{}\n", summary_digest(m)));
-            }
-        }
-        "timing" => {
-            progress::note(
-                "grid",
-                &format!(
-                    "timing the 8-cell grid ({shards} shard(s)/cell), serial vs {} threads \
-                     on {} host cores ({duration:?}, seed {seed})...",
-                    wdm_bench::parallel::effective_threads(threads, 8 * shards),
-                    wdm_bench::parallel::host_cores()
-                ),
-            );
-            let r = timing::run(&cfg, repeats);
-            out(&timing::render_summary(&r));
-            let json = timing::render_json(&cfg, &r);
-            out(&format!("{json}\n"));
-            if let Some(dir) = &out_dir {
-                std::fs::create_dir_all(dir)
-                    .unwrap_or_else(|e| fatal("creating output directory", e));
-                let path = dir.join("BENCH_cells.json");
-                std::fs::write(&path, &json)
-                    .unwrap_or_else(|e| fatal("writing BENCH_cells.json", e));
-                progress::note("out", &format!("wrote {}", path.display()));
-            }
-            if !r.identical {
-                eprintln!("repro: error: parallel output differs from the serial reference");
-                std::process::exit(1);
             }
         }
         "trace" => {

@@ -23,9 +23,8 @@ pub fn effective_threads(requested: usize, jobs: usize) -> usize {
 }
 
 /// Cores the host exposes (`std::thread::available_parallelism`), 1 when
-/// unknown. Recorded in the timing artifact as `host_cores` so a speedup
-/// below 1 on a single-core container reads as expected, not as a bug.
-pub fn host_cores() -> usize {
+/// unknown.
+fn host_cores() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)

@@ -33,7 +33,6 @@ fn assert_usage_rejection(args: &[&str], needle: &str) {
 
 #[test]
 fn zero_and_negative_numeric_flags_exit_2_with_usage() {
-    assert_usage_rejection(&["timing", "--repeats", "0"], "--repeats");
     assert_usage_rejection(&["digest", "--minutes", "0"], "--minutes");
     assert_usage_rejection(&["digest", "--minutes", "-1"], "--minutes");
     assert_usage_rejection(&["digest", "--minutes", "nan"], "--minutes");
@@ -47,7 +46,6 @@ fn malformed_values_exit_2_with_usage() {
     assert_usage_rejection(&["digest", "--seed", "-3"], "--seed");
     assert_usage_rejection(&["digest", "--seed", "1999x"], "--seed");
     assert_usage_rejection(&["digest", "--shards", "two"], "--shards");
-    assert_usage_rejection(&["timing", "--repeats", "-1"], "--repeats");
 }
 
 #[test]
@@ -82,6 +80,36 @@ fn retired_sampler_flag_exits_2_with_usage() {
     // either of its old values: a stale script fails loudly.
     assert_usage_rejection(&["digest", "--sampler-mode", "table"], "--sampler-mode");
     assert_usage_rejection(&["digest", "--sampler-mode", "exact"], "--sampler-mode");
+}
+
+#[test]
+fn retired_timing_artifact_exits_2_with_usage() {
+    // Host timing lives in the repository benchmark alone; the old
+    // artifact and its attempt-count flag are unknown, so a stale script
+    // fails loudly.
+    assert_usage_rejection(&["timing"], "timing");
+    assert_usage_rejection(&["digest", "--repeats", "3"], "--repeats");
+}
+
+#[test]
+fn degenerate_windows_run_to_exit_0() {
+    // A window too short for the Win98 Business RT-28 series to record a
+    // sample leaves the schedulability analysis nothing to amortize; the
+    // run must say so and finish, not trip an assertion.
+    for args in [
+        ["sched", "--minutes", "0.00002", "--quiet"],
+        ["all", "--minutes", "0.00002", "--quiet"],
+        ["all", "--minutes", "1e-9", "--quiet"],
+    ] {
+        let out = repro(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?} stderr: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?} stderr: {stderr}");
+        assert!(
+            String::from_utf8_lossy(&out.stdout).contains("no RT-28 thread latency samples"),
+            "{args:?} must report the empty series"
+        );
+    }
 }
 
 #[test]

@@ -1,30 +1,31 @@
 //! Parallel-harness determinism: the measurement grid must be observably
-//! identical at any worker count.
+//! identical at any worker count, and with program compilation off.
 //!
 //! Every run seeds from its cell alone (`cell_seed`), so fanning the grid
 //! out over scoped worker threads must not change a single statistic. The
 //! digest compares everything the renderers can observe: per-series sample
 //! counts, per-bin counts, and exact (bit-level) min/max/mean.
 
-use wdm_bench::cells::{measure_all_timed, summary_digest, Duration, RunConfig};
+use wdm_bench::cells::{measure_all_timed, summary_digest, Duration, RunConfig, TimedCells};
 use wdm_sim::prelude::*;
 
-fn grid_digests_at(minutes: f64, seed: u64, threads: usize, shards: usize) -> Vec<String> {
-    let cfg = RunConfig {
-        duration: Duration::Minutes(minutes),
-        seed,
+/// The 0.05-minute grid at `seed 1999`, unsharded, on `threads` workers.
+fn quick(threads: usize) -> RunConfig {
+    RunConfig {
+        duration: Duration::Minutes(0.05),
+        seed: 1999,
         threads,
-        shards,
+        shards: 1,
         trace: false,
         compile: true,
         batch_record: true,
         blame: None,
         flame_hz: None,
-    };
-    let t = measure_all_timed(&cfg);
-    assert_eq!(t.cells.nt.len(), 4, "NT cells in workload order");
-    assert_eq!(t.cells.win98.len(), 4, "Win98 cells in workload order");
-    assert_eq!(t.timings.len(), 8);
+    }
+}
+
+/// One summary digest per cell, NT first, paper workload order.
+fn digests(t: &TimedCells) -> Vec<String> {
     t.cells
         .nt
         .iter()
@@ -33,8 +34,16 @@ fn grid_digests_at(minutes: f64, seed: u64, threads: usize, shards: usize) -> Ve
         .collect()
 }
 
+fn grid_digests_at(cfg: &RunConfig) -> Vec<String> {
+    let t = measure_all_timed(cfg);
+    assert_eq!(t.cells.nt.len(), 4, "NT cells in workload order");
+    assert_eq!(t.cells.win98.len(), 4, "Win98 cells in workload order");
+    assert_eq!(t.timings.len(), 8);
+    digests(&t)
+}
+
 fn grid_digests(threads: usize) -> Vec<String> {
-    grid_digests_at(0.05, 1999, threads, 1)
+    grid_digests_at(&quick(threads))
 }
 
 #[test]
@@ -58,10 +67,15 @@ fn auto_thread_count_matches_serial() {
 fn sharded_grid_is_identical_across_thread_counts() {
     // 2 minutes splits into 2 whole-minute shards: 16 jobs. The merged
     // output must not depend on which worker ran which shard.
-    let serial = grid_digests_at(2.0, 1999, 1, 2);
+    let sharded = |threads| RunConfig {
+        duration: Duration::Minutes(2.0),
+        shards: 2,
+        ..quick(threads)
+    };
+    let serial = grid_digests_at(&sharded(1));
     for threads in [2, 16] {
         assert_eq!(
-            grid_digests_at(2.0, 1999, threads, 2),
+            grid_digests_at(&sharded(threads)),
             serial,
             "sharded grid diverged at {threads} threads"
         );
@@ -73,28 +87,11 @@ fn tracing_leaves_the_grid_bit_identical() {
     // The flight recorder is a pure observer: attaching it must not move a
     // single sample, so the summary digest — bit-exact min/max/mean and
     // per-bin counts — is identical with tracing on or off.
-    let base = RunConfig {
-        duration: Duration::Minutes(0.05),
-        seed: 1999,
-        threads: 2,
-        shards: 1,
-        trace: false,
-        compile: true,
-        batch_record: true,
-        blame: None,
-        flame_hz: None,
-    };
-    let traced_cfg = RunConfig { trace: true, ..base };
-    let plain = measure_all_timed(&base);
-    let traced = measure_all_timed(&traced_cfg);
-    let digests = |t: &wdm_bench::cells::TimedCells| -> Vec<String> {
-        t.cells
-            .nt
-            .iter()
-            .chain(&t.cells.win98)
-            .map(summary_digest)
-            .collect()
-    };
+    let plain = measure_all_timed(&quick(2));
+    let traced = measure_all_timed(&RunConfig {
+        trace: true,
+        ..quick(2)
+    });
     assert_eq!(
         digests(&plain),
         digests(&traced),
@@ -130,27 +127,13 @@ fn forensics_armed_grid_is_digest_neutral_and_thread_deterministic() {
     // (per-shard stores slot positionally before the global top-K).
     let bare = RunConfig {
         duration: Duration::Minutes(2.0),
-        seed: 1999,
-        threads: 1,
         shards: 2,
-        trace: false,
-        compile: true,
-        batch_record: true,
-        blame: None,
-        flame_hz: None,
+        ..quick(1)
     };
     let armed = RunConfig {
         blame: Some(wdm_latency::BlameOptions::default()),
         flame_hz: Some(8000.0),
         ..bare
-    };
-    let digests = |t: &wdm_bench::cells::TimedCells| -> Vec<String> {
-        t.cells
-            .nt
-            .iter()
-            .chain(&t.cells.win98)
-            .map(summary_digest)
-            .collect()
     };
     let plain = measure_all_timed(&bare);
     let serial = measure_all_timed(&armed);
@@ -161,7 +144,7 @@ fn forensics_armed_grid_is_digest_neutral_and_thread_deterministic() {
         "arming forensics perturbed the measured grid"
     );
     assert_eq!(digests(&serial), digests(&fanned));
-    let payloads = |t: &wdm_bench::cells::TimedCells| -> Vec<_> {
+    let payloads = |t: &TimedCells| -> Vec<_> {
         t.cells
             .nt
             .iter()
@@ -212,14 +195,7 @@ fn shard_count_changes_the_stream_but_not_the_window() {
 
     let unsharded = RunConfig {
         duration: Duration::Minutes(2.0),
-        seed: 1999,
-        threads: 1,
-        shards: 1,
-        trace: false,
-        compile: true,
-        batch_record: true,
-        blame: None,
-        flame_hz: None,
+        ..quick(1)
     };
     let sharded = RunConfig {
         shards: 2,
@@ -395,25 +371,53 @@ fn timer_heavy_scenario_replays_identically() {
 #[test]
 fn digests_are_sensitive_to_the_seed() {
     // Guard against a vacuous digest: a different seed must change it.
-    let a = grid_digests(1);
-    let cfg = RunConfig {
-        duration: Duration::Minutes(0.05),
-        seed: 2000,
-        threads: 1,
-        shards: 1,
-        trace: false,
-        compile: true,
-        batch_record: true,
-        blame: None,
-        flame_hz: None,
-    };
-    let t = measure_all_timed(&cfg);
-    let b: Vec<String> = t
-        .cells
-        .nt
-        .iter()
-        .chain(&t.cells.win98)
-        .map(summary_digest)
-        .collect();
-    assert_ne!(a, b, "digest must reflect the measured data");
+    assert_ne!(
+        grid_digests(1),
+        grid_digests_at(&RunConfig {
+            seed: 2000,
+            ..quick(1)
+        }),
+        "digest must reflect the measured data"
+    );
+}
+
+#[test]
+fn interpreted_grid_is_identical_and_every_fast_path_engages() {
+    // Program compilation (DESIGN.md §11) must be unobservable: the grid
+    // run through the step interpreter digests exactly like the compiled
+    // one. Non-vacuity per cell: the batched inner loop retires more than
+    // one step per dispatch, compiled steps run only when compilation is
+    // on, and every latency sample passes through a flushed stage (the
+    // stages also feed the RT-24 tool's series, so staged >= recorded).
+    let compiled = measure_all_timed(&quick(2));
+    let interpreted = measure_all_timed(&RunConfig {
+        compile: false,
+        ..quick(2)
+    });
+    assert_eq!(
+        digests(&compiled),
+        digests(&interpreted),
+        "compiled and interpreted grids diverged"
+    );
+    for (c, i) in compiled.timings.iter().zip(&interpreted.timings) {
+        let cell = format!("{} / {}", c.os.name(), c.workload.name());
+        assert!(c.compiled_steps > 0, "{cell}: no compiled steps");
+        assert_eq!(i.compiled_steps, 0, "{cell}: interpreted run compiled");
+        for t in [c, i] {
+            assert!(
+                t.steps_executed > t.step_dispatches,
+                "{cell}: {} steps in {} dispatches",
+                t.steps_executed,
+                t.step_dispatches
+            );
+            assert!(t.samples_recorded > 0, "{cell}: no latency samples");
+            assert!(t.batch_flushes > 0, "{cell}: stage never flushed");
+            assert!(
+                t.staged_samples >= t.samples_recorded,
+                "{cell}: {} staged < {} recorded",
+                t.staged_samples,
+                t.samples_recorded
+            );
+        }
+    }
 }

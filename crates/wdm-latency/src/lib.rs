@@ -21,7 +21,7 @@
 //!   store of flight-ring captures rendered as Perfetto traces.
 //! - [`report`] — text renderers for the figures and tables.
 //! - [`session`] — one-call measurement of a composed scenario: the
-//!   harness used by the benches and examples.
+//!   harness used by `repro`, perfbench and the examples.
 
 pub mod blame;
 pub mod cause;

@@ -73,14 +73,14 @@ pub struct ScenarioMeasurement {
     pub waits_24: u64,
     /// Number of waits the priority-28 measurement thread completed.
     pub waits_28: u64,
-    /// Simulator decision-loop iterations the run executed (the bench
-    /// harness reports this as events/sec in its timing artifact).
+    /// Simulator decision-loop iterations the run executed (the
+    /// repository benchmark reports their rate as `sim_events_per_s`).
     pub sim_events: u64,
     /// Program steps the kernel executed.
     pub steps_executed: u64,
     /// Entries into the kernel's inner step loops. `steps_executed /
-    /// step_dispatches` is the batch factor the bench harness reports as
-    /// `batch_steps_per_dispatch`.
+    /// step_dispatches` is the batch factor perfbench reports as
+    /// `kernel.steps_per_dispatch`.
     pub step_dispatches: u64,
     /// Unified metrics snapshot (`sim.*` kernel counters plus `latency.*`
     /// measurement counters/histograms); merged exactly across shards.
@@ -225,8 +225,8 @@ impl ScenarioMeasurement {
     }
 
     /// Total latency samples recorded across every series — the
-    /// denominator-free measurement volume the bench harness reports as
-    /// `measure_events_per_sec`.
+    /// denominator-free measurement volume perfbench reports per event as
+    /// `latency.samples_per_event`.
     pub fn samples_recorded(&mut self) -> u64 {
         self.series_mut().iter().map(|s| s.hist.count()).sum()
     }
@@ -483,8 +483,8 @@ pub fn measure_scenario(
     let fast_bin = m.fast_bin_samples();
     m.metrics.counter("latency.fast_bin_samples", fast_bin);
     // Stage flushes ride the registry so shard merges sum them exactly,
-    // like every other counter (the bench surfaces `batch_flushes` and
-    // `samples_per_flush` from this).
+    // like every other counter (perfbench derives
+    // `latency.samples_per_flush` from them).
     m.metrics.counter("latency.batch_flushes", batch_flushes);
     m.metrics.counter("latency.staged_samples", staged_samples);
     // Occupancy gauges: high-water marks merge max-wins across shards

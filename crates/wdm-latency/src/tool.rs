@@ -640,7 +640,8 @@ impl MeasurementSession {
     }
 
     /// Completed stage flushes across the session's collectors (bench
-    /// accounting; see the `batch_flushes` BENCH field).
+    /// accounting; the denominator of perfbench's
+    /// `latency.samples_per_flush`).
     pub fn batch_flushes(&self) -> u64 {
         self.rt28.results.borrow().batch_flushes()
             + self.rt24.results.borrow().batch_flushes()
@@ -648,7 +649,7 @@ impl MeasurementSession {
     }
 
     /// Samples staged across the session's collectors (bench accounting;
-    /// see the `staged_samples_per_sec` BENCH field).
+    /// the numerator of perfbench's `latency.samples_per_flush`).
     pub fn staged_samples(&self) -> u64 {
         self.rt28.results.borrow().staged_samples()
             + self.rt24.results.borrow().staged_samples()

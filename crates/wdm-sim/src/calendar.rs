@@ -66,9 +66,9 @@ pub struct DeadlineHeap {
     entries: Vec<Entry>,
     /// Live entries whose generation no longer matches their object.
     stale: usize,
-    /// Due entries processed (pops, stale skips, count visits). The
-    /// counting bench asserts this scales with due events, not with the
-    /// number of armed far-future entries.
+    /// Due entries processed (pops, stale skips, count visits).
+    /// `tests/calendar_equivalence.rs` asserts this scales with due events,
+    /// not with the number of armed far-future entries.
     examined: u64,
 }
 
@@ -371,10 +371,10 @@ impl Calendar {
     }
 
     /// Total due entries processed across both deadline heaps — pops,
-    /// stale skips and count visits. The `sim_primitives` counting bench
+    /// stale skips and count visits. `tests/calendar_equivalence.rs`
     /// asserts this grows with *due* events only: a kernel carrying 1000
-    /// armed far-future timers and sleepers must report the same per-tick
-    /// delta as one without them.
+    /// armed far-future timers and sleepers must report the same
+    /// per-second delta as one without them.
     pub fn tick_work(&self) -> u64 {
         self.timers.examined() + self.waits.examined()
     }

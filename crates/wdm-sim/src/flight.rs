@@ -140,8 +140,8 @@ impl FlightRecorder {
     }
 
     /// A recorder narrowed to `interest`. [`Interest::NONE`] yields a fully
-    /// masked recorder the kernel never takes for — the configuration the
-    /// `sim_primitives` bench uses to prove attachment is free.
+    /// masked recorder the kernel never takes for — the configuration
+    /// `tests/observer_interest.rs` uses to prove attachment is free.
     pub fn with_interest(capacity: usize, interest: Interest) -> FlightRecorder {
         assert!(capacity > 0, "flight recorder capacity must be positive");
         FlightRecorder {

@@ -231,27 +231,28 @@ pub struct Kernel {
     /// Always zero in a correct run; debug builds also assert on it.
     pub busy_overruns: u64,
     /// Decision-loop iterations executed by [`Kernel::run_until`]. A cheap
-    /// proxy for simulation work, reported as events/sec by the bench
-    /// harness timing artifact. Busy chunks fast-forwarded inside the
-    /// batched inner loop count one each — exactly the outer-loop iteration
-    /// the single-step path would have spent on them — so the counter (and
-    /// with it every run digest) is independent of batching.
+    /// proxy for simulation work, reported as `sim_events_per_s` by the
+    /// repository benchmark (`perfbench/`). Busy chunks fast-forwarded
+    /// inside the batched inner loop count one each — exactly the
+    /// outer-loop iteration the single-step path would have spent on them —
+    /// so the counter (and with it every run digest) is independent of
+    /// batching.
     pub sim_events: u64,
     /// Program steps pulled by the ISR/DPC/thread step loops.
     pub steps_executed: u64,
     /// Entries into those step loops. `steps_executed / step_dispatches`
-    /// is the `batch_steps_per_dispatch` figure of the timing artifact;
-    /// values above 1 mean the inner loop is actually batching.
+    /// is perfbench's `kernel.steps_per_dispatch`; values above 1 mean the
+    /// inner loop is actually batching.
     pub step_dispatches: u64,
     /// Busy chunks charged inline by the batched inner loop (never handed
     /// back to the outer decision loop).
     pub batched_steps: u64,
     /// Steps executed from compiled instruction streams (a subset of
-    /// `steps_executed`). `compiled_steps / step_dispatches` is the
-    /// `compile_steps_per_dispatch` figure of the timing artifact.
+    /// `steps_executed`). `compiled_steps / steps_executed` is perfbench's
+    /// `compile.compiled_step_share`.
     pub compiled_steps: u64,
     /// Times the observer list was taken/restored for an event delivery.
-    /// The `sim_primitives` bench asserts this stays zero for event kinds
+    /// `tests/observer_interest.rs` asserts this stays zero for event kinds
     /// outside the registered interest union.
     pub notify_takes: u64,
     /// Dispatch/context-switch overhead cycles, maintained only while an
@@ -718,8 +719,8 @@ impl Kernel {
 
     /// Due calendar entries processed so far (pops, stale skips and
     /// due-count visits inside the clock ISR). Grows with *due* events
-    /// only — the `sim_primitives` counting bench asserts armed
-    /// far-future timers and sleepers do not inflate it.
+    /// only — `tests/calendar_equivalence.rs` asserts armed far-future
+    /// timers and sleepers do not inflate it.
     pub fn calendar_tick_work(&self) -> u64 {
         self.calendar.tick_work()
     }
@@ -2725,7 +2726,7 @@ impl Kernel {
     /// `&mut Kernel`), so no callback can mutate the list mid-iteration;
     /// the take/merge-restore keeps even that hypothetical sound. Callers
     /// gate on [`Kernel::wants`] first — `notify_takes` counts every take
-    /// so the masked-delivery bench can assert uninterested kinds never
+    /// so `tests/observer_interest.rs` can assert uninterested kinds never
     /// reach this point.
     fn notify<E, F: Fn(&mut dyn Observer, &E)>(&mut self, kind: Interest, f: F, e: &E) {
         debug_assert!(self.wants(kind), "notify for a kind nobody declared");

@@ -1,12 +1,13 @@
-//! Steady-state allocation audit for the compiled step loop.
+//! Steady-state allocation audit for the kernel's per-event hot paths.
 //!
 //! The superblock walker's whole point is that executing a compiled
 //! program costs a cursor bump and a table read — no boxing, no `StepCtx`
-//! construction, no per-step heap traffic (DESIGN.md §11). This binary
-//! installs a counting global allocator and pins that down: after a
-//! warm-up window (which is allowed to grow queues and heaps to their
-//! steady capacity), a long measured window over a compiled scenario must
-//! perform **zero** heap operations, event for event.
+//! construction, no per-step heap traffic (DESIGN.md §11). Observer
+//! notification, `WaitAny` block/ready cycling and timer-expiry wakes must
+//! be just as heap-free. This binary installs a counting global allocator
+//! and pins that down: after a warm-up window (which is allowed to grow
+//! queues and heaps to their steady capacity), a measured window over each
+//! kernel must perform **zero** heap operations, event for event.
 //!
 //! The file holds a single `#[test]` on purpose: the counter is global, so
 //! a sibling test running concurrently would bleed its allocations into
@@ -14,6 +15,8 @@
 
 use std::{
     alloc::{GlobalAlloc, Layout, System},
+    cell::RefCell,
+    rc::Rc,
     sync::atomic::{AtomicU64, Ordering},
 };
 
@@ -49,13 +52,11 @@ fn heap_ops() -> u64 {
 /// A device ISR -> DPC -> event -> real-time thread pipeline plus two
 /// timesliced hogs — every body an `OpSeq`/`LoopSeq`, so the compiled
 /// walker carries all program execution.
-#[test]
-fn compiled_step_loop_is_allocation_free() {
+fn compiled_pipeline_kernel() -> Kernel {
     let mut k = Kernel::new(KernelConfig {
         seed: 42,
         ..KernelConfig::default()
     });
-    assert!(k.program_compilation(), "compilation is the default");
     let l_isr = k.intern("DEV", "_Isr");
     let l_dpc = k.intern("DEV", "_Dpc");
     let l_rt = k.intern("APP", "_RtWork");
@@ -123,19 +124,147 @@ fn compiled_step_loop_is_allocation_free() {
     let timer = k.create_timer(Some(tick_dpc));
     k.set_timer(timer, Cycles::from_ms(1.5), Some(Cycles::from_ms(2.0)));
 
-    // Warm-up: queues, heaps and scratch buffers grow to steady capacity.
-    k.run_for(Cycles::from_ms(200.0));
-    assert!(k.compiled_steps > 0, "the walker must be engaged");
+    k
+}
 
+/// Hook deliveries of every kind a full-interest observer sees.
+#[derive(Default)]
+struct CountingObserver {
+    events: u64,
+}
+
+impl Observer for CountingObserver {
+    fn on_isr_enter(&mut self, _e: &IsrEnter) {
+        self.events += 1;
+    }
+    fn on_dpc_start(&mut self, _e: &DpcStart) {
+        self.events += 1;
+    }
+    fn on_thread_resume(&mut self, _e: &ThreadResume) {
+        self.events += 1;
+    }
+    fn on_context_switch(&mut self, _f: Option<ThreadId>, _t: ThreadId, _n: Instant) {
+        self.events += 1;
+    }
+}
+
+/// Arms `timer` to fire every millisecond from a one-shot thread.
+fn arm_periodic(k: &mut Kernel, timer: TimerId) {
+    k.create_thread(
+        "armer",
+        16,
+        Box::new(OpSeq::new(vec![Step::SetTimer {
+            timer,
+            due: Cycles::from_ms(1.0),
+            period: Some(Cycles::from_ms(1.0)),
+        }])),
+    );
+}
+
+/// Timer -> DPC -> `SetEvent` -> waiting thread, with two full-interest
+/// observers installed, so the notify path takes and walks the observer
+/// list on every ISR entry, DPC start, thread resume and context switch.
+fn notify_kernel() -> (Kernel, Rc<RefCell<CountingObserver>>) {
+    let mut k = Kernel::new(KernelConfig::default());
+    let obs = Rc::new(RefCell::new(CountingObserver::default()));
+    k.add_observer(obs.clone());
+    k.add_observer(Rc::new(RefCell::new(CountingObserver::default())));
+    let evt = k.create_event(EventKind::Synchronization, false);
+    let slot = k.alloc_slots(1);
+    k.create_thread(
+        "waiter",
+        28,
+        Box::new(LoopSeq::new(vec![
+            Step::Wait(WaitObject::Event(evt)),
+            Step::ReadTsc(slot),
+        ])),
+    );
+    let dpc = k.create_dpc(
+        "sig",
+        DpcImportance::Medium,
+        Box::new(OpSeq::new(vec![Step::SetEvent(evt), Step::Return])),
+    );
+    let timer = k.create_timer(Some(dpc));
+    arm_periodic(&mut k, timer);
+    (k, obs)
+}
+
+/// A thread looping on a two-event `WaitAny` set that a periodic DPC
+/// satisfies: the wait-set scan, block and ready paths run every cycle.
+fn waitany_kernel() -> Kernel {
+    let mut k = Kernel::new(KernelConfig::default());
+    let a = k.create_event(EventKind::Synchronization, false);
+    let b = k.create_event(EventKind::Synchronization, false);
+    let set = k.create_wait_set(vec![WaitObject::Event(a), WaitObject::Event(b)]);
+    let slot = k.alloc_slots(1);
+    k.create_thread(
+        "any-waiter",
+        28,
+        Box::new(LoopSeq::new(vec![Step::WaitAny(set), Step::ReadTsc(slot)])),
+    );
+    let dpc = k.create_dpc(
+        "sig-b",
+        DpcImportance::Medium,
+        Box::new(OpSeq::new(vec![Step::SetEvent(b), Step::Return])),
+    );
+    let timer = k.create_timer(Some(dpc));
+    arm_periodic(&mut k, timer);
+    k
+}
+
+/// A thread blocking on a one-shot timer it re-arms each iteration
+/// (re-arming clears the signal, so every cycle really blocks): each
+/// expiry wakes the waiter queue from the clock ISR.
+fn timer_expiry_kernel() -> Kernel {
+    let mut k = Kernel::new(KernelConfig::default());
+    let timer = k.create_timer(None);
+    let slot = k.alloc_slots(1);
+    k.create_thread(
+        "timer-waiter",
+        28,
+        Box::new(LoopSeq::new(vec![
+            Step::SetTimer {
+                timer,
+                due: Cycles::from_ms(1.0),
+                period: None,
+            },
+            Step::Wait(WaitObject::Timer(timer)),
+            Step::ReadTsc(slot),
+        ])),
+    );
+    k
+}
+
+/// Warms `k` for 200 simulated ms, then asserts one simulated second of
+/// more than `min_events` events performs no heap operation.
+fn assert_alloc_free(label: &str, k: &mut Kernel, min_events: u64) {
+    k.run_for(Cycles::from_ms(200.0));
     let events_before = k.sim_events;
     let ops_before = heap_ops();
     k.run_for(Cycles::from_ms(1_000.0));
     let ops = heap_ops() - ops_before;
     let events = k.sim_events - events_before;
-
-    assert!(events > 10_000, "sanity: the window simulated real load");
+    assert!(
+        events > min_events,
+        "{label}: the window must simulate real load ({events} events)"
+    );
     assert_eq!(
         ops, 0,
-        "compiled steady state must not touch the heap ({ops} ops over {events} events)"
+        "{label}: steady state must not touch the heap ({ops} ops over {events} events)"
     );
+}
+
+#[test]
+fn steady_state_hot_paths_are_allocation_free() {
+    let mut k = compiled_pipeline_kernel();
+    assert!(k.program_compilation(), "compilation is the default");
+    assert_alloc_free("compiled pipeline", &mut k, 10_000);
+    assert!(k.compiled_steps > 0, "the walker must be engaged");
+
+    let (mut k, obs) = notify_kernel();
+    assert_alloc_free("notify", &mut k, 1_000);
+    assert!(obs.borrow().events > 0, "observer hooks must have fired");
+
+    assert_alloc_free("WaitAny", &mut waitany_kernel(), 1_000);
+    assert_alloc_free("timer expiry", &mut timer_expiry_kernel(), 1_000);
 }

@@ -5,7 +5,9 @@
 //! 1. `DeadlineHeap` in isolation: random arm / invalidate / drain / count
 //!    sequences, compared entry-for-entry against a `Vec<Option<deadline>>`
 //!    reference that scans every slot. This pins the lazy-invalidation
-//!    generation protocol and the ascending-index tie-break.
+//!    generation protocol and the ascending-index tie-break. Its drain
+//!    cost ignores far-future entries, in the heap and through the kernel
+//!    (`Kernel::calendar_tick_work`).
 //!
 //! 2. The full kernel: a random schedule of `set_timer` / `cancel_timer`
 //!    calls interleaved with `run_for` slices, with every timer carrying a
@@ -162,7 +164,7 @@ fn same_deadline_ties_fire_in_ascending_index_order() {
 
 /// Pop and count touch only *due* entries: a thousand far-future arms cost
 /// nothing at drain time. This is the O(due) contract the clock ISR relies
-/// on (the bench suite measures the same property end-to-end).
+/// on (the next test checks the same property through the kernel).
 #[test]
 fn drain_cost_ignores_far_future_entries() {
     let mut heap = DeadlineHeap::new();
@@ -178,6 +180,51 @@ fn drain_cost_ignores_far_future_entries() {
     // One due pop; the count walk stops at the (not-due) root.
     assert_eq!(heap.examined() - before, 1);
     assert_eq!(heap.len(), 1000);
+}
+
+/// The same contract through the kernel (DESIGN.md §7): clock-tick cost
+/// scales with *due* events only. A kernel whose only real timer work is
+/// a 1 ms periodic DPC timer does exactly as much tick work over one
+/// simulated second with a thousand armed far-future timers and a
+/// thousand far-future sleepers as without them.
+#[test]
+fn far_future_timers_and_sleepers_add_no_tick_work() {
+    let tick_work = |loaded: bool| -> u64 {
+        let mut k = Kernel::new(KernelConfig::default());
+        let dpc = k.create_dpc(
+            "tick-dpc",
+            DpcImportance::Medium,
+            Box::new(OpSeq::new(vec![Step::Return])),
+        );
+        let active = k.create_timer(Some(dpc));
+        k.set_timer(active, Cycles::from_ms(1.0), Some(Cycles::from_ms(1.0)));
+        if loaded {
+            // An hour out: armed for the whole measurement, never due.
+            let far = Cycles::from_ms(3_600_000.0);
+            for _ in 0..1000 {
+                let t = k.create_timer(None);
+                k.set_timer(t, far, None);
+            }
+            for i in 0..1000 {
+                k.create_thread(
+                    &format!("far-sleeper-{i}"),
+                    4,
+                    Box::new(OpSeq::new(vec![Step::Sleep(far)])),
+                );
+            }
+        }
+        k.run_for(Cycles::from_ms(200.0));
+        let start = k.calendar_tick_work();
+        k.run_for(Cycles::from_ms(1_000.0));
+        k.calendar_tick_work() - start
+    };
+    let base = tick_work(false);
+    assert!(base > 0, "the periodic timer must generate tick work");
+    assert_eq!(
+        base,
+        tick_work(true),
+        "non-due calendar entries leaked into clock-tick work"
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -8,9 +8,9 @@
 //! 1. *Filtering*: an observer registered for one kind sees exactly that
 //!    kind — never another — under a mixed ISR/DPC/thread scenario, and
 //!    its presence does not perturb what a full-interest observer sees.
-//! 2. *Cost*: `Kernel::notify_takes` stays at zero when no observer is
-//!    interested in any emitted kind (the `sim_primitives` bench measures
-//!    the same property as throughput).
+//! 2. *Cost*: `Kernel::notify_takes` counts only interested deliveries,
+//!    so it stays at zero when no observer is interested in any emitted
+//!    kind — a fully masked flight recorder included.
 
 use std::{cell::RefCell, rc::Rc};
 
@@ -208,9 +208,42 @@ fn uninterested_kinds_never_take_the_observer_list() {
         "every list take must be an interested delivery"
     );
 
+    // A DPC-only observer: every take is a DPC delivery, and a
+    // full-interest observer takes the list far more often.
+    let mut k = Kernel::new(KernelConfig::default());
+    let dpc_only = OneKind::new(Interest::DPC_START);
+    k.add_observer(dpc_only.clone());
+    run_mixed_scenario(&mut k);
+    let dpcs = dpc_only.borrow().dpc;
+    assert!(dpcs > 5, "scenario must emit DPCs: {dpcs}");
+    assert_eq!(
+        k.notify_takes, dpcs,
+        "masked-out kinds took the observer list"
+    );
+    let mut full = Kernel::new(KernelConfig::default());
+    full.add_observer(OneKind::new(Interest::ALL));
+    run_mixed_scenario(&mut full);
+    assert!(
+        full.notify_takes > 3 * dpcs,
+        "full interest must take the list more often ({} vs {dpcs})",
+        full.notify_takes
+    );
+
     // Interest::NONE only: emitted events of every kind, zero takes.
     let mut k = Kernel::new(KernelConfig::default());
     k.add_observer(OneKind::new(Interest::NONE));
     run_mixed_scenario(&mut k);
     assert_eq!(k.notify_takes, 0, "a NONE observer costs nothing per event");
+
+    // A flight recorder attached with an empty mask costs nothing either.
+    let mut k = Kernel::new(KernelConfig::default());
+    k.add_observer(Rc::new(RefCell::new(FlightRecorder::with_interest(
+        1024,
+        Interest::NONE,
+    ))));
+    run_mixed_scenario(&mut k);
+    assert_eq!(
+        k.notify_takes, 0,
+        "a fully masked recorder costs nothing per event"
+    );
 }
