@@ -62,11 +62,6 @@ pub struct RunConfig {
     /// measured value and `summary_digest` stay bit-identical with this on
     /// or off (CI asserts it).
     pub trace: bool,
-    /// Compile fixed-shape programs into flat instruction streams (the
-    /// default). `repro --no-compile` clears it to run every cell on the
-    /// interpreted reference path; outputs are byte-identical either way
-    /// (CI's digest-smoke job asserts it against the committed digests).
-    pub compile: bool,
     /// Stage raw samples and fold them in batches (the default).
     /// `repro --no-batch-record` clears it to run the per-sample reference
     /// recording path; outputs are byte-identical either way (CI's
@@ -92,7 +87,6 @@ impl Default for RunConfig {
             threads: 0,
             shards: 1,
             trace: false,
-            compile: true,
             batch_record: true,
             blame: None,
             flame_hz: None,
@@ -104,18 +98,16 @@ impl RunConfig {
     /// The measurement-tool options for one cell under this config —
     /// defaults plus a flight recorder (pid'd per cell) when tracing.
     pub fn measure_opts(&self, os: OsKind, w: WorkloadKind) -> MeasureOptions {
-        let mut opts = MeasureOptions {
+        MeasureOptions {
             flight: self.trace.then(|| FlightOptions {
                 pid: cell_pid(os, w),
                 ..FlightOptions::default()
             }),
+            batch_record: self.batch_record,
             blame: self.blame,
             flame_hz: self.flame_hz,
             ..MeasureOptions::default()
-        };
-        opts.scenario.compile = self.compile;
-        opts.batch_record = self.batch_record;
-        opts
+        }
     }
 }
 
@@ -290,10 +282,9 @@ pub struct CellTiming {
     /// `steps_executed / step_dispatches` over the grid as
     /// `kernel.steps_per_dispatch`.
     pub step_dispatches: u64,
-    /// Steps executed through compiled instruction streams (a subset of
-    /// `steps_executed`; 0 under `--no-compile`). Perfbench reports
-    /// `compiled_steps / steps_executed` over the grid as
-    /// `compile.compiled_step_share`.
+    /// Always 0: the kernel has one step executor, the interpreter. Kept
+    /// because perfbench still reports `compiled_steps / steps_executed`
+    /// as `compile.compiled_step_share`.
     pub compiled_steps: u64,
     /// Latency samples recorded across the cell's 11 measurement series.
     /// Perfbench reports `samples_recorded / sim_events` over the grid as
@@ -524,9 +515,7 @@ pub fn measure_all_timed(cfg: &RunConfig) -> TimedCells {
             sim_events: m.sim_events,
             steps_executed: m.steps_executed,
             step_dispatches: m.step_dispatches,
-            // Shards sum this counter exactly in the metrics merge, so the
-            // registry is the authoritative per-cell total.
-            compiled_steps: m.metrics.counter_value("sim.compiled_steps").unwrap_or(0),
+            compiled_steps: 0,
             samples_recorded: m.samples_recorded(),
             batch_flushes: m.metrics.counter_value("latency.batch_flushes").unwrap_or(0),
             staged_samples: m.metrics.counter_value("latency.staged_samples").unwrap_or(0),
@@ -618,7 +607,6 @@ mod tests {
             threads: 0,
             shards: 1,
             trace: false,
-            compile: true,
             batch_record: true,
             blame: None,
             flame_hz: None,
@@ -672,7 +660,6 @@ mod tests {
             threads: 1,
             shards: 8,
             trace: false,
-            compile: true,
             batch_record: true,
             blame: None,
             flame_hz: None,
@@ -693,7 +680,6 @@ mod tests {
             threads: 1,
             shards: 2,
             trace: false,
-            compile: true,
             batch_record: true,
             blame: None,
             flame_hz: None,

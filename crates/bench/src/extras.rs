@@ -599,7 +599,6 @@ mod tests {
             threads: 0,
             shards: 1,
             trace: false,
-            compile: true,
         batch_record: true,
         blame: None,
         flame_hz: None,

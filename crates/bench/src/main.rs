@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! repro <artifact> [--minutes N | --full] [--seed S] [--threads T]
-//!                  [--shards K] [--out DIR] [--no-compile]
+//!                  [--shards K] [--out DIR]
 //!
 //! artifacts:
 //!   table1 table2 table3 table4 figure4 figure5 figure6 figure7
@@ -27,7 +27,7 @@ use wdm_bench::{
     extras, figures, forensics, output, progress, tables, tracecmd,
 };
 
-const USAGE: &str = "usage: repro <artifact> [--minutes N | --full] [--seed S] [--threads T] [--shards K] [--out DIR] [--trace] [--no-compile] [--no-batch-record] [--blame-mode topk|threshold|blockmax] [--blame-threshold-ms T] [--blame-top K] [--flame-hz HZ] [--quiet | --verbose]
+const USAGE: &str = "usage: repro <artifact> [--minutes N | --full] [--seed S] [--threads T] [--shards K] [--out DIR] [--trace] [--no-batch-record] [--blame-mode topk|threshold|blockmax] [--blame-threshold-ms T] [--blame-top K] [--flame-hz HZ] [--quiet | --verbose]
 
 artifacts:
   table1 table2 table3 table4 figure4 figure5 figure6 figure7
@@ -44,8 +44,6 @@ options:
   --out DIR     also write TSV/JSON artifacts into DIR
   --trace       attach a flight recorder to every cell (output unchanged;
                 the 'trace' artifact implies this and writes TRACE_*.json)
-  --no-compile  run programs through the step interpreter instead of the
-                compiled instruction streams (output byte-identical)
   --no-batch-record
                 record each latency sample straight into its series instead
                 of staging and batch-folding (output byte-identical)
@@ -89,150 +87,207 @@ fn out(text: &str) {
     }
 }
 
-/// Pulls the value of `--flag value`, failing with usage on a missing or
-/// malformed value.
-fn flag_value<T: std::str::FromStr>(args: &[String], i: &mut usize, what: &str) -> T {
+/// Pulls the value of `--flag value`, failing on a missing or malformed
+/// value.
+fn flag_value<T: std::str::FromStr>(
+    args: &[String],
+    i: &mut usize,
+    what: &str,
+) -> Result<T, String> {
     *i += 1;
     let raw = args
         .get(*i)
-        .unwrap_or_else(|| usage_error(&format!("{what} requires a value")));
-    raw.parse().unwrap_or_else(|_| {
-        usage_error(&format!("invalid value '{raw}' for {what}"))
-    })
+        .ok_or_else(|| format!("{what} requires a value"))?;
+    raw.parse()
+        .map_err(|_| format!("invalid value '{raw}' for {what}"))
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// A parsed command line. Every numeric field already passed its range
+/// check; the artifact name is checked when it is dispatched.
+struct Cli {
+    artifact: String,
+    duration: Duration,
+    seed: u64,
+    threads: usize,
+    shards: usize,
+    trace: bool,
+    batch_record: bool,
+    blame_mode: Option<String>,
+    blame_threshold_ms: f64,
+    blame_top: usize,
+    flame_hz: Option<f64>,
+    out_dir: Option<std::path::PathBuf>,
+    verbosity: Option<progress::Verbosity>,
+    /// `--help` or `-h` was seen; arguments after it are not parsed.
+    help: bool,
+}
+
+impl Cli {
+    /// The harness configuration this command line asks for.
+    fn run_config(&self) -> RunConfig {
+        // The 'blame' artifact arms forensics; --blame-* flags tune the
+        // trigger (and a bare `repro blame` captures the default per-cell
+        // top-K).
+        let blame = (self.artifact == "blame" || self.blame_mode.is_some()).then(|| {
+            let trigger = match self.blame_mode.as_deref() {
+                Some("threshold") => {
+                    wdm_latency::BlameTrigger::ThresholdMs(self.blame_threshold_ms)
+                }
+                Some("blockmax") => wdm_latency::BlameTrigger::BlockMax,
+                _ => wdm_latency::BlameTrigger::TopK(self.blame_top),
+            };
+            wdm_latency::BlameOptions {
+                trigger,
+                max_episodes: self.blame_top,
+            }
+        });
+        RunConfig {
+            duration: self.duration,
+            seed: self.seed,
+            threads: self.threads,
+            shards: self.shards,
+            trace: self.trace,
+            batch_record: self.batch_record,
+            blame,
+            // The 'flame' artifact arms the sampler at its default rate; an
+            // explicit --flame-hz arms it for any artifact (digest included
+            // — CI proves sampling is digest-neutral that way).
+            flame_hz: if self.artifact == "flame" {
+                Some(self.flame_hz.unwrap_or(8000.0))
+            } else {
+                self.flame_hz
+            },
+        }
+    }
+}
+
+/// Parses `repro`'s arguments (program name excluded). An `Err` carries
+/// the message to print above the usage text before exiting 2.
+fn parse_args(args: &[String]) -> Result<Cli, String> {
+    let mut cli = Cli {
+        artifact: String::new(),
+        duration: Duration::Minutes(2.0),
+        seed: 1999,
+        threads: 0,
+        shards: 1,
+        trace: false,
+        batch_record: true,
+        blame_mode: None,
+        blame_threshold_ms: 1.0,
+        blame_top: 4,
+        flame_hz: None,
+        out_dir: None,
+        verbosity: None,
+        help: false,
+    };
     let mut artifact = None;
-    let mut duration = Duration::Minutes(2.0);
-    let mut seed = 1999u64;
-    let mut threads = 0usize;
-    let mut shards = 1usize;
-    let mut trace = false;
-    let mut compile = true;
-    let mut batch_record = true;
-    let mut blame_mode: Option<String> = None;
-    let mut blame_threshold_ms = 1.0f64;
-    let mut blame_top = 4usize;
-    let mut flame_hz: Option<f64> = None;
-    let mut out_dir: Option<std::path::PathBuf> = None;
-    let mut verbosity: Option<progress::Verbosity> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--minutes" => {
-                let m: f64 = flag_value(&args, &mut i, "--minutes");
+                let m: f64 = flag_value(args, &mut i, "--minutes")?;
                 if !(m.is_finite() && m > 0.0) {
-                    usage_error("--minutes must be a positive number");
+                    return Err("--minutes must be a positive number".into());
                 }
-                duration = Duration::Minutes(m);
+                cli.duration = Duration::Minutes(m);
             }
-            "--full" => duration = Duration::FullCollection,
-            "--seed" => seed = flag_value(&args, &mut i, "--seed"),
-            "--threads" => threads = flag_value(&args, &mut i, "--threads"),
+            "--full" => cli.duration = Duration::FullCollection,
+            "--seed" => cli.seed = flag_value(args, &mut i, "--seed")?,
+            "--threads" => cli.threads = flag_value(args, &mut i, "--threads")?,
             "--shards" => {
-                shards = flag_value(&args, &mut i, "--shards");
-                if shards < 1 {
-                    usage_error("--shards must be at least 1");
+                cli.shards = flag_value(args, &mut i, "--shards")?;
+                if cli.shards < 1 {
+                    return Err("--shards must be at least 1".into());
                 }
             }
-            "--trace" => trace = true,
-            "--no-compile" => compile = false,
-            "--no-batch-record" => batch_record = false,
+            "--trace" => cli.trace = true,
+            "--no-batch-record" => cli.batch_record = false,
             "--blame-mode" => {
-                let raw: String = flag_value(&args, &mut i, "--blame-mode");
+                let raw: String = flag_value(args, &mut i, "--blame-mode")?;
                 match raw.as_str() {
-                    "topk" | "threshold" | "blockmax" => blame_mode = Some(raw),
-                    _ => usage_error(&format!(
-                        "invalid value '{raw}' for --blame-mode (expected 'topk', \
-                         'threshold', or 'blockmax')"
-                    )),
+                    "topk" | "threshold" | "blockmax" => cli.blame_mode = Some(raw),
+                    _ => {
+                        return Err(format!(
+                            "invalid value '{raw}' for --blame-mode (expected 'topk', \
+                             'threshold', or 'blockmax')"
+                        ))
+                    }
                 }
             }
             "--blame-threshold-ms" => {
-                blame_threshold_ms = flag_value(&args, &mut i, "--blame-threshold-ms");
-                if !(blame_threshold_ms.is_finite() && blame_threshold_ms > 0.0) {
-                    usage_error("--blame-threshold-ms must be a positive number");
+                let ms: f64 = flag_value(args, &mut i, "--blame-threshold-ms")?;
+                if !(ms.is_finite() && ms > 0.0) {
+                    return Err("--blame-threshold-ms must be a positive number".into());
                 }
+                cli.blame_threshold_ms = ms;
             }
             "--blame-top" => {
-                blame_top = flag_value(&args, &mut i, "--blame-top");
-                if blame_top < 1 {
-                    usage_error("--blame-top must be at least 1");
+                cli.blame_top = flag_value(args, &mut i, "--blame-top")?;
+                if cli.blame_top < 1 {
+                    return Err("--blame-top must be at least 1".into());
                 }
             }
             "--flame-hz" => {
-                let hz: f64 = flag_value(&args, &mut i, "--flame-hz");
+                let hz: f64 = flag_value(args, &mut i, "--flame-hz")?;
                 if !(hz.is_finite() && hz > 0.0) {
-                    usage_error("--flame-hz must be a positive number");
+                    return Err("--flame-hz must be a positive number".into());
                 }
-                flame_hz = Some(hz);
+                cli.flame_hz = Some(hz);
             }
             "--quiet" => {
-                if verbosity == Some(progress::Verbosity::Verbose) {
-                    usage_error("--quiet and --verbose are mutually exclusive");
+                if cli.verbosity == Some(progress::Verbosity::Verbose) {
+                    return Err("--quiet and --verbose are mutually exclusive".into());
                 }
-                verbosity = Some(progress::Verbosity::Quiet);
+                cli.verbosity = Some(progress::Verbosity::Quiet);
             }
             "--verbose" => {
-                if verbosity == Some(progress::Verbosity::Quiet) {
-                    usage_error("--quiet and --verbose are mutually exclusive");
+                if cli.verbosity == Some(progress::Verbosity::Quiet) {
+                    return Err("--quiet and --verbose are mutually exclusive".into());
                 }
-                verbosity = Some(progress::Verbosity::Verbose);
+                cli.verbosity = Some(progress::Verbosity::Verbose);
             }
             "--out" => {
                 i += 1;
-                let dir = args
-                    .get(i)
-                    .unwrap_or_else(|| usage_error("--out requires a directory"));
+                let dir = args.get(i).ok_or("--out requires a directory")?;
                 if dir.is_empty() || dir.starts_with('-') {
-                    usage_error(&format!("invalid directory '{dir}' for --out"));
+                    return Err(format!("invalid directory '{dir}' for --out"));
                 }
-                out_dir = Some(std::path::PathBuf::from(dir));
+                cli.out_dir = Some(std::path::PathBuf::from(dir));
             }
             "--help" | "-h" => {
-                out(&format!("{USAGE}\n"));
-                return;
+                cli.help = true;
+                break;
             }
             a if !a.starts_with('-') && artifact.is_none() => {
                 artifact = Some(a.to_string());
             }
-            other => usage_error(&format!("unknown argument: {other}")),
+            other => return Err(format!("unknown argument: {other}")),
         }
         i += 1;
     }
-    let artifact = artifact.unwrap_or_else(|| "all".to_string());
-    if let Some(v) = verbosity {
+    cli.artifact = artifact.unwrap_or_else(|| "all".to_string());
+    Ok(cli)
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let cli = parse_args(&args).unwrap_or_else(|msg| usage_error(&msg));
+    if cli.help {
+        out(&format!("{USAGE}\n"));
+        return;
+    }
+    if let Some(v) = cli.verbosity {
         progress::set_verbosity(v);
     }
-    // The 'blame' artifact arms forensics; --blame-* flags tune the trigger
-    // (and a bare `repro blame` captures the default per-cell top-K).
-    let blame = (artifact == "blame" || blame_mode.is_some()).then(|| {
-        let trigger = match blame_mode.as_deref() {
-            Some("threshold") => wdm_latency::BlameTrigger::ThresholdMs(blame_threshold_ms),
-            Some("blockmax") => wdm_latency::BlameTrigger::BlockMax,
-            _ => wdm_latency::BlameTrigger::TopK(blame_top),
-        };
-        wdm_latency::BlameOptions { trigger, max_episodes: blame_top }
-    });
-    let cfg = RunConfig {
+    let cfg = cli.run_config();
+    let Cli {
+        artifact,
         duration,
         seed,
         threads,
-        shards,
-        trace,
-        compile,
-        batch_record,
-        blame,
-        // The 'flame' artifact arms the sampler at its default rate; an
-        // explicit --flame-hz arms it for any artifact (digest included —
-        // CI proves sampling is digest-neutral that way).
-        flame_hz: if artifact == "flame" {
-            Some(flame_hz.unwrap_or(8000.0))
-        } else {
-            flame_hz
-        },
-    };
+        out_dir,
+        ..
+    } = cli;
     let minutes = match duration {
         Duration::Minutes(m) => m,
         Duration::FullCollection => 30.0,
@@ -425,5 +480,104 @@ fn main() {
             }
         }
         other => usage_error(&format!("unknown artifact '{other}'")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    // Space-separated token pools: every flag `parse_args` knows, the
+    // retired flags and the artifact names.
+    const FLAGS: &str = "--minutes --full --seed --threads --shards --out --trace \
+        --no-batch-record --blame-mode --blame-threshold-ms --blame-top --flame-hz --quiet \
+        --verbose --help -h";
+    const RETIRED: &str = "--no-compile --sampler-mode --repeats --stats-v1";
+    const ARTIFACTS: &str = "table1 table2 table3 table4 figure4 figure5 figure6 figure7 \
+        throughput validate-mttf sched feasibility win2000 microbench interactive stability \
+        ablations digest trace metrics blame flame all";
+    /// Hostile and valid flag values (the empty string included).
+    const VALUES: &[&str] = &[
+        "0",
+        "-1",
+        "nan",
+        "inf",
+        "1e309",
+        "18446744073709551616",
+        "",
+        "-x",
+        "0.5",
+        "3",
+        "topk",
+        "threshold",
+        "blockmax",
+    ];
+
+    /// Argv cases per run: `parse_args` costs microseconds, so the sweep
+    /// is far wider than the `proptest!` default of 64 cases.
+    const CASES: u64 = 200_000;
+
+    fn pick(pool: Vec<&'static str>) -> impl Strategy<Value = String> {
+        (0..pool.len()).prop_map(move |i| pool[i].to_string())
+    }
+
+    fn words(pool: &'static str) -> Vec<&'static str> {
+        pool.split_whitespace().collect()
+    }
+
+    fn finite_positive(x: f64) -> bool {
+        x.is_finite() && x > 0.0
+    }
+
+    #[test]
+    fn parse_args_never_panics_and_accepts_only_valid_values() {
+        let argv = prop::collection::vec(
+            prop_oneof![
+                pick(words(FLAGS)),
+                pick(words(RETIRED)),
+                pick(VALUES.to_vec()),
+                pick(words(ARTIFACTS)),
+            ],
+            0..9,
+        );
+        let mut accepted = 0;
+        for case in 0..CASES {
+            let args = argv.generate(&mut proptest::test_rng("parse_args", case));
+            // Tokens after `--help` are never parsed, so a retired flag
+            // only counts before the first one.
+            let parsed = args
+                .iter()
+                .position(|a| a == "--help" || a == "-h")
+                .map_or(&args[..], |h| &args[..h]);
+            let Ok(cli) = parse_args(&args) else {
+                continue;
+            };
+            accepted += 1;
+            prop_assert!(
+                !parsed.iter().any(|a| words(RETIRED).contains(&a.as_str())),
+                "{args:?}: a retired flag was accepted"
+            );
+            if let Duration::Minutes(m) = cli.duration {
+                prop_assert!(finite_positive(m), "{args:?}: --minutes {m}");
+            }
+            prop_assert!(cli.shards >= 1, "{args:?}: --shards {}", cli.shards);
+            prop_assert!(
+                cli.blame_top >= 1,
+                "{args:?}: --blame-top {}",
+                cli.blame_top
+            );
+            prop_assert!(
+                finite_positive(cli.blame_threshold_ms),
+                "{args:?}: --blame-threshold-ms {}",
+                cli.blame_threshold_ms
+            );
+            if let Some(hz) = cli.flame_hz {
+                prop_assert!(finite_positive(hz), "{args:?}: --flame-hz {hz}");
+            }
+            // Building the harness configuration must not panic either.
+            let _ = cli.run_config();
+        }
+        prop_assert!(accepted > CASES / 100, "only {accepted} argvs parsed");
     }
 }

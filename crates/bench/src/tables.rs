@@ -159,7 +159,6 @@ mod tests {
             threads: 0,
             shards: 1,
             trace: false,
-            compile: true,
             batch_record: true,
             blame: None,
             flame_hz: None,
@@ -194,7 +193,6 @@ mod tests {
             threads: 0,
             shards: 1,
             trace: false,
-            compile: true,
         batch_record: true,
         blame: None,
         flame_hz: None,

@@ -88,7 +88,6 @@ mod tests {
             threads: 1,
             shards: 1,
             trace: false,
-            compile: true,
             batch_record: true,
             blame: None,
             flame_hz: None,

@@ -83,6 +83,13 @@ fn retired_sampler_flag_exits_2_with_usage() {
 }
 
 #[test]
+fn retired_compile_flag_exits_2_with_usage() {
+    // The interpreter is the only step executor, so the flag that used to
+    // select it is unknown: a stale script fails loudly.
+    assert_usage_rejection(&["digest", "--no-compile"], "--no-compile");
+}
+
+#[test]
 fn retired_timing_artifact_exits_2_with_usage() {
     // Host timing lives in the repository benchmark alone; the old
     // artifact and its attempt-count flag are unknown, so a stale script
@@ -166,17 +173,10 @@ fn armed_forensics_digest_is_bit_identical() {
 
 #[test]
 fn escape_hatches_parse_and_run() {
-    // A tiny grid proves --no-batch-record / --no-compile reach the
-    // harness rather than dying in the parser. Digest output goes to
-    // stdout; 0.02 simulated minutes keeps the run under a second.
-    let out = repro(&[
-        "digest",
-        "--minutes",
-        "0.02",
-        "--quiet",
-        "--no-batch-record",
-        "--no-compile",
-    ]);
+    // A tiny grid proves --no-batch-record reaches the harness rather
+    // than dying in the parser. Digest output goes to stdout; 0.02
+    // simulated minutes keeps the run under a second.
+    let out = repro(&["digest", "--minutes", "0.02", "--quiet", "--no-batch-record"]);
     assert!(
         out.status.success(),
         "escape hatches must run: {:?}\nstderr: {}",

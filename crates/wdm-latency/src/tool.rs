@@ -122,19 +122,6 @@ impl Program for LatThreadFunc {
         self.phase = (self.phase + 1) % 3;
         s
     }
-
-    fn shape(&self) -> Option<wdm_sim::compile::ProgramShape> {
-        // A pure wait/stamp/complete cycle: no RNG, no blackboard reads,
-        // so the kernel can walk a compiled stream instead of calling us.
-        Some(wdm_sim::compile::ProgramShape {
-            steps: vec![
-                Step::Wait(WaitObject::Event(self.event)),
-                Step::ReadTsc(self.asb2),
-                Step::CompleteIrp(self.irp),
-            ],
-            looping: true,
-        })
-    }
 }
 
 /// The control application: drive reads, compute latencies.

@@ -1,7 +1,7 @@
 //! Steady-state allocation audit for the measurement fast path.
 //!
 //! Companion to `wdm-sim/tests/alloc_steady_state.rs`, which pins the
-//! compiled step loop; this binary pins the *measurement* side of the
+//! kernel's step loops; this binary pins the *measurement* side of the
 //! cycle-domain fast path (DESIGN.md §12): once a [`LatencySeries`] has
 //! built its integer bin edges and grown its block-maxima vector to
 //! steady capacity, a record-heavy window — compiled sampler draws feeding

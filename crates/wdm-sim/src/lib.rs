@@ -61,7 +61,6 @@
 
 pub mod arena;
 pub mod calendar;
-pub mod compile;
 pub mod config;
 pub mod dpc;
 pub mod env;

@@ -1,10 +1,10 @@
 //! Steady-state allocation audit for the kernel's per-event hot paths.
 //!
-//! The superblock walker's whole point is that executing a compiled
-//! program costs a cursor bump and a table read — no boxing, no `StepCtx`
-//! construction, no per-step heap traffic (DESIGN.md §11). Observer
-//! notification, `WaitAny` block/ready cycling and timer-expiry wakes must
-//! be just as heap-free. This binary installs a counting global allocator
+//! Stepping a program through the batched interpreter (DESIGN.md §8) must
+//! cost no per-step heap traffic: the boxed program is moved, never
+//! re-boxed, and `StepCtx` lives on the stack. Observer notification,
+//! `WaitAny` block/ready cycling and timer-expiry wakes must be just as
+//! heap-free. This binary installs a counting global allocator
 //! and pins that down: after a warm-up window (which is allowed to grow
 //! queues and heaps to their steady capacity), a measured window over each
 //! kernel must perform **zero** heap operations, event for event.
@@ -50,9 +50,9 @@ fn heap_ops() -> u64 {
 }
 
 /// A device ISR -> DPC -> event -> real-time thread pipeline plus two
-/// timesliced hogs — every body an `OpSeq`/`LoopSeq`, so the compiled
-/// walker carries all program execution.
-fn compiled_pipeline_kernel() -> Kernel {
+/// timesliced hogs — every body an `OpSeq`/`LoopSeq` stepped by the
+/// interpreter.
+fn pipeline_kernel() -> Kernel {
     let mut k = Kernel::new(KernelConfig {
         seed: 42,
         ..KernelConfig::default()
@@ -256,10 +256,12 @@ fn assert_alloc_free(label: &str, k: &mut Kernel, min_events: u64) {
 
 #[test]
 fn steady_state_hot_paths_are_allocation_free() {
-    let mut k = compiled_pipeline_kernel();
-    assert!(k.program_compilation(), "compilation is the default");
-    assert_alloc_free("compiled pipeline", &mut k, 10_000);
-    assert!(k.compiled_steps > 0, "the walker must be engaged");
+    let mut k = pipeline_kernel();
+    assert_alloc_free("pipeline", &mut k, 10_000);
+    assert!(
+        k.steps_executed > k.step_dispatches,
+        "the batched step loops must be engaged"
+    );
 
     let (mut k, obs) = notify_kernel();
     assert_alloc_free("notify", &mut k, 1_000);

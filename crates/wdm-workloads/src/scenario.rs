@@ -32,10 +32,6 @@ pub struct ScenarioOptions {
     pub virus_scanner: bool,
     /// Sound scheme (Table 4 uses Default; the headline data uses None).
     pub sound_scheme: SoundScheme,
-    /// Compile fixed-shape programs into flat instruction streams (the
-    /// default). Disable (`repro --no-compile`) to force the interpreted
-    /// reference path; both settings are byte-identical.
-    pub compile: bool,
 }
 
 impl Default for ScenarioOptions {
@@ -43,7 +39,6 @@ impl Default for ScenarioOptions {
         ScenarioOptions {
             virus_scanner: false,
             sound_scheme: SoundScheme::None,
-            compile: true,
         }
     }
 }
@@ -92,8 +87,6 @@ pub fn build_scenario(
     let personality = OsPersonality::of(os);
     let spec = WorkloadSpec::of(workload);
     let mut k = personality.build_kernel(seed);
-    // Attach-time switch: everything created below inherits it.
-    k.set_program_compilation(opts.compile);
     let cpu = k.config().cpu_hz;
 
     // OS background activity, scaled by the workload.
@@ -247,7 +240,6 @@ mod tests {
         let opts = ScenarioOptions {
             virus_scanner: true,
             sound_scheme: SoundScheme::Default,
-            ..ScenarioOptions::default()
         };
         let mut s = build_scenario(OsKind::Win98, WorkloadKind::Business, 7, &opts);
         assert!(s.virus_scanner.is_some());

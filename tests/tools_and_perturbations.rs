@@ -126,7 +126,6 @@ fn scanner_toggle_mid_run() {
     let opts = ScenarioOptions {
         virus_scanner: true,
         sound_scheme: SoundScheme::None,
-        ..ScenarioOptions::default()
     };
     let mut s = build_scenario(OsKind::Win98, WorkloadKind::Business, 3, &opts);
     let vs = s.virus_scanner.expect("installed");
