@@ -21,7 +21,9 @@
 //! Determinism contract: the recorder is read-only — it draws no
 //! randomness and mutates no kernel state — so arming it never changes a
 //! digest; disarmed, the `Interest::RESUME_BLAME` bit stays clear and the
-//! kernel's masked-interest branch is the only cost.
+//! kernel's masked-interest branch is the only cost. Armed, the kernel
+//! snapshots its ledgers and decomposes resumes only for the watched
+//! threads (`Observer::resume_blame_threads`).
 
 use std::{cell::RefCell, rc::Rc};
 
@@ -315,6 +317,12 @@ impl Observer for BlameRecorder {
         Interest::RESUME_BLAME
     }
 
+    /// Only the watched measurement threads: the kernel skips the ledger
+    /// snapshot and the decomposition for every other resume.
+    fn resume_blame_threads(&self) -> Option<Vec<ThreadId>> {
+        Some(self.watched.iter().map(|&(t, _)| t).collect())
+    }
+
     fn on_resume_blame(&mut self, e: &ResumeBlame) {
         let Some(&(_, tag)) = self.watched.iter().find(|&&(t, _)| t == e.thread) else {
             return;
@@ -581,6 +589,118 @@ window [600000, 1650000] cycles, latency 3.500 ms, 0 flight events
         });
         assert_eq!(rec.summary.watched_resumes, 0);
         assert!(rec.episodes.is_empty());
+    }
+
+    /// Every resume-blame event the kernel delivers, all threads.
+    #[derive(Default)]
+    struct ResumeLog {
+        events: Vec<ResumeBlame>,
+    }
+
+    impl Observer for ResumeLog {
+        fn interest(&self) -> Interest {
+            Interest::RESUME_BLAME
+        }
+        fn on_resume_blame(&mut self, e: &ResumeBlame) {
+            self.events.push(*e);
+        }
+    }
+
+    /// Two RT waiters woken by one timer DPC (the priority-28 one preempts
+    /// the 24) plus a normal-priority hog; returns the kernel and the
+    /// waiters.
+    fn two_waiter_kernel() -> (Kernel, [ThreadId; 2]) {
+        let mut k = Kernel::new(KernelConfig::default());
+        let work = k.intern("APP", "_Work");
+        let (a, b) = (
+            k.create_event(EventKind::Synchronization, false),
+            k.create_event(EventKind::Synchronization, false),
+        );
+        let waiter = |k: &mut Kernel, name, priority, evt, busy| {
+            k.create_thread(
+                name,
+                priority,
+                Box::new(LoopSeq::new(vec![
+                    Step::Wait(WaitObject::Event(evt)),
+                    Step::Busy {
+                        cycles: Cycles(busy),
+                        label: work,
+                    },
+                ])),
+            )
+        };
+        let rt24 = waiter(&mut k, "rt24", 24, a, 40_001);
+        let rt28 = waiter(&mut k, "rt28", 28, b, 90_001);
+        k.create_thread(
+            "hog",
+            8,
+            Box::new(LoopSeq::new(vec![
+                Step::Busy {
+                    cycles: Cycles(70_001),
+                    label: work,
+                },
+                Step::Sleep(Cycles(110_001)),
+            ])),
+        );
+        let dpc = k.create_dpc(
+            "sig",
+            DpcImportance::Medium,
+            Box::new(OpSeq::new(vec![
+                Step::SetEvent(b),
+                Step::SetEvent(a),
+                Step::Return,
+            ])),
+        );
+        let timer = k.create_timer(Some(dpc));
+        k.set_timer(timer, Cycles::from_ms(1.0), Some(Cycles::from_ms(1.0)));
+        (k, [rt24, rt28])
+    }
+
+    /// The kernel decomposes only the recorder's watched threads, and the
+    /// watched windows come out bit-identical to an all-threads ledger's.
+    #[test]
+    fn watched_only_recorder_matches_all_threads_log() {
+        let run_ms = Cycles::from_ms(60.0);
+        let (mut k, threads) = two_waiter_kernel();
+        let log = Rc::new(RefCell::new(ResumeLog::default()));
+        k.add_observer(log.clone());
+        k.run_for(run_ms);
+        let all = log.borrow().events.clone();
+        for watched in threads {
+            let (mut k, _) = two_waiter_kernel();
+            let rec = Rc::new(RefCell::new(BlameRecorder::new(
+                &k,
+                vec![(watched, "rt")],
+                BlameOptions {
+                    trigger: BlameTrigger::ThresholdMs(0.0),
+                    max_episodes: usize::MAX,
+                },
+                None,
+            )));
+            assert_eq!(rec.borrow().resume_blame_threads(), Some(vec![watched]));
+            k.add_observer(rec.clone());
+            k.run_for(run_ms);
+            let want: Vec<_> = all
+                .iter()
+                .filter(|e| e.thread == watched)
+                .map(|e| (e.priority, e.readied, e.started, e.breakdown))
+                .collect();
+            let rec = rec.borrow();
+            let got: Vec<_> = rec
+                .episodes
+                .iter()
+                .map(|e| (e.priority, e.readied, e.started, e.breakdown))
+                .collect();
+            assert!(want.len() > 20, "watched thread resumed: {}", want.len());
+            assert!(want.len() < all.len(), "other threads resumed too");
+            assert_eq!(got, want);
+            assert_eq!(rec.summary.watched_resumes, want.len() as u64);
+            assert_eq!(
+                k.notify_takes,
+                want.len() as u64,
+                "one delivery per watched resume"
+            );
+        }
     }
 
     /// End-to-end on a live kernel: a DPC-signaled wake with a competing

@@ -21,7 +21,7 @@
 //! the next decision point (hardware event, busy-chunk completion, quantum
 //! expiry). Everything is deterministic given the configuration seed.
 
-use std::{cell::RefCell, collections::VecDeque, rc::Rc};
+use std::{any::Any, cell::RefCell, collections::VecDeque, rc::Rc};
 
 use rand::{rngs::StdRng, RngCore, SeedableRng};
 
@@ -30,6 +30,7 @@ use crate::{
     config::KernelConfig,
     dpc::{DpcImportance, DpcQueue},
     env::{EnvAction, EnvSource},
+    flight::{FlightEvent, FlightRecorder},
     ids::{
         ApcId, DpcId, EventId, IrpId, MutexId, SemId, Slot, SourceId, ThreadId, TimerId, VectorId,
         WaitObject, WaitSetId,
@@ -196,12 +197,21 @@ pub struct Kernel {
     /// Per-kind observer lists, indexed by [`Interest::index`]: an observer
     /// interested in k kinds appears in k lists (Rc clones, built once at
     /// [`Kernel::add_observer`]). Delivery for a kind walks its dense list
-    /// with no per-observer mask branch.
+    /// with no per-observer mask branch. Flight recorders are never here.
     by_kind: [Vec<Rc<RefCell<dyn Observer>>>; Interest::KINDS],
-    /// Union of every registered observer's interest mask. An event kind
-    /// outside this union costs one branch: no event struct, no list
-    /// take/restore.
+    /// Flight recorders, recognised at [`Kernel::add_observer`]: the emit
+    /// sites push into their rings directly, with no virtual call.
+    flight: Vec<Rc<RefCell<FlightRecorder>>>,
+    /// Union of the flight recorders' interest masks.
+    flight_interest: Interest,
+    /// Union of every registered observer's interest mask, recorders
+    /// included. An event kind outside this union costs one branch: no
+    /// event struct, no list walk, no ring push.
     interest_union: Interest,
+    /// Set once a [`Interest::RESUME_BLAME`] observer watches every thread
+    /// ([`Observer::resume_blame_threads`] is `None`): threads created
+    /// afterwards are watched too.
+    blame_all_threads: bool,
     resched: bool,
     current_label: Label,
     /// Cycle accounting by hierarchy level.
@@ -230,9 +240,10 @@ pub struct Kernel {
     /// Busy chunks charged inline by the batched inner loop (never handed
     /// back to the outer decision loop).
     pub batched_steps: u64,
-    /// Times the observer list was taken/restored for an event delivery.
+    /// Event deliveries that walked a non-empty observer list.
     /// `tests/observer_interest.rs` asserts this stays zero for event kinds
-    /// outside the registered interest union.
+    /// outside the registered interest union and for flight recorders,
+    /// which the kernel feeds without a list.
     pub notify_takes: u64,
     /// Dispatch/context-switch overhead cycles, maintained only while an
     /// observer arms [`Interest::RESUME_BLAME`]. Together with
@@ -306,7 +317,10 @@ impl Kernel {
             pending_sections: VecDeque::new(),
             env: Vec::new(),
             by_kind: std::array::from_fn(|_| Vec::new()),
+            flight: Vec::new(),
+            flight_interest: Interest::NONE,
             interest_union: Interest::NONE,
+            blame_all_threads: false,
             resched: false,
             current_label: Label::IDLE,
             account: CycleAccount::default(),
@@ -433,6 +447,7 @@ impl Kernel {
     /// Creates a kernel thread, initially ready.
     pub fn create_thread(&mut self, name: &str, priority: u8, program: Box<dyn Program>) -> ThreadId {
         let id = ThreadId(self.threads.push(name, priority, program));
+        self.threads[id.0].blame_watched = self.blame_all_threads;
         self.ready.push_back(id, priority);
         self.resched = true;
         id
@@ -494,10 +509,44 @@ impl Kernel {
     /// The observer's [`Interest`] mask is sniffed here, once; it must not
     /// change afterwards. Event kinds outside the mask are never delivered
     /// to it, and kinds outside the union of all masks are skipped before
-    /// the event struct is even built.
+    /// the event struct is even built. A [`FlightRecorder`] is recognised
+    /// here and fed directly by the emit sites instead of through the
+    /// observer lists. For an observer arming [`Interest::RESUME_BLAME`],
+    /// [`Observer::resume_blame_threads`] is read here too.
+    ///
+    /// # Panics
+    ///
+    /// If `resume_blame_threads` lists an id that names no thread.
     pub fn add_observer<T: Observer + 'static>(&mut self, obs: ObserverHandle<T>) {
         let interest = obs.borrow().interest();
         self.interest_union |= interest;
+        let any: Rc<dyn Any> = obs.clone();
+        if let Ok(rec) = any.downcast::<RefCell<FlightRecorder>>() {
+            self.flight_interest |= interest;
+            self.flight.push(rec);
+            return;
+        }
+        if interest.contains(Interest::RESUME_BLAME) {
+            match obs.borrow().resume_blame_threads() {
+                None => {
+                    self.blame_all_threads = true;
+                    for i in 0..self.threads.len() {
+                        self.threads[i].blame_watched = true;
+                    }
+                }
+                Some(watched) => {
+                    for t in watched {
+                        assert!(
+                            t.0 < self.threads.len(),
+                            "resume_blame_threads names thread {} but the kernel has {} threads",
+                            t.0,
+                            self.threads.len()
+                        );
+                        self.threads[t.0].blame_watched = true;
+                    }
+                }
+            }
+        }
         let obs: Rc<RefCell<dyn Observer>> = obs;
         for i in 0..Interest::KINDS {
             if interest.contains(Interest::kind_at(i)) {
@@ -741,21 +790,13 @@ impl Kernel {
         let a = &self.account;
         let m = &mark.account;
         let priority = self.threads.priority[t.0];
-        let mut preempt = 0u64;
-        let mut quantum = 0u64;
-        for (pr, (&live, &was)) in self
-            .blame_prio_cycles
-            .iter()
-            .zip(mark.prio.iter())
-            .enumerate()
-        {
-            let d = live - was;
-            if pr as u8 > priority {
-                preempt += d;
-            } else {
-                quantum += d;
-            }
-        }
+        // Priorities above the resumed thread's preempted it; the rest ran
+        // as peers. Each ledger entry only grows, so the difference of the
+        // two integer sums is the sum of the per-priority deltas.
+        let split = usize::from(priority) + 1;
+        let sum = |p: &[u64]| p.iter().sum::<u64>();
+        let preempt = sum(&self.blame_prio_cycles[split..]) - sum(&mark.prio[split..]);
+        let quantum = sum(&self.blame_prio_cycles[..split]) - sum(&mark.prio[..split]);
         ResumeBlame {
             thread: t,
             priority,
@@ -858,11 +899,9 @@ impl Kernel {
     #[inline]
     fn emit_calendar_pop(&mut self, kind: CalendarPopKind, index: u32) {
         if self.wants(Interest::CALENDAR_POP) {
-            let e = CalendarPop {
-                kind,
-                index,
-                at: self.now,
-            };
+            let at = self.now;
+            self.record_flight(Interest::CALENDAR_POP, FlightEvent::Pop { kind, index, at });
+            let e = CalendarPop { kind, index, at };
             self.notify(Interest::CALENDAR_POP, |o, k| o.on_calendar_pop(k), &e);
         }
     }
@@ -1267,10 +1306,19 @@ impl Kernel {
             0 => {
                 // Entry overhead done: the ISR's first instruction runs now.
                 if self.wants(Interest::ISR_ENTER) {
+                    let started = self.now;
+                    self.record_flight(
+                        Interest::ISR_ENTER,
+                        FlightEvent::Isr {
+                            vector: vector.0,
+                            asserted,
+                            started,
+                        },
+                    );
                     let e = IsrEnter {
                         vector,
                         asserted,
-                        started: self.now,
+                        started,
                         interrupted_label: interrupted,
                     };
                     self.notify(Interest::ISR_ENTER, |o, k| o.on_isr_enter(k), &e);
@@ -1387,10 +1435,19 @@ impl Kernel {
             };
             if !started {
                 if self.wants(Interest::DPC_START) {
+                    let started = self.now;
+                    self.record_flight(
+                        Interest::DPC_START,
+                        FlightEvent::Dpc {
+                            dpc: dpc.0,
+                            queued,
+                            started,
+                        },
+                    );
                     let e = DpcStart {
                         dpc,
                         queued,
-                        started: self.now,
+                        started,
                     };
                     self.notify(Interest::DPC_START, |o, k| o.on_dpc_start(k), &e);
                 }
@@ -1611,6 +1668,9 @@ impl Kernel {
                     // Dispatch complete: if the thread was readied from a
                     // wait, its first post-wait instruction runs now.
                     if let Some(readied) = self.threads[i].readied_at.take() {
+                        // The ring push lands before `RESUME_BLAME` is
+                        // delivered: a blame capture's window includes
+                        // this resume.
                         if self.wants(Interest::THREAD_RESUME) {
                             let e = ThreadResume {
                                 thread: t,
@@ -1618,8 +1678,18 @@ impl Kernel {
                                 readied,
                                 started: self.now,
                             };
+                            self.record_flight(
+                                Interest::THREAD_RESUME,
+                                FlightEvent::Resume {
+                                    thread: e.thread,
+                                    priority: e.priority,
+                                    readied: e.readied,
+                                    started: e.started,
+                                },
+                            );
                             self.notify(Interest::THREAD_RESUME, |o, k| o.on_thread_resume(k), &e);
                         }
+                        // Only watched threads carry a mark.
                         let mark = self.threads[i].blame_mark.take();
                         if self.wants(Interest::RESUME_BLAME) {
                             if let Some(mark) = mark {
@@ -1690,6 +1760,15 @@ impl Kernel {
                 descheduled,
                 at: self.now,
             };
+            self.record_flight(
+                Interest::QUANTUM_EXPIRY,
+                FlightEvent::Quantum {
+                    thread: e.thread,
+                    priority: e.priority,
+                    descheduled,
+                    at: e.at,
+                },
+            );
             self.notify(Interest::QUANTUM_EXPIRY, |o, k| o.on_quantum_expiry(k), &e);
         }
         descheduled
@@ -2089,19 +2168,14 @@ impl Kernel {
                 if let Some(e) = self.irps[irp.0].completion_event {
                     self.do_set_event(e);
                 }
-                // Take the list instead of cloning every Rc per completion;
-                // observers have no kernel handle, so the list cannot
-                // change under the loop. Merge-restore anyway for safety.
                 // Inlined (not routed through `notify`) because the hook
-                // borrows `self.board` alongside the observer list.
+                // borrows `self.board` alongside the observer list. Only
+                // list observers can want this kind.
                 if self.wants(Interest::IRP_COMPLETE) {
                     self.notify_takes += 1;
-                    let kind = Interest::IRP_COMPLETE.index();
-                    let obs = std::mem::take(&mut self.by_kind[kind]);
-                    for o in &obs {
+                    for o in &self.by_kind[Interest::IRP_COMPLETE.index()] {
                         o.borrow_mut().on_irp_complete(irp, &self.board, now);
                     }
-                    self.restore_kind(kind, obs);
                 }
             }
             other => unreachable!("apply_service_step got {other:?}"),
@@ -2205,11 +2279,12 @@ impl Kernel {
             tcb.readied_at = Some(now);
             tcb.waits_satisfied += 1;
         }
-        // Blame armed: snapshot the cycle ledgers at ready time. The
-        // resume emit takes the deltas, which sum bit-exactly to the
-        // window because every elapsed cycle lands in exactly one ledger
-        // bucket (DESIGN.md §15). Plain copies — no allocation.
-        if self.wants(Interest::RESUME_BLAME) {
+        // Blame armed on a watched thread: snapshot the cycle ledgers at
+        // ready time. The resume emit takes the deltas, which sum
+        // bit-exactly to the window because every elapsed cycle lands in
+        // exactly one ledger bucket (DESIGN.md §15). Plain copies — no
+        // allocation.
+        if self.wants(Interest::RESUME_BLAME) && self.threads[i].blame_watched {
             self.threads[i].blame_mark = Some(BlameMark {
                 account: self.account,
                 overhead: self.blame_overhead_cycles,
@@ -2283,17 +2358,22 @@ impl Kernel {
         }
         self.current_thread = Some(next);
         self.context_switches += 1;
-        // See `notify` for why taking (not cloning) the list is sound.
         // Context switches are the highest-rate event kind, so the
         // interest-union branch here pays for the whole mask machinery.
         if self.wants(Interest::CONTEXT_SWITCH) {
-            self.notify_takes += 1;
-            let kind = Interest::CONTEXT_SWITCH.index();
-            let obs = std::mem::take(&mut self.by_kind[kind]);
-            for o in &obs {
-                o.borrow_mut().on_context_switch(from, next, now);
-            }
-            self.restore_kind(kind, obs);
+            self.record_flight(
+                Interest::CONTEXT_SWITCH,
+                FlightEvent::Switch {
+                    from,
+                    to: next,
+                    at: now,
+                },
+            );
+            self.notify(
+                Interest::CONTEXT_SWITCH,
+                |o, &(from, to, now)| o.on_context_switch(from, to, now),
+                &(from, next, now),
+            );
         }
     }
 
@@ -2396,39 +2476,44 @@ impl Kernel {
         self.due_scratch = due;
     }
 
-    /// True if any registered observer consumes events of `kind`. Call
-    /// sites check this before building the event struct, so a kind nobody
-    /// wants costs exactly one branch.
+    /// True if any registered observer or flight recorder consumes events
+    /// of `kind`. Call sites check this before building the event, so a
+    /// kind nobody wants costs exactly one branch.
     #[inline]
     fn wants(&self, kind: Interest) -> bool {
         self.interest_union.contains(kind)
     }
 
-    /// Invokes `f` on every observer interested in `kind` without cloning
-    /// the `Vec<Rc<_>>` per event. Delivery walks the kind's dense list
-    /// (built at [`Kernel::add_observer`]), so there is no per-observer
-    /// mask branch. Observers hold no kernel handle (`add_observer` needs
-    /// `&mut Kernel`), so no callback can mutate the list mid-iteration;
-    /// the take/merge-restore keeps even that hypothetical sound. Callers
-    /// gate on [`Kernel::wants`] first — `notify_takes` counts every take
-    /// so `tests/observer_interest.rs` can assert uninterested kinds never
-    /// reach this point.
-    fn notify<E, F: Fn(&mut dyn Observer, &E)>(&mut self, kind: Interest, f: F, e: &E) {
-        debug_assert!(self.wants(kind), "notify for a kind nobody declared");
-        self.notify_takes += 1;
-        let kind = kind.index();
-        let obs = std::mem::take(&mut self.by_kind[kind]);
-        for o in &obs {
-            f(&mut *o.borrow_mut(), e);
+    /// Pushes `e` into every attached flight recorder whose mask holds
+    /// `kind`. Call sites gate on [`Kernel::wants`] first.
+    #[inline]
+    fn record_flight(&self, kind: Interest, e: FlightEvent) {
+        if self.flight_interest.contains(kind) {
+            for f in &self.flight {
+                let mut f = f.borrow_mut();
+                if f.interest().contains(kind) {
+                    f.push(e);
+                }
+            }
         }
-        self.restore_kind(kind, obs);
     }
 
-    /// Puts a kind's taken observer list back, preserving any observers a
-    /// callback hypothetically registered during the walk.
-    fn restore_kind(&mut self, kind: usize, mut obs: Vec<Rc<RefCell<dyn Observer>>>) {
-        obs.append(&mut self.by_kind[kind]);
-        self.by_kind[kind] = obs;
+    /// Invokes `f` on every observer interested in `kind`, walking the
+    /// kind's dense list (built at [`Kernel::add_observer`]) in place, so
+    /// there is no per-observer mask branch. Callers gate on
+    /// [`Kernel::wants`] first; `notify_takes` counts every walk of a
+    /// non-empty list so `tests/observer_interest.rs` can assert
+    /// uninterested kinds never reach one.
+    #[inline]
+    fn notify<E, F: Fn(&mut dyn Observer, &E)>(&mut self, kind: Interest, f: F, e: &E) {
+        let list = &self.by_kind[kind.index()];
+        if list.is_empty() {
+            return;
+        }
+        self.notify_takes += 1;
+        for o in list {
+            f(&mut *o.borrow_mut(), e);
+        }
     }
 }
 

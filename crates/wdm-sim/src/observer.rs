@@ -151,8 +151,8 @@ pub struct ResumeBlame {
 /// The kernel folds every registered observer's mask into a union at
 /// [`crate::kernel::Kernel::add_observer`] time. An event kind with no
 /// interested observer costs one branch in the hot loop: no event struct is
-/// built and the observer list is never taken/restored. Within a delivery,
-/// only observers whose mask contains the kind are called.
+/// built and no observer list is walked. Within a delivery, only observers
+/// whose mask contains the kind are called.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interest(u8);
 
@@ -222,6 +222,14 @@ impl core::ops::BitOrAssign for Interest {
     }
 }
 
+impl core::ops::BitAnd for Interest {
+    type Output = Interest;
+
+    fn bitand(self, rhs: Interest) -> Interest {
+        Interest(self.0 & rhs.0)
+    }
+}
+
 /// Receives kernel instrumentation events.
 ///
 /// All methods default to no-ops so observers implement only what they need.
@@ -262,6 +270,19 @@ pub trait Observer {
     /// A thread resumed, with the exact blame decomposition of its wait.
     /// Only fires for observers that arm [`Interest::RESUME_BLAME`].
     fn on_resume_blame(&mut self, _e: &ResumeBlame) {}
+
+    /// The threads whose resumes this observer wants decomposed, read once
+    /// at [`crate::kernel::Kernel::add_observer`] time and only when the
+    /// mask arms [`Interest::RESUME_BLAME`]. `None` (the default) means
+    /// every thread, including threads created later. The kernel snapshots
+    /// the blame ledgers at ready time and delivers
+    /// [`Observer::on_resume_blame`] only for the union of the registered
+    /// sets; the ledgers themselves charge every cycle either way, so a
+    /// watched window decomposes bit-identically. Every listed id must
+    /// name an existing thread.
+    fn resume_blame_threads(&self) -> Option<Vec<ThreadId>> {
+        None
+    }
 }
 
 #[cfg(test)]
@@ -330,6 +351,7 @@ mod tests {
     #[test]
     fn default_interest_is_all() {
         assert_eq!(Nop.interest(), Interest::ALL);
+        assert_eq!(Nop.resume_blame_threads(), None, "default: every thread");
     }
 
     #[test]
@@ -349,6 +371,9 @@ mod tests {
         let mut u = Interest::NONE;
         u |= Interest::THREAD_RESUME;
         assert!(u.contains(Interest::THREAD_RESUME) && !u.contains(Interest::ISR_ENTER));
+        assert_eq!(m & Interest::ALL, m);
+        assert_eq!(m & Interest::DPC_START, Interest::DPC_START);
+        assert!((m & Interest::THREAD_RESUME).is_empty());
     }
 
     #[test]

@@ -79,6 +79,9 @@ pub struct Tcb {
     /// only while an observer arms `Interest::RESUME_BLAME` (inline copy,
     /// no allocation).
     pub(crate) blame_mark: Option<crate::kernel::BlameMark>,
+    /// Whether an observer arming `Interest::RESUME_BLAME` watches this
+    /// thread; only watched threads get a `blame_mark`.
+    pub(crate) blame_watched: bool,
 }
 
 impl Tcb {
@@ -103,6 +106,7 @@ impl Tcb {
             dispatch_count: 0,
             waits_satisfied: 0,
             blame_mark: None,
+            blame_watched: false,
         }
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! Stepping a program through the batched interpreter (DESIGN.md §8) must
 //! cost no per-step heap traffic: the boxed program is moved, never
-//! re-boxed, and `StepCtx` lives on the stack. Observer notification,
-//! `WaitAny` block/ready cycling and timer-expiry wakes must be just as
-//! heap-free. This binary installs a counting global allocator
+//! re-boxed, and `StepCtx` lives on the stack. Observer notification, the
+//! kernel-fed flight ring, `WaitAny` block/ready cycling and timer-expiry
+//! wakes must be just as heap-free. This binary installs a counting global allocator
 //! and pins that down: after a warm-up window (which is allowed to grow
 //! queues and heaps to their steady capacity), a measured window over each
 //! kernel must perform **zero** heap operations, event for event.
@@ -256,12 +256,18 @@ fn assert_alloc_free(label: &str, k: &mut Kernel, min_events: u64) {
 
 #[test]
 fn steady_state_hot_paths_are_allocation_free() {
+    // The ring is reserved whole at construction, so pushes never allocate.
     let mut k = pipeline_kernel();
+    let flight = Rc::new(RefCell::new(FlightRecorder::new(1 << 16)));
+    k.add_observer(flight.clone());
     assert_alloc_free("pipeline", &mut k, 10_000);
     assert!(
         k.steps_executed > k.step_dispatches,
         "the batched step loops must be engaged"
     );
+    let f = flight.borrow();
+    assert!(f.total > 10_000, "the ring was fed: {} events", f.total);
+    assert_eq!(f.dropped, 0, "the ring never wrapped");
 
     let (mut k, obs) = notify_kernel();
     assert_alloc_free("notify", &mut k, 1_000);

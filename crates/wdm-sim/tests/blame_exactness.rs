@@ -31,6 +31,29 @@ impl Observer for BlameLog {
     }
 }
 
+/// Records the resume-blame events of the threads it names.
+struct WatchLog {
+    watched: Vec<ThreadId>,
+    events: Vec<ResumeBlame>,
+}
+
+impl Observer for WatchLog {
+    fn interest(&self) -> Interest {
+        Interest::RESUME_BLAME
+    }
+    fn resume_blame_threads(&self) -> Option<Vec<ThreadId>> {
+        Some(self.watched.clone())
+    }
+    fn on_resume_blame(&mut self, e: &ResumeBlame) {
+        self.events.push(*e);
+    }
+}
+
+/// The fields of a resume-blame event, comparable.
+fn key(e: &ResumeBlame) -> (ThreadId, u8, Instant, Instant, BlameBreakdown) {
+    (e.thread, e.priority, e.readied, e.started, e.breakdown)
+}
+
 /// Everything arming forensics could conceivably perturb.
 #[derive(PartialEq, Debug)]
 struct Fingerprint {
@@ -203,6 +226,36 @@ fn fingerprint(k: &Kernel) -> Fingerprint {
 
 const FLAME_PERIOD: u64 = 37_507; // Deliberately off any tick boundary.
 
+/// A fixed scenario with preemption, masking and dispatch pressure.
+const PRESSURED: Scenario = Scenario {
+    seed: 11,
+    isr_busy: 20_001,
+    dpc_busy: 60_001,
+    rt_busy: 150_001,
+    hi_busy: 120_001,
+    hog_busy: 90_001,
+    hog_sleep: 200_001,
+    cli_len: 80_001,
+    arrival_lo: 80_001,
+    arrival_hi: 680_001,
+    run_ms: 40,
+};
+
+/// A short, light fixed scenario.
+const QUIET: Scenario = Scenario {
+    seed: 3,
+    isr_busy: 10_001,
+    dpc_busy: 30_001,
+    rt_busy: 90_001,
+    hi_busy: 50_001,
+    hog_busy: 70_001,
+    hog_sleep: 150_001,
+    cli_len: 40_001,
+    arrival_lo: 60_001,
+    arrival_hi: 660_001,
+    run_ms: 10,
+};
+
 proptest! {
     /// Every resume window's blame components sum bit-exactly to its
     /// latency, and arming blame + flame leaves the simulation on the
@@ -261,19 +314,7 @@ proptest! {
 /// vacuously with those ledger paths dead.
 #[test]
 fn preemption_and_masking_show_up_in_the_breakdown() {
-    let sc = Scenario {
-        seed: 11,
-        isr_busy: 20_001,
-        dpc_busy: 60_001,
-        rt_busy: 150_001,
-        hi_busy: 120_001,
-        hog_busy: 90_001,
-        hog_sleep: 200_001,
-        cli_len: 80_001,
-        arrival_lo: 80_001,
-        arrival_hi: 680_001,
-        run_ms: 40,
-    };
+    let sc = PRESSURED;
     let log = Rc::new(RefCell::new(BlameLog::default()));
     let mut k = build(sc, Some(log.clone()), 0);
     k.run_for(Cycles::from_ms(sc.run_ms as f64));
@@ -302,20 +343,58 @@ fn preemption_and_masking_show_up_in_the_breakdown() {
 /// no takes for it, and the per-priority ledger stays untouched.
 #[test]
 fn disarmed_blame_costs_no_takes() {
-    let sc = Scenario {
-        seed: 3,
-        isr_busy: 10_001,
-        dpc_busy: 30_001,
-        rt_busy: 90_001,
-        hi_busy: 50_001,
-        hog_busy: 70_001,
-        hog_sleep: 150_001,
-        cli_len: 40_001,
-        arrival_lo: 60_001,
-        arrival_hi: 660_001,
-        run_ms: 10,
-    };
+    let sc = QUIET;
     let mut k = build(sc, None, 0);
     k.run_for(Cycles::from_ms(sc.run_ms as f64));
     assert_eq!(k.notify_takes, 0, "no observer, no takes");
+}
+
+/// A watch list narrows what the kernel decomposes, not how: each watched
+/// thread's windows are bit-identical to the all-threads ledger's, and
+/// `RESUME_BLAME` is delivered exactly once per watched resume.
+#[test]
+fn watched_threads_decompose_like_the_all_threads_ledger() {
+    let sc = PRESSURED;
+    let run = Cycles::from_ms(sc.run_ms as f64);
+    let log = Rc::new(RefCell::new(BlameLog::default()));
+    let mut k = build(sc, Some(log.clone()), 0);
+    k.run_for(run);
+    let all: Vec<_> = log.borrow().events.iter().map(key).collect();
+    let threads = k.num_threads();
+    assert!(threads >= 4);
+    let mut subsets: Vec<Vec<ThreadId>> = (0..threads).map(|t| vec![ThreadId(t)]).collect();
+    subsets.push(vec![ThreadId(0), ThreadId(threads - 1)]);
+    for watched in subsets {
+        let mut k = build(sc, None, 0);
+        let watch = Rc::new(RefCell::new(WatchLog {
+            watched: watched.clone(),
+            events: Vec::new(),
+        }));
+        k.add_observer(watch.clone());
+        k.run_for(run);
+        let want: Vec<_> = all
+            .iter()
+            .filter(|e| watched.contains(&e.0))
+            .copied()
+            .collect();
+        let got: Vec<_> = watch.borrow().events.iter().map(key).collect();
+        assert!(!want.is_empty(), "{watched:?} never resumed");
+        assert_eq!(got, want, "watching {watched:?}");
+        assert_eq!(
+            k.notify_takes,
+            want.len() as u64,
+            "one delivery per watched resume ({watched:?})"
+        );
+    }
+}
+
+#[test]
+#[should_panic(expected = "resume_blame_threads names thread 9 but the kernel has 4 threads")]
+fn watching_a_missing_thread_panics_at_attach() {
+    let sc = QUIET;
+    let mut k = build(sc, None, 0);
+    k.add_observer(Rc::new(RefCell::new(WatchLog {
+        watched: vec![ThreadId(1), ThreadId(9)],
+        events: Vec::new(),
+    })));
 }

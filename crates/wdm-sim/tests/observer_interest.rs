@@ -11,6 +11,9 @@
 //! 2. *Cost*: `Kernel::notify_takes` counts only interested deliveries,
 //!    so it stays at zero when no observer is interested in any emitted
 //!    kind — a fully masked flight recorder included.
+//! 3. *Kernel-fed recorder*: a `FlightRecorder` never sits in an observer
+//!    list (a full-interest recorder alone costs zero takes), yet records
+//!    exactly what the hooks deliver.
 
 use std::{cell::RefCell, rc::Rc};
 
@@ -246,4 +249,126 @@ fn uninterested_kinds_never_take_the_observer_list() {
         k.notify_takes, 0,
         "a fully masked recorder costs nothing per event"
     );
+}
+
+/// Rebuilds, from the hooks, the `FlightEvent` sequence a recorder keeps.
+#[derive(Default)]
+struct HookTrace {
+    events: Vec<FlightEvent>,
+}
+
+impl Observer for HookTrace {
+    fn interest(&self) -> Interest {
+        Interest::ISR_ENTER
+            | Interest::DPC_START
+            | Interest::THREAD_RESUME
+            | Interest::CONTEXT_SWITCH
+            | Interest::CALENDAR_POP
+            | Interest::QUANTUM_EXPIRY
+    }
+    fn on_isr_enter(&mut self, e: &IsrEnter) {
+        self.events.push(FlightEvent::Isr {
+            vector: e.vector.0,
+            asserted: e.asserted,
+            started: e.started,
+        });
+    }
+    fn on_dpc_start(&mut self, e: &DpcStart) {
+        self.events.push(FlightEvent::Dpc {
+            dpc: e.dpc.0,
+            queued: e.queued,
+            started: e.started,
+        });
+    }
+    fn on_thread_resume(&mut self, e: &ThreadResume) {
+        self.events.push(FlightEvent::Resume {
+            thread: e.thread,
+            priority: e.priority,
+            readied: e.readied,
+            started: e.started,
+        });
+    }
+    fn on_context_switch(&mut self, from: Option<ThreadId>, to: ThreadId, at: Instant) {
+        self.events.push(FlightEvent::Switch { from, to, at });
+    }
+    fn on_calendar_pop(&mut self, e: &CalendarPop) {
+        self.events.push(FlightEvent::Pop {
+            kind: e.kind,
+            index: e.index,
+            at: e.at,
+        });
+    }
+    fn on_quantum_expiry(&mut self, e: &QuantumExpiry) {
+        self.events.push(FlightEvent::Quantum {
+            thread: e.thread,
+            priority: e.priority,
+            descheduled: e.descheduled,
+            at: e.at,
+        });
+    }
+}
+
+/// Two equal-priority hogs round-robin on quantum expiry.
+fn run_round_robin(k: &mut Kernel) {
+    let l = k.intern("APP", "_Spin");
+    for name in ["spin-a", "spin-b"] {
+        k.create_thread(
+            name,
+            8,
+            Box::new(LoopSeq::new(vec![Step::Busy {
+                cycles: Cycles(100_001),
+                label: l,
+            }])),
+        );
+    }
+    k.run_for(Cycles::from_ms(200.0));
+}
+
+/// Runs `scenario` with a full-interest recorder alone, then beside a hook
+/// observer; returns what the hooks saw after checking both rings hold
+/// exactly that and only the hook observer walked a list.
+fn assert_recorder_matches_hooks(scenario: fn(&mut Kernel)) -> Vec<FlightEvent> {
+    let mut k = Kernel::new(KernelConfig::default());
+    let alone = Rc::new(RefCell::new(FlightRecorder::with_interest(
+        1 << 16,
+        Interest::ALL,
+    )));
+    k.add_observer(alone.clone());
+    scenario(&mut k);
+    assert_eq!(k.notify_takes, 0, "the recorder is fed without a list");
+
+    let mut k = Kernel::new(KernelConfig::default());
+    let hooks = Rc::new(RefCell::new(HookTrace::default()));
+    let rec = Rc::new(RefCell::new(FlightRecorder::with_interest(
+        1 << 16,
+        Interest::ALL,
+    )));
+    k.add_observer(rec.clone());
+    k.add_observer(hooks.clone());
+    scenario(&mut k);
+    let seen = hooks.borrow().events.clone();
+    assert_eq!(rec.borrow().dropped, 0, "the ring held the whole run");
+    assert_eq!(rec.borrow().events().collect::<Vec<_>>(), seen);
+    assert_eq!(alone.borrow().events().collect::<Vec<_>>(), seen);
+    assert_eq!(k.notify_takes, seen.len() as u64, "only the hooks take");
+    seen
+}
+
+#[test]
+fn kernel_fed_recorder_takes_no_list_and_records_what_the_hooks_see() {
+    let mixed = assert_recorder_matches_hooks(run_mixed_scenario);
+    let round_robin = assert_recorder_matches_hooks(run_round_robin);
+    let seen = |f: fn(&FlightEvent) -> bool| mixed.iter().chain(&round_robin).any(f);
+    assert!(seen(|e| matches!(e, FlightEvent::Isr { .. })));
+    assert!(seen(|e| matches!(e, FlightEvent::Dpc { .. })));
+    assert!(seen(|e| matches!(e, FlightEvent::Resume { .. })));
+    assert!(seen(|e| matches!(e, FlightEvent::Switch { .. })));
+    assert!(seen(|e| matches!(e, FlightEvent::Pop { .. })));
+    assert!(seen(|e| matches!(
+        e,
+        FlightEvent::Quantum {
+            descheduled: true,
+            ..
+        }
+    )));
 }
