@@ -71,7 +71,7 @@ pub struct RunConfig {
     /// Arm tail-episode forensics on every cell (`repro blame`): blame
     /// decomposition plus a bounded episode store of flight-ring captures
     /// (DESIGN.md §15). Digest-neutral: the episode payloads ride their
-    /// own fields and `summary_digest` never reads them (CI's blame-smoke
+    /// own fields and `summary_digest` never reads them (CI's digest-smoke
     /// job asserts the digests stay bit-identical with this armed).
     pub blame: Option<wdm_latency::BlameOptions>,
     /// Arm the virtual-time flame sampler at this rate in samples per
@@ -218,11 +218,34 @@ pub fn measure_shard(
 /// Measures one cell under `cfg`'s tool options, honoring `cfg.shards`
 /// (shards run serially here; [`measure_all_timed`] fans them out).
 pub fn measure_cell(cfg: &RunConfig, os: OsKind, w: WorkloadKind) -> ScenarioMeasurement {
-    let shards = cell_shards(cfg, os, w);
+    let specs = cell_shards(cfg, os, w);
     let opts = cfg.measure_opts(os, w);
-    let mut m = ScenarioMeasurement::merge_shards(
-        shards.iter().map(|s| measure_shard(s, os, w, &opts)).collect(),
-    );
+    let shards = specs
+        .iter()
+        .map(|s| measure_shard(s, os, w, &opts))
+        .collect();
+    assemble_cell(cfg, &specs, shards)
+}
+
+/// Merges one cell's shard measurements (one per spec, time order) into the
+/// cell measurement through [`ScenarioMeasurement::merge_shard_at`], each
+/// shard at the whole-minute offset the shards before it closed, then
+/// re-ranks the blame episodes ([`finish_blame`]). An open tail shard is
+/// simply the last merge.
+fn assemble_cell(
+    cfg: &RunConfig,
+    specs: &[ShardSpec],
+    shards: Vec<ScenarioMeasurement>,
+) -> ScenarioMeasurement {
+    assert_eq!(specs.len(), shards.len(), "one measurement per shard spec");
+    let mut shards = shards.into_iter();
+    let mut m = shards.next().expect("a cell has at least one shard");
+    // Each shard starts where the shards before it closed their blocks.
+    let mut offset = 0;
+    for (before, shard) in specs.iter().zip(shards) {
+        offset += before.close_minutes.unwrap_or(0);
+        m.merge_shard_at(offset, shard);
+    }
     finish_blame(&mut m, cfg);
     m
 }
@@ -343,69 +366,37 @@ pub struct TimedCells {
     pub timings: Vec<CellTiming>,
 }
 
-/// Per-cell assembly state for the completion-order merge: commutative
-/// state accumulates as shards arrive; positional payloads slot by shard
-/// index so the assembled cell is byte-identical at any arrival order.
-struct CellAssembly {
-    /// Merged closed shards (everything but the final shard).
-    acc: Option<ScenarioMeasurement>,
-    /// The final shard — the only one whose block window may end
-    /// mid-minute, adopted last via the sequential [`ScenarioMeasurement::merge_shard`].
-    tail: Option<ScenarioMeasurement>,
-    /// Episode renderings per shard index.
-    episodes: Vec<Option<Vec<String>>>,
-    /// Chrome trace events per shard index.
-    traces: Vec<Option<Vec<String>>>,
-    /// Blame-episode payloads per shard index (DESIGN.md §15).
-    blame: Vec<Option<Vec<wdm_latency::session::BlameEpisodePayload>>>,
-    /// Wall-clock per shard index.
-    walls: Vec<f64>,
-    /// Absolute whole-minute offset of each shard in the cell window
-    /// (prefix sums of the closed shards' minutes).
-    offsets: Vec<usize>,
-    /// Simulated hours per shard, for the index-order f64 re-fold that
-    /// keeps `collected_hours` bit-identical to the sequential merge.
-    hours: Vec<f64>,
-}
-
 /// Measures all 8 cells and records per-cell wall-clock cost.
 ///
 /// Every cell expands into its shard jobs first, so the worker pool sees the
 /// flat 8 x K job list (shards are independent simulations just like cells —
-/// each seeds from its [`ShardSpec`] alone). Shard results are consumed in
-/// **completion order** — every merge commutes under the exact cycle-domain
-/// accumulators (DESIGN.md §14), positional payloads are slotted by shard
-/// index, and the output is byte-identical to the sequential merge at any
-/// thread count and arrival order.
+/// each seeds from its [`ShardSpec`] alone). Results come back in job order
+/// and each cell's shards merge in time order, the same merge
+/// [`measure_cell`] runs, so the output is byte-identical at any thread
+/// count.
 pub fn measure_all_timed(cfg: &RunConfig) -> TimedCells {
-    let cells: Vec<(OsKind, WorkloadKind)> = [OsKind::Nt4, OsKind::Win98]
+    let cells: Vec<(OsKind, WorkloadKind, Vec<ShardSpec>)> = [OsKind::Nt4, OsKind::Win98]
         .into_iter()
         .flat_map(|os| WorkloadKind::ALL.into_iter().map(move |w| (os, w)))
+        .map(|(os, w)| (os, w, cell_shards(cfg, os, w)))
         .collect();
-    // (cell index, shard index, shards in that cell, spec).
-    let jobs: Vec<(usize, usize, usize, ShardSpec)> = cells
+    // (cell index, shard index), cell-major: each cell's shards in time order.
+    let jobs: Vec<(usize, usize)> = cells
         .iter()
         .enumerate()
-        .flat_map(|(ci, &(os, w))| {
-            let shards = cell_shards(cfg, os, w);
-            let k = shards.len();
-            shards
-                .into_iter()
-                .enumerate()
-                .map(move |(si, s)| (ci, si, k, s))
-        })
+        .flat_map(|(ci, (_, _, specs))| (0..specs.len()).map(move |si| (ci, si)))
         .collect();
     let threads = crate::parallel::effective_threads(cfg.threads, jobs.len());
     let t0 = std::time::Instant::now();
     let _grid = spans::span("measure grid");
-    let arrivals = crate::parallel::parallel_map_completion(jobs.len(), threads, |i| {
-        let (ci, si, k, spec) = jobs[i];
-        let (os, w) = cells[ci];
-        let scope = format!("cell {:?}/{:?} shard {}/{}", os, w, si + 1, k);
+    let results = crate::parallel::parallel_map(jobs.len(), threads, |i| {
+        let (ci, si) = jobs[i];
+        let (os, w, ref specs) = cells[ci];
+        let scope = format!("cell {:?}/{:?} shard {}/{}", os, w, si + 1, specs.len());
         progress::detail(&scope, "measuring");
         let _span = spans::span(&scope);
         let t = std::time::Instant::now();
-        let m = measure_shard(&spec, os, w, &cfg.measure_opts(os, w));
+        let m = measure_shard(&specs[si], os, w, &cfg.measure_opts(os, w));
         let wall_s = t.elapsed().as_secs_f64();
         progress::detail(&scope, &format!("done in {wall_s:.2}s"));
         (m, wall_s)
@@ -414,100 +405,13 @@ pub fn measure_all_timed(cfg: &RunConfig) -> TimedCells {
     drop(_grid);
 
     let _merge = spans::span("merge shards");
-
-    // Prepare per-cell assembly slots from the (deterministic) job list.
-    let mut asm: Vec<CellAssembly> = cells
-        .iter()
-        .map(|_| CellAssembly {
-            acc: None,
-            tail: None,
-            episodes: Vec::new(),
-            traces: Vec::new(),
-            blame: Vec::new(),
-            walls: Vec::new(),
-            offsets: Vec::new(),
-            hours: Vec::new(),
-        })
-        .collect();
-    let mut cum_minutes = vec![0usize; cells.len()];
-    for &(ci, si, _, spec) in &jobs {
-        let a = &mut asm[ci];
-        debug_assert_eq!(a.hours.len(), si, "jobs list cell-shards in order");
-        a.episodes.push(None);
-        a.traces.push(None);
-        a.blame.push(None);
-        a.walls.push(0.0);
-        a.hours.push(spec.hours);
-        a.offsets.push(cum_minutes[ci]);
-        // Single-shard cells have no closing boundary; the offset stays 0
-        // and the legacy whole-cell path below is untouched.
-        cum_minutes[ci] += spec.close_minutes.unwrap_or(0);
-    }
-
-    for (ji, (mut m, wall_s)) in arrivals {
-        let (ci, si, k, _) = jobs[ji];
-        let a = &mut asm[ci];
-        a.walls[si] = wall_s;
-        a.episodes[si] = Some(std::mem::take(&mut m.episodes));
-        a.traces[si] = Some(std::mem::take(&mut m.trace_events));
-        a.blame[si] = Some(std::mem::take(&mut m.blame_episodes));
-        if si == k - 1 {
-            // The final shard may end mid-minute (open hot block); it is
-            // adopted by the sequential merge once every closed shard is in.
-            a.tail = Some(m);
-        } else {
-            let off = a.offsets[si];
-            match a.acc.as_mut() {
-                None => {
-                    m.shift_blocks(off);
-                    a.acc = Some(m);
-                }
-                Some(acc) => {
-                    // Episodes/traces were already taken; the returned
-                    // positional payloads are empty by construction.
-                    let _ = acc.merge_shard_at(off, m);
-                }
-            }
-        }
-    }
-
+    let mut results = results.into_iter();
     let mut timings = Vec::with_capacity(cells.len());
     let mut nt = Vec::new();
     let mut win98 = Vec::new();
-    for (&(os, workload), a) in cells.iter().zip(asm) {
-        let tail = a.tail.expect("every cell has a final shard");
-        let mut m = match a.acc {
-            Some(mut acc) => {
-                acc.merge_shard(tail);
-                acc
-            }
-            None => tail,
-        };
-        // Positional payloads reassemble in shard-index order, and the
-        // f64 hours re-fold in index order so the bits match the
-        // sequential merge exactly (the digest pins them).
-        m.episodes = a
-            .episodes
-            .into_iter()
-            .flat_map(|e| e.expect("every shard arrived"))
-            .collect();
-        m.trace_events = a
-            .traces
-            .into_iter()
-            .flat_map(|t| t.expect("every shard arrived"))
-            .collect();
-        m.blame_episodes = a
-            .blame
-            .into_iter()
-            .flat_map(|b| b.expect("every shard arrived"))
-            .collect();
-        finish_blame(&mut m, cfg);
-        let mut hours = a.hours[0];
-        for &h in &a.hours[1..] {
-            hours += h;
-        }
-        m.collected_hours = hours;
-        let shard_wall_s = a.walls;
+    for (os, workload, specs) in cells {
+        let (shards, shard_wall_s): (Vec<_>, Vec<f64>) = results.by_ref().take(specs.len()).unzip();
+        let mut m = assemble_cell(cfg, &specs, shards);
         timings.push(CellTiming {
             os,
             workload,

@@ -14,7 +14,7 @@
 //! holds the whole grid.
 //!
 //! Both artifacts are digest-neutral: the forensic payloads ride their own
-//! measurement fields and CI's blame-smoke job diffs `repro digest`
+//! measurement fields and CI's digest-smoke job diffs `repro digest`
 //! bit-for-bit against the committed baseline with forensics armed.
 
 use std::io;

@@ -74,47 +74,6 @@ where
         .collect()
 }
 
-/// Runs `job(0..n)` on `threads` scoped workers and returns `(job index,
-/// result)` pairs in **completion order** — the order the workers
-/// finished, which varies run to run at `threads > 1`.
-///
-/// Only consumers whose folds are order-independent may use this: under
-/// the v2 exact accumulators (DESIGN.md §14) every shard merge commutes,
-/// so the assembled cell is bit-identical no matter which shard finished
-/// first, and the assembler never has to hold a completed result back
-/// waiting for a lower index. Positional payloads (episodes, trace
-/// events, per-shard walls) must be slotted by the returned index, not
-/// appended. Serial execution (threads == 1 or n <= 1) completes in index
-/// order.
-pub fn parallel_map_completion<T, F>(n: usize, threads: usize, job: F) -> Vec<(usize, T)>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    assert!(threads >= 1, "need at least one worker");
-    if threads == 1 || n <= 1 {
-        return (0..n).map(|i| (i, job(i))).collect();
-    }
-    let done: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
-    let next = AtomicUsize::new(0);
-    let job = &job;
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(n) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                // The simulation runs outside the lock; only the
-                // completion push is serialized.
-                let r = job(i);
-                done.lock().unwrap().push((i, r));
-            });
-        }
-    });
-    done.into_inner().unwrap()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,25 +84,6 @@ mod tests {
         for threads in [2, 3, 8] {
             assert_eq!(parallel_map(17, threads, |i| i * i), serial);
         }
-    }
-
-    #[test]
-    fn completion_order_yields_every_job_exactly_once() {
-        for threads in [1, 2, 3, 8] {
-            let got = parallel_map_completion(17, threads, |i| i * i);
-            assert_eq!(got.len(), 17);
-            let mut by_index: Vec<Option<usize>> = vec![None; 17];
-            for (i, v) in got {
-                assert!(by_index[i].replace(v).is_none(), "job {i} duplicated");
-            }
-            for (i, v) in by_index.into_iter().enumerate() {
-                assert_eq!(v, Some(i * i));
-            }
-        }
-        assert_eq!(
-            parallel_map_completion(0, 4, |i| i),
-            Vec::<(usize, usize)>::new()
-        );
     }
 
     #[test]

@@ -64,10 +64,11 @@ fn auto_thread_count_matches_serial() {
 
 #[test]
 fn sharded_grid_is_identical_across_thread_counts() {
-    // 2 minutes splits into 2 whole-minute shards: 16 jobs. The merged
-    // output must not depend on which worker ran which shard.
+    // 2.5 minutes splits into a closed one-minute shard and an open
+    // 1.5-minute tail: 16 jobs. The merged output must not depend on which
+    // worker ran which shard.
     let sharded = |threads| RunConfig {
-        duration: Duration::Minutes(2.0),
+        duration: Duration::Minutes(2.5),
         shards: 2,
         ..quick(threads)
     };

@@ -112,22 +112,8 @@ impl CauseTool {
     /// Creates the tool watching a measurement thread's latencies, sampling
     /// on the PIT hook (the paper's §2.3 configuration).
     pub fn new(k: &Kernel, watched_thread: ThreadId, threshold_ms: f64, capacity: usize) -> CauseTool {
-        Self::on_vector(k.pit_vector(), k, watched_thread, threshold_ms, capacity)
-    }
-
-    /// Creates the tool sampling on an arbitrary vector — e.g. the
-    /// performance-counter NMI from [`crate::profiler::Profiler`], which
-    /// gives sub-millisecond resolution and samples inside cli windows
-    /// (the §6.1 enhancement).
-    pub fn on_vector(
-        vector: wdm_sim::ids::VectorId,
-        k: &Kernel,
-        watched_thread: ThreadId,
-        threshold_ms: f64,
-        capacity: usize,
-    ) -> CauseTool {
         CauseTool {
-            pit_vector: vector,
+            pit_vector: k.pit_vector(),
             watched_thread,
             threshold_ms,
             cpu_hz: k.config().cpu_hz,

@@ -27,9 +27,7 @@ pub mod blame;
 pub mod cause;
 pub mod histogram;
 pub mod interactive;
-pub mod legacy;
 pub mod microbench;
-pub mod profiler;
 pub mod report;
 pub mod session;
 pub mod stage;
@@ -39,9 +37,7 @@ pub mod worstcase;
 pub use blame::{BlameEpisode, BlameOptions, BlameRecorder, BlameSummary, BlameTrigger};
 pub use cause::{CauseTool, Episode};
 pub use interactive::InteractiveProbe;
-pub use legacy::{LegacyWin9xTool, PortabilityError};
 pub use microbench::{render_comparison, run_microbench, Microbench};
-pub use profiler::Profiler;
 pub use histogram::LatencyHistogram;
 pub use session::{measure_scenario, ScenarioMeasurement};
 pub use stage::SampleStage;

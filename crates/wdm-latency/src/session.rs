@@ -90,10 +90,11 @@ pub struct ScenarioMeasurement {
     /// alive so names resolve; shards concatenate in time order.
     pub trace_events: Vec<String>,
     /// Retained blame episodes, when [`MeasureOptions::blame`] was set
-    /// (arrival order within the shard; the assembler slots shard payloads
-    /// by index and re-applies the top-K bound globally). Deliberately a
-    /// separate field from `episodes`: cause-tool episode counts are part
-    /// of the pinned cell digest and forensics must stay digest-neutral.
+    /// (arrival order within the shard; shards append in time order and
+    /// the cell assembler re-applies the top-K bound globally).
+    /// Deliberately a separate field from `episodes`: cause-tool episode
+    /// counts are part of the pinned cell digest and forensics must stay
+    /// digest-neutral.
     pub blame_episodes: Vec<BlameEpisodePayload>,
     /// Virtual-time flame samples by collapsed stack (`;`-joined frames,
     /// outermost first), when [`MeasureOptions::flame_hz`] was set. Keyed
@@ -133,20 +134,29 @@ impl ScenarioMeasurement {
         }
     }
 
-    /// Merges an independently simulated *later* time shard of the same
-    /// OS x workload cell into this one.
+    /// Merges the next time shard of the same OS x workload cell, whose
+    /// window starts `offset_minutes` into the cell, into this one.
     ///
-    /// Exact, not approximate: histograms add bin-wise, block maxima
-    /// concatenate (both shards must be closed at whole-minute boundaries
-    /// via [`Self::close_blocks`] — asserted by [`crate::worstcase::BlockMaxima::merge`]),
-    /// and every counter sums. Every downstream renderer sees the union of
-    /// the shards' samples as if one session had collected them.
-    pub fn merge_shard(&mut self, other: ScenarioMeasurement) {
+    /// Shards merge in time order: every series here must already hold
+    /// exactly `offset_minutes` closed blocks (each earlier shard closed at
+    /// its whole-minute boundary via [`Self::close_blocks`]). The merge is
+    /// exact, not approximate: histograms add bin-wise, block maxima
+    /// concatenate (an open tail shard's hot block carries over — see
+    /// [`crate::worstcase::BlockMaxima::merge`]), every counter sums, and
+    /// the episode, trace and blame payloads append. Every downstream
+    /// renderer sees the union of the shards' samples as if one session had
+    /// collected them.
+    pub fn merge_shard_at(&mut self, offset_minutes: usize, other: ScenarioMeasurement) {
         assert_eq!(self.os, other.os, "shards must share the OS");
         assert_eq!(self.workload, other.workload, "shards must share the workload");
         let mut o = other;
         self.collected_hours += o.collected_hours;
         for (a, b) in self.series_mut().into_iter().zip(o.series_mut()) {
+            assert_eq!(
+                a.blocks.maxima().len(),
+                offset_minutes,
+                "shards merge in time order"
+            );
             a.merge(b);
         }
         self.ops_completed += o.ops_completed;
@@ -162,65 +172,6 @@ impl ScenarioMeasurement {
         self.blame_episodes.append(&mut o.blame_episodes);
         for (stack, n) in o.flame {
             *self.flame.entry(stack).or_insert(0) += n;
-        }
-    }
-
-    /// Merges a shard sequence (time order) into one cell measurement.
-    pub fn merge_shards(shards: Vec<ScenarioMeasurement>) -> ScenarioMeasurement {
-        let mut it = shards.into_iter();
-        let mut acc = it.next().expect("at least one shard");
-        for s in it {
-            acc.merge_shard(s);
-        }
-        acc
-    }
-
-    /// Merges a *closed* shard covering the cell window that starts
-    /// `offset_minutes` into this one, in **any arrival order** — the v2
-    /// completion-order assembly (DESIGN.md §14). Every fold commutes:
-    /// histograms add bin-wise with exact epoch sums, block maxima slot
-    /// into their absolute minutes ([`LatencySeries::merge_at`]), counters
-    /// and metrics sum.
-    ///
-    /// Some fields deliberately do **not** merge here because they are
-    /// positional or order-sensitive, and are left to the assembler:
-    /// `collected_hours` (the caller re-folds shard hours in index order
-    /// so the f64 bits match the sequential merge exactly) and the
-    /// episode/trace/blame payloads, which are returned for slotting by
-    /// shard index. The flame map *does* merge here: string-keyed `u64`
-    /// sums commute, so arrival order cannot show.
-    pub fn merge_shard_at(
-        &mut self,
-        offset_minutes: usize,
-        other: ScenarioMeasurement,
-    ) -> (Vec<String>, Vec<String>, Vec<BlameEpisodePayload>) {
-        assert_eq!(self.os, other.os, "shards must share the OS");
-        assert_eq!(self.workload, other.workload, "shards must share the workload");
-        let mut o = other;
-        for (a, b) in self.series_mut().into_iter().zip(o.series_mut()) {
-            a.merge_at(offset_minutes, b);
-        }
-        self.ops_completed += o.ops_completed;
-        self.account.absorb(&o.account);
-        self.waits_24 += o.waits_24;
-        self.waits_28 += o.waits_28;
-        self.sim_events += o.sim_events;
-        self.steps_executed += o.steps_executed;
-        self.step_dispatches += o.step_dispatches;
-        self.metrics.merge_from(&o.metrics);
-        for (stack, n) in std::mem::take(&mut o.flame) {
-            *self.flame.entry(stack).or_insert(0) += n;
-        }
-        (o.episodes, o.trace_events, o.blame_episodes)
-    }
-
-    /// Shifts every series' completed blocks `offset_minutes` later in the
-    /// cell timeline — used by the completion-order assembler when the
-    /// first shard to finish is not shard 0 and becomes the accumulator.
-    /// The shard must be closed ([`Self::close_blocks`]).
-    pub fn shift_blocks(&mut self, offset_minutes: usize) {
-        for s in self.series_mut() {
-            s.shift_blocks(offset_minutes);
         }
     }
 
@@ -586,7 +537,8 @@ mod tests {
             b.waits_28,
             b.account,
         );
-        let m = ScenarioMeasurement::merge_shards(vec![a, b]);
+        let mut m = a;
+        m.merge_shard_at(1, b);
         assert!((m.collected_hours - (a_hours + b_hours)).abs() < 1e-12);
         assert_eq!(m.ops_completed, a_ops + b_ops);
         assert_eq!(m.sim_events, a_events + b_events);
@@ -594,6 +546,26 @@ mod tests {
         assert_eq!(m.thread_lat_28.hist.count(), a_count + b_count);
         assert_eq!(m.thread_lat_28.blocks.maxima().len(), 2, "shard blocks concatenate");
         assert!(m.account.total() > b_acct.total(), "accounting sums over shards");
+    }
+
+    #[test]
+    #[should_panic(expected = "shards merge in time order")]
+    fn shard_merge_rejects_a_gap_in_the_timeline() {
+        // Two shards, each closed after one minute: the second belongs at
+        // offset 1. Claiming offset 2 would leave minute 1 unaccounted for.
+        let run = |seed: u64| {
+            let mut m = measure_scenario(
+                OsKind::Nt4,
+                WorkloadKind::Business,
+                seed,
+                3.0 / 3600.0,
+                &MeasureOptions::default(),
+            );
+            m.close_blocks(1);
+            m
+        };
+        let mut a = run(21);
+        a.merge_shard_at(2, run(22));
     }
 
     #[test]

@@ -256,63 +256,6 @@ impl BlockMaxima {
         self.cur_block_end = self.cur_start + self.block_len;
     }
 
-    /// Folds `other`'s completed blocks into this tracker at an absolute
-    /// block offset: `maxima[offset_blocks + b] = max(.., other.maxima[b])`,
-    /// growing the completed prefix with `0.0` padding as needed.
-    ///
-    /// Unlike [`Self::merge`] this is **commutative across shards covering
-    /// disjoint block ranges** — each shard's blocks land at their absolute
-    /// positions and `f64::max(0.0, x) == x` makes the slot fold identical
-    /// to concatenation — so shard results may be consumed in completion
-    /// order (DESIGN.md §14). Both trackers must be closed at a block
-    /// boundary; an open tail shard is adopted last via [`Self::merge`].
-    pub fn merge_at(&mut self, offset_blocks: usize, other: &BlockMaxima) {
-        assert_eq!(
-            self.block_len, other.block_len,
-            "block lengths must match to merge"
-        );
-        assert!(
-            !self.cur_nonempty && self.cur_max == 0.0 && self.cur_max_c == 0,
-            "merge receiver must be closed at a block boundary \
-             (call close_through first)"
-        );
-        assert!(
-            !other.cur_nonempty && other.cur_max == 0.0 && other.cur_max_c == 0,
-            "merge_at shard must be closed at a block boundary \
-             (call close_through first)"
-        );
-        let need = offset_blocks + other.maxima.len();
-        if self.maxima.len() < need {
-            self.maxima.resize(need, 0.0);
-        }
-        for (b, &m) in other.maxima.iter().enumerate() {
-            let slot = &mut self.maxima[offset_blocks + b];
-            if m > *slot {
-                *slot = m;
-            }
-        }
-        self.cur_start = Instant(self.block_len.0 * self.maxima.len() as u64);
-        self.cur_block_end = self.cur_start + self.block_len;
-    }
-
-    /// Shifts this tracker's completed blocks `offset_blocks` later in the
-    /// timeline by prepending sample-free blocks — used when a
-    /// completion-order consumer adopts a mid-window shard as its
-    /// accumulator. The tracker must be closed at a block boundary.
-    pub fn shift_blocks(&mut self, offset_blocks: usize) {
-        assert!(
-            !self.cur_nonempty && self.cur_max == 0.0 && self.cur_max_c == 0,
-            "shift requires a tracker closed at a block boundary \
-             (call close_through first)"
-        );
-        if offset_blocks == 0 {
-            return;
-        }
-        self.maxima.splice(0..0, std::iter::repeat_n(0.0, offset_blocks));
-        self.cur_start = Instant(self.block_len.0 * self.maxima.len() as u64);
-        self.cur_block_end = self.cur_start + self.block_len;
-    }
-
     /// Expected maximum over windows of `k` consecutive blocks: the mean of
     /// per-window maxima. Returns `None` if no complete window exists.
     pub fn expected_max_over(&self, k: usize) -> Option<f64> {
@@ -400,25 +343,6 @@ impl LatencySeries {
     pub fn merge(&mut self, other: &LatencySeries) {
         self.hist.merge(&other.hist);
         self.blocks.merge(&other.blocks);
-    }
-
-    /// Folds another series measured over a shard window that starts
-    /// `offset_minutes` into this series' timeline. Commutative across
-    /// shards covering disjoint windows (v2): the histogram merge is exact
-    /// bin/epoch addition and the block maxima slot into their absolute
-    /// positions — see [`BlockMaxima::merge_at`]. The shard must be closed
-    /// ([`Self::close_blocks`]).
-    pub fn merge_at(&mut self, offset_minutes: usize, other: &LatencySeries) {
-        debug_assert_eq!(BLOCK_MINUTES, 1.0, "blocks are whole minutes");
-        self.hist.merge(&other.hist);
-        self.blocks.merge_at(offset_minutes, &other.blocks);
-    }
-
-    /// Shifts this closed series' blocks `offset_minutes` later in the
-    /// cell timeline — see [`BlockMaxima::shift_blocks`].
-    pub fn shift_blocks(&mut self, offset_minutes: usize) {
-        debug_assert_eq!(BLOCK_MINUTES, 1.0, "blocks are whole minutes");
-        self.blocks.shift_blocks(offset_minutes);
     }
 
     /// Expected maximum latency over `window_hours` of collection time,
@@ -741,52 +665,6 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn merge_at_is_commutative_and_matches_ordered_merge() {
-        let len = Cycles(100);
-        // Three closed shards of 2 blocks each, at absolute offsets.
-        let shard = |vals: [(u64, f64); 2]| {
-            let mut b = BlockMaxima::new(len);
-            for (t, v) in vals {
-                b.record(Instant(t), v);
-            }
-            b.close_through(2);
-            b
-        };
-        let shards = [
-            shard([(10, 3.0), (150, 1.0)]),
-            shard([(20, 7.0), (199, 2.0)]),
-            shard([(0, 4.0), (101, 9.0)]),
-        ];
-        // Reference: index-order concatenation via merge.
-        let mut reference = BlockMaxima::new(len);
-        reference.close_through(0);
-        for s in &shards {
-            reference.merge(s);
-        }
-        // merge_at in every arrival order.
-        for order in [[0usize, 1, 2], [2, 0, 1], [1, 2, 0], [2, 1, 0]] {
-            let mut acc = BlockMaxima::new(len);
-            for &i in &order {
-                acc.merge_at(i * 2, &shards[i]);
-            }
-            assert_eq!(acc.maxima(), reference.maxima(), "{order:?}");
-        }
-        // A later in-order merge of an open tail still works on top.
-        let mut acc = BlockMaxima::new(len);
-        for &i in &[2usize, 0, 1] {
-            acc.merge_at(i * 2, &shards[i]);
-        }
-        let mut tail = BlockMaxima::new(len);
-        tail.record(Instant(30), 5.0); // Open hot block.
-        acc.merge(&tail);
-        let mut ref_tail = reference.clone();
-        ref_tail.merge(&tail);
-        acc.record(Instant(100_000), 0.1);
-        ref_tail.record(Instant(100_000), 0.1);
-        assert_eq!(acc.maxima(), ref_tail.maxima());
     }
 
     #[test]

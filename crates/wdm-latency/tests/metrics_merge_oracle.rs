@@ -9,7 +9,7 @@
 //! max-wins — all three checked here over random shard splits,
 //! plus associativity (fold order cannot matter for the deterministic
 //! artifact) and a live end-to-end check through
-//! [`ScenarioMeasurement::merge_shards`].
+//! [`ScenarioMeasurement::merge_shard_at`].
 
 use proptest::prelude::*;
 
@@ -154,7 +154,7 @@ proptest! {
     }
 }
 
-/// End-to-end: the metrics riding [`ScenarioMeasurement::merge_shards`]
+/// End-to-end: the metrics riding [`ScenarioMeasurement::merge_shard_at`]
 /// agree with the struct counters they mirror, and the merged histograms
 /// agree with the merged series.
 #[test]
@@ -171,7 +171,8 @@ fn measurement_merge_keeps_metrics_consistent_with_counters() {
         m.close_blocks(1);
         m
     };
-    let m = ScenarioMeasurement::merge_shards(vec![run(31), run(32)]);
+    let mut m = run(31);
+    m.merge_shard_at(1, run(32));
     assert_eq!(
         m.metrics.counter_value("latency.ops_completed"),
         Some(m.ops_completed),
@@ -228,8 +229,10 @@ fn occupancy_gauges_merge_max_wins_in_either_order() {
             ga.max(gb)
         })
         .collect();
-    let ab = ScenarioMeasurement::merge_shards(vec![a, b]);
-    let ba = ScenarioMeasurement::merge_shards(vec![run(42), run(41)]);
+    let mut ab = a;
+    ab.merge_shard_at(1, b);
+    let mut ba = run(42);
+    ba.merge_shard_at(1, run(41));
     for (name, want) in names.iter().zip(want) {
         assert_eq!(gauge(&ab, name).to_bits(), want.to_bits(), "{name}");
         assert_eq!(gauge(&ba, name).to_bits(), want.to_bits(), "{name}");

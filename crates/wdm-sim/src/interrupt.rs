@@ -19,11 +19,6 @@ use crate::{
 pub struct Vector {
     /// The device IRQL this vector interrupts at.
     pub irql: Irql,
-    /// Non-maskable: dispatched even while interrupts are disabled. Used
-    /// for performance-monitoring-counter profiling (paper §6.1 plans to
-    /// "hook non-maskable interrupts caused by the Pentium II performance
-    /// monitoring counters").
-    pub nmi: bool,
     /// Earliest unserviced assertion time, if the line is pending.
     ///
     /// Edge-triggered model: re-assertions while pending are coalesced and
@@ -57,15 +52,6 @@ impl InterruptController {
 
     /// Installs a vector at the given IRQL, returning its id.
     pub fn install(&mut self, name: &str, irql: Irql) -> VectorId {
-        self.install_inner(name, irql, false)
-    }
-
-    /// Installs a non-maskable vector (ignores cli windows).
-    pub fn install_nmi(&mut self, name: &str, irql: Irql) -> VectorId {
-        self.install_inner(name, irql, true)
-    }
-
-    fn install_inner(&mut self, name: &str, irql: Irql, nmi: bool) -> VectorId {
         assert!(
             irql > Irql::DISPATCH,
             "interrupt vectors must be above DISPATCH level"
@@ -73,7 +59,6 @@ impl InterruptController {
         let id = VectorId(self.vectors.len());
         self.vectors.push(Vector {
             irql,
-            nmi,
             pending_since: None,
             name: name.to_string(),
             assert_count: 0,
@@ -105,17 +90,6 @@ impl InterruptController {
     /// priority, like PIC cascading).
     #[inline]
     pub fn next_dispatchable(&self, current_irql: Irql) -> Option<VectorId> {
-        self.next_matching(current_irql, false)
-    }
-
-    /// Like [`Self::next_dispatchable`] but restricted to NMI vectors —
-    /// the only ones deliverable while interrupts are disabled.
-    pub fn next_nmi_dispatchable(&self, current_irql: Irql) -> Option<VectorId> {
-        self.next_matching(current_irql, true)
-    }
-
-    #[inline]
-    fn next_matching(&self, current_irql: Irql, nmi_only: bool) -> Option<VectorId> {
         // The shortlist is unordered, but the selection — highest IRQL,
         // ties to the lowest vector id — is order-independent, so the
         // result is identical to a full ordered scan of the vectors.
@@ -128,7 +102,7 @@ impl InterruptController {
         for &id in &self.pending {
             let v = &self.vectors[id.0];
             debug_assert!(v.pending_since.is_some(), "stale pending shortlist");
-            if v.irql > current_irql && (!nmi_only || v.nmi) {
+            if v.irql > current_irql {
                 let better = match best {
                     None => true,
                     Some((bi, bid)) => v.irql > bi || (v.irql == bi && id < bid),

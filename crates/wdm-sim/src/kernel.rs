@@ -461,15 +461,6 @@ impl Kernel {
         id
     }
 
-    /// Installs a non-maskable vector: its ISR is dispatched even inside
-    /// cli windows, like the Pentium II performance-counter NMI (§6.1).
-    pub fn install_nmi_vector(&mut self, name: &str, irql: Irql, isr: Box<dyn Program>) -> VectorId {
-        let id = self.ic.install_nmi(name, irql);
-        debug_assert_eq!(id.0, self.isr_bodies.len());
-        self.isr_bodies.push(IsrBody::User { program: Some(isr) });
-        id
-    }
-
     /// Adds an environment source and schedules its first arrival.
     pub fn add_env_source(&mut self, mut src: EnvSource) -> SourceId {
         let gap = src.next_gap(&mut self.rng);
@@ -1062,17 +1053,11 @@ impl Kernel {
                 "ensure_activity livelock: a program is spinning without consuming time"
             );
 
-            // 1. Interrupt dispatch, highest IRQL first. NMI vectors
-            // pierce cli windows (they ignore the interrupt flag), so their
-            // dispatch check excludes Cli frames from the effective level.
+            // 1. Interrupt dispatch, highest IRQL first. A cli window
+            // masks every vector: nothing dispatches until it closes.
             let cpu = self.cpu_state();
-            {
-                let next = if cpu.interrupts_enabled {
-                    self.ic.next_dispatchable(cpu.irql)
-                } else {
-                    self.ic.next_nmi_dispatchable(cpu.nmi_irql)
-                };
-                if let Some(v) = next {
+            if cpu.interrupts_enabled {
+                if let Some(v) = self.ic.next_dispatchable(cpu.irql) {
                     self.push_isr(v);
                     continue;
                 }
@@ -1146,9 +1131,7 @@ impl Kernel {
     }
 
     /// Everything the decision loop needs about interrupt masking: whether
-    /// interrupts are enabled, the effective IRQL, and the effective IRQL
-    /// as a non-maskable interrupt sees it (cli windows do not mask NMIs,
-    /// so Cli frames are transparent to it).
+    /// interrupts are enabled and the effective IRQL.
     ///
     /// O(1): the top frame carries the cumulative state of the whole stack
     /// (see [`Frame::cpu`]); with no frames, the running thread's own IRQL
@@ -1165,7 +1148,6 @@ impl Kernel {
                 CpuState {
                     interrupts_enabled: true,
                     irql: t,
-                    nmi_irql: t,
                 }
             }
         }
@@ -1178,19 +1160,16 @@ impl Kernel {
             FrameKind::Isr { irql, .. } => CpuState {
                 interrupts_enabled: p.interrupts_enabled,
                 irql: p.irql.max(*irql),
-                nmi_irql: p.nmi_irql.max(*irql),
             },
             FrameKind::DpcDrain { .. } => CpuState {
                 interrupts_enabled: p.interrupts_enabled,
                 irql: p.irql.max(Irql::DISPATCH),
-                nmi_irql: p.nmi_irql.max(Irql::DISPATCH),
             },
             // Cli masks interrupts outright; HIGH is the IRQL lattice top,
             // so overwriting matches the max-fold.
             FrameKind::Cli => CpuState {
                 interrupts_enabled: false,
                 irql: Irql::HIGH,
-                nmi_irql: p.nmi_irql,
             },
             FrameKind::Section => p,
         }
@@ -1204,18 +1183,11 @@ impl Kernel {
         let mut s = CpuState {
             interrupts_enabled: true,
             irql: t,
-            nmi_irql: t,
         };
         for f in &self.frames {
             match f.kind {
-                FrameKind::Isr { irql, .. } => {
-                    s.irql = s.irql.max(irql);
-                    s.nmi_irql = s.nmi_irql.max(irql);
-                }
-                FrameKind::DpcDrain { .. } => {
-                    s.irql = s.irql.max(Irql::DISPATCH);
-                    s.nmi_irql = s.nmi_irql.max(Irql::DISPATCH);
-                }
+                FrameKind::Isr { irql, .. } => s.irql = s.irql.max(irql),
+                FrameKind::DpcDrain { .. } => s.irql = s.irql.max(Irql::DISPATCH),
                 FrameKind::Cli => {
                     s.interrupts_enabled = false;
                     s.irql = Irql::HIGH;
@@ -2532,8 +2504,6 @@ struct CpuState {
     interrupts_enabled: bool,
     /// Effective IRQL (cli windows count as HIGH).
     irql: Irql,
-    /// Effective IRQL as an NMI sees it (cli windows are transparent).
-    nmi_irql: Irql,
 }
 
 /// What the decision loop materialized: the owner of the next busy chunk

@@ -14,17 +14,16 @@
 //! - **Counter**: sum (saturating, like the measurement counters).
 //! - **Gauge**: max wins (used for point-in-time values where a sum is
 //!   meaningless, e.g. a peak queue depth). Max is order-independent —
-//!   "last shard wins" was not, and shard merge order is an
-//!   implementation detail of the fan-out, so a gauge must not see it.
+//!   "last shard wins" was not, so a gauge cannot depend on how the
+//!   merges are ordered or grouped.
 //! - **Histogram**: bin-wise count sum; edges must be identical, merging
 //!   mismatched shapes is a logic error and panics.
 //!
-//! Every rule is commutative and associative. That is now load-bearing
-//! beyond determinism-across-thread-counts: the bench harness consumes
-//! shard snapshots in **completion order** (whichever worker finishes
-//! first merges first), so any order-sensitive rule here would leak
-//! scheduling into the committed digests. New metric kinds must keep the
-//! commutative-merge contract.
+//! Every rule is commutative and associative, so a cell's merged snapshot
+//! is the same however its shard merges are grouped or ordered (the
+//! bench harness merges them in time order; `metrics_merge_oracle.rs`
+//! checks merged == streamed and fold-shape independence). New metric
+//! kinds must keep the commutative-merge contract.
 
 use std::collections::BTreeMap;
 

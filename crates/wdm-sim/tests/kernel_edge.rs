@@ -281,45 +281,3 @@ fn irp_reissue_supports_repeated_rounds() {
     k.run_for(Cycles::from_ms(5.0));
     assert!(k.irp(irp).completion_count > first);
 }
-
-#[test]
-fn nmi_preempts_a_running_isr_of_lower_irql() {
-    let mut k = Kernel::new(KernelConfig::default());
-    let rec = Rc::new(RefCell::new(Rec::default()));
-    k.add_observer(rec.clone());
-    let slow_l = k.intern("SLOW", "_Isr");
-    let slow = k.install_vector(
-        "slow",
-        Irql(10),
-        Box::new(OpSeq::new(vec![
-            Step::Busy {
-                cycles: Cycles::from_ms(2.0),
-                label: slow_l,
-            },
-            Step::Return,
-        ])),
-    );
-    let nmi_l = k.intern("PROFILE", "_Nmi");
-    let nmi = k.install_nmi_vector(
-        "nmi",
-        Irql::PROFILE,
-        Box::new(OpSeq::new(vec![
-            Step::Busy {
-                cycles: Cycles::from_us(2.0),
-                label: nmi_l,
-            },
-            Step::Return,
-        ])),
-    );
-    k.assert_interrupt(slow);
-    k.add_env_source(EnvSource::new(
-        "nmi-at-half-ms",
-        samplers::fixed(Cycles::from_ms(0.5)),
-        EnvAction::AssertInterrupt(nmi),
-    ));
-    k.run_for(Cycles::from_ms(1.2));
-    let rec = rec.borrow();
-    let e = rec.isrs.iter().find(|e| e.vector == nmi).expect("nmi ran");
-    assert!(((e.started - e.asserted).as_ms()) < 0.05);
-    assert_eq!(e.interrupted_label, slow_l, "sampled inside the slow ISR");
-}
