@@ -62,12 +62,6 @@ pub struct RunConfig {
     /// measured value and `summary_digest` stay bit-identical with this on
     /// or off (CI asserts it).
     pub trace: bool,
-    /// Stage raw samples and fold them in batches (the default).
-    /// `repro --no-batch-record` clears it to run the per-sample reference
-    /// recording path; outputs are byte-identical either way (CI's
-    /// digest-smoke job asserts it against the committed digests). See
-    /// DESIGN.md §13.
-    pub batch_record: bool,
     /// Arm tail-episode forensics on every cell (`repro blame`): blame
     /// decomposition plus a bounded episode store of flight-ring captures
     /// (DESIGN.md §15). Digest-neutral: the episode payloads ride their
@@ -87,7 +81,6 @@ impl Default for RunConfig {
             threads: 0,
             shards: 1,
             trace: false,
-            batch_record: true,
             blame: None,
             flame_hz: None,
         }
@@ -103,7 +96,6 @@ impl RunConfig {
                 pid: cell_pid(os, w),
                 ..FlightOptions::default()
             }),
-            batch_record: self.batch_record,
             blame: self.blame,
             flame_hz: self.flame_hz,
             ..MeasureOptions::default()
@@ -314,14 +306,12 @@ pub struct CellTiming {
     /// `latency.samples_per_event`.
     pub samples_recorded: u64,
     /// Staging-buffer flushes across the cell's collectors (summed exactly
-    /// over shards via the `latency.batch_flushes` counter; 0 under
-    /// `--no-batch-record`).
+    /// over shards via the `latency.batch_flushes` counter).
     pub batch_flushes: u64,
-    /// Samples that went through the staging buffers (0 under
-    /// `--no-batch-record`; equals the staged subset of
-    /// `samples_recorded` otherwise). Perfbench reports
-    /// `staged_samples / batch_flushes` over the grid as
-    /// `latency.samples_per_flush`.
+    /// Samples that went through the staging buffers: `samples_recorded`
+    /// plus the priority-24 tool's two ASB series, which are staged but
+    /// not returned. Perfbench reports `staged_samples / batch_flushes`
+    /// over the grid as `latency.samples_per_flush`.
     pub staged_samples: u64,
     /// Wall-clock seconds of each shard, time order (one entry on the
     /// unsharded path). Perfbench reports the max/mean over every shard
@@ -508,12 +498,7 @@ mod tests {
         let cfg = RunConfig {
             duration: Duration::Minutes(0.05),
             seed: 3,
-            threads: 0,
-            shards: 1,
-            trace: false,
-            batch_record: true,
-            blame: None,
-            flame_hz: None,
+            ..RunConfig::default()
         };
         let m = measure_cell(&cfg, OsKind::Nt4, WorkloadKind::Web);
         // Every-tick series sees ~3k samples in 3 s; the per-round series
@@ -563,10 +548,7 @@ mod tests {
             seed: 1999,
             threads: 1,
             shards: 8,
-            trace: false,
-            batch_record: true,
-            blame: None,
-            flame_hz: None,
+            ..RunConfig::default()
         };
         // Sub-minute window: exactly one shard with the cell's own seed and
         // no block closing, i.e. the pre-shard harness.
@@ -583,10 +565,7 @@ mod tests {
             seed: 5,
             threads: 1,
             shards: 2,
-            trace: false,
-            batch_record: true,
-            blame: None,
-            flame_hz: None,
+            ..RunConfig::default()
         };
         let specs = cell_shards(&cfg, OsKind::Nt4, WorkloadKind::Business);
         assert_eq!(specs.len(), 2);

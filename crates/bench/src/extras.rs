@@ -433,7 +433,7 @@ pub fn ablate_dpc_discipline(minutes: f64, seed: u64) -> String {
         k.run_for(Cycles::from_ms(minutes * 60_000.0));
         session.flush();
         let truth = session.truth.borrow();
-        let s: &LatencySeries = &truth.dpcs[&session.rt28.dpc].lat;
+        let s: &LatencySeries = &truth.dpc28.lat;
         (s.hist.quantile_exceeding(0.001), s.hist.max_ms())
     };
     let (fifo_p999, fifo_max) = run(DpcDiscipline::Fifo);
@@ -500,9 +500,7 @@ pub fn ablate_quantum(minutes: f64, seed: u64) -> String {
         k.run_for(Cycles::from_ms(hours * 3_600_000.0));
         session.flush();
         let truth = session.truth.borrow();
-        truth.threads[&session.rt24.thread].lat
-            .hist
-            .quantile_exceeding(0.001)
+        truth.thread24.lat.hist.quantile_exceeding(0.001)
     };
     let q20 = run(20.0);
     let q120 = run(120.0);
@@ -538,7 +536,7 @@ pub fn ablate_tail_family(minutes: f64, seed: u64) -> String {
         k.run_for(Cycles::from_ms(minutes * 60_000.0));
         session.flush();
         let truth = session.truth.borrow();
-        let h = &truth.threads[&session.rt28.thread].lat.hist;
+        let h = &truth.thread28.lat.hist;
         format!(
             "  {name:<34} p99 = {:>7.3} ms, p99.9 = {:>7.3} ms, max = {:>7.2} ms\n",
             h.quantile_exceeding(0.01),
@@ -596,12 +594,7 @@ mod tests {
         let cfg = RunConfig {
             duration: Duration::Minutes(0.1),
             seed: 5,
-            threads: 0,
-            shards: 1,
-            trace: false,
-        batch_record: true,
-        blame: None,
-        flame_hz: None,
+            ..RunConfig::default()
         };
         let cells = measure_all(&cfg);
         let t = throughput(&cells);

@@ -218,12 +218,7 @@ mod tests {
         RunConfig {
             duration: Duration::Minutes(0.05),
             seed: 5,
-            threads: 0,
-            shards: 1,
-            trace: false,
-            batch_record: true,
-            blame: None,
-            flame_hz: None,
+            ..RunConfig::default()
         }
     }
 

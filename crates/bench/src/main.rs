@@ -27,7 +27,7 @@ use wdm_bench::{
     extras, figures, forensics, output, progress, tables, tracecmd,
 };
 
-const USAGE: &str = "usage: repro <artifact> [--minutes N | --full] [--seed S] [--threads T] [--shards K] [--out DIR] [--trace] [--no-batch-record] [--blame-mode topk|threshold|blockmax] [--blame-threshold-ms T] [--blame-top K] [--flame-hz HZ] [--quiet | --verbose]
+const USAGE: &str = "usage: repro <artifact> [--minutes N | --full] [--seed S] [--threads T] [--shards K] [--out DIR] [--trace] [--blame-mode topk|threshold|blockmax] [--blame-threshold-ms T] [--blame-top K] [--flame-hz HZ] [--quiet | --verbose]
 
 artifacts:
   table1 table2 table3 table4 figure4 figure5 figure6 figure7
@@ -44,9 +44,6 @@ options:
   --out DIR     also write TSV/JSON artifacts into DIR
   --trace       attach a flight recorder to every cell (output unchanged;
                 the 'trace' artifact implies this and writes TRACE_*.json)
-  --no-batch-record
-                record each latency sample straight into its series instead
-                of staging and batch-folding (output byte-identical)
   --blame-mode topk|threshold|blockmax
                 which latency samples trigger a forensic capture (DESIGN.md
                 \u{a7}15): the K largest per cell (default), samples at or above
@@ -111,7 +108,6 @@ struct Cli {
     threads: usize,
     shards: usize,
     trace: bool,
-    batch_record: bool,
     blame_mode: Option<String>,
     blame_threshold_ms: f64,
     blame_top: usize,
@@ -147,7 +143,6 @@ impl Cli {
             threads: self.threads,
             shards: self.shards,
             trace: self.trace,
-            batch_record: self.batch_record,
             blame,
             // The 'flame' artifact arms the sampler at its default rate; an
             // explicit --flame-hz arms it for any artifact (digest included
@@ -171,7 +166,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         threads: 0,
         shards: 1,
         trace: false,
-        batch_record: true,
         blame_mode: None,
         blame_threshold_ms: 1.0,
         blame_top: 4,
@@ -201,7 +195,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 }
             }
             "--trace" => cli.trace = true,
-            "--no-batch-record" => cli.batch_record = false,
             "--blame-mode" => {
                 let raw: String = flag_value(args, &mut i, "--blame-mode")?;
                 match raw.as_str() {
@@ -491,9 +484,8 @@ mod tests {
     // Space-separated token pools: every flag `parse_args` knows, the
     // retired flags and the artifact names.
     const FLAGS: &str = "--minutes --full --seed --threads --shards --out --trace \
-        --no-batch-record --blame-mode --blame-threshold-ms --blame-top --flame-hz --quiet \
-        --verbose --help -h";
-    const RETIRED: &str = "--no-compile --sampler-mode --repeats --stats-v1";
+        --blame-mode --blame-threshold-ms --blame-top --flame-hz --quiet --verbose --help -h";
+    const RETIRED: &str = "--no-compile --sampler-mode --repeats --stats-v1 --no-batch-record";
     const ARTIFACTS: &str = "table1 table2 table3 table4 figure4 figure5 figure6 figure7 \
         throughput validate-mttf sched feasibility win2000 microbench interactive stability \
         ablations digest trace metrics blame flame all";

@@ -123,12 +123,7 @@ mod tests {
         let cfg = RunConfig {
             duration: Duration::Minutes(0.05),
             seed: 5,
-            threads: 0,
-            shards: 1,
-            trace: false,
-        batch_record: true,
-        blame: None,
-        flame_hz: None,
+            ..RunConfig::default()
         };
         let cells = measure_all(&cfg);
         let dir = std::env::temp_dir().join("wdm_repro_tsv_test");

@@ -156,12 +156,7 @@ mod tests {
         RunConfig {
             duration: Duration::Minutes(0.1),
             seed: 5,
-            threads: 0,
-            shards: 1,
-            trace: false,
-            batch_record: true,
-            blame: None,
-            flame_hz: None,
+            ..RunConfig::default()
         }
     }
 
@@ -190,12 +185,7 @@ mod tests {
         let cfg = RunConfig {
             duration: Duration::Minutes(1.0),
             seed: 11,
-            threads: 0,
-            shards: 1,
-            trace: false,
-        batch_record: true,
-        blame: None,
-        flame_hz: None,
+            ..RunConfig::default()
         };
         let t = table4(&cfg);
         assert!(t.contains("episodes captured"));

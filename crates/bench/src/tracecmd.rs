@@ -86,11 +86,7 @@ mod tests {
             duration: Duration::Minutes(0.05),
             seed: 7,
             threads: 1,
-            shards: 1,
-            trace: false,
-            batch_record: true,
-            blame: None,
-            flame_hz: None,
+            ..RunConfig::default()
         }
     }
 

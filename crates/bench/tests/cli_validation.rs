@@ -1,7 +1,7 @@
-//! Integration tests for `repro`'s argument validation: every degenerate
-//! or malformed flag must exit 2 with the usage text on stderr before any
-//! simulation work starts, the escape-hatch flags must parse, and a failed
-//! stdout must end the run with exit 1.
+//! Integration tests for `repro`'s argument validation: every degenerate,
+//! malformed or retired flag must exit 2 with the usage text on stderr
+//! before any simulation work starts, and a failed stdout must end the run
+//! with exit 1.
 
 use std::process::{Command, Output};
 
@@ -84,9 +84,11 @@ fn retired_sampler_flag_exits_2_with_usage() {
 
 #[test]
 fn retired_compile_flag_exits_2_with_usage() {
-    // The interpreter is the only step executor, so the flag that used to
-    // select it is unknown: a stale script fails loudly.
+    // The interpreter is the only step executor and staging the only
+    // recording path, so the flags that used to select the other paths
+    // are unknown: a stale script fails loudly.
     assert_usage_rejection(&["digest", "--no-compile"], "--no-compile");
+    assert_usage_rejection(&["digest", "--no-batch-record"], "--no-batch-record");
 }
 
 #[test]
@@ -168,46 +170,5 @@ fn armed_forensics_digest_is_bit_identical() {
         String::from_utf8_lossy(&base.stdout),
         String::from_utf8_lossy(&armed.stdout),
         "armed blame capture must digest identically"
-    );
-}
-
-#[test]
-fn escape_hatches_parse_and_run() {
-    // A tiny grid proves --no-batch-record reaches the harness rather
-    // than dying in the parser. Digest output goes to stdout; 0.02
-    // simulated minutes keeps the run under a second.
-    let out = repro(&["digest", "--minutes", "0.02", "--quiet", "--no-batch-record"]);
-    assert!(
-        out.status.success(),
-        "escape hatches must run: {:?}\nstderr: {}",
-        out.status.code(),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(
-        stdout.lines().count(),
-        8,
-        "digest emits one line per cell: {stdout}"
-    );
-}
-
-#[test]
-fn no_batch_record_digest_is_bit_identical() {
-    // The heart of the batched-recording contract (DESIGN.md §13): the
-    // per-sample reference path and the batched path produce byte-equal
-    // digests.
-    let base = repro(&["digest", "--minutes", "0.02", "--quiet"]);
-    let nobatch = repro(&[
-        "digest",
-        "--minutes",
-        "0.02",
-        "--quiet",
-        "--no-batch-record",
-    ]);
-    assert!(base.status.success() && nobatch.status.success());
-    assert_eq!(
-        String::from_utf8_lossy(&base.stdout),
-        String::from_utf8_lossy(&nobatch.stdout),
-        "batched and per-sample recording must digest identically"
     );
 }

@@ -15,11 +15,7 @@ fn quick(threads: usize) -> RunConfig {
         duration: Duration::Minutes(0.05),
         seed: 1999,
         threads,
-        shards: 1,
-        trace: false,
-        batch_record: true,
-        blame: None,
-        flame_hz: None,
+        ..RunConfig::default()
     }
 }
 
@@ -385,8 +381,9 @@ fn digests_are_sensitive_to_the_seed() {
 fn every_fast_path_engages() {
     // Non-vacuity per cell: the batched inner loop (DESIGN.md §8) retires
     // more than one step per dispatch, and every latency sample passes
-    // through a flushed stage (the stages also feed the RT-24 tool's
-    // series, so staged >= recorded).
+    // through a flushed stage, the one recording path (§14). The stages
+    // also feed the RT-24 tool's two ASB series, which a cell does not
+    // return, so staged >= recorded.
     for t in &measure_all_timed(&quick(2)).timings {
         let cell = format!("{} / {}", t.os.name(), t.workload.name());
         assert!(

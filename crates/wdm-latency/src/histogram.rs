@@ -70,11 +70,6 @@ pub struct LatencyHistogram {
     max_c: u64,
     min_c: u64,
     cyc_pending: bool,
-    /// True when `edges_ms` is exactly [`FIG4_EDGES_MS`]. The edges are
-    /// then `0.125 * 2^i`, so the bin index falls out of the sample's
-    /// floating-point exponent — no search at all on the hot path (every
-    /// observer record in a measurement session lands here).
-    fig4: bool,
     /// Cycle-valued bin edges: `edges_cycles[i]` is the smallest cycle
     /// count whose ms conversion at `cycles_hz` lands *above* `edges_ms[i]`
     /// (see DESIGN.md §12), so `partition_point(|&ce| ce <= c)` over these
@@ -98,28 +93,6 @@ pub struct LatencyHistogram {
     fast_bin_samples: u64,
 }
 
-/// Bin index on the Figure 4 axis, from the exponent bits.
-///
-/// Exactly equivalent to `FIG4_EDGES_MS.partition_point(|&e| e < ms)` for
-/// every non-negative finite sample (the `record_ms` contract): the edges
-/// are the powers of two `2^(i-3)`, so for `ms = 2^e * (1 + f)` the number
-/// of edges strictly below `ms` is `e + 3` when `f == 0` and `e + 4`
-/// otherwise, clamped to the axis. Zero and subnormals clamp to bin 0,
-/// anything above the last edge to the overflow bin.
-#[inline]
-fn fig4_bin(ms: f64) -> usize {
-    let bits = ms.to_bits();
-    if (bits >> 63) != 0 {
-        return 0; // Negative zero (or asserted-against negatives).
-    }
-    let exp = ((bits >> 52) & 0x7ff) as i64 - 1023;
-    let frac_nonzero = (bits & ((1u64 << 52) - 1)) != 0;
-    // Subnormals (biased exponent 0) are far below the first edge; the
-    // clamp handles them via their -1023 unbiased exponent.
-    let idx = exp + 3 + i64::from(frac_nonzero);
-    idx.clamp(0, FIG4_EDGES_MS.len() as i64) as usize
-}
-
 impl LatencyHistogram {
     /// Creates a histogram over the Figure 4 axis.
     pub fn fig4() -> LatencyHistogram {
@@ -134,24 +107,6 @@ impl LatencyHistogram {
             edges_ms.windows(2).all(|w| w[0] < w[1]),
             "bin edges must be strictly increasing"
         );
-        let fig4 = edges_ms == FIG4_EDGES_MS;
-        // One-time axis check (debug builds): the exponent-derived fig4 bin
-        // must agree with the binary search at every edge and its
-        // floating-point neighbors. This replaces the old per-sample
-        // `debug_assert_eq!` double-binning in `record_ms`; the sample-level
-        // equivalence is carried by the binning proptest oracle.
-        #[cfg(debug_assertions)]
-        if fig4 {
-            for &e in edges_ms {
-                for x in [e, f64::from_bits(e.to_bits() - 1), f64::from_bits(e.to_bits() + 1)] {
-                    debug_assert_eq!(
-                        fig4_bin(x),
-                        edges_ms.partition_point(|&edge| edge < x),
-                        "fig4_bin disagrees with partition_point at {x:e}"
-                    );
-                }
-            }
-        }
         LatencyHistogram {
             edges_ms: edges_ms.to_vec(),
             counts: vec![0; edges_ms.len() + 1],
@@ -164,7 +119,6 @@ impl LatencyHistogram {
             max_c: 0,
             min_c: u64::MAX,
             cyc_pending: false,
-            fig4,
             edges_cycles: Vec::new(),
             binade_start: [0; 66],
             cycles_hz: 0,
@@ -172,17 +126,14 @@ impl LatencyHistogram {
         }
     }
 
-    /// Records one latency sample.
+    /// Records one latency sample given in ms: the plain definition of the
+    /// binning that [`Self::record_cycles`] reproduces in the cycle domain
+    /// (the `binning_oracle` proptest checks one against the other).
     pub fn record_ms(&mut self, ms: f64) {
         debug_assert!(ms >= 0.0 && ms.is_finite(), "latency must be finite");
-        // Figure 4 axis: exponent-derived bin. Custom axes: binary search
-        // for the first edge >= ms; `edges.len()` (the overflow bin) when
-        // all edges are below the sample.
-        let idx = if self.fig4 {
-            fig4_bin(ms)
-        } else {
-            self.edges_ms.partition_point(|&e| e < ms)
-        };
+        // The first edge >= ms; `edges.len()` (the overflow bin) when every
+        // edge is below the sample.
+        let idx = self.edges_ms.partition_point(|&e| e < ms);
         self.counts[idx] += 1;
         self.count += 1;
         self.sum_ms += ms;
@@ -828,40 +779,6 @@ mod tests {
                 .unwrap_or(edges.len());
             assert_eq!(h.counts()[reference], 1, "sample {ms}");
             assert_eq!(h.count(), 1);
-        }
-    }
-
-    #[test]
-    fn fig4_bin_matches_partition_point_everywhere() {
-        // The exponent-derived bin must agree with the binary search for
-        // every representable non-negative sample class: zero, subnormals,
-        // exact edges, just-off-edge neighbors, and a dense log sweep.
-        let reference = |ms: f64| FIG4_EDGES_MS.partition_point(|&e| e < ms);
-        let mut samples = vec![
-            0.0,
-            f64::MIN_POSITIVE / 2.0, // subnormal
-            f64::MIN_POSITIVE,
-            1e-300,
-            127.999,
-            128.0,
-            128.001,
-            1e6,
-            f64::MAX,
-        ];
-        for &e in &FIG4_EDGES_MS {
-            samples.extend([
-                e,
-                f64::from_bits(e.to_bits() - 1),
-                f64::from_bits(e.to_bits() + 1),
-            ]);
-        }
-        let mut x = 1e-9f64;
-        while x < 1e9 {
-            samples.push(x);
-            x *= 1.037;
-        }
-        for ms in samples {
-            assert_eq!(fig4_bin(ms), reference(ms), "sample {ms:e}");
         }
     }
 

@@ -34,12 +34,8 @@ pub struct InteractiveRecords {
     ui_thread: ThreadId,
     /// Input-event signal to first UI-thread instruction.
     pub dispatch: LatencySeries,
-    /// Raw-sample staging (DESIGN.md §13); sid 0 is `dispatch`.
+    /// Raw-sample staging (DESIGN.md §14); sid 0 is `dispatch`.
     stage: SampleStage,
-    /// Batched recording on (the default); off is the per-sample path.
-    /// Bit-identical either way: the exact accumulators are order-free
-    /// (DESIGN.md §14).
-    batch: bool,
 }
 
 impl InteractiveRecords {
@@ -66,12 +62,8 @@ impl Observer for InteractiveRecords {
         }
         // Cycle-domain end to end: the sample never round-trips through ms
         // (the histogram re-derives cycles internally; DESIGN.md §12).
-        if self.batch {
-            if self.stage.push(0, e.started, e.started - e.readied) {
-                self.flush_staged();
-            }
-        } else {
-            self.dispatch.record_cycles(e.started, e.started - e.readied);
+        if self.stage.push(0, e.started, e.started - e.readied) {
+            self.flush_staged();
         }
     }
 }
@@ -162,7 +154,6 @@ impl InteractiveProbe {
             ui_thread,
             dispatch: LatencySeries::new("interactive dispatch", cpu),
             stage,
-            batch: true,
         }));
         k.add_observer(records.clone());
         InteractiveProbe { records, ui_thread }

@@ -85,8 +85,8 @@ pub fn run_microbench(os: OsKind, seed: u64) -> Microbench {
         os,
         ctx_switch_us,
         int_dispatch_us: us(truth.pit_int.hist.mean_ms()),
-        dpc_dispatch_us: us(truth.dpcs[&session.rt28.dpc].lat.hist.mean_ms()),
-        timer_to_thread_us: us(truth.threads[&session.rt28.thread].int.hist.mean_ms()),
+        dpc_dispatch_us: us(truth.dpc28.lat.hist.mean_ms()),
+        timer_to_thread_us: us(truth.thread28.int.hist.mean_ms()),
     }
 }
 

@@ -181,15 +181,6 @@ impl ScenarioMeasurement {
     pub fn samples_recorded(&mut self) -> u64 {
         self.series_mut().iter().map(|s| s.hist.count()).sum()
     }
-
-    /// Samples that took the integer cycle-domain fast path, across every
-    /// series (see `LatencyHistogram::fast_bin_samples`).
-    pub fn fast_bin_samples(&mut self) -> u64 {
-        self.series_mut()
-            .iter()
-            .map(|s| s.hist.fast_bin_samples())
-            .sum()
-    }
 }
 
 /// Flight-recorder attachment for a measurement run.
@@ -225,9 +216,10 @@ pub struct MeasureOptions {
     /// in [`ScenarioMeasurement::trace_events`]. Never changes measured
     /// values: the recorder is read-only and draws no randomness.
     pub flight: Option<FlightOptions>,
-    /// Batched series recording (DESIGN.md §13), on by default. Off
-    /// (`--no-batch-record`) folds every sample per-record — the reference
-    /// path. Output is bit-identical either way.
+    /// Always `true`: staging (DESIGN.md §14) is the only recording path,
+    /// and [`measure_scenario`] never reads this. Kept only because
+    /// perfbench's set-up replica (`perfbench/src/pass.rs`) passes it to
+    /// [`MeasurementSession::install_with`].
     pub batch_record: bool,
     /// Arm tail-episode forensics on the rt24/rt28 measurement threads
     /// (DESIGN.md §15). A flight recorder is attached implicitly when
@@ -264,8 +256,7 @@ pub fn measure_scenario(
 ) -> ScenarioMeasurement {
     assert!(sim_hours > 0.0, "must simulate a positive duration");
     let mut scenario = build_scenario(os, workload, seed, &opts.scenario);
-    let session =
-        MeasurementSession::install_with(&mut scenario.kernel, opts.period_ms, opts.batch_record);
+    let session = MeasurementSession::install(&mut scenario.kernel, opts.period_ms);
     let cause = opts.cause_threshold_ms.map(|thr| {
         let t = Rc::new(RefCell::new(CauseTool::new(
             &scenario.kernel,
@@ -313,7 +304,7 @@ pub fn measure_scenario(
         ));
 
     // Drain the staging buffers before any series is read or moved: the
-    // final (partial) batch folds here, the last flush point of §13.
+    // final (partial) batch folds here, the last flush point of §14.
     session.flush();
     let batch_flushes = session.batch_flushes();
     let staged_samples = session.staged_samples();
@@ -341,18 +332,6 @@ pub fn measure_scenario(
         let name = s.name.clone();
         std::mem::replace(s, LatencySeries::new(&name, cpu_hz))
     };
-    let dpc28 = truth
-        .dpcs
-        .remove(&session.rt28.dpc)
-        .expect("watched dpc has series");
-    let thr28 = truth
-        .threads
-        .remove(&session.rt28.thread)
-        .expect("watched thread has series");
-    let thr24 = truth
-        .threads
-        .remove(&session.rt24.thread)
-        .expect("watched thread has series");
     // Render trace events while the kernel is alive so thread/vector/DPC
     // names resolve; the recorder ring is dropped with the scenario.
     // A blame-implied recorder renders no export — the caller did not ask
@@ -398,15 +377,15 @@ pub fn measure_scenario(
         workload,
         collected_hours: sim_hours,
         usage: scenario.usage,
-        int_to_isr: dpc28.round_int,
+        int_to_isr: take(&mut truth.dpc28.round_int),
         int_to_isr_all_ticks: take(&mut truth.pit_int),
-        isr_to_dpc: dpc28.isr_to_dpc,
-        int_to_dpc: dpc28.int,
-        dpc_lat: dpc28.lat,
-        thread_lat_28: thr28.lat,
-        thread_int_28: thr28.int,
-        thread_lat_24: thr24.lat,
-        thread_int_24: thr24.int,
+        isr_to_dpc: take(&mut truth.dpc28.isr_to_dpc),
+        int_to_dpc: take(&mut truth.dpc28.int),
+        dpc_lat: take(&mut truth.dpc28.lat),
+        thread_lat_28: take(&mut truth.thread28.lat),
+        thread_int_28: take(&mut truth.thread28.int),
+        thread_lat_24: take(&mut truth.thread24.lat),
+        thread_int_24: take(&mut truth.thread24.int),
         tool_dpc_to_thread_28: take(&mut r28.dpc_to_thread),
         tool_est_int_to_dpc: take(&mut r28.est_int_to_dpc),
         ops_completed: scenario.total_ops(),
@@ -429,10 +408,6 @@ pub fn measure_scenario(
     m.metrics.counter("latency.episodes", m.episodes.len() as u64);
     m.metrics.counter("latency.waits_24", m.waits_24);
     m.metrics.counter("latency.waits_28", m.waits_28);
-    // Fraction of samples that binned in the integer cycle domain — the
-    // observability hook for the measurement fast path (ISSUE 7).
-    let fast_bin = m.fast_bin_samples();
-    m.metrics.counter("latency.fast_bin_samples", fast_bin);
     // Stage flushes ride the registry so shard merges sum them exactly,
     // like every other counter (perfbench derives
     // `latency.samples_per_flush` from them).

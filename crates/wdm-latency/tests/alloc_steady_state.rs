@@ -6,7 +6,7 @@
 //! built its integer bin edges and grown its block-maxima vector to
 //! steady capacity, a record-heavy window — compiled sampler draws feeding
 //! `record_cycles` — must perform **zero** heap operations, sample for
-//! sample. A second window pins the batched path (DESIGN.md §13):
+//! sample. A second window pins the batched path (DESIGN.md §14):
 //! `draw_batch` into a fixed buffer, 200k samples staged through a
 //! [`SampleStage`] and flushed (partition + fold + reset), also at zero
 //! heap operations.
@@ -113,7 +113,7 @@ fn record_heavy_window_is_allocation_free() {
     assert_eq!(series.hist.fast_bin_samples(), warm_samples + samples);
     assert!(series.hist.count() == warm_samples + samples);
 
-    // Staged pipeline (DESIGN.md §13): batch draws into a fixed buffer,
+    // Staged pipeline (DESIGN.md §14): batch draws into a fixed buffer,
     // stage raw triples, and run the full partition/fold/reset flush loop.
     // Once the stage's columns, the series' bin edges, and the maxima
     // vector are at steady capacity, 200k staged+flushed samples must also

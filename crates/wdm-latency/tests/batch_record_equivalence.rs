@@ -1,11 +1,12 @@
-//! Property oracle for batched series recording (DESIGN.md §13).
+//! Property oracle for staged series recording (DESIGN.md §14).
 //!
 //! The staged pipeline — observers append raw `(now, latency, series)`
 //! triples to a [`SampleStage`] and fold whole batches at flush time —
-//! must be *bit-identical* to the per-sample reference path: same bin
-//! counts, same `to_bits` summary statistics (`sum_ms` folds in stream
-//! order within each series), and the exact same block-maxima vector
-//! (boundaries are walked inside the batch fold, not approximated).
+//! must be *bit-identical* to recording each sample through the
+//! per-sample `record_cycles` folds: same bin counts, same `to_bits`
+//! summary statistics (the exact epoch sums make every fold order-free),
+//! and the exact same block-maxima vector (boundaries are walked inside
+//! the batch fold, not approximated).
 //!
 //! Three layers are pinned, bottom up:
 //!
