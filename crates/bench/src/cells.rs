@@ -308,10 +308,10 @@ pub struct CellTiming {
     /// Staging-buffer flushes across the cell's collectors (summed exactly
     /// over shards via the `latency.batch_flushes` counter).
     pub batch_flushes: u64,
-    /// Samples that went through the staging buffers: `samples_recorded`
-    /// plus the priority-24 tool's two ASB series, which are staged but
-    /// not returned. Perfbench reports `staged_samples / batch_flushes`
-    /// over the grid as `latency.samples_per_flush`.
+    /// Samples that went through the staging buffers; equal to
+    /// `samples_recorded`, since only returned series are staged.
+    /// Perfbench reports `staged_samples / batch_flushes` over the grid as
+    /// `latency.samples_per_flush`.
     pub staged_samples: u64,
     /// Wall-clock seconds of each shard, time order (one entry on the
     /// unsharded path). Perfbench reports the max/mean over every shard

@@ -460,7 +460,7 @@ pub fn ablate_pit_frequency(minutes: f64, seed: u64) -> String {
         let session = MeasurementSession::install(&mut k, 1.0);
         k.run_for(Cycles::from_ms(minutes * 60_000.0));
         session.flush();
-        let r = session.rt28.results.borrow();
+        let r = session.rt28_results().borrow();
         (
             r.est_int_to_dpc.hist.mean_ms(),
             r.rounds,

@@ -381,9 +381,8 @@ fn digests_are_sensitive_to_the_seed() {
 fn every_fast_path_engages() {
     // Non-vacuity per cell: the batched inner loop (DESIGN.md §8) retires
     // more than one step per dispatch, and every latency sample passes
-    // through a flushed stage, the one recording path (§14). The stages
-    // also feed the RT-24 tool's two ASB series, which a cell does not
-    // return, so staged >= recorded.
+    // through a flushed stage, the one recording path (§14). Only series
+    // a cell returns are staged, so staged == recorded.
     for t in &measure_all_timed(&quick(2)).timings {
         let cell = format!("{} / {}", t.os.name(), t.workload.name());
         assert!(
@@ -394,11 +393,9 @@ fn every_fast_path_engages() {
         );
         assert!(t.samples_recorded > 0, "{cell}: no latency samples");
         assert!(t.batch_flushes > 0, "{cell}: stage never flushed");
-        assert!(
-            t.staged_samples >= t.samples_recorded,
-            "{cell}: {} staged < {} recorded",
-            t.staged_samples,
-            t.samples_recorded
+        assert_eq!(
+            t.staged_samples, t.samples_recorded,
+            "{cell}: staged samples must all land in returned series"
         );
     }
 }

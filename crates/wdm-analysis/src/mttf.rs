@@ -112,6 +112,7 @@ pub fn buffering_for_mttf(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wdm_sim::time::{Cycles, DEFAULT_CPU_HZ};
 
     /// A latency table where P(X > x) decays by 10x per 4 ms.
     fn synthetic_hist() -> LatencyHistogram {
@@ -121,7 +122,7 @@ mod tests {
             // Survival 10^(-x/4): invert for sample i/n = 1 - 10^(-x/4).
             let u = (i as f64 + 0.5) / 100_000.0;
             let x = -4.0 * (1.0 - u).log10();
-            h.record_ms(x.min(24.0));
+            h.record_cycles(Cycles::from_ms(x.min(24.0)), DEFAULT_CPU_HZ);
         }
         h
     }
@@ -157,7 +158,7 @@ mod tests {
     fn infinite_when_tail_never_reached() {
         let mut h = LatencyHistogram::fig4();
         for _ in 0..1000 {
-            h.record_ms(0.5);
+            h.record_cycles(Cycles::from_ms(0.5), DEFAULT_CPU_HZ);
         }
         // Slack 30 ms >> max 0.5 ms.
         assert_eq!(

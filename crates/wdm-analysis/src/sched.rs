@@ -166,12 +166,13 @@ pub fn render_sched_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wdm_sim::time::{Cycles, DEFAULT_CPU_HZ};
 
     fn flat_hist(vals: &[(f64, u64)]) -> LatencyHistogram {
         let mut h = LatencyHistogram::fig4();
         for &(v, n) in vals {
             for _ in 0..n {
-                h.record_ms(v);
+                h.record_cycles(Cycles::from_ms(v), DEFAULT_CPU_HZ);
             }
         }
         h

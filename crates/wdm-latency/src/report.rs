@@ -11,9 +11,9 @@ use crate::{
 
 /// Renders a Figure 4 style series: one line per bin with the percentage
 /// of samples, log-log friendly. The `mean` here is the first place the
-/// v2 exact cycle sums meet a float: `mean_ms` folds the per-rate-epoch
-/// `u128` sums at accessor time (DESIGN.md §14), so the rendered value is
-/// identical no matter what order the samples arrived in.
+/// v2 exact cycle sum meets a float: `mean_ms` converts the `u128` sum at
+/// accessor time (DESIGN.md §14), so the rendered value is identical no
+/// matter what order the samples arrived in.
 pub fn render_distribution(name: &str, h: &LatencyHistogram) -> String {
     let mut out = format!(
         "{name}  (n = {}, min = {:.4} ms, mean = {:.4} ms, max = {:.3} ms)\n",
@@ -155,12 +155,13 @@ pub fn summarize(s: &LatencySeries) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wdm_sim::time::Instant;
+    use wdm_sim::time::{Cycles, Instant, DEFAULT_CPU_HZ};
 
     fn sample_hist() -> LatencyHistogram {
         let mut h = LatencyHistogram::fig4();
         for i in 0..1000 {
-            h.record_ms(0.05 + (i % 40) as f64 * 0.1);
+            let ms = 0.05 + (i % 40) as f64 * 0.1;
+            h.record_cycles(Cycles::from_ms(ms), DEFAULT_CPU_HZ);
         }
         h
     }
@@ -220,7 +221,8 @@ mod tests {
     fn summarize_shows_quantiles() {
         let mut s = LatencySeries::new("thread latency", 300_000_000);
         for i in 0..10_000u64 {
-            s.record(Instant(i * 300_000), 0.1 + (i % 100) as f64 * 0.01);
+            let ms = 0.1 + (i % 100) as f64 * 0.01;
+            s.record_cycles(Instant(i * 300_000), Cycles::from_ms(ms));
         }
         let line = summarize(&s);
         assert!(line.contains("thread latency"));

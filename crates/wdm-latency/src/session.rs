@@ -327,7 +327,7 @@ pub fn measure_scenario(
                 .collect()
         })
         .unwrap_or_default();
-    let mut r28 = session.rt28.results.borrow_mut();
+    let mut r28 = session.rt28_results().borrow_mut();
     let take = |s: &mut LatencySeries| {
         let name = s.name.clone();
         std::mem::replace(s, LatencySeries::new(&name, cpu_hz))

@@ -10,10 +10,10 @@
 //!
 //! Digest contract: under the exact accumulators (DESIGN.md §14) every
 //! per-series fold is associative and commutative — integer bin counts,
-//! `u64` extremes, `u128` epoch sums, per-block maxima — so the partition
-//! does **not** need to preserve arrival order; the scatter runs end-first
-//! (provably unordered: each run comes out reversed) and staged recording
-//! is still bit-identical to per-sample recording. The
+//! `u64` extremes, one exact `u128` cycle sum, per-block maxima — so the
+//! partition does **not** need to preserve arrival order; the scatter runs
+//! end-first (provably unordered: each run comes out reversed) and staged
+//! recording is still bit-identical to per-sample recording. The
 //! `batch_record_equivalence` and `stats_order_invariance` proptest
 //! oracles enforce this.
 //!
@@ -59,8 +59,7 @@ pub struct SampleStage {
     /// columns are fullest right before a drain). Feeds the
     /// `latency.stage.peak` gauge.
     peak_staged: usize,
-    /// One minute in cycles — the block-boundary flush trigger. 0 disables
-    /// the boundary trigger (stages that feed block-free sinks).
+    /// One minute in cycles — the block-boundary flush trigger.
     block_len: u64,
     /// End of the minute the most recent sample fell in.
     cur_block_end: u64,
@@ -72,8 +71,7 @@ pub struct SampleStage {
 
 impl SampleStage {
     /// Creates a stage with the default capacity. `block_len` is the
-    /// minute-block length in cycles (`60 * cpu_hz`); pass 0 to disable
-    /// the block-boundary flush trigger.
+    /// minute-block length in cycles (`60 * cpu_hz`).
     pub fn new(block_len: u64) -> SampleStage {
         SampleStage::with_capacity(block_len, STAGE_CAPACITY)
     }
@@ -81,6 +79,7 @@ impl SampleStage {
     /// Creates a stage with an explicit soft capacity (tests).
     pub fn with_capacity(block_len: u64, capacity: usize) -> SampleStage {
         assert!(capacity > 0, "stage capacity must be positive");
+        assert!(block_len > 0, "block length must be non-zero");
         let cap = capacity + STAGE_SLACK;
         SampleStage {
             now: Vec::with_capacity(cap),
@@ -122,7 +121,7 @@ impl SampleStage {
         self.lat.push(lat.0);
         self.sid.push(sid);
         let mut want_flush = self.now.len() >= self.soft_cap;
-        if self.block_len != 0 && now.0 >= self.cur_block_end {
+        if now.0 >= self.cur_block_end {
             self.cur_block_end = (now.0 / self.block_len + 1) * self.block_len;
             want_flush = true;
         }
@@ -213,6 +212,10 @@ impl SampleStage {
 mod tests {
     use super::*;
 
+    /// One minute at the default clock: production stages flush at minute
+    /// boundaries.
+    const MINUTE: u64 = 60 * wdm_sim::time::DEFAULT_CPU_HZ;
+
     /// Stages the shared five-sample, three-series fixture.
     fn stage_fixture(st: &mut SampleStage) -> (u16, u16) {
         let a = st.register_series(1);
@@ -227,7 +230,7 @@ mod tests {
 
     #[test]
     fn peak_staged_is_a_high_water_mark() {
-        let mut st = SampleStage::with_capacity(0, 16);
+        let mut st = SampleStage::with_capacity(MINUTE, 16);
         let s = st.register_series(1);
         assert_eq!(st.peak_staged(), 0);
         for t in 0..5u64 {
@@ -257,7 +260,7 @@ mod tests {
         // The end-first scatter reverses each run — asserted here exactly
         // so a silent change back to a (slower) stable sort is caught —
         // and the run *contents* per series are what matters downstream.
-        let mut st = SampleStage::with_capacity(0, 16);
+        let mut st = SampleStage::with_capacity(MINUTE, 16);
         let (a, b) = stage_fixture(&mut st);
         st.partition();
         assert_eq!(st.run(a), (&[5u64, 3, 1][..], &[50u64, 30, 10][..]));
@@ -274,7 +277,7 @@ mod tests {
         // End-to-end through the stage: the reversed runs must fold to
         // bit-identical series state vs recording each sample directly.
         let cpu = 300_000_000u64;
-        let mut st = SampleStage::with_capacity(0, 16);
+        let mut st = SampleStage::with_capacity(MINUTE, 16);
         let s = st.register_series(1);
         let samples = [(1u64, 700u64), (90_000_000, 12), (170_000_000, 9_000_000)];
         let mut direct = LatencySeries::new("t", cpu);
@@ -286,7 +289,7 @@ mod tests {
         let mut staged = LatencySeries::new("t", cpu);
         st.fold_into(s, &mut staged);
         assert_eq!(staged.hist.counts(), direct.hist.counts());
-        assert_eq!(staged.hist.rate_epochs(), direct.hist.rate_epochs());
+        assert_eq!(staged.hist.sum_cycles(), direct.hist.sum_cycles());
         assert_eq!(
             staged.hist.mean_ms().to_bits(),
             direct.hist.mean_ms().to_bits()
@@ -315,7 +318,7 @@ mod tests {
 
     #[test]
     fn empty_runs_fold_as_noops() {
-        let mut st = SampleStage::with_capacity(0, 8);
+        let mut st = SampleStage::with_capacity(MINUTE, 8);
         let s = st.register_series(2);
         st.push(s + 1, Instant(1), Cycles(7));
         st.partition();

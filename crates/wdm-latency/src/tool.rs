@@ -34,7 +34,8 @@ use wdm_sim::{
 use crate::{stage::SampleStage, worstcase::LatencySeries};
 
 /// Latencies computed by the control application from the system buffer,
-/// exactly as the paper's tool reports them.
+/// exactly as the paper's tool reports them. Only the priority-28 tool
+/// records them: no cell reads the priority-24 tool's pair.
 #[derive(Debug)]
 pub struct ToolResults {
     /// `ASB[2] - ASB[1]`: DPC to thread (the paper's thread latency).
@@ -117,7 +118,9 @@ struct ControlApp {
     asb0: wdm_sim::ids::Slot,
     asb1: wdm_sim::ids::Slot,
     asb2: wdm_sim::ids::Slot,
-    results: Rc<RefCell<ToolResults>>,
+    /// `None` for a tool whose latencies nothing reads: it still runs the
+    /// same four-phase loop and bookkeeping, so the simulation is the same.
+    results: Option<Rc<RefCell<ToolResults>>>,
     phase: u8,
 }
 
@@ -146,20 +149,22 @@ impl Program for ControlApp {
             // Completion: compute and record, then loop.
             _ => {
                 self.phase = 0;
-                let t0 = ctx.board.read(self.asb0);
-                let t1 = ctx.board.read(self.asb1);
-                let t2 = ctx.board.read(self.asb2);
-                let est_expiry = t0 + self.delay.0;
-                let mut r = self.results.borrow_mut();
-                r.rounds += 1;
-                // Timestamps are TSC cycle counts; they stay in the integer
-                // domain end to end (DESIGN.md §12). The raw pairs stage
-                // here and fold at flush time (§14).
-                let full = r.stage.push(0, ctx.now, Cycles(t2.saturating_sub(t1)))
-                    | r.stage
-                        .push(1, ctx.now, Cycles(t1.saturating_sub(est_expiry)));
-                if full {
-                    r.flush_staged();
+                if let Some(results) = &self.results {
+                    let t0 = ctx.board.read(self.asb0);
+                    let t1 = ctx.board.read(self.asb1);
+                    let t2 = ctx.board.read(self.asb2);
+                    let est_expiry = t0 + self.delay.0;
+                    let mut r = results.borrow_mut();
+                    r.rounds += 1;
+                    // Timestamps are TSC cycle counts; they stay in the
+                    // integer domain end to end (DESIGN.md §12). The raw
+                    // pairs stage here and fold at flush time (§14).
+                    let full = r.stage.push(0, ctx.now, Cycles(t2.saturating_sub(t1)))
+                        | r.stage
+                            .push(1, ctx.now, Cycles(t1.saturating_sub(est_expiry)));
+                    if full {
+                        r.flush_staged();
+                    }
                 }
                 // A tiny bit of user-mode bookkeeping CPU.
                 Step::Busy {
@@ -187,16 +192,24 @@ pub struct LatencyTool {
     pub event: EventId,
     /// The recurring IRP.
     pub irp: IrpId,
-    /// Latencies computed by the control application.
-    pub results: Rc<RefCell<ToolResults>>,
+    /// Latencies computed by the control application; `Some` only for a
+    /// tool installed with `record` set.
+    pub results: Option<Rc<RefCell<ToolResults>>>,
 }
 
 impl LatencyTool {
     /// Installs a measurement tool: timer + DPC + RT thread + control app.
     ///
     /// `period_ms` is the `ARBITRARY_DELAY` between reads; the paper runs
-    /// the PIT at 1 kHz and measures once per expiry.
-    pub fn install(k: &mut Kernel, name: &str, priority: u8, period_ms: f64) -> LatencyTool {
+    /// the PIT at 1 kHz and measures once per expiry. With `record` unset
+    /// the control application runs the same loop but keeps no results.
+    pub fn install(
+        k: &mut Kernel,
+        name: &str,
+        priority: u8,
+        period_ms: f64,
+        record: bool,
+    ) -> LatencyTool {
         let cpu_hz = k.config().cpu_hz;
         let completion = k.create_event(EventKind::Synchronization, false);
         let irp = k.create_irp(3, Some(completion));
@@ -225,7 +238,7 @@ impl LatencyTool {
                 phase: 0,
             }),
         );
-        let results = Rc::new(RefCell::new(ToolResults::new(name, cpu_hz)));
+        let results = record.then(|| Rc::new(RefCell::new(ToolResults::new(name, cpu_hz))));
         let _control = k.create_thread(
             &format!("{name}-control-app"),
             9, // A normal-priority user process.
@@ -502,8 +515,8 @@ pub struct MeasurementSession {
 impl MeasurementSession {
     /// Installs both tools and the truth collector.
     pub fn install(k: &mut Kernel, period_ms: f64) -> MeasurementSession {
-        let rt28 = LatencyTool::install(k, "rt28", 28, period_ms);
-        let rt24 = LatencyTool::install(k, "rt24", 24, period_ms);
+        let rt28 = LatencyTool::install(k, "rt28", 28, period_ms, true);
+        let rt24 = LatencyTool::install(k, "rt24", 24, period_ms, false);
         let truth = Rc::new(RefCell::new(TruthCollector::new(k, &rt28, &rt24)));
         k.add_observer(truth.clone());
         MeasurementSession { rt28, rt24, truth }
@@ -518,11 +531,16 @@ impl MeasurementSession {
         MeasurementSession::install(k, period_ms)
     }
 
+    /// The priority-28 tool's results — the session's only recording
+    /// tool.
+    pub fn rt28_results(&self) -> &RefCell<ToolResults> {
+        self.rt28.results.as_deref().expect("the rt28 tool records")
+    }
+
     /// Drains every staged sample in the session into its series. Call
     /// after running and before reading any series or count.
     pub fn flush(&self) {
-        self.rt28.results.borrow_mut().flush_staged();
-        self.rt24.results.borrow_mut().flush_staged();
+        self.rt28_results().borrow_mut().flush_staged();
         self.truth.borrow_mut().flush_staged();
     }
 
@@ -530,28 +548,20 @@ impl MeasurementSession {
     /// accounting; the denominator of perfbench's
     /// `latency.samples_per_flush`).
     pub fn batch_flushes(&self) -> u64 {
-        self.rt28.results.borrow().batch_flushes()
-            + self.rt24.results.borrow().batch_flushes()
-            + self.truth.borrow().batch_flushes()
+        self.rt28_results().borrow().batch_flushes() + self.truth.borrow().batch_flushes()
     }
 
     /// Samples staged across the session's collectors (bench accounting;
     /// the numerator of perfbench's `latency.samples_per_flush`).
     pub fn staged_samples(&self) -> u64 {
-        self.rt28.results.borrow().staged_samples()
-            + self.rt24.results.borrow().staged_samples()
-            + self.truth.borrow().staged_samples()
+        self.rt28_results().borrow().staged_samples() + self.truth.borrow().staged_samples()
     }
 
     /// Largest high-water mark among the session's staging buffers — the
     /// source of the `latency.stage.peak` gauge (max-wins across shards).
     pub fn peak_staged(&self) -> usize {
-        self.rt28
-            .results
-            .borrow()
-            .peak_staged()
-            .max(self.rt24.results.borrow().peak_staged())
-            .max(self.truth.borrow().peak_staged())
+        let rt28 = self.rt28_results().borrow().peak_staged();
+        rt28.max(self.truth.borrow().peak_staged())
     }
 }
 
@@ -566,7 +576,7 @@ mod tests {
         let session = MeasurementSession::install(&mut k, 1.0);
         k.run_for(Cycles::from_ms(500.0));
         session.flush();
-        let r28 = session.rt28.results.borrow();
+        let r28 = session.rt28_results().borrow();
         assert!(
             r28.rounds > 100,
             "tool should complete many rounds: {}",
@@ -587,7 +597,7 @@ mod tests {
         let session = MeasurementSession::install(&mut k, 1.0);
         k.run_for(Cycles::from_ms(500.0));
         session.flush();
-        let r = session.rt28.results.borrow();
+        let r = session.rt28_results().borrow();
         let truth = session.truth.borrow();
         let est = r.est_int_to_dpc.hist.mean_ms();
         let exact = truth.dpc28.int.hist.mean_ms();
@@ -616,7 +626,8 @@ mod tests {
     fn collectors_stage_only_the_series_a_cell_returns() {
         // Every staged sample lands in a series the cell keeps: the
         // collector's nine (the priority-24 DPC stages nothing) and the
-        // priority-28 tool's two ASB series.
+        // priority-28 tool's two ASB series. The priority-24 tool keeps no
+        // results at all.
         let mut k = Kernel::new(KernelConfig::default());
         let session = MeasurementSession::install(&mut k, 1.0);
         k.run_for(Cycles::from_ms(500.0));
@@ -637,11 +648,13 @@ mod tests {
         let recorded: u64 = truth_series.iter().map(|s| s.hist.count()).sum();
         assert!(truth.thread24.int.hist.count() > 100, "rt24 chain records");
         assert_eq!(truth.staged_samples(), recorded);
-        let r28 = session.rt28.results.borrow();
+        let r28 = session.rt28_results().borrow();
         assert!(r28.rounds > 100);
         assert_eq!(
             r28.staged_samples(),
             r28.dpc_to_thread.hist.count() + r28.est_int_to_dpc.hist.count()
         );
+        assert!(session.rt24.results.is_none(), "rt24 records nothing");
+        assert_eq!(session.staged_samples(), recorded + r28.staged_samples());
     }
 }

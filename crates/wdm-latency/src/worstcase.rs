@@ -21,20 +21,18 @@ use crate::histogram::LatencyHistogram;
 
 /// Running per-block maxima of a timestamped latency series.
 ///
-/// Samples arrive in the ms domain ([`Self::record`]) or the cycle domain
-/// ([`Self::record_cycles`]); the running maximum of the *hot* block is
-/// kept per domain and the domains are reconciled only when the block
-/// completes. Because cycles→ms conversion is monotone, `max` commutes
-/// with it, so a pure cycle-domain stream produces bit-identical block
-/// maxima to converting each sample up front (DESIGN.md §12).
+/// Samples arrive as cycle counts at one clock rate, bound by the first
+/// sample or merge. The running maximum of the *hot* block stays a `u64`
+/// and converts to ms only when the block completes: because cycles→ms
+/// conversion is monotone, `max` commutes with it, so the block value is
+/// bit-identical to converting each sample up front (DESIGN.md §12).
 ///
 /// A block's value is determined only by the samples whose timestamps fall
-/// in it — `f64::max` is associative and commutative and `max(0.0, x) == x`
-/// for the non-negative samples here — so sample order is free: late
-/// samples for an already-completed block fold straight into its slot in
-/// `maxima`, producing exactly what streaming them in timestamp order
-/// would have (DESIGN.md §14). The hot-block cache only makes the common
-/// monotone stream cheap (two compares, no division).
+/// in it — `max` is associative and commutative — so sample order is
+/// free: late samples for an already-completed block fold straight into
+/// its slot in `maxima`, producing exactly what streaming them in
+/// timestamp order would have (DESIGN.md §14). The hot-block cache only
+/// makes the common monotone stream cheap (two compares, no division).
 #[derive(Debug, Clone)]
 pub struct BlockMaxima {
     block_len: Cycles,
@@ -42,11 +40,10 @@ pub struct BlockMaxima {
     /// hot block is the one right after the completed prefix.
     cur_start: Instant,
     cur_block_end: Instant,
-    cur_max: f64,
-    /// Running max of cycle-domain samples in the hot block.
+    /// Running max of the hot block's samples, in cycles.
     cur_max_c: u64,
-    /// Clock rate for `cur_max_c`; 0 until a cycle sample arrives.
-    cur_hz: u64,
+    /// The clock rate every sample is recorded at; 0 until bound.
+    cpu_hz: u64,
     cur_nonempty: bool,
     /// Completed block maxima, dense from block 0: `maxima[b]` is the max
     /// over `[b * block_len, (b + 1) * block_len)`, `0.0` for sample-free
@@ -62,27 +59,33 @@ impl BlockMaxima {
             block_len,
             cur_start: Instant::ZERO,
             cur_block_end: Instant::ZERO + block_len,
-            cur_max: 0.0,
             cur_max_c: 0,
-            cur_hz: 0,
+            cpu_hz: 0,
             cur_nonempty: false,
             maxima: Vec::new(),
         }
     }
 
-    /// Closes the hot block: reconciles the two domains (the ms conversion
-    /// of the cycle max against the ms max), pushes the block value, and
-    /// resets for the next block.
-    fn flush_block(&mut self) {
-        let mut m = self.cur_max;
-        if self.cur_max_c != 0 {
-            let ms = Cycles(self.cur_max_c).as_ms_at(self.cur_hz);
-            if ms > m {
-                m = ms;
-            }
+    /// Binds the tracker to `cpu_hz`; a second rate panics.
+    fn bind_rate(&mut self, cpu_hz: u64) {
+        if self.cpu_hz != cpu_hz {
+            assert!(
+                self.cpu_hz == 0,
+                "block maxima record at one clock rate ({} Hz, then {cpu_hz} Hz)",
+                self.cpu_hz
+            );
+            self.cpu_hz = cpu_hz;
         }
-        self.maxima.push(if self.cur_nonempty { m } else { 0.0 });
-        self.cur_max = 0.0;
+    }
+
+    /// Closes the hot block: converts its maximum, pushes the block value,
+    /// and resets for the next block.
+    fn flush_block(&mut self) {
+        self.maxima.push(if self.cur_nonempty {
+            Cycles(self.cur_max_c).as_ms_at(self.cpu_hz)
+        } else {
+            0.0
+        });
         self.cur_max_c = 0;
         self.cur_nonempty = false;
         self.cur_start = self.cur_block_end;
@@ -103,91 +106,47 @@ impl BlockMaxima {
         }
     }
 
-    /// Folds a sample for an already-completed block into its slot.
-    fn fold_past(&mut self, now: Instant, ms: f64) {
-        let b = (now.0 / self.block_len.0) as usize;
-        if ms > self.maxima[b] {
-            self.maxima[b] = ms;
-        }
-    }
-
-    /// Records a sample observed at `now`.
-    pub fn record(&mut self, now: Instant, ms: f64) {
+    /// Folds one sample observed at `now` into the block its timestamp
+    /// selects: one `u64` compare for the hot block; a late sample for a
+    /// completed block converts immediately (max commutes with the
+    /// conversion, so the slot value is unchanged by the fold point).
+    #[inline]
+    fn fold(&mut self, now: Instant, c: u64) {
         if now >= self.cur_block_end {
             self.advance_to(now);
         } else if now < self.cur_start {
-            self.fold_past(now, ms);
-            return;
-        }
-        if ms > self.cur_max {
-            self.cur_max = ms;
-        }
-        self.cur_nonempty = true;
-    }
-
-    /// Records a cycle-domain sample observed at `now`: one `u64` compare,
-    /// no conversion until the block completes (late samples for completed
-    /// blocks convert immediately — max commutes with the conversion, so
-    /// the slot value is unchanged by the different fold point).
-    pub fn record_cycles(&mut self, now: Instant, c: Cycles, cpu_hz: u64) {
-        if self.cur_hz != cpu_hz {
-            // Rate change mid-block: fold the old-rate max into the ms
-            // domain so the new rate starts clean.
-            if self.cur_max_c != 0 {
-                let ms = Cycles(self.cur_max_c).as_ms_at(self.cur_hz);
-                if ms > self.cur_max {
-                    self.cur_max = ms;
-                }
-                self.cur_max_c = 0;
+            let b = (now.0 / self.block_len.0) as usize;
+            let ms = Cycles(c).as_ms_at(self.cpu_hz);
+            if ms > self.maxima[b] {
+                self.maxima[b] = ms;
             }
-            self.cur_hz = cpu_hz;
-        }
-        if now >= self.cur_block_end {
-            self.advance_to(now);
-        } else if now < self.cur_start {
-            self.fold_past(now, c.as_ms_at(cpu_hz));
             return;
         }
-        if c.0 > self.cur_max_c {
-            self.cur_max_c = c.0;
+        if c > self.cur_max_c {
+            self.cur_max_c = c;
         }
         self.cur_nonempty = true;
     }
 
-    /// Folds a batch of cycle-domain samples, all at one clock rate, in
-    /// **any order** — the stage's unordered per-series folds land here.
-    /// Bit-identical to calling [`Self::record_cycles`] once per element
-    /// in timestamp order: each sample folds into the block its timestamp
-    /// selects, and block values are order-free maxima (DESIGN.md §14).
-    /// The rate fold hoists out of the loop; in-block samples stay on the
-    /// two-compare hot path.
+    /// Records a sample of `c` cycles at `cpu_hz`, observed at `now`.
+    pub fn record_cycles(&mut self, now: Instant, c: Cycles, cpu_hz: u64) {
+        self.bind_rate(cpu_hz);
+        self.fold(now, c.0);
+    }
+
+    /// Folds a batch of samples, all at `cpu_hz`, in **any order** — the
+    /// stage's unordered per-series folds land here. Bit-identical to
+    /// calling [`Self::record_cycles`] once per element in timestamp
+    /// order: each sample folds into the block its timestamp selects, and
+    /// block values are order-free maxima (DESIGN.md §14).
     pub fn record_cycles_batch(&mut self, nows: &[u64], cycles: &[u64], cpu_hz: u64) {
         debug_assert_eq!(nows.len(), cycles.len(), "columns must align");
         if nows.is_empty() {
             return;
         }
-        if self.cur_hz != cpu_hz {
-            if self.cur_max_c != 0 {
-                let ms = Cycles(self.cur_max_c).as_ms_at(self.cur_hz);
-                if ms > self.cur_max {
-                    self.cur_max = ms;
-                }
-                self.cur_max_c = 0;
-            }
-            self.cur_hz = cpu_hz;
-        }
+        self.bind_rate(cpu_hz);
         for (&t, &c) in nows.iter().zip(cycles) {
-            let now = Instant(t);
-            if now >= self.cur_block_end {
-                self.advance_to(now);
-            } else if now < self.cur_start {
-                self.fold_past(now, Cycles(c).as_ms_at(cpu_hz));
-                continue;
-            }
-            if c > self.cur_max_c {
-                self.cur_max_c = c;
-            }
-            self.cur_nonempty = true;
+            self.fold(Instant(t), c);
         }
     }
 
@@ -225,17 +184,18 @@ impl BlockMaxima {
     ///
     /// Exactness contract: the receiver must be *closed* at a block
     /// boundary (see [`Self::close_through`]) — its window is then exactly
-    /// `maxima.len()` whole blocks, and because [`Self::record`]'s flush
-    /// rule is translation-invariant, concatenating the completed maxima
-    /// and adopting `other`'s in-progress block reproduces bit-for-bit what
-    /// one tracker fed the concatenated sample stream would hold.
+    /// `maxima.len()` whole blocks, and because the flush rule is
+    /// translation-invariant, concatenating the completed maxima and
+    /// adopting `other`'s in-progress block reproduces bit-for-bit what one
+    /// tracker fed the concatenated sample stream would hold. An unbound
+    /// receiver takes `other`'s clock rate; two bound rates must agree.
     pub fn merge(&mut self, other: &BlockMaxima) {
         assert_eq!(
             self.block_len, other.block_len,
             "block lengths must match to merge"
         );
         assert!(
-            !self.cur_nonempty && self.cur_max == 0.0 && self.cur_max_c == 0,
+            !self.cur_nonempty && self.cur_max_c == 0,
             "merge receiver must be closed at a block boundary \
              (call close_through first)"
         );
@@ -244,10 +204,11 @@ impl BlockMaxima {
             other.block_len.0 * (other.maxima.len() as u64 + 1),
             "block end tracks completed count"
         );
+        if other.cpu_hz != 0 {
+            self.bind_rate(other.cpu_hz);
+        }
         self.maxima.extend_from_slice(&other.maxima);
-        self.cur_max = other.cur_max;
         self.cur_max_c = other.cur_max_c;
-        self.cur_hz = other.cur_hz;
         self.cur_nonempty = other.cur_nonempty;
         // The hot block always sits right after the completed prefix, so
         // `cur_start` is `maxima.len() * block_len` — restore that
@@ -281,7 +242,7 @@ pub struct LatencySeries {
     pub blocks: BlockMaxima,
     /// What the series measures, for reports.
     pub name: String,
-    /// Clock rate cycle-domain samples are converted at.
+    /// Clock rate the samples are recorded at.
     cpu_hz: u64,
 }
 
@@ -300,16 +261,9 @@ impl LatencySeries {
         }
     }
 
-    /// Records one latency sample observed at `now`.
-    pub fn record(&mut self, now: Instant, ms: f64) {
-        self.hist.record_ms(ms);
-        self.blocks.record(now, ms);
-    }
-
-    /// Records one cycle-domain sample observed at `now`, at the clock rate
-    /// the series was created with. Integer binning plus a `u64` block-max
-    /// compare; summary statistics stay bit-identical to converting the
-    /// sample and calling [`Self::record`].
+    /// Records one sample of `c` cycles observed at `now`, at the clock
+    /// rate the series was created with: integer binning plus a `u64`
+    /// block-max compare.
     pub fn record_cycles(&mut self, now: Instant, c: Cycles) {
         self.hist.record_cycles(c, self.cpu_hz);
         self.blocks.record_cycles(now, c, self.cpu_hz);
@@ -424,21 +378,32 @@ pub fn worst_cases(
 mod tests {
     use super::*;
 
+    /// A 1 kHz clock: one cycle is exactly one millisecond, so block
+    /// values read as the cycle counts recorded.
+    const KHZ: u64 = 1_000;
+
+    /// Records `ms` into a series as the nearest cycle count at its rate.
+    fn sample_ms(s: &mut LatencySeries, now: Instant, ms: f64) {
+        let c = Cycles::from_ms_at(ms, s.cpu_hz);
+        s.record_cycles(now, c);
+    }
+
     #[test]
     fn block_maxima_splits_blocks() {
         let mut b = BlockMaxima::new(Cycles(100));
-        b.record(Instant(10), 1.0);
-        b.record(Instant(50), 3.0);
-        b.record(Instant(150), 2.0); // Next block.
-        b.record(Instant(350), 5.0); // Skips one empty block.
+        b.record_cycles(Instant(10), Cycles(1), KHZ);
+        b.record_cycles(Instant(50), Cycles(3), KHZ);
+        b.record_cycles(Instant(150), Cycles(2), KHZ); // Next block.
+        b.record_cycles(Instant(350), Cycles(5), KHZ); // Skips one empty block.
         assert_eq!(b.maxima(), &[3.0, 2.0, 0.0]);
     }
 
     #[test]
     fn close_through_flushes_partial_and_empty_blocks() {
         let mut b = BlockMaxima::new(Cycles(100));
-        b.record(Instant(10), 4.0);
-        b.record(Instant(120), 2.0); // Flushes block 0, opens block 1.
+        b.record_cycles(Instant(10), Cycles(4), KHZ);
+        // Flushes block 0, opens block 1.
+        b.record_cycles(Instant(120), Cycles(2), KHZ);
         // Close a 5-block window: block 1 carries the in-progress 2.0,
         // blocks 2-4 were sample-free.
         b.close_through(5);
@@ -459,33 +424,33 @@ mod tests {
     fn merge_matches_streaming_the_concatenated_samples() {
         let len = Cycles(100);
         // Shard A covers 3 whole blocks, shard B is open-ended.
-        let a_samples = [(Instant(10), 1.0), (Instant(150), 7.0)];
-        let b_samples = [(Instant(30), 2.0), (Instant(250), 5.0), (Instant(260), 9.0)];
+        let a_samples = [(10, 1), (150, 7)];
+        let b_samples = [(30, 2), (250, 5), (260, 9)];
         let mut a = BlockMaxima::new(len);
-        for (t, v) in a_samples {
-            a.record(t, v);
+        for (t, c) in a_samples {
+            a.record_cycles(Instant(t), Cycles(c), KHZ);
         }
         a.close_through(3);
         let mut b = BlockMaxima::new(len);
-        for (t, v) in b_samples {
-            b.record(t, v);
+        for (t, c) in b_samples {
+            b.record_cycles(Instant(t), Cycles(c), KHZ);
         }
         a.merge(&b);
         // Reference: one tracker fed both streams, B shifted by 3 blocks.
         let mut streamed = BlockMaxima::new(len);
-        for (t, v) in a_samples {
-            streamed.record(t, v);
+        for (t, c) in a_samples {
+            streamed.record_cycles(Instant(t), Cycles(c), KHZ);
         }
-        for (t, v) in b_samples {
-            streamed.record(Instant(t.0 + 300), v);
+        for (t, c) in b_samples {
+            streamed.record_cycles(Instant(t + 300), Cycles(c), KHZ);
         }
         assert_eq!(a.maxima(), streamed.maxima());
         // The in-progress block must also agree: a later sample flushes
         // the same value from both.
         let mut merged_tail = a;
         let mut streamed_tail = streamed;
-        merged_tail.record(Instant(10_000), 0.1);
-        streamed_tail.record(Instant(10_000), 0.1);
+        merged_tail.record_cycles(Instant(10_000), Cycles(0), KHZ);
+        streamed_tail.record_cycles(Instant(10_000), Cycles(0), KHZ);
         assert_eq!(merged_tail.maxima(), streamed_tail.maxima());
     }
 
@@ -503,7 +468,7 @@ mod tests {
     #[should_panic(expected = "closed at a block boundary")]
     fn merge_rejects_an_open_receiver() {
         let mut a = BlockMaxima::new(Cycles(100));
-        a.record(Instant(10), 1.0); // In-progress block, never closed.
+        a.record_cycles(Instant(10), Cycles(1), KHZ); // In-progress block, never closed.
         let b = BlockMaxima::new(Cycles(100));
         a.merge(&b);
     }
@@ -517,15 +482,23 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "block maxima record at one clock rate")]
+    fn block_maxima_reject_a_second_clock_rate() {
+        let mut b = BlockMaxima::new(Cycles(100));
+        b.record_cycles(Instant(10), Cycles(1), KHZ);
+        b.record_cycles(Instant(20), Cycles(1), 2 * KHZ);
+    }
+
+    #[test]
     fn series_merge_combines_hist_and_blocks() {
         let cpu = 300_000_000u64;
         let block = Cycles::from_ms_at(60_000.0, cpu);
         let mut a = LatencySeries::new("t", cpu);
-        a.record(Instant(block.0 / 2), 1.0);
+        sample_ms(&mut a, Instant(block.0 / 2), 1.0);
         a.close_blocks(1);
         let mut b = LatencySeries::new("t", cpu);
-        b.record(Instant(block.0 / 2), 8.0);
-        b.record(Instant(block.0 + 1), 3.0); // Flushes b's block 0.
+        sample_ms(&mut b, Instant(block.0 / 2), 8.0);
+        sample_ms(&mut b, Instant(block.0 + 1), 3.0); // Flushes b's block 0.
         a.merge(&b);
         assert_eq!(a.hist.count(), 3);
         assert_eq!(a.hist.max_ms(), 8.0);
@@ -535,10 +508,11 @@ mod tests {
     #[test]
     fn expected_max_over_windows() {
         let mut b = BlockMaxima::new(Cycles(10));
-        for (i, v) in [1.0, 5.0, 2.0, 4.0, 9.0, 3.0].iter().enumerate() {
-            b.record(Instant(i as u64 * 10 + 5), *v);
+        for (i, c) in [1, 5, 2, 4, 9, 3].into_iter().enumerate() {
+            b.record_cycles(Instant(i as u64 * 10 + 5), Cycles(c), KHZ);
         }
-        b.record(Instant(65), 0.1); // Close the 6th block.
+        // Close the 6th block.
+        b.record_cycles(Instant(65), Cycles(0), KHZ);
         // Windows of 2: max(1,5)=5, max(2,4)=4, max(9,3)=9 -> mean 6.
         assert_eq!(b.expected_max_over(2), Some(6.0));
         assert_eq!(b.expected_max_over(7), None);
@@ -553,7 +527,7 @@ mod tests {
         for sec in 0..(3 * 3600) {
             let now = Instant(Cycles::from_ms_at(sec as f64 * 1000.0, cpu).0);
             let v = if sec % 3600 == 1800 { 8.0 } else { 1.0 };
-            s.record(now, v);
+            sample_ms(&mut s, now, v);
         }
         let hourly = s.expected_max_ms(1.0, 3.0);
         assert!(
@@ -571,7 +545,7 @@ mod tests {
             let now = Instant(Cycles::from_ms_at(i as f64, cpu).0);
             // 1 in 10k samples is a 10 ms spike; the rest are 0.1 ms.
             let v = if i % 10_000 == 0 { 10.0 } else { 0.1 };
-            s.record(now, v);
+            sample_ms(&mut s, now, v);
         }
         // Weekly window (4 h) exceeds the 0.1 h collected: quantile path.
         let weekly = s.expected_max_ms(4.0, 0.1);
@@ -591,7 +565,7 @@ mod tests {
             let now = Instant(Cycles::from_ms_at(i as f64, cpu).0);
             // A slowly diversifying series.
             x = (x + 0.37) % 7.0;
-            s.record(now, 0.05 + x * x * 0.1);
+            sample_ms(&mut s, now, 0.05 + x * x * 0.1);
         }
         let wc = worst_cases(&s, 100_000.0 / 3_600_000.0, 0.1, 0.8, 4.0);
         assert!(wc.hourly <= wc.daily + 1e-9);
@@ -600,13 +574,13 @@ mod tests {
 
     #[test]
     fn record_cycles_flushes_bit_identical_block_maxima() {
-        // A pure cycle-domain stream must produce exactly the maxima the ms
-        // path produces for the converted samples: max commutes with the
-        // monotone cycles->ms conversion.
+        // Each block value must equal, to the bit, the max of its samples
+        // converted one by one: max commutes with the monotone cycles->ms
+        // conversion.
         let cpu = 300_000_000u64;
         let block = Cycles(1_000_000);
         let mut by_cycles = BlockMaxima::new(block);
-        let mut by_ms = BlockMaxima::new(block);
+        let mut by_ms = [0.0f64; 10];
         let mut c = 7u64;
         for i in 0..50_000u64 {
             // Deterministic scatter over several blocks, including zeros.
@@ -614,12 +588,12 @@ mod tests {
             let sample = if i % 97 == 0 { 0 } else { c % 5_000_000 };
             let now = Instant(i * 137);
             by_cycles.record_cycles(now, Cycles(sample), cpu);
-            by_ms.record(now, Cycles(sample).as_ms_at(cpu));
+            let b = (now.0 / block.0) as usize;
+            by_ms[b] = by_ms[b].max(Cycles(sample).as_ms_at(cpu));
         }
         by_cycles.close_through(10);
-        by_ms.close_through(10);
-        assert_eq!(by_cycles.maxima().len(), by_ms.maxima().len());
-        for (a, b) in by_cycles.maxima().iter().zip(by_ms.maxima()) {
+        assert_eq!(by_cycles.maxima().len(), by_ms.len());
+        for (a, b) in by_cycles.maxima().iter().zip(&by_ms) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }
@@ -668,30 +642,12 @@ mod tests {
     }
 
     #[test]
-    fn series_record_cycles_merges_with_ms_shards() {
-        let cpu = 300_000_000u64;
-        let block = Cycles::from_ms_at(60_000.0, cpu);
-        let mut a = LatencySeries::new("t", cpu);
-        a.record_cycles(Instant(block.0 / 2), Cycles::from_ms_at(1.0, cpu));
-        a.close_blocks(1);
-        let mut b = LatencySeries::new("t", cpu);
-        b.record(Instant(block.0 / 2), 8.0);
-        b.close_blocks(1);
-        a.merge(&b);
-        assert_eq!(a.hist.count(), 2);
-        assert_eq!(a.hist.fast_bin_samples(), 1);
-        assert_eq!(a.blocks.maxima().len(), 2);
-        assert!((a.blocks.maxima()[0] - 1.0).abs() < 1e-9);
-        assert_eq!(a.blocks.maxima()[1], 8.0);
-    }
-
-    #[test]
     fn extrapolation_never_below_observed_max() {
         let cpu = 300_000_000u64;
         let mut s = LatencySeries::new("t", cpu);
         for i in 0..1000u64 {
             let now = Instant(Cycles::from_ms_at(i as f64, cpu).0);
-            s.record(now, if i == 500 { 20.0 } else { 0.2 });
+            sample_ms(&mut s, now, if i == 500 { 20.0 } else { 0.2 });
         }
         let q = s.extrapolated_quantile(1e-7);
         assert!(q >= 20.0);

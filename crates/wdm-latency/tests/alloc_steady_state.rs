@@ -110,8 +110,7 @@ fn record_heavy_window_is_allocation_free() {
         ops, 0,
         "measurement steady state must not touch the heap ({ops} ops over {samples} records)"
     );
-    assert_eq!(series.hist.fast_bin_samples(), warm_samples + samples);
-    assert!(series.hist.count() == warm_samples + samples);
+    assert_eq!(series.hist.count(), warm_samples + samples);
 
     // Staged pipeline (DESIGN.md §14): batch draws into a fixed buffer,
     // stage raw triples, and run the full partition/fold/reset flush loop.
@@ -183,8 +182,4 @@ fn record_heavy_window_is_allocation_free() {
         stage.batch_flushes()
     );
     assert_eq!(staged_series.hist.count(), 2 * warm_samples + staged_window);
-    assert_eq!(
-        staged_series.hist.fast_bin_samples(),
-        2 * warm_samples + staged_window
-    );
 }

@@ -4,18 +4,17 @@
 //! triples to a [`SampleStage`] and fold whole batches at flush time —
 //! must be *bit-identical* to recording each sample through the
 //! per-sample `record_cycles` folds: same bin counts, same `to_bits`
-//! summary statistics (the exact epoch sums make every fold order-free),
+//! summary statistics (the exact cycle sum makes every fold order-free),
 //! and the exact same block-maxima vector (boundaries are walked inside
 //! the batch fold, not approximated).
 //!
 //! Three layers are pinned, bottom up:
 //!
 //! - `LatencyHistogram::record_cycles_batch` against per-sample
-//!   `record_cycles`, with clock-rate changes *between* batches forcing
-//!   integer-edge rebuilds mid-stream;
+//!   `record_cycles`, under arbitrary batch cuts;
 //! - `BlockMaxima::record_cycles_batch` against per-sample
-//!   `record_cycles`, with batches straddling block boundaries, trailing
-//!   empty blocks, and rate changes at batch seams;
+//!   `record_cycles`, with batches straddling block boundaries and
+//!   trailing empty blocks;
 //! - the full [`SampleStage`] flush loop (counting-sort partition +
 //!   per-series fold) against interleaved per-sample recording into the
 //!   same set of series, with a tiny soft capacity so partial final
@@ -101,7 +100,7 @@ fn chunked<'a, T>(samples: &'a [T], cut_points: &[usize]) -> Vec<&'a [T]> {
 fn assert_hists_agree(batched: &LatencyHistogram, streamed: &LatencyHistogram) {
     prop_assert_eq!(batched.counts(), streamed.counts());
     prop_assert_eq!(batched.count(), streamed.count());
-    prop_assert_eq!(batched.fast_bin_samples(), streamed.fast_bin_samples());
+    prop_assert_eq!(batched.sum_cycles(), streamed.sum_cycles());
     prop_assert_eq!(batched.max_ms().to_bits(), streamed.max_ms().to_bits());
     prop_assert_eq!(batched.min_ms().to_bits(), streamed.min_ms().to_bits());
     prop_assert_eq!(batched.mean_ms().to_bits(), streamed.mean_ms().to_bits());
@@ -120,55 +119,48 @@ fn assert_series_agree(batched: &LatencySeries, streamed: &LatencySeries) {
 }
 
 proptest! {
-    /// Histogram layer: arbitrary batch cuts, with the clock rate
-    /// alternating between batches so the integer bin edges rebuild
-    /// mid-stream exactly as they would per sample.
+    /// Histogram layer: arbitrary batch cuts.
     #[test]
     fn histogram_batch_fold_matches_streaming(
         lats in prop::collection::vec(latency(), 0..200),
         cut_points in prop::collection::vec(0usize..200, 0..6),
-        hz_a in clock_rate(),
-        hz_b in clock_rate(),
+        cpu_hz in clock_rate(),
     ) {
         let mut batched = LatencyHistogram::fig4();
         let mut streamed = LatencyHistogram::fig4();
-        for (k, chunk) in chunked(&lats, &cut_points).into_iter().enumerate() {
-            let hz = if k % 2 == 0 { hz_a } else { hz_b };
-            batched.record_cycles_batch(chunk, hz);
+        for chunk in chunked(&lats, &cut_points) {
+            batched.record_cycles_batch(chunk, cpu_hz);
             for &c in chunk {
-                streamed.record_cycles(Cycles(c), hz);
+                streamed.record_cycles(Cycles(c), cpu_hz);
             }
         }
         assert_hists_agree(&batched, &streamed);
     }
 
     /// Block-maxima layer: batches straddle minute boundaries (the fold
-    /// must flush exactly where the streaming rule would), the rate
-    /// changes at batch seams, and a final `close_through` proves the
-    /// in-progress block state also agrees.
+    /// must flush exactly where the streaming rule would), and a final
+    /// `close_through` proves the in-progress block state also agrees.
     #[test]
     fn block_maxima_batch_fold_matches_streaming(
         raw in raw_stream(150),
         cut_points in prop::collection::vec(0usize..150, 0..6),
-        hz_a in clock_rate(),
-        hz_b in clock_rate(),
+        cpu_hz in clock_rate(),
     ) {
         let block = 60_000u64;
         let samples = build_stream(&raw, block);
         let mut batched = BlockMaxima::new(Cycles(block));
         let mut streamed = BlockMaxima::new(Cycles(block));
-        for (k, chunk) in chunked(&samples, &cut_points).into_iter().enumerate() {
-            let rate = if k % 2 == 0 { hz_a } else { hz_b };
+        for chunk in chunked(&samples, &cut_points) {
             let nows: Vec<u64> = chunk.iter().map(|s| s.0).collect();
             let lats: Vec<u64> = chunk.iter().map(|s| s.1).collect();
-            batched.record_cycles_batch(&nows, &lats, rate);
+            batched.record_cycles_batch(&nows, &lats, cpu_hz);
             for &(n, c, _) in chunk {
-                streamed.record_cycles(Instant(n), Cycles(c), rate);
+                streamed.record_cycles(Instant(n), Cycles(c), cpu_hz);
             }
         }
         assert_maxima_agree(&batched, &streamed);
         // Drain the in-progress block the same way on both sides: the
-        // open-block state (max, domain, nonempty flag) must also agree.
+        // open-block state (max and nonempty flag) must also agree.
         let target = batched.maxima().len() + 2;
         batched.close_through(target);
         streamed.close_through(target);

@@ -3,17 +3,16 @@
 //! `LatencyHistogram::record_cycles` bins by comparing raw cycle counts
 //! against precomputed integer bin edges, where edge `i` is the smallest
 //! cycle count whose ms conversion exceeds the ms edge. The contract is
-//! that this is *observably identical* to converting each sample to ms and
-//! binning on the float axis: same bin counts, and bit-identical count,
-//! max, and min, because the extrema path still runs the exact same
-//! `Cycles::as_ms_at` conversion per sample (the mean may drift ulps — it
-//! is deferred through exact per-epoch cycle sums, DESIGN.md §14).
+//! that this is *observably identical* to the ms-domain definition:
+//! convert each sample with `Cycles::as_ms_at` and take
+//! `edges_ms.partition_point(|&e| e < ms)`. Bin counts, count, max and
+//! min must match that definition to the bit; the mean must equal the
+//! exact cycle sum converted once (DESIGN.md §14).
 //!
 //! These properties check that claim over random bin axes, random clock
 //! rates (including degenerate 1 Hz and saturating `u64::MAX` Hz), random
 //! cycle samples, and adversarial samples sitting exactly on (and one
-//! cycle either side of) every bin edge — plus a mid-stream clock-rate
-//! change, which forces the integer edges to rebuild.
+//! cycle either side of) every bin edge.
 
 use proptest::prelude::*;
 
@@ -65,37 +64,27 @@ fn clock_rate() -> impl Strategy<Value = u64> {
     ]
 }
 
-/// Records every sample through both paths and asserts observable
-/// equality. Binning, count, and extrema are bit-identical — the integer
-/// edge tables reproduce the float comparison exactly, and min/max still
-/// run the same `Cycles::as_ms_at` conversion per sample. The mean is
-/// allowed to drift in the last few ulps because the cycle path sums
-/// exact integer cycles per rate epoch and converts once at the end
-/// (DESIGN.md §14), where the ms path sums rounded per-sample
-/// conversions in stream order.
-fn assert_paths_agree(edges: &[f64], samples: &[(u64, u64)]) {
-    let mut via_cycles = LatencyHistogram::with_edges(edges);
-    let mut via_ms = LatencyHistogram::with_edges(edges);
-    for &(c, hz) in samples {
-        via_cycles.record_cycles(Cycles(c), hz);
-        via_ms.record_ms(Cycles(c).as_ms_at(hz));
+/// Records every sample at `cpu_hz` and asserts the histogram equals the
+/// ms-domain definition computed here, sample by sample.
+fn assert_matches_ms_definition(edges: &[f64], cpu_hz: u64, samples: &[u64]) {
+    let mut h = LatencyHistogram::with_edges(edges);
+    let mut counts = vec![0u64; edges.len() + 1];
+    let (mut max, mut min, mut sum) = (0.0f64, f64::INFINITY, 0u128);
+    for &c in samples {
+        h.record_cycles(Cycles(c), cpu_hz);
+        let ms = Cycles(c).as_ms_at(cpu_hz);
+        counts[edges.partition_point(|&e| e < ms)] += 1;
+        max = max.max(ms);
+        min = min.min(ms);
+        sum += c as u128;
     }
-    prop_assert_eq!(via_cycles.counts(), via_ms.counts());
-    prop_assert_eq!(via_cycles.count(), via_ms.count());
-    prop_assert_eq!(via_cycles.max_ms().to_bits(), via_ms.max_ms().to_bits());
-    prop_assert_eq!(via_cycles.min_ms().to_bits(), via_ms.min_ms().to_bits());
-    let (a, b) = (via_cycles.mean_ms(), via_ms.mean_ms());
-    let scale = a.abs().max(b.abs());
-    prop_assert!(
-        (a - b).abs() <= 1e-9 * scale.max(f64::MIN_POSITIVE),
-        "cycle-path mean {a:e} drifted past rounding noise from ms-path mean {b:e}"
-    );
-    // The fast-path counter tallies exactly the cycle-domain records.
-    prop_assert_eq!(via_cycles.fast_bin_samples(), samples.len() as u64);
-    prop_assert_eq!(via_ms.fast_bin_samples(), 0);
-    // The epoch sums account for every recorded sample exactly.
-    let epoch_count: u64 = via_cycles.rate_epochs().iter().map(|e| e.count).sum();
-    prop_assert_eq!(epoch_count, samples.len() as u64);
+    prop_assert_eq!(h.counts(), &counts[..]);
+    prop_assert_eq!(h.count(), samples.len() as u64);
+    prop_assert_eq!(h.max_ms().to_bits(), max.to_bits());
+    prop_assert_eq!(h.min_ms().to_bits(), min.to_bits());
+    prop_assert_eq!(h.sum_cycles(), sum);
+    let mean = sum as f64 * 1e3 / cpu_hz as f64 / samples.len() as f64;
+    prop_assert_eq!(h.mean_ms().to_bits(), mean.to_bits());
 }
 
 proptest! {
@@ -108,34 +97,13 @@ proptest! {
         // The raw draws, the domain extremes, and every edge's boundary
         // neighborhood (the exact cycle where the bin flips, one below,
         // one above).
-        let mut samples: Vec<(u64, u64)> =
-            raw.into_iter().map(|c| (c, cpu_hz)).collect();
-        samples.push((0, cpu_hz));
-        samples.push((u64::MAX, cpu_hz));
+        let mut samples = raw;
+        samples.extend([0, u64::MAX]);
         for &e in &edges {
             if let Some(ce) = smallest_exceeding_cycle(e, cpu_hz) {
-                samples.push((ce.saturating_sub(1), cpu_hz));
-                samples.push((ce, cpu_hz));
-                samples.push((ce.saturating_add(1), cpu_hz));
+                samples.extend([ce.saturating_sub(1), ce, ce.saturating_add(1)]);
             }
         }
-        assert_paths_agree(&edges, &samples);
-    }
-
-    #[test]
-    fn cycle_binning_survives_clock_rate_changes(
-        edges in axes(),
-        hz_a in clock_rate(),
-        hz_b in clock_rate(),
-        raw in prop::collection::vec(0u64..u64::MAX, 1..100),
-    ) {
-        // Alternate clock rates sample by sample: every flip forces the
-        // integer edge table to rebuild for the new rate.
-        let samples: Vec<(u64, u64)> = raw
-            .into_iter()
-            .enumerate()
-            .map(|(i, c)| (c, if i % 2 == 0 { hz_a } else { hz_b }))
-            .collect();
-        assert_paths_agree(&edges, &samples);
+        assert_matches_ms_definition(&edges, cpu_hz, &samples);
     }
 }

@@ -8,9 +8,8 @@
 //! sample streams and random whole-block shard splits, for both halves of a
 //! [`LatencySeries`]:
 //!
-//! - **Histogram**: bin counts, totals and extremes are bit-exact; the
-//!   running `sum` (hence the mean) is exact up to floating-point summation
-//!   order, asserted to 1e-12 relative.
+//! - **Histogram**: bin counts, totals, extremes, the exact cycle sum and
+//!   hence the mean are bit-exact (every accumulator is an integer).
 //! - **Block maxima**: the completed-block vector and the in-progress block
 //!   are bit-exact (maxima only compare and copy, never accumulate).
 
@@ -22,15 +21,21 @@ use wdm_sim::time::{Cycles, Instant};
 /// Simulated block length in cycles (arbitrary; one "minute").
 const BLOCK: u64 = 1_000;
 
+/// The clock every sample is recorded at.
+const HZ: u64 = 300_000_000;
+
+/// Latencies in cycles: 0.01 to 200 ms at [`HZ`].
+const LATENCY: std::ops::Range<u64> = 3_000..60_000_000;
+
 /// One shard: a whole number of blocks plus samples inside that window.
 #[derive(Debug, Clone)]
 struct Shard {
     blocks: u64,
-    /// (offset within the shard window, latency ms), time-sorted.
-    samples: Vec<(u64, f64)>,
+    /// (offset within the shard window, latency cycles), time-sorted.
+    samples: Vec<(u64, u64)>,
 }
 
-fn shards_from(raw: Vec<(u64, Vec<(u64, f64)>)>) -> Vec<Shard> {
+fn shards_from(raw: Vec<(u64, Vec<(u64, u64)>)>) -> Vec<Shard> {
     raw.into_iter()
         .map(|(blocks, mut samples)| {
             let blocks = 1 + blocks % 4;
@@ -49,7 +54,7 @@ proptest! {
     #[test]
     fn merged_shards_equal_streaming_the_concatenated_stream(
         raw in prop::collection::vec(
-            (0u64..4, prop::collection::vec((0u64..4_000, 0.01f64..200.0), 0..40)),
+            (0u64..4, prop::collection::vec((0u64..4_000, LATENCY), 0..40)),
             1..6,
         ),
     ) {
@@ -62,9 +67,9 @@ proptest! {
         for sh in &shards {
             let mut h = LatencyHistogram::fig4();
             let mut b = BlockMaxima::new(Cycles(BLOCK));
-            for &(t, ms) in &sh.samples {
-                h.record_ms(ms);
-                b.record(Instant(t), ms);
+            for &(t, c) in &sh.samples {
+                h.record_cycles(Cycles(c), HZ);
+                b.record_cycles(Instant(t), Cycles(c), HZ);
             }
             b.close_through(sh.blocks as usize);
             match (&mut merged_hist, &mut merged_blocks) {
@@ -88,27 +93,22 @@ proptest! {
         let mut ref_blocks = BlockMaxima::new(Cycles(BLOCK));
         let mut base = 0u64;
         for sh in &shards {
-            for &(t, ms) in &sh.samples {
-                ref_hist.record_ms(ms);
-                ref_blocks.record(Instant(base + t), ms);
+            for &(t, c) in &sh.samples {
+                ref_hist.record_cycles(Cycles(c), HZ);
+                ref_blocks.record_cycles(Instant(base + t), Cycles(c), HZ);
             }
             base += sh.blocks * BLOCK;
         }
         let total_blocks: u64 = shards.iter().map(|s| s.blocks).sum();
         ref_blocks.close_through(total_blocks as usize);
 
-        // Histogram: integer state bit-exact, float accumulators to 1e-12.
+        // Histogram: every accumulator is an integer, so all bit-exact.
         prop_assert_eq!(merged_hist.counts(), ref_hist.counts());
         prop_assert_eq!(merged_hist.count(), ref_hist.count());
+        prop_assert_eq!(merged_hist.sum_cycles(), ref_hist.sum_cycles());
         prop_assert_eq!(merged_hist.max_ms().to_bits(), ref_hist.max_ms().to_bits());
         prop_assert_eq!(merged_hist.min_ms().to_bits(), ref_hist.min_ms().to_bits());
-        let (m_mean, r_mean) = (merged_hist.mean_ms(), ref_hist.mean_ms());
-        prop_assert!(
-            (m_mean - r_mean).abs() <= 1e-12 * r_mean.abs().max(1.0),
-            "mean diverged beyond summation-order noise: {} vs {}",
-            m_mean,
-            r_mean
-        );
+        prop_assert_eq!(merged_hist.mean_ms().to_bits(), ref_hist.mean_ms().to_bits());
 
         // Block maxima: completed vector bit-exact (values are copied,
         // never accumulated), and the closed window covers every whole
@@ -121,15 +121,15 @@ proptest! {
         let mut merged_probe = merged_blocks;
         let mut ref_probe = ref_blocks;
         let far = Instant((total_blocks + 10) * BLOCK);
-        merged_probe.record(far, 0.005);
-        ref_probe.record(far, 0.005);
+        merged_probe.record_cycles(far, Cycles(1_500), HZ);
+        ref_probe.record_cycles(far, Cycles(1_500), HZ);
         prop_assert_eq!(merged_probe.maxima(), ref_probe.maxima());
     }
 
     #[test]
     fn close_then_merge_never_loses_or_invents_samples(
         raw in prop::collection::vec(
-            (0u64..4, prop::collection::vec((0u64..4_000, 0.01f64..200.0), 0..40)),
+            (0u64..4, prop::collection::vec((0u64..4_000, LATENCY), 0..40)),
             1..6,
         ),
     ) {
@@ -138,8 +138,8 @@ proptest! {
         let mut h = LatencyHistogram::fig4();
         for sh in &shards {
             let mut part = LatencyHistogram::fig4();
-            for &(_, ms) in &sh.samples {
-                part.record_ms(ms);
+            for &(_, c) in &sh.samples {
+                part.record_cycles(Cycles(c), HZ);
             }
             h.merge(&part);
         }

@@ -2,8 +2,8 @@
 //! summary statistic is **order-independent**.
 //!
 //! The v2 statistics pipeline keeps only associative, commutative state —
-//! integer bin counts, exact `u128` cycle sums per rate epoch, and f64
-//! min/max folds — so any permutation of the sample stream, any batch
+//! integer bin counts, one exact `u128` cycle sum, and `u64` min/max
+//! folds — so any permutation of the sample stream, any batch
 //! split of it, and any whole-minute shard split must produce summaries,
 //! histograms, and block maxima that are equal *to the bit*, not merely
 //! approximately. That exactness is what licenses the unordered stage
@@ -11,8 +11,8 @@
 //! pin one canonical output, and these properties prove no batch schedule
 //! or shard plan can produce another.
 //!
-//! Streams include clock-rate changes mid-stream and the domain extremes
-//! (0 and `u64::MAX` cycle samples), per the accumulator contract.
+//! Streams include the domain extremes (0 and `u64::MAX` cycle samples),
+//! per the accumulator contract.
 
 use proptest::prelude::*;
 
@@ -70,7 +70,7 @@ fn assert_hists_bit_equal(a: &LatencyHistogram, b: &LatencyHistogram) {
     prop_assert_eq!(a.max_ms().to_bits(), b.max_ms().to_bits());
     prop_assert_eq!(a.min_ms().to_bits(), b.min_ms().to_bits());
     prop_assert_eq!(a.mean_ms().to_bits(), b.mean_ms().to_bits());
-    prop_assert_eq!(a.rate_epochs(), b.rate_epochs());
+    prop_assert_eq!(a.sum_cycles(), b.sum_cycles());
 }
 
 /// Bit-level series equality: histogram plus the block-maxima vector.
@@ -83,51 +83,32 @@ fn assert_series_bit_equal(a: &LatencySeries, b: &LatencySeries) {
 }
 
 proptest! {
-    /// Histogram layer: a stream with per-sample clock rates, recorded in
-    /// the original order, in a random permutation, and as the permuted
-    /// stream batched into its maximal equal-rate runs, must agree to the
-    /// bit on every observable — the epoch sums make even the mean exact.
+    /// Histogram layer: a stream recorded in the original order, in a
+    /// random permutation, and as the permuted stream folded in random
+    /// batches, must agree to the bit on every observable — the exact
+    /// cycle sum makes even the mean exact.
     #[test]
     fn histogram_summaries_are_permutation_and_batch_invariant(
         lats in prop::collection::vec(latency(), 0..200),
         keys in prop::collection::vec(0u64..1_000_000, 0..200),
-        hz_a in clock_rate(),
-        hz_b in clock_rate(),
-        stride in 1usize..8,
+        cut_points in prop::collection::vec(0usize..200, 0..6),
+        cpu_hz in clock_rate(),
     ) {
-        // Attach rates in a striped pattern so the stream changes clock
-        // rate mid-stream (and permutations interleave the rates freely).
-        let samples: Vec<(u64, u64)> = lats
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (c, if (i / stride) % 2 == 0 { hz_a } else { hz_b }))
-            .collect();
         let mut in_order = LatencyHistogram::fig4();
-        for &(c, hz) in &samples {
-            in_order.record_cycles(Cycles(c), hz);
+        for &c in &lats {
+            in_order.record_cycles(Cycles(c), cpu_hz);
         }
 
-        let shuffled = permute(&samples, &keys);
+        let shuffled = permute(&lats, &keys);
         let mut permuted = LatencyHistogram::fig4();
-        for &(c, hz) in &shuffled {
-            permuted.record_cycles(Cycles(c), hz);
+        for &c in &shuffled {
+            permuted.record_cycles(Cycles(c), cpu_hz);
         }
         assert_hists_bit_equal(&permuted, &in_order);
 
-        // Batch the permuted stream as maximal equal-rate runs.
         let mut batched = LatencyHistogram::fig4();
-        let mut run: Vec<u64> = Vec::new();
-        let mut run_hz = 0u64;
-        for &(c, hz) in &shuffled {
-            if hz != run_hz && !run.is_empty() {
-                batched.record_cycles_batch(&run, run_hz);
-                run.clear();
-            }
-            run_hz = hz;
-            run.push(c);
-        }
-        if !run.is_empty() {
-            batched.record_cycles_batch(&run, run_hz);
+        for chunk in chunked(&shuffled, &cut_points) {
+            batched.record_cycles_batch(chunk, cpu_hz);
         }
         assert_hists_bit_equal(&batched, &in_order);
     }

@@ -19,7 +19,7 @@ fn tool_cadence_tracks_the_period() {
     let mut k = p.build_kernel(4);
     let session = MeasurementSession::install(&mut k, 1.0);
     k.run_for(Cycles::from_ms_at(2_000.0, k.config().cpu_hz));
-    let rounds = session.rt28.results.borrow().rounds;
+    let rounds = session.rt28_results().borrow().rounds;
     assert!(
         (900..=2_000).contains(&rounds),
         "expected ~1000 rounds in 2 s, got {rounds}"
@@ -36,7 +36,7 @@ fn tool_cadence_degrades_under_win98_thread_stalls() {
         let mut k = p.build_kernel(4);
         let s = MeasurementSession::install(&mut k, 1.0);
         k.run_for(Cycles::from_ms_at(5_000.0, k.config().cpu_hz));
-        let r = s.rt28.results.borrow().rounds;
+        let r = s.rt28_results().borrow().rounds;
         r
     };
     let loaded = {

@@ -8,20 +8,29 @@ use wdm_repro::latency::worstcase::BlockMaxima;
 use wdm_repro::osmodel::Dist;
 use wdm_repro::sim::prelude::*;
 
+/// A Figure 4 histogram of `samples_ms`, each recorded as the nearest
+/// cycle count at the default 300 MHz clock.
+fn hist_of(samples_ms: &[f64]) -> LatencyHistogram {
+    let mut h = LatencyHistogram::fig4();
+    for &ms in samples_ms {
+        h.record_cycles(Cycles::from_ms(ms), DEFAULT_CPU_HZ);
+    }
+    h
+}
+
 proptest! {
     /// Histogram: counts are conserved and percents sum to 100.
     #[test]
     fn histogram_conserves_mass(samples in prop::collection::vec(0.0f64..500.0, 1..500)) {
-        let mut h = LatencyHistogram::fig4();
-        for &s in &samples {
-            h.record_ms(s);
-        }
+        let h = hist_of(&samples);
         prop_assert_eq!(h.count(), samples.len() as u64);
         prop_assert_eq!(h.counts().iter().sum::<u64>(), samples.len() as u64);
         let total: f64 = h.percents().iter().sum();
         prop_assert!((total - 100.0).abs() < 1e-6);
         let max = samples.iter().cloned().fold(0.0, f64::max);
-        prop_assert!((h.max_ms() - max).abs() < 1e-12);
+        // Recording rounds each sample to a whole cycle (1/300 us), so the
+        // max is off by at most half a cycle.
+        prop_assert!((h.max_ms() - max).abs() < 2e-6);
     }
 
     /// Histogram: survival is a monotone non-increasing function in [0, 1].
@@ -30,10 +39,7 @@ proptest! {
         samples in prop::collection::vec(0.001f64..200.0, 2..400),
         probes in prop::collection::vec(0.0f64..250.0, 2..20),
     ) {
-        let mut h = LatencyHistogram::fig4();
-        for &s in &samples {
-            h.record_ms(s);
-        }
+        let h = hist_of(&samples);
         let mut probes = probes;
         probes.sort_by(f64::total_cmp);
         let mut prev = 1.0;
@@ -51,10 +57,7 @@ proptest! {
         samples in prop::collection::vec(0.001f64..200.0, 2..400),
         p in 0.0001f64..0.9,
     ) {
-        let mut h = LatencyHistogram::fig4();
-        for &s in &samples {
-            h.record_ms(s);
-        }
+        let h = hist_of(&samples);
         let q = h.quantile_exceeding(p);
         prop_assert!(q <= h.max_ms() + 1e-9, "quantile {q} above max {}", h.max_ms());
         prop_assert!(q >= 0.0);
@@ -63,14 +66,14 @@ proptest! {
     /// Block maxima: the mean of window maxima never exceeds the global max
     /// and never falls below the mean of block values used.
     #[test]
-    fn block_maxima_bounded(values in prop::collection::vec(0.0f64..100.0, 10..200)) {
+    fn block_maxima_bounded(values in prop::collection::vec(0u64..30_000_000, 10..200)) {
         let mut b = BlockMaxima::new(Cycles(100));
         for (i, &v) in values.iter().enumerate() {
-            b.record(Instant(i as u64 * 100 + 50), v);
+            b.record_cycles(Instant(i as u64 * 100 + 50), Cycles(v), DEFAULT_CPU_HZ);
         }
         // Close the last block.
-        b.record(Instant(values.len() as u64 * 100 + 50), 0.0);
-        let global_max = values.iter().cloned().fold(0.0, f64::max);
+        b.close_through(values.len());
+        let global_max = Cycles(values.iter().copied().max().unwrap_or(0)).as_ms();
         for k in 1..=3usize {
             if let Some(m) = b.expected_max_over(k) {
                 prop_assert!(m <= global_max + 1e-9);
@@ -104,10 +107,7 @@ proptest! {
     /// MTTF: monotone non-decreasing in buffering.
     #[test]
     fn mttf_monotone_in_buffering(samples in prop::collection::vec(0.01f64..40.0, 50..300)) {
-        let mut h = LatencyHistogram::fig4();
-        for &s in &samples {
-            h.record_ms(s);
-        }
+        let h = hist_of(&samples);
         let params = MttfParams::default();
         let mut prev = 0.0f64;
         for b in [4.0, 8.0, 16.0, 32.0, 64.0] {
