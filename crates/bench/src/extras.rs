@@ -407,7 +407,6 @@ pub fn ablate_dpc_discipline(minutes: f64, seed: u64) -> String {
         for i in 0..4 {
             let dpc = k.create_dpc(
                 &format!("storm-{i}"),
-                wdm_sim::dpc::DpcImportance::Medium,
                 Box::new(wdm_workloads::programs::DeviceDpc::new(
                     wdm_osmodel::Dist::Uniform { lo: 0.2, hi: 1.5 },
                     cpu,

@@ -387,10 +387,8 @@ mod tests {
     use super::*;
     use wdm_sim::{
         config::KernelConfig,
-        dpc::DpcImportance,
         env::{samplers, EnvAction, EnvSource},
         ids::WaitObject,
-        object::EventKind,
         step::{LoopSeq, OpSeq, Step},
     };
 
@@ -612,10 +610,7 @@ window [600000, 1650000] cycles, latency 3.500 ms, 0 flight events
     fn two_waiter_kernel() -> (Kernel, [ThreadId; 2]) {
         let mut k = Kernel::new(KernelConfig::default());
         let work = k.intern("APP", "_Work");
-        let (a, b) = (
-            k.create_event(EventKind::Synchronization, false),
-            k.create_event(EventKind::Synchronization, false),
-        );
+        let (a, b) = (k.create_event(false), k.create_event(false));
         let waiter = |k: &mut Kernel, name, priority, evt, busy| {
             k.create_thread(
                 name,
@@ -644,7 +639,6 @@ window [600000, 1650000] cycles, latency 3.500 ms, 0 flight events
         );
         let dpc = k.create_dpc(
             "sig",
-            DpcImportance::Medium,
             Box::new(OpSeq::new(vec![
                 Step::SetEvent(b),
                 Step::SetEvent(a),
@@ -710,7 +704,7 @@ window [600000, 1650000] cycles, latency 3.500 ms, 0 flight events
     fn live_capture_decomposes_exactly_and_renders() {
         let mut k = Kernel::new(KernelConfig::default());
         let vmm = k.intern("VMM", "_mmCalcFrameBadness");
-        let evt = k.create_event(EventKind::Synchronization, false);
+        let evt = k.create_event(false);
         let slot = k.alloc_slots(1);
         let waiter = k.create_thread(
             "meas",
@@ -722,7 +716,6 @@ window [600000, 1650000] cycles, latency 3.500 ms, 0 flight events
         );
         let dpc = k.create_dpc(
             "sig",
-            DpcImportance::Medium,
             Box::new(OpSeq::new(vec![Step::SetEvent(evt), Step::Return])),
         );
         let timer = k.create_timer(Some(dpc));

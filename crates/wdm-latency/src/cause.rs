@@ -185,9 +185,7 @@ mod tests {
     use wdm_sim::{
         config::KernelConfig,
         env::{samplers, EnvAction, EnvSource},
-        object::EventKind,
         step::{LoopSeq, OpSeq, Step},
-        dpc::DpcImportance,
         ids::WaitObject,
     };
 
@@ -197,7 +195,7 @@ mod tests {
     fn episode_attributes_blame_to_section_label() {
         let mut k = Kernel::new(KernelConfig::default());
         let vmm = k.intern("VMM", "_mmCalcFrameBadness");
-        let evt = k.create_event(EventKind::Synchronization, false);
+        let evt = k.create_event(false);
         let slot = k.alloc_slots(1);
         let waiter = k.create_thread(
             "meas",
@@ -209,7 +207,6 @@ mod tests {
         );
         let dpc = k.create_dpc(
             "sig",
-            DpcImportance::Medium,
             Box::new(OpSeq::new(vec![Step::SetEvent(evt), Step::Return])),
         );
         let timer = k.create_timer(Some(dpc));

@@ -16,12 +16,10 @@ use std::{cell::RefCell, rc::Rc};
 
 use wdm_osmodel::dist::{poisson_arrivals, Dist};
 use wdm_sim::{
-    dpc::DpcImportance,
     env::{EnvAction, EnvSource},
     ids::{ThreadId, WaitObject},
     irql::Irql,
     kernel::Kernel,
-    object::EventKind,
     observer::{Interest, Observer, ThreadResume},
     step::{OpSeq, Program, Step, StepCtx},
     time::Cycles,
@@ -110,10 +108,9 @@ impl InteractiveProbe {
         let cpu = k.config().cpu_hz;
         let isr_l = k.intern("I8042PRT", "_KeyboardIsr");
         let ui_l = k.intern("USER32", "_WndProcRepaint");
-        let event = k.create_event(EventKind::Synchronization, false);
+        let event = k.create_event(false);
         let dpc = k.create_dpc(
             "input-dpc",
-            DpcImportance::Medium,
             Box::new(OpSeq::new(vec![Step::SetEvent(event), Step::Return])),
         );
         let vector = k.install_vector(

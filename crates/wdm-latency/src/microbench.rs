@@ -16,7 +16,6 @@
 use wdm_osmodel::personality::{OsKind, OsPersonality};
 use wdm_sim::{
     ids::WaitObject,
-    object::EventKind,
     step::{LoopSeq, Step},
     time::Cycles,
 };
@@ -48,8 +47,8 @@ pub fn run_microbench(os: OsKind, seed: u64) -> Microbench {
     // saturating the CPU with pure switch traffic.
     let ctx_switch_us = {
         let mut k = personality.build_kernel(seed);
-        let e_ab = k.create_event(EventKind::Synchronization, true);
-        let e_ba = k.create_event(EventKind::Synchronization, false);
+        let e_ab = k.create_event(true);
+        let e_ba = k.create_event(false);
         let _ping = k.create_thread(
             "ping",
             17,

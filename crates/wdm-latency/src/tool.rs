@@ -22,10 +22,8 @@
 use std::{cell::RefCell, collections::VecDeque, rc::Rc};
 
 use wdm_sim::{
-    dpc::DpcImportance,
     ids::{DpcId, EventId, IrpId, ThreadId, TimerId, VectorId, WaitObject},
     kernel::Kernel,
-    object::EventKind,
     observer::{DpcStart, Interest, IsrEnter, Observer, ThreadResume},
     step::{Program, Step, StepCtx},
     time::{Cycles, Instant},
@@ -211,16 +209,15 @@ impl LatencyTool {
         record: bool,
     ) -> LatencyTool {
         let cpu_hz = k.config().cpu_hz;
-        let completion = k.create_event(EventKind::Synchronization, false);
+        let completion = k.create_event(false);
         let irp = k.create_irp(3, Some(completion));
         let asb0 = k.irp(irp).asb_slot(0);
         let asb1 = k.irp(irp).asb_slot(1);
         let asb2 = k.irp(irp).asb_slot(2);
-        let event = k.create_event(EventKind::Synchronization, false);
+        let event = k.create_event(false);
         // LatDpcRoutine (§2.2.3): stamp ASB[1], signal the thread.
         let dpc = k.create_dpc(
             &format!("{name}-lat-dpc"),
-            DpcImportance::Medium,
             Box::new(wdm_sim::step::OpSeq::new(vec![
                 Step::ReadTsc(asb1),
                 Step::SetEvent(event),

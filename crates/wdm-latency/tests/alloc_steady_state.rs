@@ -11,13 +11,13 @@
 //! [`SampleStage`] and flushed (partition + fold + reset), also at zero
 //! heap operations.
 //!
-//! The file holds a single `#[test]` on purpose: the counter is global, so
-//! a sibling test running concurrently would bleed its allocations into
-//! the measured window.
+//! The counter is per thread: the measured code runs on the test's own
+//! thread, while the test harness's threads allocate on their own schedule
+//! and would otherwise bleed into a measured window.
 
 use std::{
     alloc::{GlobalAlloc, Layout, System},
-    sync::atomic::{AtomicU64, Ordering},
+    cell::Cell,
 };
 
 use rand::{rngs::StdRng, SeedableRng};
@@ -28,20 +28,26 @@ use wdm_sim::time::{Cycles, Instant};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static FREES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap operations (alloc, realloc, free) made by this thread.
+    static HEAP_OPS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_op() {
+    HEAP_OPS.with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_op();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        FREES.fetch_add(1, Ordering::Relaxed);
+        count_op();
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_op();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -50,7 +56,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn heap_ops() -> u64 {
-    ALLOCS.load(Ordering::Relaxed) + FREES.load(Ordering::Relaxed)
+    HEAP_OPS.with(Cell::get)
 }
 
 const CPU_HZ: u64 = 300_000_000;

@@ -1,17 +1,17 @@
 //! Struct-of-arrays kernel tables for threads and timers.
 //!
 //! The decision loop reads a handful of scheduling fields — state,
-//! priority, IRQL, quantum, the active busy chunk — on **every** simulated
-//! event, while the rest of a TCB (name, program box, APC queues, stats)
-//! is touched only on the slow paths. Keeping the hot fields in dense
+//! priority, quantum, the active busy chunk — on **every** simulated
+//! event, while the rest of a TCB (name, program box, stats) is touched
+//! only on the slow paths. Keeping the hot fields in dense
 //! parallel columns packs the whole scheduler working set into a few cache
 //! lines regardless of how fat the cold records get, and hands the borrow
 //! checker disjoint fields where the old all-in-one structs forced whole-
 //! record `&mut` borrows.
 //!
 //! Indices are stable for the life of the kernel (threads and timers are
-//! never deallocated — terminated threads stay in place, matching NT's
-//! object table), so `ThreadId`/`TimerId` index the columns directly. The
+//! never deallocated), so `ThreadId`/`TimerId` index the columns directly.
+//! The
 //! generation columns (`deadline_gen`, `due_gen`) are what the event
 //! calendar validates its lazily-invalidated deadline entries against; the
 //! calendar borrows just those slices, not the tables (see
@@ -21,7 +21,6 @@ use std::ops::{Index, IndexMut};
 
 use crate::{
     ids::DpcId,
-    irql::Irql,
     step::{ExecState, Program},
     thread::{Tcb, ThreadState, MAX_PRIORITY, RT_BAND_START},
     time::{Cycles, Instant},
@@ -39,8 +38,6 @@ pub struct ThreadTable {
     pub state: Vec<ThreadState>,
     /// Current (possibly boosted) priority, 1..=31.
     pub priority: Vec<u8>,
-    /// IRQL the thread has raised itself to (PASSIVE normally).
-    pub irql: Vec<Irql>,
     /// Remaining quantum in cycles (see DESIGN.md §8 for the lockstep
     /// contract with the batched step loop).
     pub quantum_remaining: Vec<Cycles>,
@@ -51,7 +48,7 @@ pub struct ThreadTable {
     pub pending_overhead: Vec<Cycles>,
     /// Execution progress: interrupted busy chunks survive preemption here.
     pub exec: Vec<ExecState>,
-    /// Absolute deadline for a timed wait or sleep.
+    /// Absolute deadline of a sleep.
     pub wait_deadline: Vec<Option<Instant>>,
     /// Generation of `wait_deadline`: bumped on every transition so the
     /// event calendar can lazily invalidate stale deadline entries.
@@ -69,7 +66,6 @@ impl ThreadTable {
         let i = self.cold.len();
         self.state.push(ThreadState::Ready);
         self.priority.push(priority);
-        self.irql.push(Irql::PASSIVE);
         self.quantum_remaining.push(Cycles::ZERO);
         self.in_overhead.push(false);
         self.pending_overhead.push(Cycles::ZERO);
@@ -114,12 +110,12 @@ impl IndexMut<usize> for ThreadTable {
 ///
 /// `due`/`due_gen` live here (not in `KTimer`) because the clock ISR path
 /// and the calendar validity checks walk them densely every tick, while
-/// the waiter queues and stats behind [`Index`] are per-expiry.
+/// the period, DPC and stats behind [`Index`] are per-expiry.
 #[derive(Default)]
 pub struct TimerTable {
     /// Absolute due time if armed.
     pub due: Vec<Option<Instant>>,
-    /// Generation of `due`: bumped on every set/cancel/fire so the event
+    /// Generation of `due`: bumped on every set and fire so the event
     /// calendar can lazily invalidate stale deadline entries.
     pub due_gen: Vec<u64>,
     cold: Vec<KTimer>,
@@ -147,19 +143,11 @@ impl TimerTable {
     }
 
     /// Arms timer `i` (`KeSetTimerEx`). Re-arming replaces the previous
-    /// due time and clears the signaled state, per NT semantics.
+    /// due time.
     pub fn set(&mut self, i: usize, now: Instant, due_in: Cycles, period: Option<Cycles>) {
         self.due[i] = Some(now + due_in);
         self.due_gen[i] += 1;
         self.cold[i].period = period;
-        self.cold[i].signaled = false;
-    }
-
-    /// Disarms timer `i` (`KeCancelTimer`). Returns whether it was armed.
-    pub fn cancel(&mut self, i: usize) -> bool {
-        self.cold[i].period = None;
-        self.due_gen[i] += 1;
-        self.due[i].take().is_some()
     }
 
     /// True if timer `i` is due at or before `now`.
@@ -167,15 +155,12 @@ impl TimerTable {
         matches!(self.due[i], Some(d) if d <= now)
     }
 
-    /// Fires timer `i`: marks it signaled, bumps stats and re-arms
-    /// periodic timers. Returns the DPC to queue, if any.
-    ///
-    /// The caller (the clock ISR path) wakes the waiters.
+    /// Fires timer `i`: bumps stats and re-arms periodic timers. Returns
+    /// the DPC to queue, if any.
     pub fn fire(&mut self, i: usize, now: Instant) -> Option<DpcId> {
         debug_assert!(self.is_due(i, now));
         let t = &mut self.cold[i];
         t.fire_count += 1;
-        t.signaled = true;
         self.due_gen[i] += 1;
         match t.period {
             Some(p) => {
@@ -209,7 +194,7 @@ mod tests {
     use crate::step::{LoopSeq, Step};
 
     fn dummy() -> Box<dyn Program> {
-        Box::new(LoopSeq::new(vec![Step::Yield]))
+        Box::new(LoopSeq::new(vec![Step::Sleep(Cycles(1))]))
     }
 
     #[test]
@@ -217,7 +202,6 @@ mod tests {
         let mut t = ThreadTable::default();
         let i = t.push("worker", 24, dummy());
         assert_eq!(t.state[i], ThreadState::Ready);
-        assert_eq!(t.irql[i], Irql::PASSIVE);
         assert!(t.is_realtime(i));
         assert_eq!(t[i].name, "worker");
     }
@@ -264,7 +248,6 @@ mod tests {
         assert!(!tt.is_due(i, Instant(1499)));
         assert!(tt.is_due(i, Instant(1500)));
         assert_eq!(tt.fire(i, Instant(1500)), Some(DpcId(3)));
-        assert!(tt[i].signaled);
         assert_eq!(tt.due[i], None);
         assert_eq!(tt[i].fire_count, 1);
     }
@@ -281,35 +264,14 @@ mod tests {
     }
 
     #[test]
-    fn rearming_clears_signal() {
-        let mut tt = TimerTable::default();
-        let i = tt.push(None);
-        tt.set(i, Instant(0), Cycles(10), None);
-        tt.fire(i, Instant(10));
-        assert!(tt[i].signaled);
-        tt.set(i, Instant(20), Cycles(10), None);
-        assert!(!tt[i].signaled);
-    }
-
-    #[test]
-    fn cancel_reports_armed_state() {
-        let mut tt = TimerTable::default();
-        let i = tt.push(None);
-        assert!(!tt.cancel(i));
-        tt.set(i, Instant(0), Cycles(10), Some(Cycles(10)));
-        assert!(tt.cancel(i));
-        assert_eq!(tt.due[i], None);
-        assert_eq!(tt[i].period, None);
-    }
-
-    #[test]
     fn generations_bump_on_every_transition() {
         let mut tt = TimerTable::default();
         let i = tt.push(None);
         tt.set(i, Instant(0), Cycles(10), None); // gen 1
         tt.fire(i, Instant(10)); // gen 2
         tt.set(i, Instant(20), Cycles(10), None); // gen 3
-        assert!(tt.cancel(i)); // gen 4
+        tt.set(i, Instant(25), Cycles(10), None); // gen 4: re-arm
         assert_eq!(tt.due_gen[i], 4);
+        assert_eq!(tt.due[i], Some(Instant(35)));
     }
 }

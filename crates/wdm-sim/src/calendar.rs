@@ -2,36 +2,32 @@
 //!
 //! Every time-based wakeup in the kernel routes through one [`Calendar`]:
 //! the PIT tick, environment-source arrivals, KTimer expiries and thread
-//! wait deadlines/sleeps. The main loop's decision point is then a single
+//! sleeps. The main loop's decision point is then a single
 //! [`Calendar::next_wakeup`] peek, and the clock ISR pops only *due*
-//! entries instead of scanning every timer and every thread
-//! (`clock_tick_work` used to be O(timers + threads) per tick).
+//! entries instead of scanning every timer and every thread.
 //!
 //! # Ordering invariant
 //!
 //! The calendar must reproduce the fire order of the linear scans it
 //! replaces **exactly**, because the simulator promises byte-identical
 //! output at seed parity. Within one clock tick the old scans fired due
-//! timers in ascending timer index and then expired timed waits in
-//! ascending thread index — *not* in deadline order. [`DeadlineHeap`]
+//! timers in ascending timer index and then expired sleeps in ascending
+//! thread index — *not* in deadline order. [`DeadlineHeap`]
 //! therefore only uses deadlines to find what is due; the due batch is
 //! sorted by object index before the kernel acts on it.
 //!
 //! # Lazy cancellation
 //!
-//! `KeCancelTimer`/re-`KeSetTimer` (and signal-wakes of timed waiters)
-//! would need an O(n) heap search to remove their stale entries eagerly.
-//! Instead each armed object carries a *generation* counter, bumped on
-//! every deadline transition; a heap entry records the generation at arm
-//! time and is simply skipped at pop time if the generations no longer
-//! match. A stale counter triggers an in-place compaction when stale
-//! entries dominate, bounding memory without perturbing fire order or the
-//! RNG call sequence.
+//! Re-`KeSetTimer` on an armed timer would need an O(n) heap search to
+//! remove its stale entry eagerly. Instead each armed object carries a
+//! *generation* counter, bumped on every deadline transition; a heap entry
+//! records the generation at arm time and is simply skipped at pop time if
+//! the generations no longer match. A stale counter triggers an in-place
+//! compaction when stale entries dominate, bounding memory without
+//! perturbing fire order or the RNG call sequence. Sleep deadlines never go
+//! stale: nothing wakes a sleeper early.
 
-use std::{
-    cmp::Reverse,
-    collections::BinaryHeap,
-};
+use std::{cmp::Reverse, collections::BinaryHeap};
 
 use crate::{time::Instant, timer::Pit};
 
@@ -107,12 +103,6 @@ impl DeadlineHeap {
             self.stale <= self.entries.len(),
             "more stale entries than entries"
         );
-    }
-
-    /// Earliest deadline stored, stale entries included. The kernel never
-    /// needs this (the PIT tick bounds timer wakeups); tests use it.
-    pub fn peek_deadline(&self) -> Option<Instant> {
-        self.entries.first().map(|e| e.deadline)
     }
 
     /// Pops every valid entry with `deadline <= now` into `out`, then
@@ -225,7 +215,7 @@ impl DeadlineHeap {
 
 /// All time-based wakeup sources, unified behind one `next_wakeup` peek.
 ///
-/// Timer and wait deadlines deliberately do **not** contribute to
+/// Timer and sleep deadlines deliberately do **not** contribute to
 /// [`Calendar::next_wakeup`]: KTimers are tick-granular (they fire during
 /// the first clock ISR at/after their due time, never between ticks), so
 /// the PIT tick already bounds them and adding them would create spurious
@@ -242,7 +232,7 @@ pub struct Calendar {
     /// Armed KTimer deadlines, validated against the timer table's
     /// `due_gen` column.
     timers: DeadlineHeap,
-    /// Thread wait deadlines/sleeps, validated against the thread table's
+    /// Thread sleep deadlines, validated against the thread table's
     /// `deadline_gen` column.
     waits: DeadlineHeap,
     /// Peak total armed entries across all three queues (stale entries
@@ -328,27 +318,19 @@ impl Calendar {
         self.note_peak();
     }
 
-    /// Arms a thread-wait calendar entry at its current generation.
+    /// Arms a thread-sleep calendar entry at its current generation.
     pub fn arm_wait(&mut self, idx: u32, deadline: Instant, gen: u64) {
         self.waits.push(deadline, idx, gen);
         self.note_peak();
     }
 
-    /// Records that an armed timer's live entry went stale (cancel or
-    /// re-set), then compacts if stale entries dominate. `due_gen` is the
-    /// timer table's generation column (an entry is live iff its recorded
-    /// generation still matches).
+    /// Records that an armed timer's live entry went stale (re-set), then
+    /// compacts if stale entries dominate. `due_gen` is the timer table's
+    /// generation column (an entry is live iff its recorded generation
+    /// still matches).
     pub fn timer_invalidated(&mut self, due_gen: &[u64]) {
         self.timers.note_stale();
         self.timers.maintain(|i, g| due_gen[i as usize] == g);
-    }
-
-    /// Records that a waiting thread's live entry went stale (signal wake
-    /// before the deadline), then compacts if stale entries dominate.
-    /// `deadline_gen` is the thread table's generation column.
-    pub fn wait_invalidated(&mut self, deadline_gen: &[u64]) {
-        self.waits.note_stale();
-        self.waits.maintain(|i, g| deadline_gen[i as usize] == g);
     }
 
     /// Number of timers due at `now`: an O(due) prefix count over the
@@ -363,8 +345,8 @@ impl Calendar {
             .pop_due_into(now, |i, g| due_gen[i as usize] == g, out);
     }
 
-    /// Pops the threads whose wait deadline expired at `now` into `out`,
-    /// ascending by thread index.
+    /// Pops the threads whose sleep expired at `now` into `out`, ascending
+    /// by thread index.
     pub fn take_due_waits(&mut self, now: Instant, deadline_gen: &[u64], out: &mut Vec<u32>) {
         self.waits
             .pop_due_into(now, |i, g| deadline_gen[i as usize] == g, out);
@@ -472,7 +454,11 @@ mod tests {
         c.schedule_env(1, Instant(200));
         assert_eq!(c.next_wakeup(), Instant(200));
         assert_eq!(c.pop_due_env(Instant(500)), Some(1));
-        assert_eq!(c.pop_due_env(Instant(500)), Some(7), "ties fire in schedule order");
+        assert_eq!(
+            c.pop_due_env(Instant(500)),
+            Some(7),
+            "ties fire in schedule order"
+        );
         assert_eq!(c.pop_due_env(Instant(500)), Some(3));
         assert_eq!(c.pop_due_env(Instant(500)), None);
     }

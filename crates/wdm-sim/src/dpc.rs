@@ -3,9 +3,8 @@
 //! WDM ISRs are supposed to be short; real work is deferred to a DPC that
 //! the kernel runs at DISPATCH level after all ISRs have retired but before
 //! any thread runs (paper §2.2: "DPCs execute after all ISRs but before
-//! paging and threads"). Ordinary DPCs are queued FIFO; a DPC's *importance*
-//! controls where it is inserted: High-importance DPCs go to the head of the
-//! queue, Medium and Low to the tail. DPCs never preempt one another.
+//! paging and threads"). DPCs are queued FIFO at the default (Medium)
+//! importance every driver here uses, and never preempt one another.
 //!
 //! Because of the FIFO discipline, the paper's *DPC latency* includes the
 //! aggregate execution time of every DPC ahead in the queue — this module is
@@ -15,19 +14,8 @@ use std::collections::VecDeque;
 
 use crate::{ids::DpcId, time::Instant};
 
-/// DPC queue insertion priority (`KeSetImportanceDpc`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum DpcImportance {
-    /// Inserted at the tail; on real Win9x also eligible for coalescing.
-    Low,
-    /// Default: inserted at the tail.
-    Medium,
-    /// Inserted at the head of the queue.
-    High,
-}
-
-/// Queue discipline for same-importance DPCs. WDM uses FIFO; LIFO is
-/// provided for the ablation study in DESIGN.md §6.
+/// Queue discipline. WDM uses FIFO; LIFO is provided for the ablation
+/// study in DESIGN.md §6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DpcDiscipline {
     /// First-in first-out (the WDM behavior).
@@ -64,12 +52,12 @@ impl DpcQueue {
         }
     }
 
-    /// Inserts a DPC according to its importance and the queue discipline.
+    /// Inserts a DPC according to the queue discipline.
     ///
     /// Returns `false` if the DPC was already queued (WDM: a DPC object can
     /// be in the queue at most once; `KeInsertQueueDpc` fails the second
     /// insert).
-    pub fn insert(&mut self, dpc: DpcId, importance: DpcImportance, now: Instant) -> bool {
+    pub fn insert(&mut self, dpc: DpcId, now: Instant) -> bool {
         if self.entries.iter().any(|e| e.dpc == dpc) {
             return false;
         }
@@ -78,11 +66,9 @@ impl DpcQueue {
             dpc,
             queued_at: now,
         };
-        match (importance, self.discipline) {
-            (DpcImportance::High, _) | (_, DpcDiscipline::Lifo) => {
-                self.entries.push_front(entry)
-            }
-            _ => self.entries.push_back(entry),
+        match self.discipline {
+            DpcDiscipline::Fifo => self.entries.push_back(entry),
+            DpcDiscipline::Lifo => self.entries.push_front(entry),
         }
         true
     }
@@ -90,24 +76,6 @@ impl DpcQueue {
     /// Removes and returns the next DPC to run.
     pub fn pop(&mut self) -> Option<DpcEntry> {
         self.entries.pop_front()
-    }
-
-    /// Removes a specific DPC if queued (`KeRemoveQueueDpc`). Returns
-    /// whether it was present.
-    ///
-    /// `insert` rejects duplicates, so the first match is the only one:
-    /// stop there instead of `retain`-scanning (and shifting) the whole
-    /// queue. FIFO order of the remaining entries is preserved.
-    pub fn remove(&mut self, dpc: DpcId) -> bool {
-        let Some(pos) = self.entries.iter().position(|e| e.dpc == dpc) else {
-            return false;
-        };
-        self.entries.remove(pos);
-        debug_assert!(
-            !self.entries.iter().any(|e| e.dpc == dpc),
-            "DPC double-queued despite insert's duplicate rejection"
-        );
-        true
     }
 
     /// Number of queued DPCs.
@@ -132,49 +100,30 @@ mod tests {
     #[test]
     fn fifo_order_for_medium() {
         let mut queue = q();
-        assert!(queue.insert(DpcId(1), DpcImportance::Medium, Instant(10)));
-        assert!(queue.insert(DpcId(2), DpcImportance::Medium, Instant(20)));
+        assert!(queue.insert(DpcId(1), Instant(10)));
+        assert!(queue.insert(DpcId(2), Instant(20)));
         assert_eq!(queue.pop().unwrap().dpc, DpcId(1));
         assert_eq!(queue.pop().unwrap().dpc, DpcId(2));
         assert!(queue.pop().is_none());
     }
 
     #[test]
-    fn high_importance_jumps_the_queue() {
-        let mut queue = q();
-        queue.insert(DpcId(1), DpcImportance::Medium, Instant(10));
-        queue.insert(DpcId(2), DpcImportance::High, Instant(20));
-        assert_eq!(queue.pop().unwrap().dpc, DpcId(2));
-        assert_eq!(queue.pop().unwrap().dpc, DpcId(1));
-    }
-
-    #[test]
     fn double_insert_fails() {
         let mut queue = q();
-        assert!(queue.insert(DpcId(1), DpcImportance::Medium, Instant(10)));
-        assert!(!queue.insert(DpcId(1), DpcImportance::Medium, Instant(20)));
+        assert!(queue.insert(DpcId(1), Instant(10)));
+        assert!(!queue.insert(DpcId(1), Instant(20)));
         assert_eq!(queue.len(), 1);
         // The original enqueue timestamp survives.
         assert_eq!(queue.pop().unwrap().queued_at, Instant(10));
         // After popping, the DPC can be queued again.
-        assert!(queue.insert(DpcId(1), DpcImportance::Medium, Instant(30)));
-    }
-
-    #[test]
-    fn remove_cancels_a_queued_dpc() {
-        let mut queue = q();
-        queue.insert(DpcId(1), DpcImportance::Medium, Instant(10));
-        queue.insert(DpcId(2), DpcImportance::Medium, Instant(11));
-        assert!(queue.remove(DpcId(1)));
-        assert!(!queue.remove(DpcId(1)));
-        assert_eq!(queue.pop().unwrap().dpc, DpcId(2));
+        assert!(queue.insert(DpcId(1), Instant(30)));
     }
 
     #[test]
     fn lifo_ablation_reverses_order() {
         let mut queue = DpcQueue::new(DpcDiscipline::Lifo);
-        queue.insert(DpcId(1), DpcImportance::Medium, Instant(10));
-        queue.insert(DpcId(2), DpcImportance::Medium, Instant(20));
+        queue.insert(DpcId(1), Instant(10));
+        queue.insert(DpcId(2), Instant(20));
         assert_eq!(queue.pop().unwrap().dpc, DpcId(2));
         assert_eq!(queue.pop().unwrap().dpc, DpcId(1));
     }
@@ -182,9 +131,9 @@ mod tests {
     #[test]
     fn queue_counts_total_enqueues() {
         let mut queue = q();
-        queue.insert(DpcId(1), DpcImportance::Medium, Instant(0));
+        queue.insert(DpcId(1), Instant(0));
         queue.pop();
-        queue.insert(DpcId(1), DpcImportance::Medium, Instant(1));
+        queue.insert(DpcId(1), Instant(1));
         assert_eq!(queue.enqueued_total, 2);
     }
 }

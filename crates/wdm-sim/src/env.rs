@@ -4,13 +4,14 @@
 //! activity into the kernel from "outside": device interrupt arrivals,
 //! interrupt-disabled (`cli`) windows in foreign code, non-preemptible
 //! kernel sections (the Windows 98 VMM paths that block thread dispatch),
-//! and signals to worker threads. Each source is an arrival process: when it
-//! fires, its action is applied and the next arrival is sampled.
+//! and work-item posts to worker threads. Each source is an arrival
+//! process: when it fires, its action is applied and the next arrival is
+//! sampled.
 
 use rand::rngs::StdRng;
 
 use crate::{
-    ids::{EventId, SemId, VectorId},
+    ids::{SemId, VectorId},
     labels::Label,
     time::{Cycles, Instant},
 };
@@ -41,8 +42,6 @@ pub enum EnvAction {
     },
     /// Assert a device interrupt line.
     AssertInterrupt(VectorId),
-    /// Signal a kernel event (e.g. wake a worker thread).
-    SetEvent(EventId),
     /// Release a semaphore (e.g. post a work item).
     ReleaseSemaphore(SemId, u32),
 }
@@ -53,7 +52,6 @@ impl core::fmt::Debug for EnvAction {
             EnvAction::Cli { label, .. } => write!(f, "Cli({label:?})"),
             EnvAction::Section { label, .. } => write!(f, "Section({label:?})"),
             EnvAction::AssertInterrupt(v) => write!(f, "AssertInterrupt({v})"),
-            EnvAction::SetEvent(e) => write!(f, "SetEvent({e})"),
             EnvAction::ReleaseSemaphore(s, n) => write!(f, "ReleaseSemaphore({s}, {n})"),
         }
     }

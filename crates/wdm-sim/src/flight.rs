@@ -474,7 +474,10 @@ pub fn chrome_events_slice(
             meta(TID_THREAD_BASE + i as u64, &name);
         }
         for v in 0..k.interrupts().len() {
-            let name = format!("vector {}", k.interrupts().vector(crate::ids::VectorId(v)).name);
+            let name = format!(
+                "vector {}",
+                k.interrupts().vector(crate::ids::VectorId(v)).name
+            );
             meta(TID_VECTOR_BASE + v as u64, &name);
         }
         for d in 0..k.num_dpcs() {
@@ -510,7 +513,11 @@ pub fn chrome_events_slice(
                     json_f64(us(asserted)),
                     json_f64(us(started) - us(asserted)),
                 )),
-                FlightEvent::Dpc { dpc, queued, started } => out.push(format!(
+                FlightEvent::Dpc {
+                    dpc,
+                    queued,
+                    started,
+                } => out.push(format!(
                     "{{\"ph\":\"X\",\"name\":\"dpc latency\",\"cat\":\"dpc\",\"pid\":{pid},\
                      \"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"dpc\":{dpc}}}}}",
                     TID_DPC_BASE + dpc as u64,
@@ -655,8 +662,13 @@ mod tests {
         let (_k, rec) = run_kernel_with(4096, 50.0);
         let r = rec.borrow();
         assert!(
-            r.events()
-                .any(|e| matches!(e, FlightEvent::Pop { kind: CalendarPopKind::Tick, .. })),
+            r.events().any(|e| matches!(
+                e,
+                FlightEvent::Pop {
+                    kind: CalendarPopKind::Tick,
+                    ..
+                }
+            )),
             "PIT ticks must appear as calendar pops"
         );
     }

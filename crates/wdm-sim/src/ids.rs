@@ -31,7 +31,7 @@ define_id!(
     ThreadId
 );
 define_id!(
-    /// A kernel event object (`KEVENT`), synchronization or notification.
+    /// A kernel synchronization event object (`KEVENT`).
     EventId
 );
 define_id!(
@@ -54,19 +54,6 @@ define_id!(
     /// A device interrupt arrival process installed by a workload.
     SourceId
 );
-define_id!(
-    /// A kernel mutex object (`KMUTEX`).
-    MutexId
-);
-define_id!(
-    /// A registered multi-object wait set (for `KeWaitForMultipleObjects`).
-    WaitSetId
-);
-define_id!(
-    /// An asynchronous procedure call object (`KAPC`).
-    ApcId
-);
-
 /// Anything a thread can block on with `KeWaitForSingleObject`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WaitObject {
@@ -74,10 +61,6 @@ pub enum WaitObject {
     Event(EventId),
     /// A kernel semaphore.
     Semaphore(SemId),
-    /// A kernel timer.
-    Timer(TimerId),
-    /// A kernel mutex.
-    Mutex(MutexId),
 }
 
 #[cfg(test)]

@@ -7,10 +7,7 @@
 //! IRP owns a run of blackboard slots as its system buffer; completing it
 //! notifies observers (the control application) with the buffer contents.
 
-use crate::{
-    ids::{EventId, Slot},
-    time::Instant,
-};
+use crate::ids::{EventId, Slot};
 
 /// An I/O request packet.
 #[derive(Debug)]
@@ -21,24 +18,17 @@ pub struct Irp {
     pub asb_len: usize,
     /// Optional event signaled at completion (overlapped I/O style).
     pub completion_event: Option<EventId>,
-    /// When the IRP was last (re-)issued.
-    pub issued_at: Instant,
-    /// When it last completed, if ever.
-    pub completed_at: Option<Instant>,
-    /// Completions so far (IRPs are re-issued by the control app each
-    /// measurement round).
+    /// Completions so far (one per measurement round the driver returns).
     pub completion_count: u64,
 }
 
 impl Irp {
-    /// Creates a pending IRP over the given buffer.
+    /// Creates an IRP over the given buffer.
     pub fn new(asb: Slot, asb_len: usize, completion_event: Option<EventId>) -> Irp {
         Irp {
             asb,
             asb_len,
             completion_event,
-            issued_at: Instant::ZERO,
-            completed_at: None,
             completion_count: 0,
         }
     }
@@ -49,21 +39,9 @@ impl Irp {
         Slot(self.asb.0 + i)
     }
 
-    /// Marks the IRP complete at `now`.
-    pub fn complete(&mut self, now: Instant) {
-        self.completed_at = Some(now);
+    /// Records one completion (`IoCompleteRequest`).
+    pub fn complete(&mut self) {
         self.completion_count += 1;
-    }
-
-    /// Re-issues the IRP (next `ReadFileEx` round).
-    pub fn reissue(&mut self, now: Instant) {
-        self.issued_at = now;
-        self.completed_at = None;
-    }
-
-    /// True if currently pending.
-    pub fn is_pending(&self) -> bool {
-        self.completed_at.is_none()
     }
 }
 
@@ -88,14 +66,11 @@ mod tests {
     #[test]
     fn completion_cycle() {
         let mut irp = Irp::new(Slot(0), 1, Some(EventId(4)));
-        assert!(irp.is_pending());
-        irp.complete(Instant(100));
-        assert!(!irp.is_pending());
+        assert_eq!(irp.completion_count, 0);
+        irp.complete();
         assert_eq!(irp.completion_count, 1);
-        irp.reissue(Instant(200));
-        assert!(irp.is_pending());
-        assert_eq!(irp.issued_at, Instant(200));
-        irp.complete(Instant(300));
+        irp.complete();
         assert_eq!(irp.completion_count, 2);
+        assert_eq!(irp.completion_event, Some(EventId(4)));
     }
 }

@@ -26,38 +26,33 @@ use std::{any::Any, cell::RefCell, collections::VecDeque, rc::Rc};
 use rand::{rngs::StdRng, RngCore, SeedableRng};
 
 use crate::{
+    arena::{ThreadTable, TimerTable},
     calendar::Calendar,
     config::KernelConfig,
-    dpc::{DpcImportance, DpcQueue},
+    dpc::DpcQueue,
     env::{EnvAction, EnvSource},
     flight::{FlightEvent, FlightRecorder},
-    ids::{
-        ApcId, DpcId, EventId, IrpId, MutexId, SemId, Slot, SourceId, ThreadId, TimerId, VectorId,
-        WaitObject, WaitSetId,
-    },
+    ids::{DpcId, EventId, IrpId, SemId, Slot, SourceId, ThreadId, TimerId, VectorId, WaitObject},
     interrupt::InterruptController,
     irp::Irp,
     irql::Irql,
     labels::{Label, SymbolTable},
-    object::{EventKind, KEvent, KMutex, KSemaphore},
+    object::{KEvent, KSemaphore},
     observer::{
         BlameBreakdown, CalendarPop, CalendarPopKind, DpcStart, Interest, IsrEnter, Observer,
         QuantumExpiry, ResumeBlame, ThreadResume,
     },
-    arena::{ThreadTable, TimerTable},
     sched::ReadyQueues,
     step::{Blackboard, ExecState, Program, Step, StepCtx},
     thread::{Tcb, ThreadState},
-    timer::{KTimer, Pit},
     time::{Cycles, Instant},
+    timer::{KTimer, Pit},
 };
 
 /// A DPC object: a routine plus queueing metadata.
 pub struct DpcObject {
     /// Debug name.
     pub name: String,
-    /// Queue insertion importance.
-    pub importance: DpcImportance,
     /// The routine; taken out while executing.
     program: Option<Box<dyn Program>>,
     /// Executions so far.
@@ -78,9 +73,8 @@ struct Frame {
     /// Cumulative [`CpuState`] of the stack up to and including this frame,
     /// snapshotted at push time. Valid for the frame's whole lifetime: the
     /// fold over the stack is a monotone max (plus a sticky interrupt-flag
-    /// clear), frames below never change, and the base thread IRQL is
-    /// frozen while any frame exists (threads only step on an empty
-    /// stack). Makes the decision loop's per-iteration `cpu_state` O(1).
+    /// clear) over a PASSIVE base, and frames below never change. Makes
+    /// the decision loop's per-iteration `cpu_state` O(1).
     cpu: CpuState,
 }
 
@@ -172,7 +166,7 @@ pub struct Kernel {
     ic: InterruptController,
     isr_bodies: Vec<IsrBody>,
     /// All time-based wakeups: PIT tick, env arrivals, timer deadlines,
-    /// thread wait deadlines (see [`crate::calendar`]).
+    /// thread sleeps (see [`crate::calendar`]).
     calendar: Calendar,
     pit_vector: VectorId,
     pit_label: Label,
@@ -181,9 +175,6 @@ pub struct Kernel {
     timers: TimerTable,
     events: Vec<KEvent>,
     sems: Vec<KSemaphore>,
-    mutexes: Vec<KMutex>,
-    wait_sets: Vec<Vec<WaitObject>>,
-    apc_routines: Vec<Option<Box<dyn Program>>>,
     irps: Vec<Irp>,
     threads: ThreadTable,
     ready: ReadyQueues,
@@ -218,8 +209,6 @@ pub struct Kernel {
     pub account: CycleAccount,
     /// Total thread context switches.
     pub context_switches: u64,
-    /// Timed waits that expired.
-    pub wait_timeouts: u64,
     /// Busy chunks that were charged more cycles than they had remaining.
     /// Always zero in a correct run; debug builds also assert on it.
     pub busy_overruns: u64,
@@ -306,9 +295,6 @@ impl Kernel {
             timers: TimerTable::default(),
             events: Vec::new(),
             sems: Vec::new(),
-            mutexes: Vec::new(),
-            wait_sets: Vec::new(),
-            apc_routines: Vec::new(),
             irps: Vec::new(),
             threads: ThreadTable::default(),
             ready: ReadyQueues::new(),
@@ -325,7 +311,6 @@ impl Kernel {
             current_label: Label::IDLE,
             account: CycleAccount::default(),
             context_switches: 0,
-            wait_timeouts: 0,
             busy_overruns: 0,
             sim_events: 0,
             steps_executed: 0,
@@ -373,15 +358,10 @@ impl Kernel {
         self.board.read(s)
     }
 
-    /// Writes a blackboard slot.
-    pub fn set_slot(&mut self, s: Slot, v: u64) {
-        self.board.write(s, v)
-    }
-
-    /// Creates an event object.
-    pub fn create_event(&mut self, kind: EventKind, signaled: bool) -> EventId {
+    /// Creates a synchronization event object.
+    pub fn create_event(&mut self, signaled: bool) -> EventId {
         let id = EventId(self.events.len());
-        self.events.push(KEvent::new(kind, signaled));
+        self.events.push(KEvent::new(signaled));
         id
     }
 
@@ -392,52 +372,16 @@ impl Kernel {
         id
     }
 
-    /// Creates a kernel mutex object.
-    pub fn create_mutex(&mut self) -> MutexId {
-        let id = MutexId(self.mutexes.len());
-        self.mutexes.push(KMutex::new());
-        id
-    }
-
-    /// Registers a multi-object wait set for `Step::WaitAny`.
-    ///
-    /// WaitAny semantics: the wait is satisfied by the first signaled
-    /// object; the satisfying index is reported through
-    /// `StepCtx::last_wait_index`.
-    pub fn create_wait_set(&mut self, objects: Vec<WaitObject>) -> WaitSetId {
-        assert!(
-            !objects.is_empty() && objects.len() <= 64,
-            "wait set must hold 1..=64 objects (MAXIMUM_WAIT_OBJECTS)"
-        );
-        let id = WaitSetId(self.wait_sets.len());
-        self.wait_sets.push(objects);
-        id
-    }
-
-    /// Creates an APC object with the given routine. Like a DPC object, an
-    /// APC object can be queued to one thread at a time.
-    pub fn create_apc(&mut self, routine: Box<dyn Program>) -> ApcId {
-        let id = ApcId(self.apc_routines.len());
-        self.apc_routines.push(Some(routine));
-        id
-    }
-
     /// Creates a kernel timer, optionally bound to a DPC queued at expiry.
     pub fn create_timer(&mut self, dpc: Option<DpcId>) -> TimerId {
         TimerId(self.timers.push(dpc))
     }
 
     /// Creates a DPC object.
-    pub fn create_dpc(
-        &mut self,
-        name: &str,
-        importance: DpcImportance,
-        program: Box<dyn Program>,
-    ) -> DpcId {
+    pub fn create_dpc(&mut self, name: &str, program: Box<dyn Program>) -> DpcId {
         let id = DpcId(self.dpcs.len());
         self.dpcs.push(DpcObject {
             name: name.to_string(),
-            importance,
             program: Some(program),
             run_count: 0,
         });
@@ -445,7 +389,12 @@ impl Kernel {
     }
 
     /// Creates a kernel thread, initially ready.
-    pub fn create_thread(&mut self, name: &str, priority: u8, program: Box<dyn Program>) -> ThreadId {
+    pub fn create_thread(
+        &mut self,
+        name: &str,
+        priority: u8,
+        program: Box<dyn Program>,
+    ) -> ThreadId {
         let id = ThreadId(self.threads.push(name, priority, program));
         self.threads[id.0].blame_watched = self.blame_all_threads;
         self.ready.push_back(id, priority);
@@ -487,12 +436,6 @@ impl Kernel {
     /// Read access to an IRP.
     pub fn irp(&self, id: IrpId) -> &Irp {
         &self.irps[id.0]
-    }
-
-    /// Re-issues an IRP (the control application's next read).
-    pub fn reissue_irp(&mut self, id: IrpId) {
-        let now = self.now;
-        self.irps[id.0].reissue(now);
     }
 
     /// Registers an observer. Keep a clone of the handle to read results.
@@ -626,11 +569,6 @@ impl Kernel {
         &self.ic
     }
 
-    /// Number of DPCs currently queued.
-    pub fn dpc_queue_len(&self) -> usize {
-        self.dpc_queue.len()
-    }
-
     /// Label charged for the most recently executed cycles.
     pub fn current_label(&self) -> Label {
         self.current_label
@@ -646,11 +584,6 @@ impl Kernel {
         self.ic.assert_line(v, now);
     }
 
-    /// Signals an event from outside the simulation (test harness use).
-    pub fn signal_event(&mut self, e: EventId) {
-        self.do_set_event(e);
-    }
-
     /// Releases a semaphore from outside the simulation.
     pub fn release_semaphore(&mut self, s: SemId, count: u32) {
         self.do_release_semaphore(s, count);
@@ -660,12 +593,6 @@ impl Kernel {
     /// semantics as `Step::SetTimer` minus the service-call charge.
     pub fn set_timer(&mut self, timer: TimerId, due: Cycles, period: Option<Cycles>) {
         self.do_set_timer(timer, due, period);
-    }
-
-    /// Cancels a timer from outside the simulation. Returns whether it
-    /// was armed.
-    pub fn cancel_timer(&mut self, timer: TimerId) -> bool {
-        self.do_cancel_timer(timer)
     }
 
     /// Fingerprint of the RNG stream position: the next value the
@@ -698,7 +625,6 @@ impl Kernel {
         m.counter("sim.notify_takes", self.notify_takes);
         m.counter("sim.calendar_tick_work", self.calendar_tick_work());
         m.counter("sim.context_switches", self.context_switches);
-        m.counter("sim.wait_timeouts", self.wait_timeouts);
         m.counter("sim.busy_overruns", self.busy_overruns);
         m.counter("sim.cycles.isr", self.account.isr);
         m.counter("sim.cycles.dpc", self.account.dpc);
@@ -821,7 +747,7 @@ impl Kernel {
             self.sim_events += 1;
             // Preemption horizon for this iteration: one calendar peek
             // covers the PIT tick and the next environment arrival. Timer
-            // and wait deadlines are tick-granular (they fire *inside* the
+            // and sleep deadlines are tick-granular (they fire *inside* the
             // clock ISR, never between ticks), so the PIT tick already
             // bounds them. Nothing below can move the calendar — ticks and
             // arrivals pop only in `fire_due_events`, and `SetTimer` feeds
@@ -924,14 +850,6 @@ impl Kernel {
                 }
                 EnvAction::AssertInterrupt(v) => {
                     self.ic.assert_line(*v, now);
-                }
-                EnvAction::SetEvent(e) => {
-                    let e = *e;
-                    self.env[idx] = Some(src);
-                    self.do_set_event(e);
-                    let gap = self.next_env_gap(idx);
-                    self.schedule_env(idx, now + gap);
-                    return;
                 }
                 EnvAction::ReleaseSemaphore(s, n) => {
                     let (s, n) = (*s, *n);
@@ -1086,23 +1004,20 @@ impl Kernel {
                 }
             }
 
-            // 4. Pending non-preemptible sections start at thread level.
-            // The frames are empty here (step 3), so `cpu.irql` is exactly
-            // the running thread's own IRQL — no second stack walk needed.
-            if !self.pending_sections.is_empty() && cpu.irql == Irql::PASSIVE {
-                if let Some((d, l)) = self.pending_sections.pop_front() {
-                    let kind = FrameKind::Section;
-                    let cpu = self.child_cpu(&kind);
-                    self.frames.push(Frame {
-                        kind,
-                        exec: ExecState::Busy {
-                            remaining: d,
-                            label: l,
-                        },
-                        cpu,
-                    });
-                    continue;
-                }
+            // 4. Pending non-preemptible sections start at thread level
+            // (the frames are empty here, after step 3).
+            if let Some((d, l)) = self.pending_sections.pop_front() {
+                let kind = FrameKind::Section;
+                let cpu = self.child_cpu(&kind);
+                self.frames.push(Frame {
+                    kind,
+                    exec: ExecState::Busy {
+                        remaining: d,
+                        label: l,
+                    },
+                    cpu,
+                });
+                continue;
             }
 
             // 5. Thread scheduling.
@@ -1123,33 +1038,19 @@ impl Kernel {
         }
     }
 
-    /// IRQL contributed by the running thread (threads can raise IRQL).
-    fn thread_irql(&self) -> Irql {
-        self.current_thread
-            .map(|t| self.threads.irql[t.0])
-            .unwrap_or(Irql::PASSIVE)
-    }
-
     /// Everything the decision loop needs about interrupt masking: whether
     /// interrupts are enabled and the effective IRQL.
     ///
     /// O(1): the top frame carries the cumulative state of the whole stack
-    /// (see [`Frame::cpu`]); with no frames, the running thread's own IRQL
-    /// is the answer. The loop runs this every iteration, so the former
-    /// per-call stack walk was a measurable share of simulator throughput.
+    /// (see [`Frame::cpu`]); with no frames, threads run at PASSIVE with
+    /// interrupts enabled. The loop runs this every iteration.
     fn cpu_state(&self) -> CpuState {
         match self.frames.last() {
             Some(f) => {
                 debug_assert_eq!(f.cpu, self.cpu_state_walk(), "stale frame CPU snapshot");
                 f.cpu
             }
-            None => {
-                let t = self.thread_irql();
-                CpuState {
-                    interrupts_enabled: true,
-                    irql: t,
-                }
-            }
+            None => CpuState::THREAD,
         }
     }
 
@@ -1179,11 +1080,7 @@ impl Kernel {
     /// snapshots in debug builds (`debug_assert` still type-checks its
     /// arguments in release, so this is not `cfg`-gated).
     fn cpu_state_walk(&self) -> CpuState {
-        let t = self.thread_irql();
-        let mut s = CpuState {
-            interrupts_enabled: true,
-            irql: t,
-        };
+        let mut s = CpuState::THREAD;
         for f in &self.frames {
             match f.kind {
                 FrameKind::Isr { irql, .. } => s.irql = s.irql.max(irql),
@@ -1233,7 +1130,10 @@ impl Kernel {
     // --------------------------------------------------------------
 
     fn frame_progress(&mut self) -> FrameOutcome {
-        let top = self.frames.last_mut().expect("frame_progress needs a frame");
+        let top = self
+            .frames
+            .last_mut()
+            .expect("frame_progress needs a frame");
         // A busy chunk still running?
         if let ExecState::Busy { remaining, .. } = top.exec {
             if !remaining.is_zero() {
@@ -1299,8 +1199,7 @@ impl Kernel {
                     // The clock ISR body: fixed cost plus per-due-timer work.
                     let due = self.due_timer_count();
                     let body = Cycles(
-                        self.config.pit_isr_cost.0
-                            + self.config.timer_expiry_cost.0 * due as u64,
+                        self.config.pit_isr_cost.0 + self.config.timer_expiry_cost.0 * due as u64,
                     );
                     let label = self.pit_label;
                     let f = &mut self.frames[idx];
@@ -1319,7 +1218,7 @@ impl Kernel {
             }
             1 => {
                 if is_pit {
-                    // Clock ISR body done: fire timers and timed waits, then
+                    // Clock ISR body done: fire timers and wake sleepers, then
                     // pay the exit overhead.
                     self.clock_tick_work();
                     let cost = self.config.isr_exit_cost;
@@ -1452,8 +1351,6 @@ impl Kernel {
                 now: self.now,
                 board: &mut self.board,
                 rng: &mut self.rng,
-                last_wait_timed_out: false,
-                last_wait_index: 0,
             };
             p.begin(&mut ctx);
         }
@@ -1508,8 +1405,6 @@ impl Kernel {
                 now: self.now,
                 board: &mut self.board,
                 rng: &mut self.rng,
-                last_wait_timed_out: false,
-                last_wait_index: 0,
             };
             let step = p.step(&mut ctx);
             self.steps_executed += 1;
@@ -1541,30 +1436,13 @@ impl Kernel {
                     self.put_frame_program(idx, program);
                     return FrameOutcome::Changed;
                 }
-                Step::BusyCli { cycles, label } => {
-                    // Model as a nested interrupt-disabled window.
-                    self.frames[idx].exec = ExecState::NeedStep;
-                    self.put_frame_program(idx, program);
-                    self.push_cli(cycles, label);
-                    return FrameOutcome::Changed;
-                }
                 Step::Return => {
                     self.put_frame_program(idx, program);
                     self.retire_frame_body(idx);
                     return FrameOutcome::Changed;
                 }
-                Step::Wait(_) | Step::WaitTimeout(..) | Step::WaitAny(_) | Step::Sleep(_) => {
+                Step::Wait(_) | Step::Sleep(_) => {
                     panic!("blocking step in ISR/DPC context (IRQL >= DISPATCH)")
-                }
-                Step::ReleaseMutex(_) => {
-                    panic!("mutex release in ISR/DPC context (IRQL >= DISPATCH)")
-                }
-                Step::SetPriority(_)
-                | Step::RaiseIrql(_)
-                | Step::LowerIrql
-                | Step::Yield
-                | Step::Exit => {
-                    panic!("thread-only step in ISR/DPC context")
                 }
                 other => self.apply_service_step(other),
             }
@@ -1635,7 +1513,10 @@ impl Kernel {
                 let i = t.0;
                 if self.threads.in_overhead[i] {
                     self.threads.in_overhead[i] = false;
-                    let saved = self.threads[i].saved_exec.take().unwrap_or(ExecState::NeedStep);
+                    let saved = self.threads[i]
+                        .saved_exec
+                        .take()
+                        .unwrap_or(ExecState::NeedStep);
                     self.threads.exec[i] = saved;
                     // Dispatch complete: if the thread was readied from a
                     // wait, its first post-wait instruction runs now.
@@ -1746,18 +1627,18 @@ impl Kernel {
         descheduled
     }
 
-    /// Pulls steps from the thread's program (or active APC) until a step
-    /// that must go back through the decision loop.
+    /// Pulls steps from the thread's program until a step that must go
+    /// back through the decision loop.
     ///
     /// Like [`Kernel::run_frame_steps`], busy chunks ending strictly before
     /// the preemption horizon are charged inline — here the horizon is
     /// additionally clipped to quantum expiry, so priority decay and
     /// round-robin keep their exact single-step timing. Between fused
     /// chunks nothing the outer loop re-checks can change: interrupts
-    /// assert only from calendar events, DPCs queue and threads ready only
-    /// from kernel-interacting steps (which all exit this loop), and the
-    /// thread's IRQL is constant. Each inline charge bumps `sim_events` by
-    /// the one outer iteration the single-step path would have spent.
+    /// assert only from calendar events, and DPCs queue and threads ready
+    /// only from kernel-interacting steps, which all exit this loop. Each
+    /// inline charge bumps `sim_events` by the one outer iteration the
+    /// single-step path would have spent.
     fn run_thread_steps(&mut self, t: ThreadId) -> ThreadOutcome {
         self.step_dispatches += 1;
         // `maybe_expire_quantum` ran just before this call, so the quantum
@@ -1771,95 +1652,22 @@ impl Kernel {
         loop {
             guard += 1;
             assert!(guard < 100_000, "thread program spinning without time");
+            let mut program = self.threads[t.0]
+                .program
+                .take()
+                .expect("a runnable thread owns its program");
+            let mut ctx = StepCtx {
+                now: self.now,
+                board: &mut self.board,
+                rng: &mut self.rng,
+            };
             // Deliver `begin` once.
             if !self.threads[t.0].started {
                 self.threads[t.0].started = true;
-                let mut program = self.threads[t.0].program.take();
-                if let Some(p) = program.as_mut() {
-                    let mut ctx = StepCtx {
-                        now: self.now,
-                        board: &mut self.board,
-                        rng: &mut self.rng,
-                        last_wait_timed_out: false,
-                        last_wait_index: 0,
-                    };
-                    p.begin(&mut ctx);
-                }
-                self.threads[t.0].program = program;
+                program.begin(&mut ctx);
             }
-            // Deliver pending APCs at PASSIVE level, one at a time, before
-            // the thread's own program resumes.
-            if self.threads[t.0].active_apc.is_none()
-                && self.threads.irql[t.0] == Irql::PASSIVE
-                && !self.threads[t.0].apcs.is_empty()
-            {
-                let apc = self.threads[t.0].apcs.pop_front().expect("non-empty");
-                if let Some(mut prog) = self.apc_routines[apc.0].take() {
-                    let mut ctx = StepCtx {
-                        now: self.now,
-                        board: &mut self.board,
-                        rng: &mut self.rng,
-                        last_wait_timed_out: false,
-                        last_wait_index: 0,
-                    };
-                    prog.begin(&mut ctx);
-                    self.threads[t.0].active_apc = Some((apc, prog));
-                }
-            }
-            let in_apc = self.threads[t.0].active_apc.is_some();
-            let step = if in_apc {
-                let (apc, mut p) = self.threads[t.0].active_apc.take().expect("checked");
-                let step = {
-                    let mut ctx = StepCtx {
-                        now: self.now,
-                        board: &mut self.board,
-                        rng: &mut self.rng,
-                        last_wait_timed_out: false,
-                        last_wait_index: 0,
-                    };
-                    p.step(&mut ctx)
-                };
-                self.threads[t.0].active_apc = Some((apc, p));
-                step
-            } else {
-                let mut program = self.threads[t.0].program.take();
-                let Some(p) = program.as_mut() else {
-                    // Program missing: treat as exited.
-                    self.exit_thread(t);
-                    return ThreadOutcome::Changed;
-                };
-                let step = {
-                    let mut ctx = StepCtx {
-                        now: self.now,
-                        board: &mut self.board,
-                        rng: &mut self.rng,
-                        last_wait_timed_out: self.threads[t.0].last_wait_timed_out,
-                        last_wait_index: self.threads[t.0].last_wait_index,
-                    };
-                    p.step(&mut ctx)
-                };
-                self.threads[t.0].program = program;
-                step
-            };
-            if in_apc {
-                match step {
-                    Step::Return => {
-                        // APC routine finished: return it to the table.
-                        let (apc, p) =
-                            self.threads[t.0].active_apc.take().expect("active");
-                        self.apc_routines[apc.0] = Some(p);
-                        continue;
-                    }
-                    Step::Wait(_)
-                    | Step::WaitTimeout(..)
-                    | Step::WaitAny(_)
-                    | Step::Sleep(_)
-                    | Step::Exit => {
-                        panic!("blocking/exit step inside an APC routine")
-                    }
-                    _ => {}
-                }
-            }
+            let step = program.step(&mut ctx);
+            self.threads[t.0].program = Some(program);
             self.steps_executed += 1;
             match step {
                 Step::Busy { cycles, label } => {
@@ -1893,110 +1701,21 @@ impl Kernel {
                     };
                     return ThreadOutcome::Running(end);
                 }
-                Step::BusyCli { cycles, label } => {
-                    self.push_cli(cycles, label);
-                    return ThreadOutcome::Changed;
-                }
                 Step::Wait(obj) => {
-                    if self.try_acquire(obj, t) {
+                    if self.try_acquire(obj) {
                         self.threads[t.0].waits_satisfied += 1;
-                        self.threads[t.0].last_wait_timed_out = false;
                         return self.charge_service(t);
                     }
                     self.block_thread(t, Some(obj), None);
                     return ThreadOutcome::Changed;
-                }
-                Step::WaitTimeout(obj, d) => {
-                    if self.try_acquire(obj, t) {
-                        self.threads[t.0].waits_satisfied += 1;
-                        self.threads[t.0].last_wait_timed_out = false;
-                        return self.charge_service(t);
-                    }
-                    let deadline = self.now + d;
-                    self.block_thread(t, Some(obj), Some(deadline));
-                    return ThreadOutcome::Changed;
-                }
-                Step::WaitAny(set) => {
-                    // Try each member in order without blocking. Take the
-                    // set instead of cloning it per wait: `try_acquire`
-                    // never touches `wait_sets`, so the slot is restored
-                    // untouched after the scan.
-                    let objects = std::mem::take(&mut self.wait_sets[set.0]);
-                    let mut satisfied = None;
-                    for (i, obj) in objects.iter().enumerate() {
-                        if self.try_acquire(*obj, t) {
-                            satisfied = Some(i);
-                            break;
-                        }
-                    }
-                    self.wait_sets[set.0] = objects;
-                    if let Some(i) = satisfied {
-                        let tcb = &mut self.threads[t.0];
-                        tcb.waits_satisfied += 1;
-                        tcb.last_wait_timed_out = false;
-                        tcb.last_wait_index = i;
-                        return self.charge_service(t);
-                    }
-                    self.block_thread_any(t, set);
-                    return ThreadOutcome::Changed;
-                }
-                Step::ReleaseMutex(m) => {
-                    self.do_release_mutex(m, t);
-                    return self.charge_service(t);
                 }
                 Step::Sleep(d) => {
                     let deadline = self.now + d;
                     self.block_thread(t, None, Some(deadline));
                     return ThreadOutcome::Changed;
                 }
-                Step::SetPriority(p_new) => {
-                    assert!((1..=31).contains(&p_new), "priority out of range");
-                    self.threads.priority[t.0] = p_new;
-                    self.threads[t.0].base_priority = p_new;
-                    // A lowered priority may let a ready thread preempt.
-                    if self.ready.highest_priority() > Some(p_new) {
-                        self.resched = true;
-                    }
-                    return self.charge_service(t);
-                }
-                Step::RaiseIrql(irql) => {
-                    assert!(
-                        irql > self.threads.irql[t.0],
-                        "KeRaiseIrql must raise the IRQL"
-                    );
-                    self.threads.irql[t.0] = irql;
-                    return self.charge_service(t);
-                }
-                Step::LowerIrql => {
-                    self.threads.irql[t.0] = Irql::PASSIVE;
-                    // DPCs blocked while raised may now drain, and any
-                    // dispatch deferred by the raised IRQL must be retried.
-                    self.resched = true;
-                    return self.charge_service(t);
-                }
-                Step::Yield => {
-                    let priority = self.threads.priority[t.0];
-                    if self.ready.len_at(priority) > 0
-                        || self.ready.highest_priority() > Some(priority)
-                    {
-                        self.threads.state[t.0] = ThreadState::Ready;
-                        self.threads.quantum_remaining[t.0] = self.config.quantum;
-                        self.ready.push_back(t, priority);
-                        self.current_thread = None;
-                        self.resched = true;
-                        return ThreadOutcome::Changed;
-                    }
-                    // Nobody to yield to; refresh quantum and continue.
-                    self.threads.quantum_remaining[t.0] = self.config.quantum;
-                    return self.charge_service(t);
-                }
-                Step::Exit => {
-                    self.exit_thread(t);
-                    return ThreadOutcome::Changed;
-                }
                 Step::Return => {
-                    // Block forever: returned from a thread function without
-                    // Exit. Park the thread.
+                    // Returned from the thread function: park the thread.
                     self.block_thread(t, None, None);
                     return ThreadOutcome::Changed;
                 }
@@ -2019,88 +1738,28 @@ impl Kernel {
         ThreadOutcome::Changed
     }
 
-    fn exit_thread(&mut self, t: ThreadId) {
-        self.threads.state[t.0] = ThreadState::Terminated;
-        self.threads[t.0].program = None;
-        self.current_thread = None;
-        self.resched = true;
-    }
-
     fn block_thread(&mut self, t: ThreadId, obj: Option<WaitObject>, deadline: Option<Instant>) {
-        {
-            let i = t.0;
-            assert_eq!(
-                self.threads.irql[i],
-                Irql::PASSIVE,
-                "thread blocked at raised IRQL"
-            );
-            self.threads.state[i] = ThreadState::Waiting;
-            self.threads[i].wait = obj;
-            self.threads.wait_deadline[i] = deadline;
-            if deadline.is_some() {
-                self.threads.deadline_gen[i] += 1;
-            }
-        }
+        let i = t.0;
+        self.threads.state[i] = ThreadState::Waiting;
+        self.threads.wait_deadline[i] = deadline;
         if let Some(d) = deadline {
-            let gen = self.threads.deadline_gen[t.0];
-            self.calendar.arm_wait(t.0 as u32, d, gen);
+            self.threads.deadline_gen[i] += 1;
+            let gen = self.threads.deadline_gen[i];
+            self.calendar.arm_wait(i as u32, d, gen);
         }
-        if let Some(obj) = obj {
-            self.enqueue_waiter(obj, t);
+        match obj {
+            Some(WaitObject::Event(e)) => self.events[e.0].enqueue_waiter(t),
+            Some(WaitObject::Semaphore(s)) => self.sems[s.0].enqueue_waiter(t),
+            None => {}
         }
         self.current_thread = None;
         self.resched = true;
     }
 
-    fn enqueue_waiter(&mut self, obj: WaitObject, t: ThreadId) {
-        match obj {
-            WaitObject::Event(e) => self.events[e.0].enqueue_waiter(t),
-            WaitObject::Semaphore(s) => self.sems[s.0].enqueue_waiter(t),
-            WaitObject::Timer(tm) => self.timers[tm.0].waiters.push_back(t),
-            WaitObject::Mutex(m) => self.mutexes[m.0].enqueue_waiter(t),
-        }
-    }
-
-    fn dequeue_waiter(&mut self, obj: WaitObject, t: ThreadId) {
-        match obj {
-            WaitObject::Event(e) => self.events[e.0].remove_waiter(t),
-            WaitObject::Semaphore(s) => self.sems[s.0].remove_waiter(t),
-            WaitObject::Timer(tm) => self.timers[tm.0].waiters.retain(|&w| w != t),
-            WaitObject::Mutex(m) => self.mutexes[m.0].remove_waiter(t),
-        }
-    }
-
-    /// Blocks the current thread on a WaitAny set.
-    fn block_thread_any(&mut self, t: ThreadId, set: WaitSetId) {
-        {
-            let i = t.0;
-            assert_eq!(
-                self.threads.irql[i],
-                Irql::PASSIVE,
-                "thread blocked at raised IRQL"
-            );
-            self.threads.state[i] = ThreadState::Waiting;
-            self.threads[i].wait = None;
-            self.threads[i].wait_set = Some(set);
-            self.threads.wait_deadline[i] = None;
-        }
-        // Take the set instead of cloning it per block: `enqueue_waiter`
-        // never touches `wait_sets`.
-        let objects = std::mem::take(&mut self.wait_sets[set.0]);
-        for &obj in &objects {
-            self.enqueue_waiter(obj, t);
-        }
-        self.wait_sets[set.0] = objects;
-        self.current_thread = None;
-        self.resched = true;
-    }
-
-    fn try_acquire(&mut self, obj: WaitObject, t: ThreadId) -> bool {
+    fn try_acquire(&mut self, obj: WaitObject) -> bool {
         match obj {
             WaitObject::Event(e) => self.events[e.0].try_acquire(),
             WaitObject::Semaphore(s) => self.sems[s.0].try_acquire(),
-            WaitObject::Timer(tm) => self.timers[tm.0].signaled,
-            WaitObject::Mutex(m) => self.mutexes[m.0].try_acquire(t),
         }
     }
 
@@ -2114,29 +1773,15 @@ impl Kernel {
                 let now = self.now.0;
                 self.board.write(slot, now);
             }
-            Step::WriteSlot(slot, v) => self.board.write(slot, v),
             Step::QueueDpc(d) => {
-                let importance = self.dpcs[d.0].importance;
                 let now = self.now;
-                self.dpc_queue.insert(d, importance, now);
+                self.dpc_queue.insert(d, now);
             }
             Step::SetEvent(e) => self.do_set_event(e),
-            Step::QueueApc(thread, apc) => {
-                if self.threads.state[thread.0] != ThreadState::Terminated
-                    && !self.threads[thread.0].apcs.contains(&apc)
-                {
-                    self.threads[thread.0].apcs.push_back(apc);
-                }
-            }
-            Step::ResetEvent(e) => self.events[e.0].reset(),
-            Step::ReleaseSemaphore(s, n) => self.do_release_semaphore(s, n),
             Step::SetTimer { timer, due, period } => self.do_set_timer(timer, due, period),
-            Step::CancelTimer(t) => {
-                self.do_cancel_timer(t);
-            }
             Step::CompleteIrp(irp) => {
                 let now = self.now;
-                self.irps[irp.0].complete(now);
+                self.irps[irp.0].complete();
                 if let Some(e) = self.irps[irp.0].completion_event {
                     self.do_set_event(e);
                 }
@@ -2166,22 +1811,14 @@ impl Kernel {
             .arm_timer(timer.0 as u32, deadline, self.timers.due_gen[timer.0]);
     }
 
-    fn do_cancel_timer(&mut self, t: TimerId) -> bool {
-        let was_armed = self.timers.cancel(t.0);
-        if was_armed {
-            self.calendar.timer_invalidated(&self.timers.due_gen);
-        }
-        was_armed
-    }
-
     fn do_set_event(&mut self, e: EventId) {
-        // Take the scratch buffer so ready_thread_from (which may signal
+        // Take the scratch buffer so ready_thread (which may signal
         // nothing further, but could in principle re-enter) sees an empty
         // field; release order is unchanged from the allocating version.
         let mut released = std::mem::take(&mut self.wake_scratch);
         self.events[e.0].set_into(&mut released);
         for &t in &released {
-            self.ready_thread_from(t, Some(WaitObject::Event(e)));
+            self.ready_thread(t);
         }
         released.clear();
         self.wake_scratch = released;
@@ -2191,45 +1828,16 @@ impl Kernel {
         let mut released = std::mem::take(&mut self.wake_scratch);
         self.sems[s.0].release_into(n, &mut released);
         for &t in &released {
-            self.ready_thread_from(t, Some(WaitObject::Semaphore(s)));
+            self.ready_thread(t);
         }
         released.clear();
         self.wake_scratch = released;
     }
 
-    fn do_release_mutex(&mut self, m: MutexId, owner: ThreadId) {
-        if let Some(next) = self.mutexes[m.0].release(owner) {
-            // Handoff: the waiter wakes already owning the mutex.
-            self.ready_thread_from(next, Some(WaitObject::Mutex(m)));
-        }
-    }
-
     /// Makes a waiting thread ready and requests a dispatch if it outranks
-    /// the running thread. `waker` names the object whose signal satisfied
-    /// the wait, if any (None for timeouts and timer-grid wakes).
+    /// the running thread.
     fn ready_thread(&mut self, t: ThreadId) {
-        self.ready_thread_from(t, None)
-    }
-
-    fn ready_thread_from(&mut self, t: ThreadId, waker: Option<WaitObject>) {
         let now = self.now;
-        // A WaitAny sleeper is enqueued on every set member: unlink from
-        // the ones that did not fire and record the satisfying index.
-        if let Some(set) = self.threads[t.0].wait_set.take() {
-            // Take the set instead of cloning it per wake: `dequeue_waiter`
-            // never touches `wait_sets`.
-            let objects = std::mem::take(&mut self.wait_sets[set.0]);
-            let index = waker
-                .and_then(|w| objects.iter().position(|&o| o == w))
-                .unwrap_or(0);
-            self.threads[t.0].last_wait_index = index;
-            for (i, &obj) in objects.iter().enumerate() {
-                if waker.map(|_| i) != Some(index) || waker.is_none() {
-                    self.dequeue_waiter(obj, t);
-                }
-            }
-            self.wait_sets[set.0] = objects;
-        }
         let boost = self.config.dynamic_boost;
         let i = t.0;
         debug_assert_eq!(
@@ -2238,16 +1846,14 @@ impl Kernel {
             "readying a non-waiting thread"
         );
         self.threads.state[i] = ThreadState::Ready;
-        // A signal-wake before the deadline orphans the thread's calendar
-        // entry; the expiry path clears the deadline before calling here.
-        let deadline_orphaned = self.threads.wait_deadline[i].take().is_some();
-        if deadline_orphaned {
-            self.threads.deadline_gen[i] += 1;
-        }
+        // Only a sleep arms a deadline, and only its expiry wakes it: the
+        // expiry path consumes the deadline before calling here.
+        debug_assert!(
+            self.threads.wait_deadline[i].is_none(),
+            "signal woke a sleeper"
+        );
         {
             let tcb = &mut self.threads[i];
-            tcb.wait = None;
-            tcb.last_wait_timed_out = false;
             tcb.readied_at = Some(now);
             tcb.waits_satisfied += 1;
         }
@@ -2270,13 +1876,8 @@ impl Kernel {
             self.threads.priority[i] = (base + boost).min(15).max(self.threads.priority[i]);
         }
         let priority = self.threads.priority[i];
-        if deadline_orphaned {
-            self.calendar.wait_invalidated(&self.threads.deadline_gen);
-        }
         self.ready.push_back(t, priority);
-        let current_priority = self
-            .current_thread
-            .map(|c| self.threads.priority[c.0]);
+        let current_priority = self.current_thread.map(|c| self.threads.priority[c.0]);
         if current_priority.is_none() || Some(priority) > current_priority {
             self.resched = true;
         }
@@ -2285,12 +1886,6 @@ impl Kernel {
     /// Scheduler decision at thread level.
     fn do_dispatch(&mut self) {
         self.resched = false;
-        // A thread at raised IRQL cannot be preempted by the dispatcher.
-        if let Some(c) = self.current_thread {
-            if self.threads.irql[c.0] >= Irql::DISPATCH {
-                return;
-            }
-        }
         let highest = self.ready.highest_priority();
         match (self.current_thread, highest) {
             (_, None) => {}
@@ -2358,8 +1953,8 @@ impl Kernel {
         self.calendar.due_timer_count(now, &self.timers.due_gen)
     }
 
-    /// Fires due timers (queueing their DPCs, waking waiters) and expires
-    /// timed waits. Runs at the end of the clock ISR body.
+    /// Fires due timers (queueing their DPCs) and wakes expired sleepers.
+    /// Runs at the end of the clock ISR body.
     ///
     /// Only *due* calendar entries are popped — O(due), not
     /// O(timers + threads). The due batch arrives sorted ascending by
@@ -2367,7 +1962,7 @@ impl Kernel {
     /// wake order (and with it RNG call order and run digests) is
     /// unchanged. Batch-collecting before acting is equivalent to the old
     /// interleaved scan: firing timer j cannot change whether timer i is
-    /// due, and expiring thread j cannot change thread i's deadline.
+    /// due, and waking thread j cannot change thread i's deadline.
     fn clock_tick_work(&mut self) {
         let now = self.now;
         // Timers, ascending timer index.
@@ -2376,11 +1971,13 @@ impl Kernel {
             .take_due_timers(now, &self.timers.due_gen, &mut due);
         for &ti in &due {
             let i = ti as usize;
-            debug_assert!(self.timers.is_due(i, now), "stale entry survived validation");
+            debug_assert!(
+                self.timers.is_due(i, now),
+                "stale entry survived validation"
+            );
             let dpc = self.timers.fire(i, now);
             if let Some(d) = dpc {
-                let importance = self.dpcs[d.0].importance;
-                self.dpc_queue.insert(d, importance, now);
+                self.dpc_queue.insert(d, now);
             }
             // A periodic timer re-armed itself inside `fire`; push the new
             // deadline. (Like the old per-index scan, it fires at most
@@ -2389,59 +1986,23 @@ impl Kernel {
                 let gen = self.timers.due_gen[i];
                 self.calendar.arm_timer(ti, next_due, gen);
             }
-            // Wake timer waiters (notification semantics). Popping one at
-            // a time instead of draining into a fresh Vec per expiry is
-            // equivalent: `ready_thread` only ever unlinks the thread it
-            // wakes, so it cannot reorder or re-enqueue the remainder.
-            while let Some(t) = self.timers[i].waiters.pop_front() {
-                self.ready_thread(t);
-            }
             self.emit_calendar_pop(CalendarPopKind::Timer, ti);
         }
-        // Timed waits and sleeps, ascending thread index.
+        // Sleeps, ascending thread index.
         due.clear();
         self.calendar
             .take_due_waits(now, &self.threads.deadline_gen, &mut due);
         for &ti in &due {
             let i = ti as usize;
-            let t = ThreadId(i);
-            {
-                // Consume the deadline here so `ready_thread_from` does
-                // not report the already-popped entry as orphaned.
-                debug_assert_eq!(
-                    self.threads.state[i],
-                    ThreadState::Waiting,
-                    "armed deadline on a non-waiting thread"
-                );
-                debug_assert!(matches!(self.threads.wait_deadline[i], Some(d) if d <= now));
-                self.threads.wait_deadline[i] = None;
-                self.threads.deadline_gen[i] += 1;
-            }
-            // Unlink from whatever it was waiting on; WaitAny sets are
-            // unlinked inside ready_thread_from.
-            if let Some(obj) = self.threads[i].wait {
-                self.dequeue_waiter(obj, t);
-            }
-            let was_timed_wait =
-                self.threads[i].wait.is_some() || self.threads[i].wait_set.is_some();
-            self.ready_thread(t);
-            // `ready_thread` clears the timeout flag; re-mark it.
-            self.threads[i].last_wait_timed_out = was_timed_wait;
-            if was_timed_wait {
-                self.wait_timeouts += 1;
-                // A timed-out wait did not consume a signal, so undo the
-                // `waits_satisfied` increment `ready_thread` just made.
-                // The increment always precedes this decrement within one
-                // expiry, so the counter cannot underflow; the checked
-                // form keeps release builds safe if that invariant ever
-                // breaks.
-                let w = &mut self.threads[i].waits_satisfied;
-                debug_assert!(
-                    *w > 0,
-                    "timed-wait expiry without ready_thread's waits_satisfied increment"
-                );
-                *w = w.checked_sub(1).unwrap_or(0);
-            }
+            debug_assert_eq!(
+                self.threads.state[i],
+                ThreadState::Waiting,
+                "armed deadline on a non-waiting thread"
+            );
+            debug_assert!(matches!(self.threads.wait_deadline[i], Some(d) if d <= now));
+            self.threads.wait_deadline[i] = None;
+            self.threads.deadline_gen[i] += 1;
+            self.ready_thread(ThreadId(i));
             self.emit_calendar_pop(CalendarPopKind::Wait, ti);
         }
         due.clear();
@@ -2504,6 +2065,15 @@ struct CpuState {
     interrupts_enabled: bool,
     /// Effective IRQL (cli windows count as HIGH).
     irql: Irql,
+}
+
+impl CpuState {
+    /// Thread level: PASSIVE with interrupts enabled, the base every
+    /// frame folds over.
+    const THREAD: CpuState = CpuState {
+        interrupts_enabled: true,
+        irql: Irql::PASSIVE,
+    };
 }
 
 /// What the decision loop materialized: the owner of the next busy chunk

@@ -38,7 +38,6 @@
 //! let slot = k.alloc_slots(1);
 //! let dpc = k.create_dpc(
 //!     "tick-dpc",
-//!     DpcImportance::Medium,
 //!     Box::new(OpSeq::new(vec![Step::ReadTsc(slot), Step::Return])),
 //! );
 //! let timer = k.create_timer(Some(dpc));
@@ -77,14 +76,14 @@ pub mod observer;
 pub mod sched;
 pub mod step;
 pub mod thread;
-pub mod timer;
 pub mod time;
+pub mod timer;
 
 /// One-stop imports for building simulations.
 pub mod prelude {
     pub use crate::{
         config::KernelConfig,
-        dpc::{DpcDiscipline, DpcImportance},
+        dpc::DpcDiscipline,
         env::{samplers, EnvAction, EnvSource, Sampler},
         flight::{chrome_document, chrome_events_slice, FlightEvent, FlightRecorder},
         ids::{
@@ -95,7 +94,6 @@ pub mod prelude {
         kernel::{CycleAccount, Kernel, ObserverHandle},
         labels::{Label, SymbolTable},
         metrics::{MetricValue, MetricsSnapshot},
-        object::EventKind,
         observer::{
             BlameBreakdown, CalendarPop, CalendarPopKind, DpcStart, Interest, IsrEnter, Observer,
             QuantumExpiry, ResumeBlame, ThreadResume,

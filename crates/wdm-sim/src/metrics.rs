@@ -130,10 +130,19 @@ impl MetricsSnapshot {
                         *a = a.max(*b);
                     }
                     (
-                        MetricValue::Histogram { edges: ea, counts: ca },
-                        MetricValue::Histogram { edges: eb, counts: cb },
+                        MetricValue::Histogram {
+                            edges: ea,
+                            counts: ca,
+                        },
+                        MetricValue::Histogram {
+                            edges: eb,
+                            counts: cb,
+                        },
                     ) => {
-                        assert_eq!(ea, eb, "metric {name}: histogram edges differ across shards");
+                        assert_eq!(
+                            ea, eb,
+                            "metric {name}: histogram edges differ across shards"
+                        );
                         for (a, b) in ca.iter_mut().zip(cb) {
                             *a = a.saturating_add(*b);
                         }
@@ -243,7 +252,11 @@ mod tests {
             s.histogram("h", vec![1.0, 2.0], h.to_vec());
             s
         };
-        let (x, y, z) = (snap(1, 5.0, [1, 0, 0]), snap(2, 9.0, [0, 2, 0]), snap(4, 7.0, [0, 0, 3]));
+        let (x, y, z) = (
+            snap(1, 5.0, [1, 0, 0]),
+            snap(2, 9.0, [0, 2, 0]),
+            snap(4, 7.0, [0, 0, 3]),
+        );
 
         // (x + y) + z
         let mut left = x.clone();

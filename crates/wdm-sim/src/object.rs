@@ -3,29 +3,16 @@
 //! WDM threads block on *dispatcher objects*. The paper's measurement
 //! drivers use a **synchronization event** — an event that auto-clears after
 //! satisfying a single wait (§2.2 glossary) — which is what makes the
-//! DPC → thread handoff a clean one-shot signal. Notification events (which
-//! satisfy all waiters and stay signaled, like Unix kernel events) and
-//! counted semaphores are also provided.
+//! DPC → thread handoff a clean one-shot signal. Counted semaphores carry
+//! the work-item queue's posts to its worker threads.
 
 use std::collections::VecDeque;
 
 use crate::ids::ThreadId;
 
-/// Event flavor (see `KeInitializeEvent`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
-    /// Auto-clearing: satisfying one wait resets the event.
-    Synchronization,
-    /// Manual-reset: stays signaled until explicitly reset; satisfies all
-    /// outstanding waits.
-    Notification,
-}
-
-/// A kernel event object.
+/// A kernel synchronization event: satisfying one wait resets it.
 #[derive(Debug)]
 pub struct KEvent {
-    /// Flavor of the event.
-    pub kind: EventKind,
     /// Whether the event is currently signaled.
     pub signaled: bool,
     /// Threads blocked on the event, FIFO.
@@ -33,36 +20,26 @@ pub struct KEvent {
 }
 
 impl KEvent {
-    /// Creates an event with the given flavor and initial state.
-    pub fn new(kind: EventKind, signaled: bool) -> KEvent {
+    /// Creates an event in the given initial state.
+    pub fn new(signaled: bool) -> KEvent {
         KEvent {
-            kind,
             signaled,
             waiters: VecDeque::new(),
         }
     }
 
-    /// Signals the event, appending the threads released by the signal to
+    /// Signals the event, appending the thread released by the signal to
     /// `released` (a caller-owned scratch buffer, so the per-signal hot
     /// path never allocates).
     ///
-    /// A synchronization event releases at most one waiter (and stays
-    /// non-signaled if it released one); a notification event releases all
-    /// waiters and remains signaled.
+    /// Releases at most one waiter, and stays non-signaled if it released
+    /// one.
     pub fn set_into(&mut self, released: &mut Vec<ThreadId>) {
-        match self.kind {
-            EventKind::Synchronization => {
-                if let Some(t) = self.waiters.pop_front() {
-                    self.signaled = false;
-                    released.push(t);
-                } else {
-                    self.signaled = true;
-                }
-            }
-            EventKind::Notification => {
-                self.signaled = true;
-                released.extend(self.waiters.drain(..));
-            }
+        if let Some(t) = self.waiters.pop_front() {
+            self.signaled = false;
+            released.push(t);
+        } else {
+            self.signaled = true;
         }
     }
 
@@ -73,121 +50,16 @@ impl KEvent {
         released
     }
 
-    /// Resets the event to non-signaled.
-    pub fn reset(&mut self) {
-        self.signaled = false;
-    }
-
     /// Attempts to satisfy a wait immediately, without blocking.
     ///
-    /// Returns `true` if the wait is satisfied (consuming the signal for a
-    /// synchronization event).
+    /// Returns `true` if the wait is satisfied, consuming the signal.
     pub fn try_acquire(&mut self) -> bool {
-        if !self.signaled {
-            return false;
-        }
-        if self.kind == EventKind::Synchronization {
-            self.signaled = false;
-        }
-        true
+        std::mem::take(&mut self.signaled)
     }
 
     /// Enqueues a thread to wait on the event.
     pub fn enqueue_waiter(&mut self, t: ThreadId) {
         self.waiters.push_back(t);
-    }
-
-    /// Removes a thread from the wait queue (wait timeout or termination).
-    pub fn remove_waiter(&mut self, t: ThreadId) {
-        self.waiters.retain(|&w| w != t);
-    }
-}
-
-/// A kernel mutex object (`KMUTEX`).
-///
-/// Ownership-tracking, recursively acquirable by its owner. NT kernel
-/// mutexes do **not** implement priority inheritance — a low-priority owner
-/// can stall a high-priority waiter, one of the latency hazards the paper's
-/// methodology surfaces.
-#[derive(Debug)]
-pub struct KMutex {
-    /// Current owner, if held.
-    pub owner: Option<ThreadId>,
-    /// Recursive acquisition depth (0 when free).
-    pub recursion: u32,
-    /// Threads blocked on the mutex, FIFO.
-    pub waiters: VecDeque<ThreadId>,
-}
-
-impl KMutex {
-    /// Creates a free mutex.
-    pub fn new() -> KMutex {
-        KMutex {
-            owner: None,
-            recursion: 0,
-            waiters: VecDeque::new(),
-        }
-    }
-
-    /// Attempts to acquire for `t` without blocking. Recursive acquisition
-    /// by the owner succeeds.
-    pub fn try_acquire(&mut self, t: ThreadId) -> bool {
-        match self.owner {
-            None => {
-                self.owner = Some(t);
-                self.recursion = 1;
-                true
-            }
-            Some(o) if o == t => {
-                self.recursion += 1;
-                true
-            }
-            Some(_) => false,
-        }
-    }
-
-    /// Releases one level of ownership by `t`. Returns the thread that
-    /// inherits ownership, if the mutex was handed off to a waiter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` does not own the mutex (releasing an unowned mutex is
-    /// a bugcheck on NT).
-    pub fn release(&mut self, t: ThreadId) -> Option<ThreadId> {
-        assert_eq!(self.owner, Some(t), "mutex released by non-owner");
-        assert!(self.recursion > 0);
-        self.recursion -= 1;
-        if self.recursion > 0 {
-            return None;
-        }
-        match self.waiters.pop_front() {
-            Some(next) => {
-                // Hand off: the waiter wakes owning the mutex.
-                self.owner = Some(next);
-                self.recursion = 1;
-                Some(next)
-            }
-            None => {
-                self.owner = None;
-                None
-            }
-        }
-    }
-
-    /// Enqueues a thread to wait on the mutex.
-    pub fn enqueue_waiter(&mut self, t: ThreadId) {
-        self.waiters.push_back(t);
-    }
-
-    /// Removes a thread from the wait queue.
-    pub fn remove_waiter(&mut self, t: ThreadId) {
-        self.waiters.retain(|&w| w != t);
-    }
-}
-
-impl Default for KMutex {
-    fn default() -> KMutex {
-        KMutex::new()
     }
 }
 
@@ -252,11 +124,6 @@ impl KSemaphore {
     pub fn enqueue_waiter(&mut self, t: ThreadId) {
         self.waiters.push_back(t);
     }
-
-    /// Removes a thread from the wait queue.
-    pub fn remove_waiter(&mut self, t: ThreadId) {
-        self.waiters.retain(|&w| w != t);
-    }
 }
 
 #[cfg(test)]
@@ -265,7 +132,7 @@ mod tests {
 
     #[test]
     fn sync_event_autoclears_on_single_release() {
-        let mut e = KEvent::new(EventKind::Synchronization, false);
+        let mut e = KEvent::new(false);
         e.enqueue_waiter(ThreadId(1));
         e.enqueue_waiter(ThreadId(2));
         let released = e.set();
@@ -276,36 +143,12 @@ mod tests {
 
     #[test]
     fn sync_event_set_with_no_waiters_latches() {
-        let mut e = KEvent::new(EventKind::Synchronization, false);
+        let mut e = KEvent::new(false);
         assert!(e.set().is_empty());
         assert!(e.signaled);
         // The latched signal satisfies exactly one try_acquire.
         assert!(e.try_acquire());
         assert!(!e.try_acquire());
-    }
-
-    #[test]
-    fn notification_event_releases_all_and_stays_signaled() {
-        let mut e = KEvent::new(EventKind::Notification, false);
-        e.enqueue_waiter(ThreadId(1));
-        e.enqueue_waiter(ThreadId(2));
-        let released = e.set();
-        assert_eq!(released, vec![ThreadId(1), ThreadId(2)]);
-        assert!(e.signaled);
-        // Still signaled: later waits are satisfied immediately.
-        assert!(e.try_acquire());
-        assert!(e.try_acquire());
-        e.reset();
-        assert!(!e.try_acquire());
-    }
-
-    #[test]
-    fn event_remove_waiter() {
-        let mut e = KEvent::new(EventKind::Synchronization, false);
-        e.enqueue_waiter(ThreadId(1));
-        e.enqueue_waiter(ThreadId(2));
-        e.remove_waiter(ThreadId(1));
-        assert_eq!(e.set(), vec![ThreadId(2)]);
     }
 
     #[test]
@@ -335,53 +178,5 @@ mod tests {
     #[should_panic(expected = "initial count exceeds limit")]
     fn semaphore_rejects_bad_initial() {
         let _ = KSemaphore::new(3, 2);
-    }
-
-    #[test]
-    fn mutex_basic_acquire_release() {
-        let mut m = KMutex::new();
-        assert!(m.try_acquire(ThreadId(1)));
-        assert!(!m.try_acquire(ThreadId(2)));
-        assert_eq!(m.release(ThreadId(1)), None);
-        assert!(m.try_acquire(ThreadId(2)));
-    }
-
-    #[test]
-    fn mutex_recursion() {
-        let mut m = KMutex::new();
-        assert!(m.try_acquire(ThreadId(1)));
-        assert!(m.try_acquire(ThreadId(1)));
-        assert_eq!(m.release(ThreadId(1)), None);
-        assert_eq!(m.owner, Some(ThreadId(1)), "still held after one release");
-        assert_eq!(m.release(ThreadId(1)), None);
-        assert_eq!(m.owner, None);
-    }
-
-    #[test]
-    fn mutex_handoff_to_waiter() {
-        let mut m = KMutex::new();
-        m.try_acquire(ThreadId(1));
-        m.enqueue_waiter(ThreadId(2));
-        m.enqueue_waiter(ThreadId(3));
-        assert_eq!(m.release(ThreadId(1)), Some(ThreadId(2)));
-        assert_eq!(m.owner, Some(ThreadId(2)), "handoff transfers ownership");
-        assert_eq!(m.release(ThreadId(2)), Some(ThreadId(3)));
-    }
-
-    #[test]
-    #[should_panic(expected = "non-owner")]
-    fn mutex_release_by_non_owner_panics() {
-        let mut m = KMutex::new();
-        m.try_acquire(ThreadId(1));
-        let _ = m.release(ThreadId(2));
-    }
-
-    #[test]
-    fn mutex_remove_waiter() {
-        let mut m = KMutex::new();
-        m.try_acquire(ThreadId(1));
-        m.enqueue_waiter(ThreadId(2));
-        m.remove_waiter(ThreadId(2));
-        assert_eq!(m.release(ThreadId(1)), None);
     }
 }

@@ -22,7 +22,8 @@ pub enum CalendarPopKind {
     Env,
     /// A kernel timer deadline fired inside the clock ISR.
     Timer,
-    /// A timed wait / sleep deadline expired inside the clock ISR.
+    /// A thread's sleep expired inside the clock ISR. (Traces print it as
+    /// `"wait"`; the name is pinned by the committed trace hashes.)
     Wait,
 }
 
@@ -260,8 +261,8 @@ pub trait Observer {
     /// A context switch occurred (for throughput/overhead accounting).
     fn on_context_switch(&mut self, _from: Option<ThreadId>, _to: ThreadId, _now: Instant) {}
 
-    /// A due calendar entry popped (tick, env arrival, timer or timed-wait
-    /// expiry). High-rate; consume only from tracing/metrics sinks.
+    /// A due calendar entry popped (tick, env arrival, timer expiry or
+    /// sleep wake). High-rate; consume only from tracing/metrics sinks.
     fn on_calendar_pop(&mut self, _e: &CalendarPop) {}
 
     /// A thread's quantum expired (round-robin or in-place refresh).

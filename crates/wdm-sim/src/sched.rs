@@ -21,7 +21,9 @@ impl ReadyQueues {
     /// Creates empty queues for priorities 0..=31 (0 unused).
     pub fn new() -> ReadyQueues {
         ReadyQueues {
-            queues: (0..=MAX_PRIORITY as usize).map(|_| VecDeque::new()).collect(),
+            queues: (0..=MAX_PRIORITY as usize)
+                .map(|_| VecDeque::new())
+                .collect(),
             nonempty: 0,
         }
     }
@@ -61,25 +63,6 @@ impl ReadyQueues {
             self.nonempty &= !(1 << p);
         }
         t
-    }
-
-    /// Removes a specific thread (priority change, termination). Returns
-    /// whether it was queued.
-    ///
-    /// A thread is queued at most once, so this stops at the first match
-    /// instead of `retain`-scanning (and shifting) the whole queue; FIFO
-    /// order of the remaining threads is preserved.
-    pub fn remove(&mut self, t: ThreadId, priority: u8) -> bool {
-        let q = &mut self.queues[priority as usize];
-        let Some(pos) = q.iter().position(|&x| x == t) else {
-            return false;
-        };
-        q.remove(pos);
-        debug_assert!(!q.contains(&t), "thread double-queued at one priority");
-        if q.is_empty() {
-            self.nonempty &= !(1 << priority);
-        }
-        true
     }
 
     /// Number of ready threads at a given priority.
@@ -138,15 +121,6 @@ mod tests {
         rq.push_back(ThreadId(1), 24);
         rq.push_front(ThreadId(2), 24); // preempted: back to the head
         assert_eq!(rq.pop_highest(), Some(ThreadId(2)));
-    }
-
-    #[test]
-    fn remove_unlinks_and_clears_bitmap() {
-        let mut rq = ReadyQueues::new();
-        rq.push_back(ThreadId(1), 31);
-        assert!(rq.remove(ThreadId(1), 31));
-        assert!(!rq.remove(ThreadId(1), 31));
-        assert_eq!(rq.highest_priority(), None);
     }
 
     #[test]

@@ -12,20 +12,7 @@
 use rand::rngs::StdRng;
 
 use crate::{
-    ids::{
-        ApcId,
-        DpcId,
-        EventId,
-        IrpId,
-        MutexId,
-        SemId,
-        Slot,
-        ThreadId,
-        TimerId,
-        WaitObject,
-        WaitSetId, //
-    },
-    irql::Irql,
+    ids::{DpcId, EventId, IrpId, Slot, TimerId, WaitObject},
     labels::Label,
     time::{Cycles, Instant},
 };
@@ -42,28 +29,12 @@ pub enum Step {
         /// Attribution for the cause tool.
         label: Label,
     },
-    /// Consume CPU with interrupts disabled (a `cli`/`sti` window).
-    ///
-    /// Nothing preempts this; interrupts asserted during it stay pending and
-    /// accrue interrupt latency.
-    BusyCli {
-        /// CPU to consume with interrupts off.
-        cycles: Cycles,
-        /// Attribution for the cause tool.
-        label: Label,
-    },
     /// Read the time-stamp counter into a blackboard slot (`GetCycleCount`).
     ReadTsc(Slot),
-    /// Write an immediate value into a blackboard slot.
-    WriteSlot(Slot, u64),
     /// Queue a DPC (`KeInsertQueueDpc`).
     QueueDpc(DpcId),
     /// Signal an event (`KeSetEvent`).
     SetEvent(EventId),
-    /// Reset an event to non-signaled (`KeClearEvent`).
-    ResetEvent(EventId),
-    /// Release a semaphore by `count` (`KeReleaseSemaphore`).
-    ReleaseSemaphore(SemId, u32),
     /// Arm a kernel timer (`KeSetTimer`/`KeSetTimerEx`).
     ///
     /// The timer fires at the first PIT tick at or after `due` from now;
@@ -77,47 +48,17 @@ pub enum Step {
         /// Re-arm interval for periodic timers.
         period: Option<Cycles>,
     },
-    /// Disarm a kernel timer (`KeCancelTimer`).
-    CancelTimer(TimerId),
     /// Complete an IRP (`IoCompleteRequest`): signals the IRP's completion
     /// event and notifies the owning control application.
     CompleteIrp(IrpId),
-    /// Release a mutex (`KeReleaseMutex`). Thread context only; panics if
-    /// the calling thread is not the owner (an NT bugcheck).
-    ReleaseMutex(MutexId),
-    /// Queue an APC to a thread (`KeInsertQueueApc`). The APC routine runs
-    /// in the target thread's context, at APC level, before its program
-    /// resumes — next time that thread is dispatched.
-    QueueApc(ThreadId, ApcId),
     /// Block on a dispatcher object (`KeWaitForSingleObject`, INFINITE).
     ///
     /// Thread context only.
     Wait(WaitObject),
-    /// Block on a dispatcher object with a timeout. Thread context only.
-    WaitTimeout(WaitObject, Cycles),
-    /// Block until *any* object of a registered set is signaled
-    /// (`KeWaitForMultipleObjects`, WaitAny). Thread context only; the
-    /// satisfying index is reported via [`StepCtx::last_wait_index`].
-    WaitAny(WaitSetId),
     /// Sleep for a duration (`KeDelayExecutionThread`). Thread context only.
     Sleep(Cycles),
-    /// Change the current thread's priority (`KeSetPriorityThread`).
-    /// Thread context only.
-    SetPriority(u8),
-    /// Raise the current thread's IRQL (`KeRaiseIrql`). Thread context only.
-    ///
-    /// While raised to DISPATCH or above, the thread cannot be preempted by
-    /// other threads; at DIRQL and above it also masks those interrupts.
-    RaiseIrql(Irql),
-    /// Restore the thread's IRQL to PASSIVE (`KeLowerIrql`).
-    LowerIrql,
-    /// Yield the remainder of the quantum. Thread context only.
-    Yield,
-    /// Terminate the thread (`PsTerminateSystemThread`). Thread context only.
-    Exit,
     /// End of this activation (ISR/DPC return). In thread context this
-    /// blocks the thread forever, which is almost always a bug; prefer
-    /// [`Step::Exit`] or an infinite loop.
+    /// parks the thread in `Waiting` for good: nothing ever wakes it.
     Return,
 }
 
@@ -133,12 +74,6 @@ pub struct StepCtx<'a> {
     pub board: &'a mut Blackboard,
     /// Deterministic per-kernel RNG for stochastic programs.
     pub rng: &'a mut StdRng,
-    /// Whether the program's most recent `WaitTimeout` expired rather than
-    /// being satisfied.
-    pub last_wait_timed_out: bool,
-    /// For `WaitAny`: the index (within the wait set) of the object that
-    /// satisfied the most recent wait.
-    pub last_wait_index: usize,
 }
 
 /// A state machine producing the instruction stream of simulated code.
@@ -328,8 +263,6 @@ mod tests {
             now: Instant::ZERO,
             board: &mut b,
             rng: &mut rng,
-            last_wait_timed_out: false,
-            last_wait_index: 0,
         };
         let busy = Step::Busy {
             cycles: Cycles(10),
@@ -354,10 +287,8 @@ mod tests {
             now: Instant::ZERO,
             board: &mut b,
             rng: &mut rng,
-            last_wait_timed_out: false,
-            last_wait_index: 0,
         };
-        let a = Step::Yield;
+        let a = Step::ReadTsc(Slot(0));
         let s = Step::Sleep(Cycles(5));
         let mut p = LoopSeq::new(vec![a, s]);
         assert_eq!(p.step(&mut ctx), a);
@@ -381,13 +312,11 @@ mod tests {
             now: Instant(123),
             board: &mut b,
             rng: &mut rng,
-            last_wait_timed_out: false,
-            last_wait_index: 0,
         };
         let mut p = FnProgram::new(|c: &mut StepCtx<'_>| {
             let v = c.board.read(Slot(0));
-            Step::WriteSlot(Slot(0), v + c.now.0)
+            Step::Sleep(Cycles(v + c.now.0))
         });
-        assert_eq!(p.step(&mut ctx), Step::WriteSlot(Slot(0), 130));
+        assert_eq!(p.step(&mut ctx), Step::Sleep(Cycles(130)));
     }
 }

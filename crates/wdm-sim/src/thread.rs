@@ -7,14 +7,12 @@
 //! high (28) priority.
 //!
 //! [`Tcb`] holds only the *cold* per-thread record — name, program box,
-//! wait bookkeeping, APC queues, stats. The scheduling-hot fields the
-//! decision loop reads every event (state, priority, IRQL, quantum, the
-//! active busy chunk, wait deadlines) live in the parallel columns of
-//! [`crate::arena::ThreadTable`].
+//! wait bookkeeping, stats. The scheduling-hot fields the decision loop
+//! reads every event (state, priority, quantum, the active busy chunk,
+//! sleep deadlines) live in the parallel columns of
+//! [`crate::arena::ThreadTable`]. Threads always run at PASSIVE level.
 
 use crate::{
-    ids::WaitObject,
-    labels::Label,
     step::{ExecState, Program},
     time::Instant,
 };
@@ -35,10 +33,9 @@ pub enum ThreadState {
     Ready,
     /// Currently owning the CPU (at most one thread).
     Running,
-    /// Blocked on a dispatcher object or sleeping.
+    /// Blocked on a dispatcher object, sleeping, or parked after its
+    /// program returned.
     Waiting,
-    /// Exited; never scheduled again.
-    Terminated,
 }
 
 /// The cold part of a thread control block (see module docs: the hot
@@ -52,25 +49,11 @@ pub struct Tcb {
     pub program: Option<Box<dyn Program>>,
     /// Whether `begin` has been delivered to the program.
     pub started: bool,
-    /// What the thread is blocked on, if waiting on an object.
-    pub wait: Option<WaitObject>,
-    /// Whether the last timed wait expired rather than being satisfied.
-    pub last_wait_timed_out: bool,
     /// When the thread was most recently made ready after a wait; the basis
     /// for the paper's thread latency measurement.
     pub readied_at: Option<Instant>,
     /// Program progress stashed while dispatch overhead runs.
     pub saved_exec: Option<ExecState>,
-    /// Label attributed while the kernel runs thread-side bookkeeping.
-    pub label: Label,
-    /// Pending APCs, FIFO.
-    pub apcs: std::collections::VecDeque<crate::ids::ApcId>,
-    /// The APC routine currently executing in this thread, if any.
-    pub active_apc: Option<(crate::ids::ApcId, Box<dyn Program>)>,
-    /// Multi-object wait set the thread is blocked on, if any.
-    pub wait_set: Option<crate::ids::WaitSetId>,
-    /// Index of the object that satisfied the last `WaitAny`.
-    pub last_wait_index: usize,
     /// Number of times the thread was dispatched.
     pub dispatch_count: u64,
     /// Number of waits satisfied.
@@ -94,15 +77,8 @@ impl Tcb {
             base_priority: priority,
             program: Some(program),
             started: false,
-            wait: None,
-            last_wait_timed_out: false,
             readied_at: None,
             saved_exec: None,
-            label: Label::KERNEL,
-            apcs: std::collections::VecDeque::new(),
-            active_apc: None,
-            wait_set: None,
-            last_wait_index: 0,
             dispatch_count: 0,
             waits_satisfied: 0,
             blame_mark: None,
@@ -123,14 +99,17 @@ impl core::fmt::Debug for Tcb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::step::{LoopSeq, Step};
+    use crate::{
+        step::{LoopSeq, Step},
+        time::Cycles,
+    };
 
     #[test]
     fn cold_record_defaults() {
         let t = Tcb::new(
             "worker",
             RT_DEFAULT_PRIORITY,
-            Box::new(LoopSeq::new(vec![Step::Yield])),
+            Box::new(LoopSeq::new(vec![Step::Sleep(Cycles(1))])),
         );
         assert_eq!(t.base_priority, RT_DEFAULT_PRIORITY);
         assert!(t.program.is_some());

@@ -10,8 +10,8 @@
 //! [`KTimer`] holds only the *cold* per-timer record. The due time and its
 //! validity generation — walked by the clock ISR and the event calendar
 //! every tick — live in the parallel columns of
-//! [`crate::arena::TimerTable`], which also owns the set/cancel/fire state
-//! machine spanning both halves.
+//! [`crate::arena::TimerTable`], which also owns the set/fire state machine
+//! spanning both halves.
 
 use crate::{
     ids::DpcId,
@@ -26,10 +26,6 @@ pub struct KTimer {
     pub period: Option<Cycles>,
     /// DPC queued when the timer fires, if any.
     pub dpc: Option<DpcId>,
-    /// Timers are dispatcher objects: signaled on expiry.
-    pub signaled: bool,
-    /// Threads blocked waiting on the timer, FIFO.
-    pub waiters: std::collections::VecDeque<crate::ids::ThreadId>,
     /// Total expirations, for stats.
     pub fire_count: u64,
 }
@@ -40,8 +36,6 @@ impl KTimer {
         KTimer {
             period: None,
             dpc,
-            signaled: false,
-            waiters: std::collections::VecDeque::new(),
             fire_count: 0,
         }
     }
@@ -93,10 +87,8 @@ mod tests {
     fn new_timer_is_unarmed_and_quiet() {
         let t = KTimer::new(Some(DpcId(3)));
         assert_eq!(t.dpc, Some(DpcId(3)));
-        assert!(!t.signaled);
         assert_eq!(t.period, None);
         assert_eq!(t.fire_count, 0);
-        assert!(t.waiters.is_empty());
     }
 
     #[test]

@@ -3,41 +3,46 @@
 //! Stepping a program through the batched interpreter (DESIGN.md §8) must
 //! cost no per-step heap traffic: the boxed program is moved, never
 //! re-boxed, and `StepCtx` lives on the stack. Observer notification, the
-//! kernel-fed flight ring, `WaitAny` block/ready cycling and timer-expiry
-//! wakes must be just as heap-free. This binary installs a counting global allocator
-//! and pins that down: after a warm-up window (which is allowed to grow
+//! kernel-fed flight ring and the clock ISR's timer-expiry and sleep-wake
+//! work must be just as heap-free. This binary installs a counting global
+//! allocator and pins that down: after a warm-up window (which is allowed to grow
 //! queues and heaps to their steady capacity), a measured window over each
 //! kernel must perform **zero** heap operations, event for event.
 //!
-//! The file holds a single `#[test]` on purpose: the counter is global, so
-//! a sibling test running concurrently would bleed its allocations into
-//! the measured window.
+//! The counter is per thread: the kernel runs on the test's own thread,
+//! while the test harness's threads allocate on their own schedule and
+//! would otherwise bleed into a measured window.
 
 use std::{
     alloc::{GlobalAlloc, Layout, System},
-    cell::RefCell,
+    cell::{Cell, RefCell},
     rc::Rc,
-    sync::atomic::{AtomicU64, Ordering},
 };
 
 use wdm_sim::prelude::*;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static FREES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap operations (alloc, realloc, free) made by this thread.
+    static HEAP_OPS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_op() {
+    HEAP_OPS.with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_op();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        FREES.fetch_add(1, Ordering::Relaxed);
+        count_op();
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_op();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -46,7 +51,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn heap_ops() -> u64 {
-    ALLOCS.load(Ordering::Relaxed) + FREES.load(Ordering::Relaxed)
+    HEAP_OPS.with(Cell::get)
 }
 
 /// A device ISR -> DPC -> event -> real-time thread pipeline plus two
@@ -62,10 +67,9 @@ fn pipeline_kernel() -> Kernel {
     let l_rt = k.intern("APP", "_RtWork");
     let l_hog = k.intern("APP", "_Hog");
 
-    let wake = k.create_event(EventKind::Synchronization, false);
+    let wake = k.create_event(false);
     let dpc = k.create_dpc(
         "dev-dpc",
-        DpcImportance::Medium,
         Box::new(OpSeq::new(vec![
             Step::Busy {
                 cycles: Cycles(60_001),
@@ -116,11 +120,7 @@ fn pipeline_kernel() -> Kernel {
             ])),
         );
     }
-    let tick_dpc = k.create_dpc(
-        "tick-dpc",
-        DpcImportance::Medium,
-        Box::new(OpSeq::new(vec![Step::Return])),
-    );
+    let tick_dpc = k.create_dpc("tick-dpc", Box::new(OpSeq::new(vec![Step::Return])));
     let timer = k.create_timer(Some(tick_dpc));
     k.set_timer(timer, Cycles::from_ms(1.5), Some(Cycles::from_ms(2.0)));
 
@@ -169,7 +169,7 @@ fn notify_kernel() -> (Kernel, Rc<RefCell<CountingObserver>>) {
     let obs = Rc::new(RefCell::new(CountingObserver::default()));
     k.add_observer(obs.clone());
     k.add_observer(Rc::new(RefCell::new(CountingObserver::default())));
-    let evt = k.create_event(EventKind::Synchronization, false);
+    let evt = k.create_event(false);
     let slot = k.alloc_slots(1);
     k.create_thread(
         "waiter",
@@ -181,7 +181,6 @@ fn notify_kernel() -> (Kernel, Rc<RefCell<CountingObserver>>) {
     );
     let dpc = k.create_dpc(
         "sig",
-        DpcImportance::Medium,
         Box::new(OpSeq::new(vec![Step::SetEvent(evt), Step::Return])),
     );
     let timer = k.create_timer(Some(dpc));
@@ -189,38 +188,19 @@ fn notify_kernel() -> (Kernel, Rc<RefCell<CountingObserver>>) {
     (k, obs)
 }
 
-/// A thread looping on a two-event `WaitAny` set that a periodic DPC
-/// satisfies: the wait-set scan, block and ready paths run every cycle.
-fn waitany_kernel() -> Kernel {
-    let mut k = Kernel::new(KernelConfig::default());
-    let a = k.create_event(EventKind::Synchronization, false);
-    let b = k.create_event(EventKind::Synchronization, false);
-    let set = k.create_wait_set(vec![WaitObject::Event(a), WaitObject::Event(b)]);
-    let slot = k.alloc_slots(1);
-    k.create_thread(
-        "any-waiter",
-        28,
-        Box::new(LoopSeq::new(vec![Step::WaitAny(set), Step::ReadTsc(slot)])),
-    );
-    let dpc = k.create_dpc(
-        "sig-b",
-        DpcImportance::Medium,
-        Box::new(OpSeq::new(vec![Step::SetEvent(b), Step::Return])),
-    );
-    let timer = k.create_timer(Some(dpc));
-    arm_periodic(&mut k, timer);
-    k
-}
-
-/// A thread blocking on a one-shot timer it re-arms each iteration
-/// (re-arming clears the signal, so every cycle really blocks): each
-/// expiry wakes the waiter queue from the clock ISR.
+/// A thread re-arming a one-shot DPC timer each iteration and sleeping
+/// past its due time: every cycle the clock ISR fires the timer, queues
+/// its DPC and wakes the sleeper.
 fn timer_expiry_kernel() -> Kernel {
     let mut k = Kernel::new(KernelConfig::default());
-    let timer = k.create_timer(None);
     let slot = k.alloc_slots(1);
+    let dpc = k.create_dpc(
+        "expiry-dpc",
+        Box::new(OpSeq::new(vec![Step::ReadTsc(slot), Step::Return])),
+    );
+    let timer = k.create_timer(Some(dpc));
     k.create_thread(
-        "timer-waiter",
+        "timer-armer",
         28,
         Box::new(LoopSeq::new(vec![
             Step::SetTimer {
@@ -228,8 +208,7 @@ fn timer_expiry_kernel() -> Kernel {
                 due: Cycles::from_ms(1.0),
                 period: None,
             },
-            Step::Wait(WaitObject::Timer(timer)),
-            Step::ReadTsc(slot),
+            Step::Sleep(Cycles::from_ms(1.5)),
         ])),
     );
     k
@@ -273,6 +252,10 @@ fn steady_state_hot_paths_are_allocation_free() {
     assert_alloc_free("notify", &mut k, 1_000);
     assert!(obs.borrow().events > 0, "observer hooks must have fired");
 
-    assert_alloc_free("WaitAny", &mut waitany_kernel(), 1_000);
-    assert_alloc_free("timer expiry", &mut timer_expiry_kernel(), 1_000);
+    let mut k = timer_expiry_kernel();
+    assert_alloc_free("timer expiry", &mut k, 1_000);
+    assert!(
+        k.timer(TimerId(0)).fire_count > 500,
+        "the timer fired each round"
+    );
 }

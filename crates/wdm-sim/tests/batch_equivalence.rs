@@ -37,7 +37,8 @@ impl Observer for FullLog {
             .push((0, e.vector.0 as u64, e.asserted.0, e.started.0));
     }
     fn on_dpc_start(&mut self, e: &DpcStart) {
-        self.events.push((1, e.dpc.0 as u64, e.queued.0, e.started.0));
+        self.events
+            .push((1, e.dpc.0 as u64, e.queued.0, e.started.0));
     }
     fn on_thread_resume(&mut self, e: &ThreadResume) {
         self.events
@@ -123,10 +124,9 @@ fn run_scenario(sc: Scenario, batching: bool) -> (RunDigest, u64) {
     let l_rt = k.intern("APP", "_RtWork");
     let l_hog = k.intern("APP", "_Hog");
 
-    let wake = k.create_event(EventKind::Synchronization, false);
+    let wake = k.create_event(false);
     let dpc = k.create_dpc(
         "dev-dpc",
-        DpcImportance::Medium,
         Box::new(OpSeq::new(vec![
             Step::Busy {
                 cycles: Cycles(sc.dpc_busy),
@@ -181,11 +181,7 @@ fn run_scenario(sc: Scenario, batching: bool) -> (RunDigest, u64) {
 
     // A periodic timer DPC keeps calendar deadlines landing inside busy
     // runs, exercising the horizon clip from the calendar side.
-    let tick_dpc = k.create_dpc(
-        "tick-dpc",
-        DpcImportance::Medium,
-        Box::new(OpSeq::new(vec![Step::Return])),
-    );
+    let tick_dpc = k.create_dpc("tick-dpc", Box::new(OpSeq::new(vec![Step::Return])));
     let timer = k.create_timer(Some(tick_dpc));
     k.set_timer(timer, Cycles::from_ms(1.5), Some(Cycles::from_ms(2.0)));
 
@@ -277,12 +273,14 @@ fn toggling_batching_mid_run_stays_on_trajectory() {
         let l_dpc = k.intern("DEV", "_Dpc");
         let l_rt = k.intern("APP", "_RtWork");
         let l_hog = k.intern("APP", "_Hog");
-        let wake = k.create_event(EventKind::Synchronization, false);
+        let wake = k.create_event(false);
         let dpc = k.create_dpc(
             "dev-dpc",
-            DpcImportance::Medium,
             Box::new(OpSeq::new(vec![
-                Step::Busy { cycles: Cycles(sc.dpc_busy), label: l_dpc },
+                Step::Busy {
+                    cycles: Cycles(sc.dpc_busy),
+                    label: l_dpc,
+                },
                 Step::SetEvent(wake),
                 Step::Return,
             ])),
@@ -291,7 +289,10 @@ fn toggling_batching_mid_run_stays_on_trajectory() {
             "dev",
             Irql(12),
             Box::new(OpSeq::new(vec![
-                Step::Busy { cycles: Cycles(sc.isr_busy), label: l_isr },
+                Step::Busy {
+                    cycles: Cycles(sc.isr_busy),
+                    label: l_isr,
+                },
                 Step::QueueDpc(dpc),
                 Step::Return,
             ])),
@@ -306,7 +307,10 @@ fn toggling_batching_mid_run_stays_on_trajectory() {
             RT_DEFAULT_PRIORITY,
             Box::new(LoopSeq::new(vec![
                 Step::Wait(WaitObject::Event(wake)),
-                Step::Busy { cycles: Cycles(sc.rt_busy), label: l_rt },
+                Step::Busy {
+                    cycles: Cycles(sc.rt_busy),
+                    label: l_rt,
+                },
             ])),
         );
         for i in 0..2u64 {
@@ -314,16 +318,15 @@ fn toggling_batching_mid_run_stays_on_trajectory() {
                 &format!("hog-{i}"),
                 (6 + i) as u8,
                 Box::new(LoopSeq::new(vec![
-                    Step::Busy { cycles: Cycles(sc.hog_busy + 17 * i), label: l_hog },
+                    Step::Busy {
+                        cycles: Cycles(sc.hog_busy + 17 * i),
+                        label: l_hog,
+                    },
                     Step::Sleep(Cycles(sc.hog_sleep + 31 * i)),
                 ])),
             );
         }
-        let tick_dpc = k.create_dpc(
-            "tick-dpc",
-            DpcImportance::Medium,
-            Box::new(OpSeq::new(vec![Step::Return])),
-        );
+        let tick_dpc = k.create_dpc("tick-dpc", Box::new(OpSeq::new(vec![Step::Return])));
         let timer = k.create_timer(Some(tick_dpc));
         k.set_timer(timer, Cycles::from_ms(1.5), Some(Cycles::from_ms(2.0)));
         (k, log)

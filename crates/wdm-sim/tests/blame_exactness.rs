@@ -134,11 +134,10 @@ fn build(sc: Scenario, blame: Option<Rc<RefCell<BlameLog>>>, flame_period: u64) 
     let l_hog = k.intern("APP", "_Hog");
     let l_cli = k.intern("HAL", "_MaskWindow");
 
-    let wake = k.create_event(EventKind::Synchronization, false);
-    let wake_hi = k.create_event(EventKind::Synchronization, false);
+    let wake = k.create_event(false);
+    let wake_hi = k.create_event(false);
     let dpc = k.create_dpc(
         "dev-dpc",
-        DpcImportance::Medium,
         Box::new(OpSeq::new(vec![
             Step::Busy {
                 cycles: Cycles(sc.dpc_busy),

@@ -48,13 +48,11 @@ fn pit_ticks_at_configured_rate() {
     k.run_for(Cycles::from_ms(50.0));
     // 1 kHz PIT: one ISR per millisecond.
     let pit = k.pit_vector();
-    let ticks = rec
-        .borrow()
-        .isrs
-        .iter()
-        .filter(|e| e.vector == pit)
-        .count();
-    assert!((49..=51).contains(&ticks), "expected ~50 ticks, got {ticks}");
+    let ticks = rec.borrow().isrs.iter().filter(|e| e.vector == pit).count();
+    assert!(
+        (49..=51).contains(&ticks),
+        "expected ~50 ticks, got {ticks}"
+    );
 }
 
 #[test]
@@ -119,7 +117,6 @@ fn dpc_runs_after_isr_and_before_threads() {
     // Timer-driven DPC every millisecond.
     let dpc = k.create_dpc(
         "tick",
-        DpcImportance::Medium,
         Box::new(OpSeq::new(vec![Step::ReadTsc(slot), Step::Return])),
     );
     let timer = k.create_timer(Some(dpc));
@@ -157,7 +154,6 @@ fn dpc_fifo_latency_accumulates_queue_time() {
     // first (5 ms of work).
     let heavy = k.create_dpc(
         "heavy",
-        DpcImportance::Medium,
         Box::new(OpSeq::new(vec![
             Step::Busy {
                 cycles: Cycles::from_ms(5.0),
@@ -168,7 +164,6 @@ fn dpc_fifo_latency_accumulates_queue_time() {
     );
     let light = k.create_dpc(
         "light",
-        DpcImportance::Medium,
         Box::new(OpSeq::new(vec![Step::ReadTsc(slot), Step::Return])),
     );
     let isr = k.install_vector(
@@ -194,50 +189,9 @@ fn dpc_fifo_latency_accumulates_queue_time() {
 }
 
 #[test]
-fn high_importance_dpc_jumps_queue() {
-    let (mut k, rec) = recorded_kernel();
-    let heavy_label = k.intern("NIC", "_HeavyDpc");
-    let mk_busy = |k: &mut Kernel, name: &str, ms: f64, imp: DpcImportance| {
-        let l = k.intern("T", name);
-        k.create_dpc(
-            name,
-            imp,
-            Box::new(OpSeq::new(vec![
-                Step::Busy {
-                    cycles: Cycles::from_ms(ms),
-                    label: l,
-                },
-                Step::Return,
-            ])),
-        )
-    };
-    let _ = heavy_label;
-    let a = mk_busy(&mut k, "a", 2.0, DpcImportance::Medium);
-    let b = mk_busy(&mut k, "b", 2.0, DpcImportance::Medium);
-    let hi = mk_busy(&mut k, "hi", 0.1, DpcImportance::High);
-    let isr = k.install_vector(
-        "dev",
-        Irql(12),
-        Box::new(OpSeq::new(vec![
-            Step::QueueDpc(a),
-            Step::QueueDpc(b),
-            Step::QueueDpc(hi),
-            Step::Return,
-        ])),
-    );
-    k.assert_interrupt(isr);
-    k.run_for(Cycles::from_ms(10.0));
-    let rec = rec.borrow();
-    // All three are queued from the ISR before the drain starts, so the
-    // High-importance DPC is at the head when draining begins: hi, a, b.
-    let order: Vec<usize> = rec.dpcs.iter().map(|d| d.dpc.0).collect();
-    assert_eq!(order, vec![hi.0, a.0, b.0]);
-}
-
-#[test]
 fn event_signal_from_dpc_wakes_rt_thread_with_latency() {
     let (mut k, rec) = recorded_kernel();
-    let evt = k.create_event(EventKind::Synchronization, false);
+    let evt = k.create_event(false);
     let slot = k.alloc_slots(1);
     // Measurement-style thread: wait, read TSC, loop.
     let waiter = k.create_thread(
@@ -250,7 +204,6 @@ fn event_signal_from_dpc_wakes_rt_thread_with_latency() {
     );
     let dpc = k.create_dpc(
         "signal",
-        DpcImportance::Medium,
         Box::new(OpSeq::new(vec![Step::SetEvent(evt), Step::Return])),
     );
     let timer = k.create_timer(Some(dpc));
@@ -265,11 +218,7 @@ fn event_signal_from_dpc_wakes_rt_thread_with_latency() {
     );
     k.run_for(Cycles::from_ms(20.0));
     let rec = rec.borrow();
-    let resumes: Vec<&ThreadResume> = rec
-        .resumes
-        .iter()
-        .filter(|r| r.thread == waiter)
-        .collect();
+    let resumes: Vec<&ThreadResume> = rec.resumes.iter().filter(|r| r.thread == waiter).collect();
     assert!(
         resumes.len() >= 15,
         "waiter should wake ~19 times, got {}",
@@ -291,7 +240,7 @@ fn event_signal_from_dpc_wakes_rt_thread_with_latency() {
 fn section_blocks_thread_dispatch_but_not_dpcs() {
     let (mut k, rec) = recorded_kernel();
     let vmm = k.intern("VMM", "_mmFindContig");
-    let evt = k.create_event(EventKind::Synchronization, false);
+    let evt = k.create_event(false);
     let slot = k.alloc_slots(1);
     let waiter = k.create_thread(
         "waiter",
@@ -303,7 +252,6 @@ fn section_blocks_thread_dispatch_but_not_dpcs() {
     );
     let dpc = k.create_dpc(
         "signal",
-        DpcImportance::Medium,
         Box::new(OpSeq::new(vec![Step::SetEvent(evt), Step::Return])),
     );
     let timer = k.create_timer(Some(dpc));
@@ -352,7 +300,7 @@ fn section_blocks_thread_dispatch_but_not_dpcs() {
 fn higher_priority_thread_preempts_lower() {
     let (mut k, rec) = recorded_kernel();
     let spin = k.intern("APP", "_Spin");
-    let evt = k.create_event(EventKind::Synchronization, false);
+    let evt = k.create_event(false);
     let slot = k.alloc_slots(1);
     let _hog = k.create_thread(
         "hog",
@@ -372,7 +320,6 @@ fn higher_priority_thread_preempts_lower() {
     );
     let dpc = k.create_dpc(
         "signal",
-        DpcImportance::Medium,
         Box::new(OpSeq::new(vec![Step::SetEvent(evt), Step::Return])),
     );
     let timer = k.create_timer(Some(dpc));
@@ -414,7 +361,7 @@ fn equal_priority_thread_waits_for_quantum() {
     let rec = Rc::new(RefCell::new(Recorder::default()));
     k.add_observer(rec.clone());
     let spin = k.intern("WORKQ", "_ExpWorkerThread");
-    let evt = k.create_event(EventKind::Synchronization, false);
+    let evt = k.create_event(false);
     let slot = k.alloc_slots(1);
     let _peer = k.create_thread(
         "workitem-peer",
@@ -434,7 +381,6 @@ fn equal_priority_thread_waits_for_quantum() {
     );
     let dpc = k.create_dpc(
         "signal",
-        DpcImportance::Medium,
         Box::new(OpSeq::new(vec![Step::SetEvent(evt), Step::Return])),
     );
     let timer = k.create_timer(Some(dpc));
@@ -468,70 +414,26 @@ fn equal_priority_thread_waits_for_quantum() {
 }
 
 #[test]
-fn raised_irql_blocks_dpc_drain_until_lowered() {
-    let (mut k, rec) = recorded_kernel();
-    let work = k.intern("DRV", "_AtDispatch");
-    let slot = k.alloc_slots(1);
-    let dpc = k.create_dpc(
-        "tick",
-        DpcImportance::Medium,
-        Box::new(OpSeq::new(vec![Step::ReadTsc(slot), Step::Return])),
-    );
-    let timer = k.create_timer(Some(dpc));
-    // A thread that raises to DISPATCH for 5 ms right away.
-    let _raiser = k.create_thread(
-        "raiser",
-        24,
-        Box::new(OpSeq::new(vec![
-            Step::SetTimer {
-                timer,
-                due: Cycles::from_ms(1.0),
-                period: None,
-            },
-            Step::RaiseIrql(Irql::DISPATCH),
-            Step::Busy {
-                cycles: Cycles::from_ms(5.0),
-                label: work,
-            },
-            Step::LowerIrql,
-        ])),
-    );
-    k.run_for(Cycles::from_ms(10.0));
-    let rec = rec.borrow();
-    assert_eq!(rec.dpcs.len(), 1);
-    let lat = (rec.dpcs[0].started - rec.dpcs[0].queued).as_ms();
-    // Queued at the 2 ms tick (the timer was armed slightly after t=0, so
-    // the 1 ms tick misses it) but blocked until IRQL drops at ~5 ms.
-    assert!(
-        lat > 2.5,
-        "DPC should wait for the raised-IRQL thread: {lat} ms"
-    );
-}
-
-#[test]
-fn timed_wait_expires_at_tick_granularity() {
+fn sleep_expires_at_tick_granularity() {
     let mut k = Kernel::new(KernelConfig::default());
-    let evt = k.create_event(EventKind::Synchronization, false);
     let slot = k.alloc_slots(2);
     let _t = k.create_thread(
-        "timed",
+        "sleeper",
         24,
         Box::new(OpSeq::new(vec![
             Step::ReadTsc(slot),
-            Step::WaitTimeout(WaitObject::Event(evt), Cycles::from_ms(2.5)),
+            Step::Sleep(Cycles::from_ms(2.5)),
             Step::ReadTsc(Slot(slot.0 + 1)),
-            Step::Exit,
         ])),
     );
     k.run_for(Cycles::from_ms(10.0));
     let woke = k.slot(Slot(slot.0 + 1)) - k.slot(slot);
     let woke_ms = Cycles(woke).as_ms();
-    // 2.5 ms timeout on a 1 ms tick: wakes at the 3 ms tick.
+    // 2.5 ms sleep on a 1 ms tick: wakes at the 3 ms tick.
     assert!(
         (2.5..4.0).contains(&woke_ms),
-        "timed wait should expire at the next tick: {woke_ms} ms"
+        "sleep should expire at the next tick: {woke_ms} ms"
     );
-    assert_eq!(k.wait_timeouts, 1);
 }
 
 #[test]
@@ -565,22 +467,20 @@ fn cycle_accounting_is_conserved() {
 }
 
 #[test]
-fn thread_exit_stops_scheduling() {
+fn returned_thread_parks_and_stops_scheduling() {
     let mut k = Kernel::new(KernelConfig::default());
     let spin = k.intern("APP", "_Spin");
     let t = k.create_thread(
         "oneshot",
         24,
-        Box::new(OpSeq::new(vec![
-            Step::Busy {
-                cycles: Cycles::from_ms(1.0),
-                label: spin,
-            },
-            Step::Exit,
-        ])),
+        Box::new(OpSeq::new(vec![Step::Busy {
+            cycles: Cycles::from_ms(1.0),
+            label: spin,
+        }])),
     );
     k.run_for(Cycles::from_ms(5.0));
-    assert_eq!(k.thread_state(t), ThreadState::Terminated);
+    // The program's implicit `Return` parks the thread for good.
+    assert_eq!(k.thread_state(t), ThreadState::Waiting);
     // CPU went idle after the 1 ms of work (minus overheads).
     assert!(k.account.idle > Cycles::from_ms(3.0).0);
 }
@@ -598,7 +498,6 @@ fn determinism_same_seed_same_trace() {
         let l = k.intern("NIC", "_Isr");
         let dpc = k.create_dpc(
             "d",
-            DpcImportance::Medium,
             Box::new(OpSeq::new(vec![
                 Step::Busy {
                     cycles: Cycles::from_us(200.0),
@@ -654,7 +553,6 @@ fn irp_completion_reaches_observer() {
         Box::new(OpSeq::new(vec![
             Step::ReadTsc(asb0),
             Step::CompleteIrp(irp),
-            Step::Exit,
         ])),
     );
     k.run_for(Cycles::from_ms(2.0));

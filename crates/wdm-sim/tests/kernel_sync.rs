@@ -1,5 +1,5 @@
-//! Behavioral tests for mutexes, multi-object waits, APCs and dynamic
-//! priority boosts.
+//! Behavioral tests for the dynamic wakeup boost: dynamic-band threads
+//! get it, the real-time band never does.
 
 use std::{cell::RefCell, rc::Rc};
 
@@ -11,212 +11,6 @@ impl Observer for Resumes {
     fn on_thread_resume(&mut self, e: &ThreadResume) {
         self.0.push(*e);
     }
-}
-
-#[test]
-fn mutex_serializes_critical_sections() {
-    let mut k = Kernel::new(KernelConfig::default());
-    let m = k.create_mutex();
-    let l = k.intern("APP", "_Crit");
-    let slots = k.alloc_slots(2);
-    // Two threads exchange the mutex; each records its last exit time.
-    let mk = |slot: Slot, label: Label| {
-        Box::new(LoopSeq::new(vec![
-            Step::Wait(WaitObject::Mutex(m)),
-            Step::Busy {
-                cycles: Cycles::from_ms(1.0),
-                label,
-            },
-            Step::ReadTsc(slot),
-            Step::ReleaseMutex(m),
-            Step::Sleep(Cycles::from_ms(1.0)),
-        ]))
-    };
-    let _a = k.create_thread("a", 10, mk(Slot(slots.0), l));
-    let _b = k.create_thread("b", 10, mk(Slot(slots.0 + 1), l));
-    k.run_for(Cycles::from_ms(50.0));
-    // Both threads made progress: both slots written.
-    assert!(k.slot(Slot(slots.0)) > 0, "thread a never ran its section");
-    assert!(k.slot(Slot(slots.0 + 1)) > 0, "thread b never ran its section");
-}
-
-#[test]
-fn mutex_handoff_wakes_waiter_with_ownership() {
-    let mut k = Kernel::new(KernelConfig::default());
-    let m = k.create_mutex();
-    let l = k.intern("APP", "_Crit");
-    let done = k.alloc_slots(1);
-    // Holder grabs the mutex, works 5 ms, releases, exits.
-    let _holder = k.create_thread(
-        "holder",
-        12,
-        Box::new(OpSeq::new(vec![
-            Step::Wait(WaitObject::Mutex(m)),
-            Step::Busy {
-                cycles: Cycles::from_ms(5.0),
-                label: l,
-            },
-            Step::ReleaseMutex(m),
-            Step::Exit,
-        ])),
-    );
-    // Waiter (lower priority, so it starts second) then acquires, marks,
-    // releases, exits.
-    let _waiter = k.create_thread(
-        "waiter",
-        10,
-        Box::new(OpSeq::new(vec![
-            Step::Wait(WaitObject::Mutex(m)),
-            Step::ReadTsc(done),
-            Step::ReleaseMutex(m),
-            Step::Exit,
-        ])),
-    );
-    k.run_for(Cycles::from_ms(20.0));
-    let t = k.slot(done);
-    assert!(t > 0, "waiter never acquired the mutex");
-    assert!(
-        Cycles(t).as_ms() >= 5.0,
-        "waiter acquired before the holder released: {} ms",
-        Cycles(t).as_ms()
-    );
-}
-
-#[test]
-fn wait_any_wakes_on_first_signal_and_reports_index() {
-    let mut k = Kernel::new(KernelConfig::default());
-    let e0 = k.create_event(EventKind::Synchronization, false);
-    let e1 = k.create_event(EventKind::Synchronization, false);
-    let set = k.create_wait_set(vec![WaitObject::Event(e0), WaitObject::Event(e1)]);
-    let out = k.alloc_slots(1);
-    // The waiter records 100 + index of the waking object.
-    struct Waiter {
-        set: wdm_sim::ids::WaitSetId,
-        out: Slot,
-        phase: u8,
-    }
-    impl Program for Waiter {
-        fn step(&mut self, ctx: &mut StepCtx<'_>) -> Step {
-            match self.phase {
-                0 => {
-                    self.phase = 1;
-                    Step::WaitAny(self.set)
-                }
-                _ => {
-                    self.phase = 0;
-                    Step::WriteSlot(self.out, 100 + ctx.last_wait_index as u64)
-                }
-            }
-        }
-    }
-    let _w = k.create_thread(
-        "waiter",
-        20,
-        Box::new(Waiter {
-            set,
-            out,
-            phase: 0,
-        }),
-    );
-    // Signal e1 at 2 ms via a timer DPC.
-    let dpc = k.create_dpc(
-        "sig",
-        DpcImportance::Medium,
-        Box::new(OpSeq::new(vec![Step::SetEvent(e1), Step::Return])),
-    );
-    let timer = k.create_timer(Some(dpc));
-    let _armer = k.create_thread(
-        "armer",
-        16,
-        Box::new(OpSeq::new(vec![Step::SetTimer {
-            timer,
-            due: Cycles::from_ms(2.0),
-            period: None,
-        }])),
-    );
-    k.run_for(Cycles::from_ms(10.0));
-    assert_eq!(k.slot(out), 101, "index 1 (e1) must have satisfied the wait");
-}
-
-#[test]
-fn wait_any_with_presignaled_object_does_not_block() {
-    let mut k = Kernel::new(KernelConfig::default());
-    let e0 = k.create_event(EventKind::Synchronization, false);
-    let e1 = k.create_event(EventKind::Synchronization, true); // already set
-    let set = k.create_wait_set(vec![WaitObject::Event(e0), WaitObject::Event(e1)]);
-    let out = k.alloc_slots(1);
-    struct W {
-        set: wdm_sim::ids::WaitSetId,
-        out: Slot,
-        phase: u8,
-    }
-    impl Program for W {
-        fn step(&mut self, ctx: &mut StepCtx<'_>) -> Step {
-            match self.phase {
-                0 => {
-                    self.phase = 1;
-                    Step::WaitAny(self.set)
-                }
-                1 => {
-                    self.phase = 2;
-                    Step::WriteSlot(self.out, 100 + ctx.last_wait_index as u64)
-                }
-                _ => Step::Exit,
-            }
-        }
-    }
-    let _w = k.create_thread("w", 20, Box::new(W { set, out, phase: 0 }));
-    k.run_for(Cycles::from_ms(2.0));
-    assert_eq!(k.slot(out), 101, "pre-signaled e1 satisfies immediately");
-}
-
-#[test]
-fn apc_runs_in_target_thread_before_its_program() {
-    let mut k = Kernel::new(KernelConfig::default());
-    let l = k.intern("DRV", "_ApcRoutine");
-    let order = k.alloc_slots(2);
-    // APC routine: 1 ms of work, then stamps slot 0.
-    let apc = k.create_apc(Box::new(OpSeq::new(vec![
-        Step::Busy {
-            cycles: Cycles::from_ms(1.0),
-            label: l,
-        },
-        Step::ReadTsc(Slot(order.0)),
-        Step::Return,
-    ])));
-    // Target thread: sleeps, then stamps slot 1 each iteration.
-    let target = k.create_thread(
-        "target",
-        10,
-        Box::new(LoopSeq::new(vec![
-            Step::Sleep(Cycles::from_ms(2.0)),
-            Step::ReadTsc(Slot(order.0 + 1)),
-        ])),
-    );
-    // Queue the APC from a timer DPC at 5 ms.
-    let dpc = k.create_dpc(
-        "q",
-        DpcImportance::Medium,
-        Box::new(OpSeq::new(vec![Step::QueueApc(target, apc), Step::Return])),
-    );
-    let timer = k.create_timer(Some(dpc));
-    let _armer = k.create_thread(
-        "armer",
-        16,
-        Box::new(OpSeq::new(vec![Step::SetTimer {
-            timer,
-            due: Cycles::from_ms(5.0),
-            period: None,
-        }])),
-    );
-    k.run_for(Cycles::from_ms(20.0));
-    let apc_at = k.slot(Slot(order.0));
-    assert!(apc_at > 0, "APC never ran");
-    assert!(
-        Cycles(apc_at).as_ms() >= 5.0 && Cycles(apc_at).as_ms() < 10.0,
-        "APC should run shortly after being queued: {} ms",
-        Cycles(apc_at).as_ms()
-    );
 }
 
 #[test]
@@ -242,7 +36,7 @@ fn dynamic_boost_lets_woken_thread_preempt_equal_base() {
                 label: l,
             }])),
         );
-        let evt = k.create_event(EventKind::Synchronization, false);
+        let evt = k.create_event(false);
         let slot = k.alloc_slots(1);
         let waiter = k.create_thread(
             "waiter",
@@ -254,7 +48,6 @@ fn dynamic_boost_lets_woken_thread_preempt_equal_base() {
         );
         let dpc = k.create_dpc(
             "sig",
-            DpcImportance::Medium,
             Box::new(OpSeq::new(vec![Step::SetEvent(evt), Step::Return])),
         );
         let timer = k.create_timer(Some(dpc));
@@ -294,7 +87,7 @@ fn rt_threads_are_never_boosted() {
         ..KernelConfig::default()
     };
     let mut k = Kernel::new(cfg);
-    let evt = k.create_event(EventKind::Synchronization, false);
+    let evt = k.create_event(false);
     let slot = k.alloc_slots(1);
     let t = k.create_thread(
         "rt",
@@ -306,7 +99,6 @@ fn rt_threads_are_never_boosted() {
     );
     let dpc = k.create_dpc(
         "sig",
-        DpcImportance::Medium,
         Box::new(OpSeq::new(vec![Step::SetEvent(evt), Step::Return])),
     );
     let timer = k.create_timer(Some(dpc));
@@ -322,69 +114,4 @@ fn rt_threads_are_never_boosted() {
     k.run_for(Cycles::from_ms(20.0));
     assert_eq!(k.thread_priority(t), 24, "RT priority must stay fixed");
     assert!(k.thread(t).waits_satisfied > 5);
-}
-
-#[test]
-fn mutex_priority_inversion_is_unbounded_without_inheritance() {
-    // NT kernel mutexes do not implement priority inheritance. Classic
-    // inversion: a low-priority thread holds the mutex, a high-priority RT
-    // thread blocks on it, and a medium-priority CPU hog starves the owner
-    // so the RT thread's wait stretches to the hog's pleasure — one of the
-    // latency hazards the paper's measurement methodology would expose.
-    let mut k = Kernel::new(KernelConfig::default());
-    let m = k.create_mutex();
-    let l = k.intern("APP", "_Work");
-    let acquired_at = k.alloc_slots(1);
-    // Low priority (4): grabs the mutex at t~0, needs 1 ms of work to
-    // finish its critical section.
-    let _low = k.create_thread(
-        "low",
-        4,
-        Box::new(OpSeq::new(vec![
-            Step::Wait(WaitObject::Mutex(m)),
-            Step::Busy {
-                cycles: Cycles::from_ms(1.0),
-                label: l,
-            },
-            Step::ReleaseMutex(m),
-            Step::Exit,
-        ])),
-    );
-    // Medium priority (10): wakes at 0.2 ms and hogs the CPU for 30 ms,
-    // starving the mutex owner.
-    let _med = k.create_thread(
-        "med",
-        10,
-        Box::new(OpSeq::new(vec![
-            Step::Sleep(Cycles::from_us(200.0)),
-            Step::Busy {
-                cycles: Cycles::from_ms(30.0),
-                label: l,
-            },
-            Step::Exit,
-        ])),
-    );
-    // High RT priority (26): wants the mutex at ~0.1 ms.
-    let _high = k.create_thread(
-        "high",
-        26,
-        Box::new(OpSeq::new(vec![
-            Step::Sleep(Cycles::from_us(100.0)),
-            Step::Wait(WaitObject::Mutex(m)),
-            Step::ReadTsc(acquired_at),
-            Step::ReleaseMutex(m),
-            Step::Exit,
-        ])),
-    );
-    k.run_for(Cycles::from_ms(60.0));
-    let t = k.slot(acquired_at);
-    assert!(t > 0, "high thread must eventually acquire");
-    let ms = Cycles(t).as_ms();
-    // The dynamic boost decays within a few quanta, after which the hog
-    // starves the owner until it finishes: the RT thread is blocked for
-    // (roughly) the hog's entire 30 ms burst.
-    assert!(
-        ms > 20.0,
-        "priority inversion should stretch the RT wait: acquired at {ms} ms"
-    );
 }

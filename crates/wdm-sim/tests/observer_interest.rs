@@ -71,10 +71,9 @@ fn run_mixed_scenario(k: &mut Kernel) {
     let l_isr = k.intern("DEV", "_Isr");
     let l_dpc = k.intern("DEV", "_Dpc");
     let l_work = k.intern("APP", "_Work");
-    let wake = k.create_event(EventKind::Synchronization, false);
+    let wake = k.create_event(false);
     let dpc = k.create_dpc(
         "dpc",
-        DpcImportance::Medium,
         Box::new(OpSeq::new(vec![
             Step::Busy {
                 cycles: Cycles(40_001),
@@ -111,7 +110,6 @@ fn run_mixed_scenario(k: &mut Kernel) {
                 label: l_work,
             },
             Step::CompleteIrp(irp),
-            Step::Exit,
         ])),
     );
     let _worker = k.create_thread(

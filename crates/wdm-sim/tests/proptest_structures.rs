@@ -2,14 +2,14 @@
 //! against simple reference implementations.
 
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use wdm_sim::{
-    dpc::{DpcDiscipline, DpcImportance, DpcQueue},
+    dpc::{DpcDiscipline, DpcQueue},
     ids::{DpcId, ThreadId, VectorId},
     interrupt::InterruptController,
     irql::Irql,
-    object::{EventKind, KEvent, KSemaphore},
+    object::{KEvent, KSemaphore},
     sched::ReadyQueues,
     time::Instant,
 };
@@ -17,10 +17,9 @@ use wdm_sim::{
 /// Operations on the ready queues.
 #[derive(Debug, Clone, Copy)]
 enum RqOp {
-    PushBack(u8, u8),  // (thread id, priority 1..=31)
+    PushBack(u8, u8), // (thread id, priority 1..=31)
     PushFront(u8, u8),
     Pop,
-    Remove(u8),
 }
 
 fn rq_op() -> impl Strategy<Value = RqOp> {
@@ -28,7 +27,6 @@ fn rq_op() -> impl Strategy<Value = RqOp> {
         (0u8..40, 1u8..=31).prop_map(|(t, p)| RqOp::PushBack(t, p)),
         (0u8..40, 1u8..=31).prop_map(|(t, p)| RqOp::PushFront(t, p)),
         Just(RqOp::Pop),
-        (0u8..40).prop_map(RqOp::Remove),
     ]
 }
 
@@ -39,25 +37,23 @@ proptest! {
         let mut rq = ReadyQueues::new();
         // Reference: BTreeMap<priority, Vec<thread>> with front = index 0.
         let mut model: BTreeMap<u8, Vec<u8>> = BTreeMap::new();
-        // Track queued threads with their priority so Remove matches.
-        let mut where_is: BTreeMap<u8, u8> = BTreeMap::new();
+        // Queued threads: a thread queues at most once.
+        let mut queued: BTreeSet<u8> = BTreeSet::new();
         for op in ops {
             match op {
                 RqOp::PushBack(t, p) => {
-                    if where_is.contains_key(&t) {
-                        continue; // A thread queues at most once.
+                    if !queued.insert(t) {
+                        continue;
                     }
                     rq.push_back(ThreadId(t as usize), p);
                     model.entry(p).or_default().push(t);
-                    where_is.insert(t, p);
                 }
                 RqOp::PushFront(t, p) => {
-                    if where_is.contains_key(&t) {
+                    if !queued.insert(t) {
                         continue;
                     }
                     rq.push_front(ThreadId(t as usize), p);
                     model.entry(p).or_default().insert(0, t);
-                    where_is.insert(t, p);
                 }
                 RqOp::Pop => {
                     let expect = model
@@ -69,21 +65,8 @@ proptest! {
                     let got = rq.pop_highest().map(|t| t.0 as u8);
                     prop_assert_eq!(got, expect);
                     if let Some(t) = got {
-                        where_is.remove(&t);
+                        queued.remove(&t);
                     }
-                }
-                RqOp::Remove(t) => {
-                    let p = where_is.remove(&t);
-                    let expected = p.is_some();
-                    if let Some(p) = p {
-                        let v = model.get_mut(&p).expect("tracked");
-                        v.retain(|&x| x != t);
-                        if v.is_empty() {
-                            model.remove(&p);
-                        }
-                    }
-                    let got = rq.remove(ThreadId(t as usize), p.unwrap_or(1));
-                    prop_assert_eq!(got, expected);
                 }
             }
             // Invariant: highest_priority agrees with the model.
@@ -93,24 +76,24 @@ proptest! {
         }
     }
 
-    /// DPC queue: FIFO among Medium, High always ahead of older Mediums,
-    /// never two entries for the same DPC.
+    /// DPC queue: FIFO (LIFO under the ablation), never two entries for
+    /// the same DPC.
     #[test]
     fn dpc_queue_discipline_properties(
-        inserts in prop::collection::vec((0usize..12, prop::bool::ANY), 1..60),
+        inserts in prop::collection::vec(0usize..12, 1..60),
+        lifo in prop::bool::ANY,
     ) {
-        let mut q = DpcQueue::new(DpcDiscipline::Fifo);
-        let mut model: Vec<(usize, bool)> = Vec::new(); // (dpc, high)
-        for (i, (dpc, high)) in inserts.into_iter().enumerate() {
-            let importance = if high { DpcImportance::High } else { DpcImportance::Medium };
-            let inserted = q.insert(DpcId(dpc), importance, Instant(i as u64));
-            let present = model.iter().any(|&(d, _)| d == dpc);
-            prop_assert_eq!(inserted, !present, "double-insert must fail");
+        let discipline = if lifo { DpcDiscipline::Lifo } else { DpcDiscipline::Fifo };
+        let mut q = DpcQueue::new(discipline);
+        let mut model: Vec<usize> = Vec::new();
+        for (i, dpc) in inserts.into_iter().enumerate() {
+            let inserted = q.insert(DpcId(dpc), Instant(i as u64));
+            prop_assert_eq!(inserted, !model.contains(&dpc), "double-insert must fail");
             if inserted {
-                if high {
-                    model.insert(0, (dpc, true));
+                if lifo {
+                    model.insert(0, dpc);
                 } else {
-                    model.push((dpc, false));
+                    model.push(dpc);
                 }
             }
         }
@@ -119,8 +102,7 @@ proptest! {
         while let Some(e) = q.pop() {
             drained.push(e.dpc.0);
         }
-        let expect: Vec<usize> = model.iter().map(|&(d, _)| d).collect();
-        prop_assert_eq!(drained, expect);
+        prop_assert_eq!(drained, model);
     }
 
     /// Interrupt controller: the dispatched vector is always the pending
@@ -153,15 +135,13 @@ proptest! {
     }
 
     /// Synchronization events release at most one waiter per signal and
-    /// never lose a signal; notification events release everyone.
+    /// never lose a signal.
     #[test]
     fn event_signal_conservation(
         waiters in prop::collection::vec(0usize..20, 0..10),
         signals in 1usize..8,
-        sync in prop::bool::ANY,
     ) {
-        let kind = if sync { EventKind::Synchronization } else { EventKind::Notification };
-        let mut e = KEvent::new(kind, false);
+        let mut e = KEvent::new(false);
         let mut unique = waiters.clone();
         unique.sort_unstable();
         unique.dedup();
@@ -172,15 +152,10 @@ proptest! {
         for _ in 0..signals {
             released += e.set().len();
         }
-        if sync {
-            prop_assert!(released <= unique.len().min(signals));
-            // Every signal either released a waiter or latched; the latch
-            // holds at most one.
-            prop_assert_eq!(e.signaled, released < signals);
-        } else {
-            prop_assert_eq!(released, unique.len());
-            prop_assert!(e.signaled);
-        }
+        prop_assert_eq!(released, unique.len().min(signals));
+        // Every signal either released a waiter or latched; the latch holds
+        // at most one.
+        prop_assert_eq!(e.signaled, released < signals);
     }
 
     /// Semaphore: count + released never exceeds initial + releases, and

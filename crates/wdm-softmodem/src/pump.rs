@@ -17,13 +17,11 @@
 use std::{cell::RefCell, collections::VecDeque, rc::Rc};
 
 use wdm_sim::{
-    dpc::DpcImportance,
     env::{samplers, EnvAction, EnvSource},
     ids::{EventId, WaitObject},
     irql::Irql,
     kernel::Kernel,
     labels::Label,
-    object::EventKind,
     step::{Program, Step, StepCtx},
     time::{Cycles, Instant},
 };
@@ -254,7 +252,7 @@ impl Datapump {
                 None,
             ),
             Modality::Thread(_) => {
-                let e = k.create_event(EventKind::Synchronization, false);
+                let e = k.create_event(false);
                 (
                     PumpDpc {
                         state: state.clone(),
@@ -267,7 +265,7 @@ impl Datapump {
                 )
             }
         };
-        let dpc = k.create_dpc("softmodem-dpc", DpcImportance::Medium, Box::new(dpc_body));
+        let dpc = k.create_dpc("softmodem-dpc", Box::new(dpc_body));
         if let Modality::Thread(priority) = modality {
             k.create_thread(
                 "softmodem-pump",

@@ -156,7 +156,6 @@ mod tests {
         let cpu = k.config().cpu_hz;
         let dpc = k.create_dpc(
             "ide-dpc",
-            DpcImportance::Medium,
             Box::new(DeviceDpc::new(Dist::Constant(0.2), cpu, dl)),
         );
         let v = k.install_vector(

@@ -100,7 +100,6 @@ pub fn build_scenario(
             let dpc_label = k.intern(&d.name.to_uppercase(), "_DpcForIsr");
             k.create_dpc(
                 &format!("{}-dpc", d.name),
-                d.importance,
                 Box::new(DeviceDpc::new(
                     dist.scaled(personality.driver_dpc_scale),
                     cpu,

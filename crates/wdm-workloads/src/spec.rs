@@ -7,7 +7,6 @@
 //! EXPERIMENTS.md for paper-vs-measured values).
 
 use wdm_osmodel::{dist::Dist, personality::LoadFactors};
-use wdm_sim::dpc::DpcImportance;
 
 /// The four stress-load categories.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -93,8 +92,6 @@ pub struct DeviceSpec {
     pub isr_ms: Dist,
     /// Deferred (DPC) work (ms), if the device uses a DPC.
     pub dpc_ms: Option<Dist>,
-    /// DPC queue importance.
-    pub importance: DpcImportance,
 }
 
 /// A CPU-bound application task.
@@ -168,7 +165,6 @@ fn business() -> WorkloadSpec {
                     sigma: 1.0,
                     cap: 0.35,
                 }),
-                importance: DpcImportance::Medium,
             },
             DeviceSpec {
                 name: "input",
@@ -176,7 +172,6 @@ fn business() -> WorkloadSpec {
                 arrival: ArrivalSpec::Poisson(40.0),
                 isr_ms: Dist::Constant(0.006),
                 dpc_ms: None,
-                importance: DpcImportance::Medium,
             },
         ],
         tasks: vec![
@@ -235,7 +230,6 @@ fn workstation() -> WorkloadSpec {
                     sigma: 1.1,
                     cap: 0.5,
                 }),
-                importance: DpcImportance::Medium,
             },
             DeviceSpec {
                 name: "input",
@@ -243,7 +237,6 @@ fn workstation() -> WorkloadSpec {
                 arrival: ArrivalSpec::Poisson(15.0),
                 isr_ms: Dist::Constant(0.006),
                 dpc_ms: None,
-                importance: DpcImportance::Medium,
             },
         ],
         tasks: vec![
@@ -300,7 +293,6 @@ fn games() -> WorkloadSpec {
                     sigma: 1.0,
                     cap: 0.45,
                 }),
-                importance: DpcImportance::Medium,
             },
             DeviceSpec {
                 name: "gfx",
@@ -316,7 +308,6 @@ fn games() -> WorkloadSpec {
                     sigma: 1.0,
                     cap: 0.6,
                 }),
-                importance: DpcImportance::Medium,
             },
             DeviceSpec {
                 name: "ide",
@@ -332,7 +323,6 @@ fn games() -> WorkloadSpec {
                     sigma: 1.0,
                     cap: 0.4,
                 }),
-                importance: DpcImportance::Medium,
             },
         ],
         tasks: vec![CpuTaskSpec {
@@ -378,7 +368,6 @@ fn web() -> WorkloadSpec {
                     sigma: 1.0,
                     cap: 0.3,
                 }),
-                importance: DpcImportance::Medium,
             },
             DeviceSpec {
                 name: "ide",
@@ -394,7 +383,6 @@ fn web() -> WorkloadSpec {
                     sigma: 1.0,
                     cap: 0.35,
                 }),
-                importance: DpcImportance::Medium,
             },
         ],
         tasks: vec![

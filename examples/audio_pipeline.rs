@@ -39,8 +39,8 @@ fn build(os: OsKind, seed: u64) -> (Kernel, Stamps, Rc<RefCell<ChainStats>>, Vec
         dpc: Slot(base.0 + 1),
         t1: Slot(base.0 + 2),
     };
-    let e1 = k.create_event(EventKind::Synchronization, false);
-    let e2 = k.create_event(EventKind::Synchronization, false);
+    let e1 = k.create_event(false);
+    let e2 = k.create_event(false);
     let isr_l = k.intern("AUDIODRV", "_DmaIsr");
     let dpc_l = k.intern("AUDIODRV", "_RenderDpc");
     let t1_l = k.intern("AUDIODRV", "_CopyThread");
@@ -57,7 +57,6 @@ fn build(os: OsKind, seed: u64) -> (Kernel, Stamps, Rc<RefCell<ChainStats>>, Vec
     // DPC: render audio data, stamp, signal thread 1 (Figure 2).
     let dpc = k.create_dpc(
         "render",
-        DpcImportance::Medium,
         Box::new(OpSeq::new(vec![
             Step::ReadTsc(stamps.dpc),
             Step::Busy {

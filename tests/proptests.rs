@@ -171,7 +171,6 @@ proptest! {
         );
         let dpc = k.create_dpc(
             "d",
-            DpcImportance::Medium,
             Box::new(OpSeq::new(vec![
                 Step::Busy { cycles: Cycles::from_us(100.0), label: l },
                 Step::Return,
@@ -191,15 +190,16 @@ proptest! {
         prop_assert_eq!(k.account.total(), k.now().0);
     }
 
-    /// Kernel fuzz: random (valid) thread programs, devices and
-    /// environment sources never panic, never stall time and always
-    /// conserve cycle accounting.
+    /// Kernel fuzz: random (valid) thread programs drawing every thread
+    /// step, devices and environment sources never panic, never stall time
+    /// and always conserve cycle accounting.
     #[test]
     fn kernel_survives_random_programs(
         seed in 0u64..10_000,
-        ops in prop::collection::vec((0u8..8, 1u64..3_000), 2..20),
+        ops in prop::collection::vec((0u8..9, 1u64..3_000), 2..20),
         dev_rate_ms in 0.2f64..4.0,
         cli_every_ms in 1.0f64..10.0,
+        post_every_ms in 0.5f64..5.0,
         n_threads in 1usize..4,
     ) {
         let cfg = KernelConfig {
@@ -208,31 +208,35 @@ proptest! {
         };
         let mut k = Kernel::new(cfg);
         let l = k.intern("FUZZ", "_Op");
-        let evt = k.create_event(EventKind::Synchronization, false);
+        let evt = k.create_event(false);
         let sem = k.create_semaphore(0, 64);
         let dpc = k.create_dpc(
             "fuzz-dpc",
-            DpcImportance::Medium,
             Box::new(OpSeq::new(vec![
                 Step::Busy { cycles: Cycles::from_us(40.0), label: l },
                 Step::SetEvent(evt),
                 Step::Return,
             ])),
         );
+        let timer = k.create_timer(Some(dpc));
+        let irp = k.create_irp(1, Some(evt));
+        let asb = k.irp(irp).asb_slot(0);
         // Translate opcodes into a valid thread-step program.
         let steps: Vec<Step> = ops
             .iter()
             .map(|&(code, arg)| match code {
                 0 => Step::Busy { cycles: Cycles(arg * 100 + 1), label: l },
-                1 => Step::BusyCli { cycles: Cycles(arg * 20 + 1), label: l },
+                1 => Step::ReadTsc(asb),
                 2 => Step::Sleep(Cycles::from_us((arg % 2_000 + 10) as f64)),
-                3 => Step::WaitTimeout(
-                    WaitObject::Event(evt),
-                    Cycles::from_ms(((arg % 4) + 1) as f64),
-                ),
-                4 => Step::Yield,
+                3 => Step::Wait(WaitObject::Event(evt)),
+                4 => Step::Wait(WaitObject::Semaphore(sem)),
                 5 => Step::SetEvent(evt),
-                6 => Step::ReleaseSemaphore(sem, (arg % 3 + 1) as u32),
+                6 => Step::SetTimer {
+                    timer,
+                    due: Cycles::from_us(arg as f64),
+                    period: (arg % 2 == 0).then(|| Cycles::from_us((arg % 700 + 300) as f64)),
+                },
+                7 => Step::CompleteIrp(irp),
                 _ => Step::QueueDpc(dpc),
             })
             .collect();
@@ -265,6 +269,12 @@ proptest! {
                 duration: samplers::fixed(Cycles::from_us(200.0)),
                 label: l,
             },
+        ));
+        // Work-item posts satisfy the semaphore waits.
+        k.add_env_source(EnvSource::new(
+            "fuzz-posts",
+            samplers::fixed(Cycles::from_ms(post_every_ms)),
+            EnvAction::ReleaseSemaphore(sem, 1),
         ));
         let horizon = Cycles::from_ms(40.0);
         k.run_for(horizon);
