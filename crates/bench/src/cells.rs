@@ -411,8 +411,14 @@ pub fn measure_all_timed(cfg: &RunConfig) -> TimedCells {
             step_dispatches: m.step_dispatches,
             compiled_steps: 0,
             samples_recorded: m.samples_recorded(),
-            batch_flushes: m.metrics.counter_value("latency.batch_flushes").unwrap_or(0),
-            staged_samples: m.metrics.counter_value("latency.staged_samples").unwrap_or(0),
+            batch_flushes: m
+                .metrics
+                .counter_value("latency.batch_flushes")
+                .unwrap_or(0),
+            staged_samples: m
+                .metrics
+                .counter_value("latency.staged_samples")
+                .unwrap_or(0),
             shard_wall_s,
         });
         match os {
@@ -437,7 +443,13 @@ pub fn measure_all_timed(cfg: &RunConfig) -> TimedCells {
 pub fn summary_digest(m: &ScenarioMeasurement) -> String {
     use std::fmt::Write;
     let mut out = String::new();
-    let _ = write!(out, "{:?}/{:?} hours={}", m.os, m.workload, m.collected_hours.to_bits());
+    let _ = write!(
+        out,
+        "{:?}/{:?} hours={}",
+        m.os,
+        m.workload,
+        m.collected_hours.to_bits()
+    );
     let mut series = |name: &str, s: &wdm_latency::worstcase::LatencySeries| {
         let _ = write!(
             out,
@@ -509,9 +521,14 @@ mod tests {
 
     #[test]
     fn shard_plan_covers_the_window_on_whole_minute_boundaries() {
-        for &(minutes, shards) in
-            &[(4.0, 4), (5.0, 2), (7.3, 3), (12.5 * 60.0, 8), (1.0, 4), (0.2, 4)]
-        {
+        for &(minutes, shards) in &[
+            (4.0, 4),
+            (5.0, 2),
+            (7.3, 3),
+            (12.5 * 60.0, 8),
+            (1.0, 4),
+            (0.2, 4),
+        ] {
             let plan = shard_plan(minutes, shards);
             assert!(plan.len() <= shards.max(1));
             let total: f64 = plan.iter().sum();
@@ -554,7 +571,10 @@ mod tests {
         // no block closing, i.e. the pre-shard harness.
         let specs = cell_shards(&cfg, OsKind::Win98, WorkloadKind::Games);
         assert_eq!(specs.len(), 1);
-        assert_eq!(specs[0].seed, cell_seed(1999, OsKind::Win98, WorkloadKind::Games));
+        assert_eq!(
+            specs[0].seed,
+            cell_seed(1999, OsKind::Win98, WorkloadKind::Games)
+        );
         assert_eq!(specs[0].close_minutes, None);
     }
 

@@ -9,12 +9,7 @@ use wdm_latency::{
     worstcase::LatencySeries,
 };
 use wdm_osmodel::personality::OsKind;
-use wdm_sim::{
-    config::KernelConfig,
-    dpc::DpcDiscipline,
-    kernel::Kernel,
-    time::Cycles,
-};
+use wdm_sim::{config::KernelConfig, dpc::DpcDiscipline, kernel::Kernel, time::Cycles};
 use wdm_softmodem::{validate::validate_mttf, Modality};
 use wdm_workloads::WorkloadKind;
 
@@ -75,8 +70,18 @@ pub fn validate(cfg: &RunConfig) -> String {
     let cases = [
         (OsKind::Win98, WorkloadKind::Games, Modality::Dpc, 8.0),
         (OsKind::Win98, WorkloadKind::Games, Modality::Dpc, 16.0),
-        (OsKind::Win98, WorkloadKind::Games, Modality::Thread(28), 16.0),
-        (OsKind::Win98, WorkloadKind::Business, Modality::Thread(28), 12.0),
+        (
+            OsKind::Win98,
+            WorkloadKind::Games,
+            Modality::Thread(28),
+            16.0,
+        ),
+        (
+            OsKind::Win98,
+            WorkloadKind::Business,
+            Modality::Thread(28),
+            12.0,
+        ),
         (OsKind::Nt4, WorkloadKind::Games, Modality::Dpc, 6.0),
         (OsKind::Nt4, WorkloadKind::Games, Modality::Thread(28), 6.0),
     ];
@@ -85,7 +90,14 @@ pub fn validate(cfg: &RunConfig) -> String {
     let threads = crate::parallel::effective_threads(cfg.threads, cases.len());
     let results = crate::parallel::parallel_map(cases.len(), threads, |i| {
         let (os, w, modality, buf) = cases[i];
-        validate_mttf(os, w, modality, buf, cell_seed(cfg.seed, os, w) ^ 0xda7a, hours)
+        validate_mttf(
+            os,
+            w,
+            modality,
+            buf,
+            cell_seed(cfg.seed, os, w) ^ 0xda7a,
+            hours,
+        )
     });
     for ((os, w, modality, buf), v) in cases.into_iter().zip(results) {
         let fmt_s = |x: f64| {
@@ -131,8 +143,7 @@ pub fn sched(cells: &AllCells) -> String {
             m.collected_hours
         );
     }
-    let events_per_second =
-        m.thread_lat_28.hist.count() as f64 / (m.collected_hours * 3600.0);
+    let events_per_second = m.thread_lat_28.hist.count() as f64 / (m.collected_hours * 3600.0);
     let tasks = vec![
         PeriodicTask::new("softmodem-datapump", 8.0, 2.0),
         PeriodicTask::new("lowlatency-audio", 16.0, 3.0),
@@ -206,16 +217,17 @@ pub fn feasibility(cells: &AllCells) -> String {
     use wdm_analysis::feasibility::{render_feasibility, MeasuredService};
     // Weekly worst case per service, taken across workloads (the driver
     // vendor cannot pick the user's workload).
-    let weekly_max = |ms: &[wdm_latency::session::ScenarioMeasurement],
-                      pick: &dyn Fn(&wdm_latency::session::ScenarioMeasurement) -> &LatencySeries|
-     -> f64 {
-        ms.iter()
-            .map(|m| {
-                let (_, _, w) = m.usage.windows();
-                pick(m).expected_max_ms(w, m.collected_hours)
-            })
-            .fold(0.0, f64::max)
-    };
+    let weekly_max =
+        |ms: &[wdm_latency::session::ScenarioMeasurement],
+         pick: &dyn Fn(&wdm_latency::session::ScenarioMeasurement) -> &LatencySeries|
+         -> f64 {
+            ms.iter()
+                .map(|m| {
+                    let (_, _, w) = m.usage.windows();
+                    pick(m).expected_max_ms(w, m.collected_hours)
+                })
+                .fold(0.0, f64::max)
+        };
     let services = vec![
         MeasuredService {
             name: "NT4 / DPC".into(),

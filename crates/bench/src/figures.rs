@@ -22,23 +22,24 @@ pub fn figure4(cells: &AllCells) -> String {
         "Figure 4: Measured Interrupt and Thread Latencies under Load\n\
          (percent of samples per log2 bin; compare tails, not bodies)\n\n",
     );
-    let panel = |title: &str, ms: &[&ScenarioMeasurement], f: &dyn Fn(&ScenarioMeasurement) -> &wdm_latency::LatencyHistogram| {
-        let series: Vec<PanelSeries<'_>> = ms
-            .iter()
-            .map(|m| PanelSeries {
-                workload: m.workload.name(),
-                hist: f(m),
-            })
-            .collect();
-        render_panel(title, &series)
-    };
+    let panel =
+        |title: &str,
+         ms: &[&ScenarioMeasurement],
+         f: &dyn Fn(&ScenarioMeasurement) -> &wdm_latency::LatencyHistogram| {
+            let series: Vec<PanelSeries<'_>> = ms
+                .iter()
+                .map(|m| PanelSeries {
+                    workload: m.workload.name(),
+                    hist: f(m),
+                })
+                .collect();
+            render_panel(title, &series)
+        };
     let nt: Vec<&ScenarioMeasurement> = cells.nt.iter().collect();
     let w98: Vec<&ScenarioMeasurement> = cells.win98.iter().collect();
-    out += &panel(
-        "Windows NT 4.0 DPC Interrupt Latency (ms)",
-        &nt,
-        &|m| &m.int_to_dpc.hist,
-    );
+    out += &panel("Windows NT 4.0 DPC Interrupt Latency (ms)", &nt, &|m| {
+        &m.int_to_dpc.hist
+    });
     out.push('\n');
     out += &panel("Windows 98 Interrupt + DPC Latency (ms)", &w98, &|m| {
         &m.int_to_dpc.hist
@@ -160,33 +161,36 @@ pub fn render_figure5(f: &Figure5) -> String {
 /// workload for the two datapump modalities.
 pub fn figures_6_7(cells: &AllCells) -> String {
     let params = MttfParams::default();
-    let render = |title: &str, axis: &[f64], pick: &dyn Fn(&ScenarioMeasurement) -> &wdm_latency::LatencyHistogram| {
-        let mut out = format!("=== {title} ===\n");
-        out += &format!("{:<14}", "buffering ms");
-        for m in &cells.win98 {
-            out += &format!("{:>22}", m.workload.name());
-        }
-        out.push('\n');
-        for &b in axis {
-            out += &format!("{b:<14}");
+    let render =
+        |title: &str,
+         axis: &[f64],
+         pick: &dyn Fn(&ScenarioMeasurement) -> &wdm_latency::LatencyHistogram| {
+            let mut out = format!("=== {title} ===\n");
+            out += &format!("{:<14}", "buffering ms");
             for m in &cells.win98 {
-                let v = mttf_seconds(pick(m), b, &params);
-                let cell = if v.is_infinite() {
-                    format!("{:>21}s", ">10000")
-                } else {
-                    format!("{:>21.1}s", v)
-                };
-                out += &cell;
+                out += &format!("{:>22}", m.workload.name());
             }
             out.push('\n');
-        }
-        out += "marks: ";
-        for (s, label) in MTTF_MARKS_S {
-            out += &format!("{label} = {s} s;  ");
-        }
-        out.push('\n');
-        out
-    };
+            for &b in axis {
+                out += &format!("{b:<14}");
+                for m in &cells.win98 {
+                    let v = mttf_seconds(pick(m), b, &params);
+                    let cell = if v.is_infinite() {
+                        format!("{:>21}s", ">10000")
+                    } else {
+                        format!("{:>21.1}s", v)
+                    };
+                    out += &cell;
+                }
+                out.push('\n');
+            }
+            out += "marks: ";
+            for (s, label) in MTTF_MARKS_S {
+                out += &format!("{label} = {s} s;  ");
+            }
+            out.push('\n');
+            out
+        };
     let mut out = String::from(
         "Soft modem mean time to buffer underrun on Windows 98, data transfer\n\
          mode (datapump = 25% of a cycle on a P-II 300; double buffered).\n\n",

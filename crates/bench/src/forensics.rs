@@ -56,7 +56,10 @@ pub fn render_blame_json(cfg: &RunConfig, cells: &AllCells) -> String {
     out.push_str(&format!("  \"seed\": {},\n", cfg.seed));
     out.push_str(&format!("  \"minutes_per_cell\": {minutes},\n"));
     out.push_str(&format!("  \"shards\": {},\n", cfg.shards));
-    out.push_str(&format!("  \"trigger\": \"{}\",\n", trigger_name(opts.trigger)));
+    out.push_str(&format!(
+        "  \"trigger\": \"{}\",\n",
+        trigger_name(opts.trigger)
+    ));
     out.push_str(&format!("  \"max_episodes\": {},\n", opts.max_episodes));
     out.push_str("  \"cells\": [\n");
     let all: Vec<_> = cells.nt.iter().chain(&cells.win98).collect();
@@ -78,11 +81,21 @@ pub fn render_blame_json(cfg: &RunConfig, cells: &AllCells) -> String {
             .iter()
             .map(|k| format!("\"{k}\": {}", c(&format!("latency.blame.{k}_cycles"))))
             .collect();
-        out.push_str(&format!("     \"blame_cycles\": {{{}}},\n", comps.join(", ")));
+        out.push_str(&format!(
+            "     \"blame_cycles\": {{{}}},\n",
+            comps.join(", ")
+        ));
         out.push_str("     \"episodes\": [");
-        let metas: Vec<&str> = m.blame_episodes.iter().map(|(_, meta, _)| meta.as_str()).collect();
+        let metas: Vec<&str> = m
+            .blame_episodes
+            .iter()
+            .map(|(_, meta, _)| meta.as_str())
+            .collect();
         out.push_str(&metas.join(", "));
-        out.push_str(&format!("]}}{}\n", if i + 1 < all.len() { "," } else { "" }));
+        out.push_str(&format!(
+            "]}}{}\n",
+            if i + 1 < all.len() { "," } else { "" }
+        ));
     }
     out.push_str("  ]\n}\n");
     out
@@ -125,7 +138,10 @@ pub fn render_flame_folded(cells: &AllCells) -> String {
 
 /// Runs the flame-armed grid and writes `FLAME_cells.folded` into `dir`.
 pub fn run_flame(cfg: &RunConfig, dir: &Path) -> io::Result<(AllCells, Vec<PathBuf>)> {
-    assert!(cfg.flame_hz.is_some(), "flame artifact runs with the sampler armed");
+    assert!(
+        cfg.flame_hz.is_some(),
+        "flame artifact runs with the sampler armed"
+    );
     let cells = measure_all(cfg);
     std::fs::create_dir_all(dir)?;
     let path = dir.join("FLAME_cells.folded");
@@ -155,7 +171,10 @@ mod tests {
         let j = render_blame_json(&tiny_cfg(), &cells);
         assert_eq!(j.matches("\"blame_cycles\":").count(), 8);
         assert!(j.contains("\"trigger\": \"topk\""));
-        assert!(j.contains("\"breakdown_cycles\":"), "episode metas embedded");
+        assert!(
+            j.contains("\"breakdown_cycles\":"),
+            "episode metas embedded"
+        );
         let depth = j.chars().fold(0i64, |d, c| match c {
             '{' => d + 1,
             '}' => d - 1,
@@ -163,7 +182,11 @@ mod tests {
         });
         assert_eq!(depth, 0, "balanced json");
         // Some cell retained at least one episode under the default top-K.
-        assert!(cells.nt.iter().chain(&cells.win98).any(|m| !m.blame_episodes.is_empty()));
+        assert!(cells
+            .nt
+            .iter()
+            .chain(&cells.win98)
+            .any(|m| !m.blame_episodes.is_empty()));
     }
 
     #[test]

@@ -23,8 +23,8 @@
 
 pub mod cells;
 pub mod extras;
-pub mod forensics;
 pub mod figures;
+pub mod forensics;
 pub mod output;
 pub mod parallel;
 pub mod progress;

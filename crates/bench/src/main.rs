@@ -289,8 +289,16 @@ fn main() {
     // Artifacts that need the 8 measured cells share one run.
     let needs_cells = matches!(
         artifact.as_str(),
-        "table3" | "figure4" | "figure6" | "figure7" | "throughput" | "sched" | "feasibility"
-            | "digest" | "metrics" | "all"
+        "table3"
+            | "figure4"
+            | "figure6"
+            | "figure7"
+            | "throughput"
+            | "sched"
+            | "feasibility"
+            | "digest"
+            | "metrics"
+            | "all"
     );
     let cells = if needs_cells {
         progress::note(
@@ -371,8 +379,8 @@ fn main() {
                     dir.display()
                 ),
             );
-            let (_cells, files) = tracecmd::run_trace(&cfg, &dir)
-                .unwrap_or_else(|e| fatal("writing trace files", e));
+            let (_cells, files) =
+                tracecmd::run_trace(&cfg, &dir).unwrap_or_else(|e| fatal("writing trace files", e));
             for f in &files {
                 progress::note("out", &format!("wrote {}", f.display()));
             }

@@ -16,10 +16,7 @@ use crate::{cells::AllCells, figures::Figure5};
 type HistPick<'a> = &'a dyn Fn(&ScenarioMeasurement) -> &LatencyHistogram;
 
 /// Writes one log-log distribution panel: bin edges vs percent-of-samples.
-fn write_panel(
-    path: &Path,
-    series: &[(&str, &LatencyHistogram)],
-) -> std::io::Result<()> {
+fn write_panel(path: &Path, series: &[(&str, &LatencyHistogram)]) -> std::io::Result<()> {
     let mut f = fs::File::create(path)?;
     write!(f, "bin_upper_ms")?;
     for (name, _) in series {
@@ -51,9 +48,17 @@ pub fn write_figure4(cells: &AllCells, dir: &Path) -> std::io::Result<Vec<String
         ("nt4_dpc_int", &|m| &m.int_to_dpc.hist, &cells.nt),
         ("win98_int_dpc", &|m| &m.int_to_dpc.hist, &cells.win98),
         ("nt4_thread_rt28", &|m| &m.thread_lat_28.hist, &cells.nt),
-        ("win98_thread_rt28", &|m| &m.thread_lat_28.hist, &cells.win98),
+        (
+            "win98_thread_rt28",
+            &|m| &m.thread_lat_28.hist,
+            &cells.win98,
+        ),
         ("nt4_thread_rt24", &|m| &m.thread_lat_24.hist, &cells.nt),
-        ("win98_thread_rt24", &|m| &m.thread_lat_24.hist, &cells.win98),
+        (
+            "win98_thread_rt24",
+            &|m| &m.thread_lat_24.hist,
+            &cells.win98,
+        ),
     ];
     for (name, pick, ms) in panels {
         let series: Vec<(&str, &LatencyHistogram)> =
@@ -142,11 +147,7 @@ mod tests {
             assert!(header_cols >= 3, "{path}: header too narrow");
             let mut rows = 0;
             for line in lines {
-                assert_eq!(
-                    line.split('\t').count(),
-                    header_cols,
-                    "{path}: ragged row"
-                );
+                assert_eq!(line.split('\t').count(), header_cols, "{path}: ragged row");
                 rows += 1;
             }
             assert!(rows >= 10, "{path}: too few rows");

@@ -18,7 +18,11 @@ use std::sync::{
 /// the result is clamped to `[1, jobs]` so short grids never spawn idle
 /// workers.
 pub fn effective_threads(requested: usize, jobs: usize) -> usize {
-    let n = if requested == 0 { host_cores() } else { requested };
+    let n = if requested == 0 {
+        host_cores()
+    } else {
+        requested
+    };
     n.clamp(1, jobs.max(1))
 }
 

@@ -81,7 +81,10 @@ pub struct Span {
 /// allocation, no lock) unless [`enable`] was called.
 pub fn span(name: &str) -> Span {
     if !enabled() {
-        return Span { name: None, t0: 0.0 };
+        return Span {
+            name: None,
+            t0: 0.0,
+        };
     }
     Span {
         name: Some(name.to_string()),

@@ -77,8 +77,8 @@ pub const TABLE3_SERVICES: [&str; 7] = [
 /// The paper's Table 3 weekly values for the absolute rows, for the
 /// EXPERIMENTS.md comparison: (service row index, per-workload values).
 pub const PAPER_TABLE3_WEEKLY: [(usize, [f64; 4]); 4] = [
-    (0, [1.6, 6.3, 12.2, 3.5]),   // int -> ISR
-    (2, [2.0, 6.9, 14.0, 3.8]),   // int -> DPC
+    (0, [1.6, 6.3, 12.2, 3.5]),    // int -> ISR
+    (2, [2.0, 6.9, 14.0, 3.8]),    // int -> DPC
     (4, [33.0, 31.0, 84.0, 84.0]), // int -> thread (high)
     (6, [33.0, 31.0, 84.0, 84.0]), // int -> thread (med)
 ];

@@ -59,7 +59,10 @@ pub fn render_metrics_json(cfg: &RunConfig, cells: &AllCells) -> String {
 /// into `dir`. Returns the paths written, cell files first.
 pub fn run_trace(cfg: &RunConfig, dir: &Path) -> io::Result<(TimedCells, Vec<PathBuf>)> {
     spans::enable();
-    let traced = RunConfig { trace: true, ..*cfg };
+    let traced = RunConfig {
+        trace: true,
+        ..*cfg
+    };
     let t = measure_all_timed(&traced);
     std::fs::create_dir_all(dir)?;
     let mut written = Vec::new();
@@ -109,10 +112,7 @@ mod tests {
 
     #[test]
     fn traced_grid_writes_per_cell_and_combined_files() {
-        let dir = std::env::temp_dir().join(format!(
-            "wdm_trace_test_{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("wdm_trace_test_{}", std::process::id()));
         let (t, files) = run_trace(&tiny_cfg(), &dir).expect("trace run");
         assert_eq!(files.len(), 9, "8 cell files + combined");
         for m in t.cells.nt.iter().chain(&t.cells.win98) {

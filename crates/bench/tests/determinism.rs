@@ -133,7 +133,10 @@ fn forensics_armed_grid_is_digest_neutral_and_thread_deterministic() {
     };
     let plain = measure_all_timed(&bare);
     let serial = measure_all_timed(&armed);
-    let fanned = measure_all_timed(&RunConfig { threads: 8, ..armed });
+    let fanned = measure_all_timed(&RunConfig {
+        threads: 8,
+        ..armed
+    });
     assert_eq!(
         digests(&plain),
         digests(&serial),
@@ -334,7 +337,11 @@ fn timer_heavy_digest(seed: u64) -> String {
     }
     for &t in &threads {
         let tcb = k.thread(t);
-        let _ = write!(out, " th{}={},{}", t.0, tcb.dispatch_count, tcb.waits_satisfied);
+        let _ = write!(
+            out,
+            " th{}={},{}",
+            t.0, tcb.dispatch_count, tcb.waits_satisfied
+        );
     }
     out
 }
@@ -346,9 +353,10 @@ fn timer_heavy_scenario_replays_identically() {
     assert_eq!(a, b, "timer-heavy run must be bit-reproducible");
     // Guard against a vacuous scenario: timers actually fired, and a
     // different seed shifts the digest.
-    assert!(a.split(" t").skip(1).any(|f| {
-        f.split('=').nth(1).and_then(|v| v.parse::<u64>().ok()) > Some(0)
-    }));
+    assert!(a
+        .split(" t")
+        .skip(1)
+        .any(|f| { f.split('=').nth(1).and_then(|v| v.parse::<u64>().ok()) > Some(0) }));
     assert_ne!(a, timer_heavy_digest(2000), "seed must reach the digest");
 }
 

@@ -41,11 +41,7 @@ impl Default for MttfParams {
 /// Returns `f64::INFINITY` when no observed latency reaches the slack time
 /// (the failure mode was never seen in the collected data — the paper's
 /// plots simply run off the top of the 10,000 s axis there).
-pub fn mttf_seconds(
-    latency: &LatencyHistogram,
-    buffering_ms: f64,
-    params: &MttfParams,
-) -> f64 {
+pub fn mttf_seconds(latency: &LatencyHistogram, buffering_ms: f64, params: &MttfParams) -> f64 {
     assert!(params.buffers >= 2, "need at least double buffering");
     assert!(
         (0.0..1.0).contains(&params.compute_fraction),
@@ -94,8 +90,7 @@ pub fn fig7_axis() -> Vec<f64> {
 }
 
 /// Reference marks on the MTTF axis (Figures 6–7): 1 min, 10 min, 1 hour.
-pub const MTTF_MARKS_S: [(f64, &str); 3] =
-    [(60.0, "1 min"), (600.0, "10 min"), (3600.0, "1 hour")];
+pub const MTTF_MARKS_S: [(f64, &str); 3] = [(60.0, "1 min"), (600.0, "10 min"), (3600.0, "1 hour")];
 
 /// Smallest buffering (from `axis`) whose MTTF meets `target_s`, if any.
 pub fn buffering_for_mttf(

@@ -157,7 +157,11 @@ pub fn render_sched_report(
             r.response_ms
                 .map(|x| format!("{x:.2} ms"))
                 .unwrap_or_else(|| "diverged".into()),
-            if r.schedulable { "OK" } else { "MISSES DEADLINE" }
+            if r.schedulable {
+                "OK"
+            } else {
+                "MISSES DEADLINE"
+            }
         ));
     }
     out

@@ -73,9 +73,8 @@ pub fn table1() -> Vec<ToleranceRow> {
 
 /// Renders Table 1 with both the paper's quoted range and the computed one.
 pub fn render_table1() -> String {
-    let mut out = String::from(
-        "Application     Buffer ms (t)   Buffers (n)   Tolerance (n-1)*t ms\n",
-    );
+    let mut out =
+        String::from("Application     Buffer ms (t)   Buffers (n)   Tolerance (n-1)*t ms\n");
     for row in table1() {
         let (lo, hi) = row.tolerance_range_ms();
         out.push_str(&format!(

@@ -28,7 +28,9 @@
 use std::{cell::RefCell, rc::Rc};
 
 use wdm_sim::{
-    flight::{chrome_document, chrome_events_slice, json_f64, json_str, FlightEvent, FlightRecorder},
+    flight::{
+        chrome_document, chrome_events_slice, json_f64, json_str, FlightEvent, FlightRecorder,
+    },
     ids::ThreadId,
     kernel::Kernel,
     observer::{BlameBreakdown, Interest, Observer, ResumeBlame},
@@ -349,7 +351,8 @@ impl Observer for BlameRecorder {
             return;
         }
         self.summary.triggered += 1;
-        self.triggered_hist.record_cycles(Cycles(latency_cycles), self.cpu_hz);
+        self.triggered_hist
+            .record_cycles(Cycles(latency_cycles), self.cpu_hz);
         let ordinal = self.next_ordinal;
         self.next_ordinal += 1;
         if !self.admit(latency_cycles) {
@@ -362,10 +365,8 @@ impl Observer for BlameRecorder {
             .flight
             .as_ref()
             .map(|f| {
-                f.borrow().events_in(
-                    Instant(e.readied.0.saturating_sub(pad.0)),
-                    e.started + pad,
-                )
+                f.borrow()
+                    .events_in(Instant(e.readied.0.saturating_sub(pad.0)), e.started + pad)
             })
             .unwrap_or_default();
         self.episodes.push(BlameEpisode {

@@ -72,7 +72,11 @@ impl Episode {
         let mut out = format!("Analysis of latency episode number {}\n", self.number);
         for (label, n) in self.sample_counts() {
             let site = if symbols.parent(label).is_some() {
-                format!("{} ({})", symbols.function(label), symbols.render_chain(label))
+                format!(
+                    "{} ({})",
+                    symbols.function(label),
+                    symbols.render_chain(label)
+                )
             } else {
                 symbols.function(label).to_string()
             };
@@ -111,7 +115,12 @@ pub struct CauseTool {
 impl CauseTool {
     /// Creates the tool watching a measurement thread's latencies, sampling
     /// on the PIT hook (the paper's §2.3 configuration).
-    pub fn new(k: &Kernel, watched_thread: ThreadId, threshold_ms: f64, capacity: usize) -> CauseTool {
+    pub fn new(
+        k: &Kernel,
+        watched_thread: ThreadId,
+        threshold_ms: f64,
+        capacity: usize,
+    ) -> CauseTool {
         CauseTool {
             pit_vector: k.pit_vector(),
             watched_thread,
@@ -185,8 +194,8 @@ mod tests {
     use wdm_sim::{
         config::KernelConfig,
         env::{samplers, EnvAction, EnvSource},
-        step::{LoopSeq, OpSeq, Step},
         ids::WaitObject,
+        step::{LoopSeq, OpSeq, Step},
     };
 
     /// Builds a machine where a VMM section reliably delays a measurement

@@ -36,9 +36,9 @@ pub mod worstcase;
 
 pub use blame::{BlameEpisode, BlameOptions, BlameRecorder, BlameSummary, BlameTrigger};
 pub use cause::{CauseTool, Episode};
+pub use histogram::LatencyHistogram;
 pub use interactive::InteractiveProbe;
 pub use microbench::{render_comparison, run_microbench, Microbench};
-pub use histogram::LatencyHistogram;
 pub use session::{measure_scenario, ScenarioMeasurement};
 pub use stage::SampleStage;
 pub use tool::{LatencyTool, MeasurementSession, ToolResults, TruthCollector};

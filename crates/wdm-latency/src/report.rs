@@ -32,11 +32,7 @@ pub fn render_distribution(name: &str, h: &LatencyHistogram) -> String {
             format!("{p:>10.4}%")
         }
     };
-    out.push_str(&format!(
-        "  <= {:<10} {}\n",
-        edges[0],
-        fmt_pct(percents[0])
-    ));
+    out.push_str(&format!("  <= {:<10} {}\n", edges[0], fmt_pct(percents[0])));
     for i in 1..edges.len() {
         out.push_str(&format!(
             "  {:>6} - {:<6} {}\n",
@@ -114,9 +110,7 @@ pub struct Table3Row {
 
 /// Renders Table 3: services down the rows, workloads (hr/day/wk) across.
 pub fn render_table3(workloads: &[&str], rows: &[Table3Row]) -> String {
-    let mut out = String::from(
-        "Observed Hourly, Daily and Weekly Worst Case Latencies (in ms.)\n",
-    );
+    let mut out = String::from("Observed Hourly, Daily and Weekly Worst Case Latencies (in ms.)\n");
     out.push_str(&format!("{:<34}", "OS Service"));
     for w in workloads {
         out.push_str(&format!("{:>30}", w));
@@ -124,7 +118,10 @@ pub fn render_table3(workloads: &[&str], rows: &[Table3Row]) -> String {
     out.push('\n');
     out.push_str(&format!("{:<34}", ""));
     for _ in workloads {
-        out.push_str(&format!("{:>10}{:>10}{:>10}", "Max/Hr", "Max/Day", "Max/Wk"));
+        out.push_str(&format!(
+            "{:>10}{:>10}{:>10}",
+            "Max/Hr", "Max/Day", "Max/Wk"
+        ));
     }
     out.push('\n');
     for row in rows {

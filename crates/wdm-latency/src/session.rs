@@ -148,7 +148,10 @@ impl ScenarioMeasurement {
     /// collected them.
     pub fn merge_shard_at(&mut self, offset_minutes: usize, other: ScenarioMeasurement) {
         assert_eq!(self.os, other.os, "shards must share the OS");
-        assert_eq!(self.workload, other.workload, "shards must share the workload");
+        assert_eq!(
+            self.workload, other.workload,
+            "shards must share the workload"
+        );
         let mut o = other;
         self.collected_hours += o.collected_hours;
         for (a, b) in self.series_mut().into_iter().zip(o.series_mut()) {
@@ -269,9 +272,9 @@ pub fn measure_scenario(
     });
     // Blame capture needs a ring to snapshot; arm a default-sized one when
     // forensics is on and the caller didn't ask for trace export.
-    let flight_opts = opts.flight.or_else(|| {
-        opts.blame.map(|_| FlightOptions::default())
-    });
+    let flight_opts = opts
+        .flight
+        .or_else(|| opts.blame.map(|_| FlightOptions::default()));
     let flight = flight_opts.map(|f| {
         let r = Rc::new(RefCell::new(FlightRecorder::new(f.capacity)));
         scenario.kernel.add_observer(r.clone());
@@ -280,10 +283,7 @@ pub fn measure_scenario(
     let blame = opts.blame.map(|b| {
         let r = Rc::new(RefCell::new(BlameRecorder::new(
             &scenario.kernel,
-            vec![
-                (session.rt24.thread, "rt24"),
-                (session.rt28.thread, "rt28"),
-            ],
+            vec![(session.rt24.thread, "rt24"), (session.rt28.thread, "rt28")],
             b,
             flight.as_ref().map(|(r, _)| r.clone()),
         )));
@@ -292,16 +292,16 @@ pub fn measure_scenario(
     });
     if let Some(hz) = opts.flame_hz {
         assert!(hz > 0.0, "flame rate must be positive");
-        let period = (scenario.kernel.config().cpu_hz as f64 / hz).round().max(1.0) as u64;
+        let period = (scenario.kernel.config().cpu_hz as f64 / hz)
+            .round()
+            .max(1.0) as u64;
         scenario.kernel.set_flame_period(period);
     }
 
-    scenario
-        .kernel
-        .run_for(Cycles::from_ms_at(
-            sim_hours * 3_600_000.0,
-            scenario.kernel.config().cpu_hz,
-        ));
+    scenario.kernel.run_for(Cycles::from_ms_at(
+        sim_hours * 3_600_000.0,
+        scenario.kernel.config().cpu_hz,
+    ));
 
     // Drain the staging buffers before any series is read or moved: the
     // final (partial) batch folds here, the last flush point of §14.
@@ -405,7 +405,8 @@ pub fn measure_scenario(
     // counters sum across shards exactly like the struct fields they
     // mirror, histograms merge bin-wise over the shared log-binned edges.
     m.metrics.counter("latency.ops_completed", m.ops_completed);
-    m.metrics.counter("latency.episodes", m.episodes.len() as u64);
+    m.metrics
+        .counter("latency.episodes", m.episodes.len() as u64);
     m.metrics.counter("latency.waits_24", m.waits_24);
     m.metrics.counter("latency.waits_28", m.waits_28);
     // Stage flushes ride the registry so shard merges sum them exactly,
@@ -500,10 +501,7 @@ mod tests {
         let b = run(22);
         let (a_hours, a_ops, a_events, a_waits) =
             (a.collected_hours, a.ops_completed, a.sim_events, a.waits_28);
-        let (a_count, b_count) = (
-            a.thread_lat_28.hist.count(),
-            b.thread_lat_28.hist.count(),
-        );
+        let (a_count, b_count) = (a.thread_lat_28.hist.count(), b.thread_lat_28.hist.count());
         assert_eq!(a.thread_lat_28.blocks.maxima().len(), 1, "one whole minute");
         let (b_hours, b_ops, b_events, b_waits, b_acct) = (
             b.collected_hours,
@@ -519,8 +517,15 @@ mod tests {
         assert_eq!(m.sim_events, a_events + b_events);
         assert_eq!(m.waits_28, a_waits + b_waits);
         assert_eq!(m.thread_lat_28.hist.count(), a_count + b_count);
-        assert_eq!(m.thread_lat_28.blocks.maxima().len(), 2, "shard blocks concatenate");
-        assert!(m.account.total() > b_acct.total(), "accounting sums over shards");
+        assert_eq!(
+            m.thread_lat_28.blocks.maxima().len(),
+            2,
+            "shard blocks concatenate"
+        );
+        assert!(
+            m.account.total() > b_acct.total(),
+            "accounting sums over shards"
+        );
     }
 
     #[test]

@@ -584,7 +584,9 @@ mod tests {
         let mut c = 7u64;
         for i in 0..50_000u64 {
             // Deterministic scatter over several blocks, including zeros.
-            c = c.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            c = c
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let sample = if i % 97 == 0 { 0 } else { c % 5_000_000 };
             let now = Instant(i * 137);
             by_cycles.record_cycles(now, Cycles(sample), cpu);
@@ -608,9 +610,9 @@ mod tests {
         let samples: [(u64, u64); 8] = [
             (100, 5_000),
             (4_500, 9_000),
-            (150, 7_000),   // Back into block 0 after block 4 opened.
+            (150, 7_000), // Back into block 0 after block 4 opened.
             (2_200, 1),
-            (950, 0),       // Zero sample, block 0.
+            (950, 0), // Zero sample, block 0.
             (4_999, 2_000),
             (3_100, 8_000),
             (250, 6_999),

@@ -172,8 +172,7 @@ fn record_heavy_window_is_allocation_free() {
     let ops = heap_ops() - before;
     let staged_window = batches * buf.len() as u64;
     assert_eq!(
-        ops,
-        0,
+        ops, 0,
         "staged recording steady state must not touch the heap \
          ({ops} ops over {staged_window} staged samples)"
     );

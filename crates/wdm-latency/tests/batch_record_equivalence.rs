@@ -45,12 +45,7 @@ fn latency() -> impl Strategy<Value = u64> {
 /// inside one minute, steps that cross a boundary mid-batch, and jumps
 /// that skip whole empty minutes.
 fn delta_frac() -> impl Strategy<Value = f64> {
-    prop_oneof![
-        Just(0.0f64),
-        0.0f64..0.0625,
-        0.5f64..2.0,
-        Just(3.0f64),
-    ]
+    prop_oneof![Just(0.0f64), 0.0f64..0.0625, 0.5f64..2.0, Just(3.0f64),]
 }
 
 /// Clock rates kept small enough that `60 * cpu_hz` block lengths leave

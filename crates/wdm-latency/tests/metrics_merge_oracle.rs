@@ -178,7 +178,10 @@ fn measurement_merge_keeps_metrics_consistent_with_counters() {
         Some(m.ops_completed),
         "merged metric tracks the merged counter"
     );
-    assert_eq!(m.metrics.counter_value("latency.waits_28"), Some(m.waits_28));
+    assert_eq!(
+        m.metrics.counter_value("latency.waits_28"),
+        Some(m.waits_28)
+    );
     assert_eq!(m.metrics.counter_value("sim.events"), Some(m.sim_events));
     match m.metrics.get("latency.hist.thread_lat_28_ms") {
         Some(MetricValue::Histogram { edges, counts }) => {
@@ -225,7 +228,10 @@ fn occupancy_gauges_merge_max_wins_in_either_order() {
         .iter()
         .map(|name| {
             let (ga, gb) = (gauge(&a, name), gauge(&b, name));
-            assert!(ga > 0.0 && gb > 0.0, "{name} must be observed on both shards");
+            assert!(
+                ga > 0.0 && gb > 0.0,
+                "{name} must be observed on both shards"
+            );
             ga.max(gb)
         })
         .collect();

@@ -75,7 +75,9 @@ fn worst_case_estimates_shrink_with_more_data() {
         &MeasureOptions::default(),
     );
     let (h, _, _) = short.usage.windows();
-    let e_short = short.thread_int_28.expected_max_ms(h, short.collected_hours);
+    let e_short = short
+        .thread_int_28
+        .expected_max_ms(h, short.collected_hours);
     let e_long = long.thread_int_28.expected_max_ms(h, long.collected_hours);
     let ratio = (e_short / e_long).max(e_long / e_short);
     assert!(

@@ -194,9 +194,7 @@ impl Dist {
 
     fn compile_exact(&self, cpu_hz: u64) -> CompiledSampler {
         match self {
-            Dist::Constant(v) => {
-                CompiledSampler::Constant(Cycles::from_ms_at(v.max(0.0), cpu_hz))
-            }
+            Dist::Constant(v) => CompiledSampler::Constant(Cycles::from_ms_at(v.max(0.0), cpu_hz)),
             Dist::Uniform { lo, hi } => CompiledSampler::Uniform {
                 lo: *lo,
                 hi: *hi,
@@ -244,7 +242,10 @@ impl Dist {
 /// Validates mixture weights and returns their total, summed in iteration
 /// order (bit-identical to the interpreted per-draw sum).
 fn validate_mixture(parts: &[(f64, Dist)]) -> f64 {
-    assert!(!parts.is_empty(), "mixture must have at least one component");
+    assert!(
+        !parts.is_empty(),
+        "mixture must have at least one component"
+    );
     for (w, _) in parts {
         assert!(
             w.is_finite() && *w >= 0.0,
@@ -464,8 +465,14 @@ pub fn bursty_arrivals(
     mean_off_ms: f64,
     cpu_hz: u64,
 ) -> Sampler {
-    assert!(on_rate_hz > 0.0 && off_rate_hz > 0.0, "rates must be positive");
-    assert!(mean_on_ms > 0.0 && mean_off_ms > 0.0, "phases must be positive");
+    assert!(
+        on_rate_hz > 0.0 && off_rate_hz > 0.0,
+        "rates must be positive"
+    );
+    assert!(
+        mean_on_ms > 0.0 && mean_off_ms > 0.0,
+        "phases must be positive"
+    );
     // Phase state lives inside the closure: remaining time in the current
     // phase, and whether we're in a burst.
     let mut in_burst = false;
@@ -652,10 +659,14 @@ mod tests {
         };
         let mut r = rng();
         let mut bursty = bursty_arrivals(2_000.0, 10.0, 20.0, 480.0, 300_000_000);
-        let gaps: Vec<f64> = (0..30_000).map(|_| Cycles(bursty(&mut r).0).as_ms()).collect();
+        let gaps: Vec<f64> = (0..30_000)
+            .map(|_| Cycles(bursty(&mut r).0).as_ms())
+            .collect();
         let cv_bursty = cv(&gaps);
         let mut poisson = poisson_arrivals(100.0, 300_000_000);
-        let gaps: Vec<f64> = (0..30_000).map(|_| Cycles(poisson(&mut r).0).as_ms()).collect();
+        let gaps: Vec<f64> = (0..30_000)
+            .map(|_| Cycles(poisson(&mut r).0).as_ms())
+            .collect();
         let cv_poisson = cv(&gaps);
         assert!(
             cv_bursty > cv_poisson * 1.5,
@@ -778,8 +789,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "finite and non-negative")]
     fn negative_weight_mixture_fails_at_compile() {
-        Dist::Mixture(vec![(-1.0, Dist::Constant(1.0)), (2.0, Dist::Constant(2.0))])
-            .compile(300_000_000, SamplerMode::Exact);
+        Dist::Mixture(vec![
+            (-1.0, Dist::Constant(1.0)),
+            (2.0, Dist::Constant(2.0)),
+        ])
+        .compile(300_000_000, SamplerMode::Exact);
     }
 
     #[test]

@@ -103,7 +103,11 @@ mod tests {
     #[test]
     fn differing_rows_match_paper() {
         let rows = system_configuration();
-        let diff: Vec<&str> = rows.iter().filter(|r| r.differs()).map(|r| r.item).collect();
+        let diff: Vec<&str> = rows
+            .iter()
+            .filter(|r| r.differs())
+            .map(|r| r.item)
+            .collect();
         assert_eq!(
             diff,
             vec!["OS version", "Filesystem", "IDE Driver", "Audio solution"]

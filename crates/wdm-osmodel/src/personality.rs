@@ -131,13 +131,13 @@ impl OsPersonality {
     pub fn nt4() -> OsPersonality {
         let kernel = KernelConfig {
             // NT's HAL keeps interrupts off only for short, bounded paths.
-            isr_dispatch_cost: Cycles(600),   // ~2 us
-            isr_exit_cost: Cycles(300),       // ~1 us
-            pit_isr_cost: Cycles(900),        // ~3 us
-            dpc_dispatch_cost: Cycles(450),   // ~1.5 us
-            dispatch_cost: Cycles(900),       // ~3 us dispatcher decision
+            isr_dispatch_cost: Cycles(600),     // ~2 us
+            isr_exit_cost: Cycles(300),         // ~1 us
+            pit_isr_cost: Cycles(900),          // ~3 us
+            dpc_dispatch_cost: Cycles(450),     // ~1.5 us
+            dispatch_cost: Cycles(900),         // ~3 us dispatcher decision
             context_switch_cost: Cycles(4_500), // ~15 us incl. cache refill
-            service_call_cost: Cycles(60),    // ~0.2 us kernel call
+            service_call_cost: Cycles(60),      // ~0.2 us kernel call
             quantum: Cycles::from_ms(20.0),
             ..KernelConfig::default()
         };
@@ -164,16 +164,22 @@ impl OsPersonality {
             // Work items: usually sub-millisecond, occasionally a few ms of
             // filesystem or PnP work.
             workitem_duration: Dist::Mixture(vec![
-                (0.90, Dist::LogNormal {
-                    median: 0.15,
-                    sigma: 0.8,
-                    cap: 2.0,
-                }),
-                (0.06, Dist::LogNormal {
-                    median: 1.6,
-                    sigma: 0.6,
-                    cap: 6.0,
-                }),
+                (
+                    0.90,
+                    Dist::LogNormal {
+                        median: 0.15,
+                        sigma: 0.8,
+                        cap: 2.0,
+                    },
+                ),
+                (
+                    0.06,
+                    Dist::LogNormal {
+                        median: 1.6,
+                        sigma: 0.6,
+                        cap: 6.0,
+                    },
+                ),
             ]),
             workitem_rate_hz: 15.0,
         }
@@ -183,13 +189,13 @@ impl OsPersonality {
     pub fn win98() -> OsPersonality {
         let kernel = KernelConfig {
             // Longer entry/exit through the VMM interrupt reflection paths.
-            isr_dispatch_cost: Cycles(1_500),  // ~5 us
-            isr_exit_cost: Cycles(900),        // ~3 us
-            pit_isr_cost: Cycles(1_500),       // ~5 us
-            dpc_dispatch_cost: Cycles(900),    // ~3 us
-            dispatch_cost: Cycles(1_800),      // ~6 us
+            isr_dispatch_cost: Cycles(1_500),   // ~5 us
+            isr_exit_cost: Cycles(900),         // ~3 us
+            pit_isr_cost: Cycles(1_500),        // ~5 us
+            dpc_dispatch_cost: Cycles(900),     // ~3 us
+            dispatch_cost: Cycles(1_800),       // ~6 us
             context_switch_cost: Cycles(6_000), // ~20 us
-            service_call_cost: Cycles(120),    // ~0.4 us through the VMM
+            service_call_cost: Cycles(120),     // ~0.4 us through the VMM
             quantum: Cycles::from_ms(20.0),
             ..KernelConfig::default()
         };
@@ -297,10 +303,7 @@ impl OsPersonality {
         let sect_rate = self.section_rate_hz * f.section_rate;
         if sect_rate > 0.0 {
             let label = k.intern("VMM", "_mmFindContig");
-            let duration = self
-                .section_duration
-                .scaled(f.section_scale)
-                .sampler(cpu);
+            let duration = self.section_duration.scaled(f.section_scale).sampler(cpu);
             ids.push(k.add_env_source(EnvSource::new(
                 "vmm-sections",
                 poisson_arrivals(sect_rate, cpu),
@@ -381,7 +384,10 @@ mod tests {
         let sect_fires = k.env_source(ids[1]).fire_count;
         // 60 Hz and 8 Hz over 2 seconds.
         assert!((60..=200).contains(&cli_fires), "cli fires: {cli_fires}");
-        assert!((4..=40).contains(&sect_fires), "section fires: {sect_fires}");
+        assert!(
+            (4..=40).contains(&sect_fires),
+            "section fires: {sect_fires}"
+        );
         assert!(k.account.cli > 0 && k.account.section > 0);
     }
 }

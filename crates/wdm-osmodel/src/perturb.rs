@@ -99,7 +99,11 @@ impl SoundSchemePerturbation {
     /// Each sound playback walks the audio topology (`SYSAUDIO`), mixes
     /// (`KMIXER`) and occasionally allocates contiguous memory in the VMM at
     /// raised IRQL — the exact functions the paper's cause tool caught.
-    pub fn install(k: &mut Kernel, scheme: SoundScheme, ui_events_hz: f64) -> SoundSchemePerturbation {
+    pub fn install(
+        k: &mut Kernel,
+        scheme: SoundScheme,
+        ui_events_hz: f64,
+    ) -> SoundSchemePerturbation {
         if scheme == SoundScheme::None || ui_events_hz <= 0.0 {
             return SoundSchemePerturbation { sources: vec![] };
         }
@@ -110,19 +114,21 @@ impl SoundSchemePerturbation {
             ("WINMM", "_PlaySound"),
             ("SYSAUDIO", "_ProcessTopologyConnection"),
         ]);
-        sources.push(k.add_env_source(EnvSource::new(
-            "sound-topology",
-            poisson_arrivals(ui_events_hz, cpu),
-            EnvAction::Section {
-                duration: Dist::LogNormal {
-                    median: 0.6,
-                    sigma: 0.7,
-                    cap: 5.0,
-                }
-                .sampler(cpu),
-                label: sysaudio,
-            },
-        )));
+        sources.push(
+            k.add_env_source(EnvSource::new(
+                "sound-topology",
+                poisson_arrivals(ui_events_hz, cpu),
+                EnvAction::Section {
+                    duration: Dist::LogNormal {
+                        median: 0.6,
+                        sigma: 0.7,
+                        cap: 5.0,
+                    }
+                    .sampler(cpu),
+                    label: sysaudio,
+                },
+            )),
+        );
         // Contiguous-frame allocation in the VMM: rarer, longer, at raised
         // IRQL (modeled as cli so it also stretches interrupt latency).
         let mmcalc = k.intern_chain(&[
@@ -130,37 +136,41 @@ impl SoundSchemePerturbation {
             ("VMM", "_mmFindContig"),
             ("VMM", "_mmCalcFrameBadness"),
         ]);
-        sources.push(k.add_env_source(EnvSource::new(
-            "sound-mm-alloc",
-            poisson_arrivals(ui_events_hz * 0.25, cpu),
-            EnvAction::Section {
-                duration: Dist::LogNormal {
-                    median: 2.2,
-                    sigma: 0.8,
-                    cap: 14.0,
-                }
-                .sampler(cpu),
-                label: mmcalc,
-            },
-        )));
+        sources.push(
+            k.add_env_source(EnvSource::new(
+                "sound-mm-alloc",
+                poisson_arrivals(ui_events_hz * 0.25, cpu),
+                EnvAction::Section {
+                    duration: Dist::LogNormal {
+                        median: 2.2,
+                        sigma: 0.8,
+                        cap: 14.0,
+                    }
+                    .sampler(cpu),
+                    label: mmcalc,
+                },
+            )),
+        );
         // KMIXER buffer mixing as short cli windows.
         let kmixer = k.intern_chain(&[
             ("SYSAUDIO", "_ProcessTopologyConnection"),
             ("KMIXER", "_MixBuffers"),
         ]);
-        sources.push(k.add_env_source(EnvSource::new(
-            "sound-kmixer",
-            poisson_arrivals(ui_events_hz * 2.0, cpu),
-            EnvAction::Cli {
-                duration: Dist::LogNormal {
-                    median: 0.05,
-                    sigma: 0.9,
-                    cap: 0.8,
-                }
-                .sampler(cpu),
-                label: kmixer,
-            },
-        )));
+        sources.push(
+            k.add_env_source(EnvSource::new(
+                "sound-kmixer",
+                poisson_arrivals(ui_events_hz * 2.0, cpu),
+                EnvAction::Cli {
+                    duration: Dist::LogNormal {
+                        median: 0.05,
+                        sigma: 0.9,
+                        cap: 0.8,
+                    }
+                    .sampler(cpu),
+                    label: kmixer,
+                },
+            )),
+        );
         SoundSchemePerturbation { sources }
     }
 }
@@ -212,7 +222,9 @@ mod tests {
         let rendered: Vec<String> = (0..k.symbols().len())
             .map(|i| k.symbols().render(wdm_sim::labels::Label(i as u32)))
             .collect();
-        assert!(rendered.iter().any(|s| s == "SYSAUDIO!_ProcessTopologyConnection"));
+        assert!(rendered
+            .iter()
+            .any(|s| s == "SYSAUDIO!_ProcessTopologyConnection"));
         assert!(rendered.iter().any(|s| s == "VMM!_mmCalcFrameBadness"));
     }
 }

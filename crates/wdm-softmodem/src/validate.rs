@@ -112,7 +112,10 @@ mod tests {
             v.misses > 0,
             "8 ms of buffering on 98 under games must underrun"
         );
-        assert!(v.predicted_mttf_s < 120.0, "prediction should be pessimistic");
+        assert!(
+            v.predicted_mttf_s < 120.0,
+            "prediction should be pessimistic"
+        );
     }
 
     #[test]

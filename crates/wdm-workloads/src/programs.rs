@@ -6,12 +6,12 @@
 //! construction into [`CompiledSampler`]s so the per-activation draw does
 //! no distribution dispatch or unit conversion (DESIGN.md §12).
 
+use wdm_osmodel::dist::{CompiledSampler, Dist, SamplerMode};
 use wdm_sim::{
     ids::{DpcId, Slot},
     labels::Label,
     step::{Program, Step, StepCtx},
 };
-use wdm_osmodel::dist::{CompiledSampler, Dist, SamplerMode};
 
 /// A device interrupt service routine: a sampled busy chunk, then
 /// optionally queue the device's DPC (the WDM pattern: short ISR, deferred
@@ -196,9 +196,6 @@ mod tests {
         k.run_for(Cycles::from_ms(100.0));
         let ops = k.slot(slot);
         // ~2 ms per iteration (1 busy + 1 sleep, tick-granular wake).
-        assert!(
-            (30..=60).contains(&ops),
-            "expected ~40-50 ops, got {ops}"
-        );
+        assert!((30..=60).contains(&ops), "expected ~40-50 ops, got {ops}");
     }
 }

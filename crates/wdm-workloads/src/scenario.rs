@@ -214,7 +214,11 @@ mod tests {
             &ScenarioOptions::default(),
         );
         s.kernel.run_for(Cycles::from_ms(2_000.0));
-        assert!(s.total_ops() > 50, "apps should complete ops: {}", s.total_ops());
+        assert!(
+            s.total_ops() > 50,
+            "apps should complete ops: {}",
+            s.total_ops()
+        );
         let acct = s.kernel.account;
         assert!(acct.isr > 0 && acct.dpc > 0 && acct.section > 0);
         assert_eq!(acct.total(), s.kernel.now().0);

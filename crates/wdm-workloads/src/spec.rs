@@ -70,10 +70,7 @@ impl ArrivalSpec {
                 off_rate_hz,
                 mean_on_ms,
                 mean_off_ms,
-            } => {
-                (on_rate_hz * mean_on_ms + off_rate_hz * mean_off_ms)
-                    / (mean_on_ms + mean_off_ms)
-            }
+            } => (on_rate_hz * mean_on_ms + off_rate_hz * mean_off_ms) / (mean_on_ms + mean_off_ms),
         }
     }
 }
@@ -436,7 +433,11 @@ mod tests {
     #[test]
     fn games_are_the_most_interrupt_hostile() {
         let g = WorkloadSpec::of(WorkloadKind::Games).factors;
-        for other in [WorkloadKind::Business, WorkloadKind::Workstation, WorkloadKind::Web] {
+        for other in [
+            WorkloadKind::Business,
+            WorkloadKind::Workstation,
+            WorkloadKind::Web,
+        ] {
             let f = WorkloadSpec::of(other).factors;
             assert!(
                 g.cli_scale >= f.cli_scale,

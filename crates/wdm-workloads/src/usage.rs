@@ -84,7 +84,9 @@ mod tests {
 
     #[test]
     fn weekly_collection_hours_match_paper() {
-        assert!((UsageModel::of(WorkloadKind::Business).collect_hours_per_week() - 4.0).abs() < 1e-9);
+        assert!(
+            (UsageModel::of(WorkloadKind::Business).collect_hours_per_week() - 4.0).abs() < 1e-9
+        );
         assert!(
             (UsageModel::of(WorkloadKind::Workstation).collect_hours_per_week() - 6.0).abs() < 1e-9
         );

@@ -26,13 +26,7 @@ fn main() {
     };
     opts.scenario.sound_scheme = SoundScheme::Default;
 
-    let m = measure_scenario(
-        OsKind::Win98,
-        WorkloadKind::Business,
-        23,
-        2.0 / 60.0,
-        &opts,
-    );
+    let m = measure_scenario(OsKind::Win98, WorkloadKind::Business, 23, 2.0 / 60.0, &opts);
 
     if m.episodes.is_empty() {
         println!("no episodes captured; lower the threshold or run longer");

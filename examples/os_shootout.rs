@@ -25,7 +25,13 @@ fn main() {
 
     let hours = minutes / 60.0;
     let nt = measure_scenario(OsKind::Nt4, workload, 7, hours, &MeasureOptions::default());
-    let w98 = measure_scenario(OsKind::Win98, workload, 7, hours, &MeasureOptions::default());
+    let w98 = measure_scenario(
+        OsKind::Win98,
+        workload,
+        7,
+        hours,
+        &MeasureOptions::default(),
+    );
 
     println!(
         "{}",

@@ -66,7 +66,8 @@ fn main() {
     let hour_dpc = buffering_for_mttf(&m.int_to_dpc.hist, &fig6_axis(), &params, 3600.0);
     let hour_thr = buffering_for_mttf(&m.thread_int_28.hist, &fig6_axis(), &params, 3600.0);
     let fmt_b = |b: Option<f64>| {
-        b.map(|x| format!("{x} ms")).unwrap_or_else(|| ">64 ms".into())
+        b.map(|x| format!("{x} ms"))
+            .unwrap_or_else(|| ">64 ms".into())
     };
     println!(
         "\nReading the curves like the paper's §5.1: an hour between misses\n\

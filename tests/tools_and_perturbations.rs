@@ -17,13 +17,7 @@ fn cause_tool_blames_sound_scheme_functions() {
         ..MeasureOptions::default()
     };
     opts.scenario.sound_scheme = SoundScheme::Default;
-    let m = measure_scenario(
-        OsKind::Win98,
-        WorkloadKind::Business,
-        77,
-        2.0 / 60.0,
-        &opts,
-    );
+    let m = measure_scenario(OsKind::Win98, WorkloadKind::Business, 77, 2.0 / 60.0, &opts);
     assert!(
         !m.episodes.is_empty(),
         "the default sound scheme must cause >6 ms episodes"
@@ -86,8 +80,7 @@ fn nt_softmodem_is_clean_in_both_modalities() {
         let st = pump.state.borrow();
         assert!(st.completed > 5_000, "pump must run: {}", st.completed);
         assert_eq!(
-            st.missed,
-            0,
+            st.missed, 0,
             "NT worst cases sit below modem slack (modality {modality:?})"
         );
     }
@@ -150,7 +143,12 @@ fn all_cells_produce_well_formed_measurements() {
                 os.name(),
                 w.name()
             );
-            assert!(m.int_to_isr.hist.count() > 1_000, "{} {}", os.name(), w.name());
+            assert!(
+                m.int_to_isr.hist.count() > 1_000,
+                "{} {}",
+                os.name(),
+                w.name()
+            );
             assert!(m.thread_lat_28.hist.count() > 1_000);
             assert!(m.thread_lat_24.hist.count() > 1_000);
             assert!(m.account.total() > 0);
