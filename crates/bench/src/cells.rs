@@ -293,8 +293,9 @@ pub struct CellTiming {
     pub sim_events: u64,
     /// Program steps the cell's kernel executed.
     pub steps_executed: u64,
-    /// Entries into the kernel's inner step loops. Perfbench reports
-    /// `steps_executed / step_dispatches` over the grid as
+    /// Calls of the kernel's step functions (one step per thread call; an
+    /// ISR or DPC call runs its service steps back to back). Perfbench
+    /// reports `steps_executed / step_dispatches` over the grid as
     /// `kernel.steps_per_dispatch`.
     pub step_dispatches: u64,
     /// Always 0: the kernel has one step executor, the interpreter. Kept

@@ -78,9 +78,10 @@ pub struct ScenarioMeasurement {
     pub sim_events: u64,
     /// Program steps the kernel executed.
     pub steps_executed: u64,
-    /// Entries into the kernel's inner step loops. `steps_executed /
-    /// step_dispatches` is the batch factor perfbench reports as
-    /// `kernel.steps_per_dispatch`.
+    /// Calls of the kernel's step functions. A thread call runs one step;
+    /// an ISR or DPC call runs its service steps back to back, so
+    /// `steps_executed / step_dispatches`, which perfbench reports as
+    /// `kernel.steps_per_dispatch`, counts only those service-step runs.
     pub step_dispatches: u64,
     /// Unified metrics snapshot (`sim.*` kernel counters plus `latency.*`
     /// measurement counters/histograms); merged exactly across shards.

@@ -38,8 +38,8 @@ pub struct ThreadTable {
     pub state: Vec<ThreadState>,
     /// Current (possibly boosted) priority, 1..=31.
     pub priority: Vec<u8>,
-    /// Remaining quantum in cycles (see DESIGN.md §8 for the lockstep
-    /// contract with the batched step loop).
+    /// Remaining quantum in cycles. Only program work ticks it, in
+    /// `Kernel::advance_to`; dispatch overhead does not.
     pub quantum_remaining: Vec<Cycles>,
     /// Whether the current busy chunk is dispatch overhead rather than
     /// program work (overhead does not tick the quantum).

@@ -270,10 +270,9 @@ impl Calendar {
     ///
     /// Both inputs advance only inside `fire_due_events` (PIT ticks via
     /// [`Calendar::pop_due_tick`], arrivals via [`Calendar::pop_due_env`]),
-    /// never while simulated code executes steps. The kernel's batched step
-    /// loop relies on that: the value read at the top of a decision-loop
-    /// iteration stays the preemption horizon for the whole iteration
-    /// (DESIGN.md §8).
+    /// never while simulated code executes steps. The kernel's decision loop
+    /// relies on that: the value read at the top of an iteration bounds
+    /// that iteration's time advance (DESIGN.md §7).
     #[inline]
     pub fn next_wakeup(&self) -> Instant {
         let mut next = self.pit.next_tick;

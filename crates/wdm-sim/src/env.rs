@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use crate::{
     ids::{SemId, VectorId},
     labels::Label,
-    time::{Cycles, Instant},
+    time::Cycles,
 };
 
 /// Samples a duration or inter-arrival gap. Stateful closures are welcome —
@@ -119,15 +119,6 @@ pub mod samplers {
         assert!(lo <= hi, "uniform sampler bounds inverted");
         Box::new(move |rng: &mut StdRng| Cycles(rng.gen_range(lo.0..=hi.0)))
     }
-}
-
-/// Scheduled firing of an environment source (kernel event-heap entry).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EnvFire {
-    /// When the source fires.
-    pub at: Instant,
-    /// Which source (index into the kernel's source table).
-    pub source: usize,
 }
 
 #[cfg(test)]

@@ -56,7 +56,8 @@ pub enum FlightEvent {
         /// First DPC instruction time.
         started: Instant,
     },
-    /// A thread resumed from a signaled wait (ready → run is the span).
+    /// A woken thread ran: a signaled wait or an expired sleep (ready →
+    /// run is the span).
     Resume {
         /// The thread.
         thread: ThreadId,
@@ -271,8 +272,7 @@ pub struct FlightRecorder {
     pub dropped: u64,
 }
 
-/// Every event kind a slot can encode: all but IRP completions and resume
-/// blame.
+/// Every event kind a slot can encode: all but resume blame.
 fn recordable_kinds() -> Interest {
     Interest::ISR_ENTER
         | Interest::DPC_START
@@ -284,7 +284,7 @@ fn recordable_kinds() -> Interest {
 
 impl FlightRecorder {
     /// A recorder keeping the most recent `capacity` events of every kind
-    /// it can encode (all but IRP completions and resume blame).
+    /// it can encode (all but resume blame).
     pub fn new(capacity: usize) -> FlightRecorder {
         FlightRecorder::with_interest(capacity, recordable_kinds())
     }

@@ -2,11 +2,12 @@
 //!
 //! Models a PIC-style controller in front of a single CPU. Each vector has
 //! an IRQL; an asserted vector is *dispatched* (its ISR frame is pushed)
-//! when the CPU's effective IRQL drops below the vector's level and
-//! interrupts are enabled. The delay from assertion to the first ISR
-//! instruction is the paper's **interrupt latency** (§2.1): it "encompasses
-//! the maximum time during which interrupts are disabled as well as the bus
-//! latency necessary to resolve the interrupt".
+//! when the CPU's effective IRQL drops below the vector's level. A cli
+//! window runs at HIGH, which no vector exceeds. The delay from assertion
+//! to the first ISR instruction is the paper's **interrupt latency**
+//! (§2.1): it "encompasses the maximum time during which interrupts are
+//! disabled as well as the bus latency necessary to resolve the
+//! interrupt".
 
 use crate::{
     ids::VectorId,
@@ -51,10 +52,19 @@ impl InterruptController {
     }
 
     /// Installs a vector at the given IRQL, returning its id.
+    ///
+    /// # Panics
+    ///
+    /// If `irql` is not in `DISPATCH < irql <= HIGH`. The upper bound is
+    /// what makes a cli window (which runs at HIGH) mask every vector.
     pub fn install(&mut self, name: &str, irql: Irql) -> VectorId {
         assert!(
             irql > Irql::DISPATCH,
             "interrupt vectors must be above DISPATCH level"
+        );
+        assert!(
+            irql <= Irql::HIGH,
+            "interrupt vectors must be at or below HIGH level"
         );
         let id = VectorId(self.vectors.len());
         self.vectors.push(Vector {
@@ -93,11 +103,6 @@ impl InterruptController {
         // The shortlist is unordered, but the selection — highest IRQL,
         // ties to the lowest vector id — is order-independent, so the
         // result is identical to a full ordered scan of the vectors.
-        //
-        // Pending lines only ever appear via calendar-driven assertions
-        // (fire_due_events), never mid step-batch — which is what lets the
-        // batched step loop skip re-polling this between fused chunks
-        // (DESIGN.md §8).
         let mut best: Option<(Irql, VectorId)> = None;
         for &id in &self.pending {
             let v = &self.vectors[id.0];
@@ -202,6 +207,13 @@ mod tests {
     fn rejects_sub_dispatch_vector() {
         let mut ic = InterruptController::new();
         ic.install("bad", Irql::DISPATCH);
+    }
+
+    #[test]
+    #[should_panic(expected = "at or below HIGH")]
+    fn rejects_vector_above_high() {
+        let mut ic = InterruptController::new();
+        ic.install("bad", Irql(Irql::HIGH.0 + 1));
     }
 
     #[test]

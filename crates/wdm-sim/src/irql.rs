@@ -26,16 +26,6 @@ impl Irql {
     pub const CLOCK: Irql = Irql(28);
     /// Highest level; effectively interrupts-off.
     pub const HIGH: Irql = Irql(31);
-
-    /// True if this is a device interrupt level.
-    pub fn is_dirql(self) -> bool {
-        self >= Irql::DIRQL_MIN && self <= Irql::DIRQL_MAX
-    }
-
-    /// True if code at this level masks (delays) an interrupt at `other`.
-    pub fn masks(self, other: Irql) -> bool {
-        self >= other
-    }
 }
 
 impl core::fmt::Display for Irql {
@@ -64,21 +54,6 @@ mod tests {
         assert!(Irql::DIRQL_MAX < Irql::PROFILE);
         assert!(Irql::PROFILE < Irql::CLOCK);
         assert!(Irql::CLOCK < Irql::HIGH);
-    }
-
-    #[test]
-    fn dirql_band() {
-        assert!(!Irql::DISPATCH.is_dirql());
-        assert!(Irql(3).is_dirql());
-        assert!(Irql(26).is_dirql());
-        assert!(!Irql(27).is_dirql());
-    }
-
-    #[test]
-    fn masking_is_geq() {
-        assert!(Irql::CLOCK.masks(Irql::DIRQL_MIN));
-        assert!(Irql::DIRQL_MIN.masks(Irql::DIRQL_MIN));
-        assert!(!Irql::DISPATCH.masks(Irql::DIRQL_MIN));
     }
 
     #[test]

@@ -70,12 +70,12 @@ enum IsrBody {
 struct Frame {
     kind: FrameKind,
     exec: ExecState,
-    /// Cumulative [`CpuState`] of the stack up to and including this frame,
+    /// Effective IRQL of the stack up to and including this frame,
     /// snapshotted at push time. Valid for the frame's whole lifetime: the
-    /// fold over the stack is a monotone max (plus a sticky interrupt-flag
-    /// clear) over a PASSIVE base, and frames below never change. Makes
-    /// the decision loop's per-iteration `cpu_state` O(1).
-    cpu: CpuState,
+    /// fold over the stack is a monotone max over a PASSIVE base, and
+    /// frames below never change. Makes the decision loop's per-iteration
+    /// [`Kernel::irql`] O(1).
+    irql: Irql,
 }
 
 enum FrameKind {
@@ -212,23 +212,17 @@ pub struct Kernel {
     /// Busy chunks that were charged more cycles than they had remaining.
     /// Always zero in a correct run; debug builds also assert on it.
     pub busy_overruns: u64,
-    /// Decision-loop iterations executed by [`Kernel::run_until`]. A cheap
-    /// proxy for simulation work, reported as `sim_events_per_s` by the
-    /// repository benchmark (`perfbench/`). Busy chunks fast-forwarded
-    /// inside the batched inner loop count one each — exactly the
-    /// outer-loop iteration the single-step path would have spent on them —
-    /// so the counter (and with it every run digest) is independent of
-    /// batching.
+    /// Decision-loop iterations executed by [`Kernel::run_until`], one per
+    /// time advance. A cheap proxy for simulation work, reported as
+    /// `sim_events_per_s` by the repository benchmark (`perfbench/`).
     pub sim_events: u64,
-    /// Program steps pulled by the ISR/DPC/thread step loops.
+    /// Program steps pulled by the ISR/DPC/thread step functions.
     pub steps_executed: u64,
-    /// Entries into those step loops. `steps_executed / step_dispatches`
-    /// is perfbench's `kernel.steps_per_dispatch`; values above 1 mean the
-    /// inner loop is actually batching.
+    /// Calls of those step functions. A thread call runs one step; an ISR
+    /// or DPC call runs service steps back to back until a `Busy` step or
+    /// `Return`, so `steps_executed / step_dispatches` (perfbench's
+    /// `kernel.steps_per_dispatch`) counts only those service-step runs.
     pub step_dispatches: u64,
-    /// Busy chunks charged inline by the batched inner loop (never handed
-    /// back to the outer decision loop).
-    pub batched_steps: u64,
     /// Event deliveries that walked a non-empty observer list.
     /// `tests/observer_interest.rs` asserts this stays zero for event kinds
     /// outside the registered interest union and for flight recorders,
@@ -246,20 +240,10 @@ pub struct Kernel {
     /// Virtual-time flame sampling period in cycles; 0 = disarmed. When
     /// armed, every simulated-time advance attributes the sample points
     /// (multiples of the period) it crosses to the executing label —
-    /// purely observational, so digests are unchanged, and per-step
-    /// charging in the fused paths keeps the counts independent of
-    /// batching.
+    /// purely observational, so digests are unchanged.
     flame_period: u64,
     /// Virtual samples per label (dense by [`Label`] index).
     flame_counts: Vec<u64>,
-    /// Preemption horizon of the current decision-loop iteration: the
-    /// earliest instant at which anything other than the running busy
-    /// chunk can need the CPU (next calendar wakeup or `run_until`'s end).
-    /// Chunks ending strictly before it are charged inline.
-    horizon: Instant,
-    /// Batched fast-forward enabled (default). The equivalence proptest
-    /// turns it off to drive the reference single-step path.
-    batching: bool,
     /// Reusable buffer for threads released by a signal; kept empty
     /// between signals so SetEvent/ReleaseSemaphore never allocate.
     wake_scratch: Vec<ThreadId>,
@@ -315,14 +299,11 @@ impl Kernel {
             sim_events: 0,
             steps_executed: 0,
             step_dispatches: 0,
-            batched_steps: 0,
             notify_takes: 0,
             blame_overhead_cycles: 0,
             blame_prio_cycles: [0; 32],
             flame_period: 0,
             flame_counts: Vec::new(),
-            horizon: Instant::ZERO,
-            batching: true,
             wake_scratch: Vec::new(),
             due_scratch: Vec::new(),
         }
@@ -489,15 +470,6 @@ impl Kernel {
         }
     }
 
-    /// Enables or disables the batched fast-forward in the step loops
-    /// (enabled by default). With batching off every busy chunk goes back
-    /// through the outer decision loop — the reference path the
-    /// batched-vs-single-step equivalence proptest compares against. Both
-    /// settings produce byte-identical simulations.
-    pub fn set_step_batching(&mut self, on: bool) {
-        self.batching = on;
-    }
-
     // ------------------------------------------------------------------
     // Introspection
     // ------------------------------------------------------------------
@@ -621,7 +593,6 @@ impl Kernel {
         m.counter("sim.events", self.sim_events);
         m.counter("sim.steps_executed", self.steps_executed);
         m.counter("sim.step_dispatches", self.step_dispatches);
-        m.counter("sim.batched_steps", self.batched_steps);
         m.counter("sim.notify_takes", self.notify_takes);
         m.counter("sim.calendar_tick_work", self.calendar_tick_work());
         m.counter("sim.context_switches", self.context_switches);
@@ -645,9 +616,8 @@ impl Kernel {
 
     /// Arms the deterministic virtual-time flame sampler: every multiple
     /// of `cycles` simulated time crosses counts one sample against the
-    /// label executing at that instant. 0 disarms. Purely observational —
-    /// run digests are unchanged — and per-step charging in the fused
-    /// paths makes the counts independent of batching.
+    /// label executing at that instant. 0 disarms. Purely observational:
+    /// run digests are unchanged.
     pub fn set_flame_period(&mut self, cycles: u64) {
         self.flame_period = cycles;
     }
@@ -686,7 +656,7 @@ impl Kernel {
 
     /// Counts the sample points in `(from, to]` against `label`. Floor
     /// arithmetic telescopes over adjacent spans, so however a busy chunk
-    /// is subdivided (preemptions, batching) the total is conserved.
+    /// is subdivided by preemptions the total is conserved.
     #[inline]
     fn flame_charge(&mut self, from: Instant, to: Instant, label: Label) {
         let p = self.flame_period;
@@ -745,39 +715,38 @@ impl Kernel {
     pub fn run_until(&mut self, t_end: Instant) {
         while self.now < t_end {
             self.sim_events += 1;
-            // Preemption horizon for this iteration: one calendar peek
-            // covers the PIT tick and the next environment arrival. Timer
-            // and sleep deadlines are tick-granular (they fire *inside* the
-            // clock ISR, never between ticks), so the PIT tick already
-            // bounds them. Nothing below can move the calendar — ticks and
+            // Horizon for this iteration: one calendar peek covers the PIT
+            // tick and the next environment arrival. Timer and sleep
+            // deadlines are tick-granular (they fire *inside* the clock
+            // ISR, never between ticks), so the PIT tick already bounds
+            // them. Nothing below can move the calendar — ticks and
             // arrivals pop only in `fire_due_events`, and `SetTimer` feeds
-            // the heaps `next_wakeup` does not read — so the horizon holds
-            // for the whole iteration and the batched step loops fast-
-            // forward busy chunks that end strictly before it.
+            // the heaps `next_wakeup` does not read — so the advance below
+            // never steps over a wakeup (DESIGN.md §7).
             //
             // The same peek doubles as the due-event gate: `fire_due_events`
             // pops only entries due at or before `now`, so when the nearest
             // wakeup is still in the future it would pop nothing and only a
             // re-peek would follow. Most iterations end on a busy-chunk
-            // completion strictly before the horizon, so this single-peek
-            // path is the common case.
+            // completion before the horizon, so this single-peek path is
+            // the common case.
             let wake = self.calendar.next_wakeup();
-            if wake <= self.now {
+            let horizon = if wake <= self.now {
                 // Deliver hardware events that are due.
                 self.fire_due_events();
-                self.horizon = t_end.min(self.calendar.next_wakeup());
+                t_end.min(self.calendar.next_wakeup())
             } else {
-                self.horizon = t_end.min(wake);
-            }
+                t_end.min(wake)
+            };
             // Materialize what the CPU runs next; the outcome says whether
             // a frame or a thread owns the busy chunk (or the CPU is idle).
             let activity = self.ensure_activity();
             debug_assert_eq!(
-                self.horizon,
+                horizon,
                 t_end.min(self.calendar.next_wakeup()),
                 "calendar moved under a decision-loop iteration"
             );
-            let mut next = self.horizon;
+            let mut next = horizon;
             match activity {
                 Activity::Idle => {}
                 Activity::Frame(b) => next = next.min(b),
@@ -875,19 +844,21 @@ impl Kernel {
     /// Pushes an interrupt-disabled window on top of whatever runs.
     fn push_cli(&mut self, d: Cycles, label: Label) {
         let kind = FrameKind::Cli;
-        let cpu = self.child_cpu(&kind);
+        let irql = frame_irql(self.irql(), &kind);
         self.frames.push(Frame {
             kind,
             exec: ExecState::Busy {
                 remaining: d,
                 label,
             },
-            cpu,
+            irql,
         });
     }
 
     /// Advances the clock to `next`, charging cycles to the active busy
-    /// chunk (or idle).
+    /// chunk (or idle). The only place simulated time moves: the cycle
+    /// account, the quantum, the blame ledgers, the flame sampler and
+    /// `current_label` are all charged here.
     fn advance_to(&mut self, next: Instant) {
         let delta = next - self.now;
         if delta.is_zero() {
@@ -972,26 +943,25 @@ impl Kernel {
             );
 
             // 1. Interrupt dispatch, highest IRQL first. A cli window
-            // masks every vector: nothing dispatches until it closes.
-            let cpu = self.cpu_state();
-            if cpu.interrupts_enabled {
-                if let Some(v) = self.ic.next_dispatchable(cpu.irql) {
-                    self.push_isr(v);
-                    continue;
-                }
+            // runs at HIGH, above every vector: nothing dispatches until it
+            // closes.
+            let irql = self.irql();
+            if let Some(v) = self.ic.next_dispatchable(irql) {
+                self.push_isr(v);
+                continue;
             }
 
             // 2. DPC drain runs at DISPATCH level: it preempts threads AND
             // non-preemptible sections (which are PASSIVE-level code that
             // only blocks the *dispatcher*), but never ISRs, Cli windows or
             // an already-running drain.
-            if !self.dpc_queue.is_empty() && cpu.irql < Irql::DISPATCH {
+            if !self.dpc_queue.is_empty() && irql < Irql::DISPATCH {
                 let kind = FrameKind::DpcDrain { current: None };
-                let cpu = self.child_cpu(&kind);
+                let irql = frame_irql(self.irql(), &kind);
                 self.frames.push(Frame {
                     kind,
                     exec: ExecState::NeedStep,
-                    cpu,
+                    irql,
                 });
                 continue;
             }
@@ -1008,14 +978,14 @@ impl Kernel {
             // (the frames are empty here, after step 3).
             if let Some((d, l)) = self.pending_sections.pop_front() {
                 let kind = FrameKind::Section;
-                let cpu = self.child_cpu(&kind);
+                let irql = frame_irql(self.irql(), &kind);
                 self.frames.push(Frame {
                     kind,
                     exec: ExecState::Busy {
                         remaining: d,
                         label: l,
                     },
-                    cpu,
+                    irql,
                 });
                 continue;
             }
@@ -1038,61 +1008,31 @@ impl Kernel {
         }
     }
 
-    /// Everything the decision loop needs about interrupt masking: whether
-    /// interrupts are enabled and the effective IRQL.
+    /// The effective IRQL: everything the decision loop needs about
+    /// interrupt masking. A cli window runs at HIGH, and every vector sits
+    /// at or below HIGH ([`InterruptController::install`]), so HIGH masks
+    /// every vector and the DPC drain alike.
     ///
-    /// O(1): the top frame carries the cumulative state of the whole stack
-    /// (see [`Frame::cpu`]); with no frames, threads run at PASSIVE with
-    /// interrupts enabled. The loop runs this every iteration.
-    fn cpu_state(&self) -> CpuState {
+    /// O(1): the top frame carries the IRQL of the whole stack (see
+    /// [`Frame::irql`]); with no frames, threads run at PASSIVE. The loop
+    /// runs this every iteration.
+    fn irql(&self) -> Irql {
         match self.frames.last() {
             Some(f) => {
-                debug_assert_eq!(f.cpu, self.cpu_state_walk(), "stale frame CPU snapshot");
-                f.cpu
+                debug_assert_eq!(f.irql, self.irql_walk(), "stale frame IRQL snapshot");
+                f.irql
             }
-            None => CpuState::THREAD,
-        }
-    }
-
-    /// Cumulative CPU state the stack would have after pushing `kind`.
-    fn child_cpu(&self, kind: &FrameKind) -> CpuState {
-        let p = self.cpu_state();
-        match kind {
-            FrameKind::Isr { irql, .. } => CpuState {
-                interrupts_enabled: p.interrupts_enabled,
-                irql: p.irql.max(*irql),
-            },
-            FrameKind::DpcDrain { .. } => CpuState {
-                interrupts_enabled: p.interrupts_enabled,
-                irql: p.irql.max(Irql::DISPATCH),
-            },
-            // Cli masks interrupts outright; HIGH is the IRQL lattice top,
-            // so overwriting matches the max-fold.
-            FrameKind::Cli => CpuState {
-                interrupts_enabled: false,
-                irql: Irql::HIGH,
-            },
-            FrameKind::Section => p,
+            None => Irql::PASSIVE,
         }
     }
 
     /// Reference fold over the whole stack, kept to cross-check the cached
     /// snapshots in debug builds (`debug_assert` still type-checks its
     /// arguments in release, so this is not `cfg`-gated).
-    fn cpu_state_walk(&self) -> CpuState {
-        let mut s = CpuState::THREAD;
-        for f in &self.frames {
-            match f.kind {
-                FrameKind::Isr { irql, .. } => s.irql = s.irql.max(irql),
-                FrameKind::DpcDrain { .. } => s.irql = s.irql.max(Irql::DISPATCH),
-                FrameKind::Cli => {
-                    s.interrupts_enabled = false;
-                    s.irql = Irql::HIGH;
-                }
-                FrameKind::Section => {}
-            }
-        }
-        s
+    fn irql_walk(&self) -> Irql {
+        self.frames
+            .iter()
+            .fold(Irql::PASSIVE, |irql, f| frame_irql(irql, &f.kind))
     }
 
     fn push_isr(&mut self, v: VectorId) {
@@ -1114,14 +1054,14 @@ impl Kernel {
             is_pit,
             phase: 0,
         };
-        let cpu = self.child_cpu(&kind);
+        let irql = frame_irql(self.irql(), &kind);
         self.frames.push(Frame {
             kind,
             exec: ExecState::Busy {
                 remaining: cost,
                 label: Label::KERNEL,
             },
-            cpu,
+            irql,
         });
     }
 
@@ -1377,18 +1317,12 @@ impl Kernel {
         }
     }
 
-    /// Pulls steps from the frame's program until a busy chunk that must go
-    /// back through the decision loop, or return.
-    ///
-    /// Busy chunks ending strictly before the iteration's preemption
-    /// horizon are charged inline and the loop keeps pulling steps: while
-    /// the frame computes below the horizon no interrupt can become
-    /// dispatchable (new assertions come only from calendar events, and the
-    /// frame's IRQL is constant between kernel-interacting steps), no DPC
-    /// can preempt it, and the calendar cannot fire — so the outer loop's
-    /// re-checks are provably no-ops and are skipped. Each inline charge
-    /// bumps `sim_events` by the one iteration the single-step path would
-    /// have spent, keeping run digests byte-identical.
+    /// Pulls steps from the frame's program until a `Busy` step, which
+    /// parks in the frame for the decision loop to run, or `Return`.
+    /// Service steps in between take effect at the current instant, back
+    /// to back and with no service charge: nothing a service step does
+    /// (queue a DPC, ready a thread, arm a timer) can preempt code running
+    /// at or above DISPATCH.
     fn run_frame_steps(&mut self, idx: usize) -> FrameOutcome {
         let mut program = self.take_frame_program(idx);
         let Some(p) = program.as_mut() else {
@@ -1410,25 +1344,6 @@ impl Kernel {
             self.steps_executed += 1;
             match step {
                 Step::Busy { cycles, label } => {
-                    let end = self.now + cycles;
-                    if self.batching && end < self.horizon {
-                        // Fast-forward: charge the whole chunk here. A
-                        // chunk ending exactly at the horizon is NOT fused
-                        // — due events must fire before the next step.
-                        match self.frames[idx].kind {
-                            FrameKind::Isr { .. } => self.account.isr += cycles.0,
-                            FrameKind::DpcDrain { .. } => self.account.dpc += cycles.0,
-                            _ => unreachable!("step loop on a cli/section frame"),
-                        }
-                        self.current_label = label;
-                        if self.flame_period != 0 {
-                            self.flame_charge(self.now, end, label);
-                        }
-                        self.now = end;
-                        self.sim_events += 1;
-                        self.batched_steps += 1;
-                        continue;
-                    }
                     self.frames[idx].exec = ExecState::Busy {
                         remaining: cycles,
                         label,
@@ -1571,7 +1486,7 @@ impl Kernel {
                 if self.maybe_expire_quantum(t) {
                     return ThreadOutcome::Changed;
                 }
-                self.run_thread_steps(t)
+                self.run_thread_step(t)
             }
         }
     }
@@ -1627,102 +1542,58 @@ impl Kernel {
         descheduled
     }
 
-    /// Pulls steps from the thread's program until a step that must go
-    /// back through the decision loop.
-    ///
-    /// Like [`Kernel::run_frame_steps`], busy chunks ending strictly before
-    /// the preemption horizon are charged inline — here the horizon is
-    /// additionally clipped to quantum expiry, so priority decay and
-    /// round-robin keep their exact single-step timing. Between fused
-    /// chunks nothing the outer loop re-checks can change: interrupts
-    /// assert only from calendar events, and DPCs queue and threads ready
-    /// only from kernel-interacting steps, which all exit this loop. Each
-    /// inline charge bumps `sim_events` by the one outer iteration the
-    /// single-step path would have spent.
-    fn run_thread_steps(&mut self, t: ThreadId) -> ThreadOutcome {
+    /// Runs one step of the thread's program. Every step returns to the
+    /// decision loop: a `Busy` step parks in the thread, a kernel call is
+    /// charged as a service chunk, and a blocking step deschedules.
+    fn run_thread_step(&mut self, t: ThreadId) -> ThreadOutcome {
         self.step_dispatches += 1;
-        // `maybe_expire_quantum` ran just before this call, so the quantum
-        // is non-zero and `now + quantum_remaining` is the expiry instant;
-        // inline charges advance `now` and shrink the quantum in lockstep,
-        // keeping the absolute horizon fixed for the whole batch.
-        let horizon = self
-            .horizon
-            .min(self.now + self.threads.quantum_remaining[t.0]);
-        let mut guard = 0u32;
-        loop {
-            guard += 1;
-            assert!(guard < 100_000, "thread program spinning without time");
-            let mut program = self.threads[t.0]
-                .program
-                .take()
-                .expect("a runnable thread owns its program");
-            let mut ctx = StepCtx {
-                now: self.now,
-                board: &mut self.board,
-                rng: &mut self.rng,
-            };
-            // Deliver `begin` once.
-            if !self.threads[t.0].started {
-                self.threads[t.0].started = true;
-                program.begin(&mut ctx);
+        let mut program = self.threads[t.0]
+            .program
+            .take()
+            .expect("a runnable thread owns its program");
+        let mut ctx = StepCtx {
+            now: self.now,
+            board: &mut self.board,
+            rng: &mut self.rng,
+        };
+        // Deliver `begin` once.
+        if !self.threads[t.0].started {
+            self.threads[t.0].started = true;
+            program.begin(&mut ctx);
+        }
+        let step = program.step(&mut ctx);
+        self.threads[t.0].program = Some(program);
+        self.steps_executed += 1;
+        match step {
+            Step::Busy { cycles, label } => {
+                self.threads.exec[t.0] = ExecState::Busy {
+                    remaining: cycles,
+                    label,
+                };
+                ThreadOutcome::Running(self.now + cycles)
             }
-            let step = program.step(&mut ctx);
-            self.threads[t.0].program = Some(program);
-            self.steps_executed += 1;
-            match step {
-                Step::Busy { cycles, label } => {
-                    let end = self.now + cycles;
-                    if self.batching && end < horizon {
-                        // Fast-forward: program work ticks the quantum
-                        // (this is never dispatch overhead). A chunk
-                        // ending exactly at the horizon is NOT fused — due
-                        // events and quantum expiry must be processed
-                        // before the next step.
-                        let i = t.0;
-                        debug_assert!(!self.threads.in_overhead[i], "fused chunk during overhead");
-                        self.threads.quantum_remaining[i] =
-                            self.threads.quantum_remaining[i].saturating_sub(cycles);
-                        self.account.thread += cycles.0;
-                        if self.wants(Interest::RESUME_BLAME) {
-                            self.blame_prio_cycles[self.threads.priority[i] as usize] += cycles.0;
-                        }
-                        self.current_label = label;
-                        if self.flame_period != 0 {
-                            self.flame_charge(self.now, end, label);
-                        }
-                        self.now = end;
-                        self.sim_events += 1;
-                        self.batched_steps += 1;
-                        continue;
-                    }
-                    self.threads.exec[t.0] = ExecState::Busy {
-                        remaining: cycles,
-                        label,
-                    };
-                    return ThreadOutcome::Running(end);
-                }
-                Step::Wait(obj) => {
-                    if self.try_acquire(obj) {
-                        self.threads[t.0].waits_satisfied += 1;
-                        return self.charge_service(t);
-                    }
+            Step::Wait(obj) => {
+                if self.try_acquire(obj) {
+                    self.threads[t.0].waits_satisfied += 1;
+                    self.charge_service(t)
+                } else {
                     self.block_thread(t, Some(obj), None);
-                    return ThreadOutcome::Changed;
+                    ThreadOutcome::Changed
                 }
-                Step::Sleep(d) => {
-                    let deadline = self.now + d;
-                    self.block_thread(t, None, Some(deadline));
-                    return ThreadOutcome::Changed;
-                }
-                Step::Return => {
-                    // Returned from the thread function: park the thread.
-                    self.block_thread(t, None, None);
-                    return ThreadOutcome::Changed;
-                }
-                other => {
-                    self.apply_service_step(other);
-                    return self.charge_service(t);
-                }
+            }
+            Step::Sleep(d) => {
+                let deadline = self.now + d;
+                self.block_thread(t, None, Some(deadline));
+                ThreadOutcome::Changed
+            }
+            Step::Return => {
+                // Returned from the thread function: park the thread.
+                self.block_thread(t, None, None);
+                ThreadOutcome::Changed
+            }
+            other => {
+                self.apply_service_step(other);
+                self.charge_service(t)
             }
         }
     }
@@ -1780,19 +1651,9 @@ impl Kernel {
             Step::SetEvent(e) => self.do_set_event(e),
             Step::SetTimer { timer, due, period } => self.do_set_timer(timer, due, period),
             Step::CompleteIrp(irp) => {
-                let now = self.now;
                 self.irps[irp.0].complete();
                 if let Some(e) = self.irps[irp.0].completion_event {
                     self.do_set_event(e);
-                }
-                // Inlined (not routed through `notify`) because the hook
-                // borrows `self.board` alongside the observer list. Only
-                // list observers can want this kind.
-                if self.wants(Interest::IRP_COMPLETE) {
-                    self.notify_takes += 1;
-                    for o in &self.by_kind[Interest::IRP_COMPLETE.index()] {
-                        o.borrow_mut().on_irp_complete(irp, &self.board, now);
-                    }
                 }
             }
             other => unreachable!("apply_service_step got {other:?}"),
@@ -2056,24 +1917,16 @@ fn set_isr_phase(f: &mut Frame, phase: u8) {
     }
 }
 
-/// Snapshot of the processor's interrupt-masking state, maintained
-/// incrementally on the preemption stack (see [`Frame::cpu`]) and read by
-/// [`Kernel::cpu_state`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct CpuState {
-    /// False while any cli window is active.
-    interrupts_enabled: bool,
-    /// Effective IRQL (cli windows count as HIGH).
-    irql: Irql,
-}
-
-impl CpuState {
-    /// Thread level: PASSIVE with interrupts enabled, the base every
-    /// frame folds over.
-    const THREAD: CpuState = CpuState {
-        interrupts_enabled: true,
-        irql: Irql::PASSIVE,
-    };
+/// The IRQL of a stack after pushing a `kind` frame on a stack at
+/// `below`. Cli masks interrupts outright by raising to HIGH, the IRQL
+/// lattice top, so every kind is a max-fold.
+fn frame_irql(below: Irql, kind: &FrameKind) -> Irql {
+    match kind {
+        FrameKind::Isr { irql, .. } => below.max(*irql),
+        FrameKind::DpcDrain { .. } => below.max(Irql::DISPATCH),
+        FrameKind::Cli => Irql::HIGH,
+        FrameKind::Section => below,
+    }
 }
 
 /// What the decision loop materialized: the owner of the next busy chunk

@@ -7,9 +7,8 @@
 //! tools and the latency cause tool in `wdm-latency` are observers.
 
 use crate::{
-    ids::{DpcId, IrpId, ThreadId, VectorId},
+    ids::{DpcId, ThreadId, VectorId},
     labels::Label,
-    step::Blackboard,
     time::Instant,
 };
 
@@ -80,17 +79,20 @@ pub struct DpcStart {
     pub started: Instant,
 }
 
-/// Emitted when a thread resumes after a wait was satisfied by a signal.
+/// Emitted when a woken thread executes its first instruction. Every wake
+/// emits one: a wait satisfied by a signal, and a sleep that expired on a
+/// clock tick. A thread's first dispatch after creation is not a wake.
 #[derive(Debug, Clone, Copy)]
 pub struct ThreadResume {
     /// Which thread.
     pub thread: ThreadId,
     /// The thread's priority at resume time.
     pub priority: u8,
-    /// When the signaling code (e.g. `KeSetEvent` in a DPC) readied it.
-    /// `started - readied` is the paper's thread latency.
+    /// When it was readied: by the signaling code (e.g. `KeSetEvent` in a
+    /// DPC), or by the clock ISR for an expired sleep. For a signaled
+    /// wait, `started - readied` is the paper's thread latency.
     pub readied: Instant,
-    /// When the thread executed its first instruction after the wait,
+    /// When the thread executed its first instruction after the wake,
     /// context switch included.
     pub started: Instant,
 }
@@ -166,23 +168,21 @@ impl Interest {
     pub const DPC_START: Interest = Interest(1 << 1);
     /// [`Observer::on_thread_resume`].
     pub const THREAD_RESUME: Interest = Interest(1 << 2);
-    /// [`Observer::on_irp_complete`].
-    pub const IRP_COMPLETE: Interest = Interest(1 << 3);
     /// [`Observer::on_context_switch`].
-    pub const CONTEXT_SWITCH: Interest = Interest(1 << 4);
+    pub const CONTEXT_SWITCH: Interest = Interest(1 << 3);
     /// [`Observer::on_calendar_pop`].
-    pub const CALENDAR_POP: Interest = Interest(1 << 5);
+    pub const CALENDAR_POP: Interest = Interest(1 << 4);
     /// [`Observer::on_quantum_expiry`].
-    pub const QUANTUM_EXPIRY: Interest = Interest(1 << 6);
+    pub const QUANTUM_EXPIRY: Interest = Interest(1 << 5);
     /// [`Observer::on_resume_blame`]. Arming this bit also turns on the
     /// kernel's per-priority thread-cycle ledger (the only event kind with
     /// a recording side; still one branch per charge site when off).
-    pub const RESUME_BLAME: Interest = Interest(1 << 7);
+    pub const RESUME_BLAME: Interest = Interest(1 << 6);
     /// Every event kind (the default for observers that do not narrow).
-    pub const ALL: Interest = Interest(0b1111_1111);
+    pub const ALL: Interest = Interest(0b0111_1111);
 
     /// The number of distinct event kinds (bits in [`Interest::ALL`]).
-    pub const KINDS: usize = 8;
+    pub const KINDS: usize = 7;
 
     /// True if this mask includes any kind of `other`.
     pub const fn contains(self, other: Interest) -> bool {
@@ -252,11 +252,9 @@ pub trait Observer {
     /// A DPC started executing.
     fn on_dpc_start(&mut self, _e: &DpcStart) {}
 
-    /// A thread resumed from a signaled wait.
+    /// A woken thread ran its first instruction: a signaled wait or an
+    /// expired sleep (see [`ThreadResume`]).
     fn on_thread_resume(&mut self, _e: &ThreadResume) {}
-
-    /// An IRP completed; the blackboard holds its system buffer.
-    fn on_irp_complete(&mut self, _irp: IrpId, _board: &Blackboard, _now: Instant) {}
 
     /// A context switch occurred (for throughput/overhead accounting).
     fn on_context_switch(&mut self, _from: Option<ThreadId>, _to: ThreadId, _now: Instant) {}
@@ -364,7 +362,7 @@ mod tests {
         assert!(!m.contains(Interest::CONTEXT_SWITCH));
         assert!(Interest::NONE.is_empty());
         assert!(!Interest::NONE.contains(Interest::ALL));
-        assert!(Interest::ALL.contains(Interest::IRP_COMPLETE));
+        assert!(Interest::ALL.contains(Interest::RESUME_BLAME));
         assert!(Interest::ALL.contains(Interest::CALENDAR_POP));
         assert!(Interest::ALL.contains(Interest::QUANTUM_EXPIRY));
         assert!(!m.contains(Interest::CALENDAR_POP));
@@ -383,7 +381,6 @@ mod tests {
             Interest::ISR_ENTER,
             Interest::DPC_START,
             Interest::THREAD_RESUME,
-            Interest::IRP_COMPLETE,
             Interest::CONTEXT_SWITCH,
             Interest::CALENDAR_POP,
             Interest::QUANTUM_EXPIRY,

@@ -43,9 +43,9 @@ impl ReadyQueues {
 
     /// Highest non-empty priority, if any thread is ready.
     ///
-    /// One `lzcnt` over the non-empty bitmap — the batched step loop
-    /// consults this through `ensure_activity` once per decision-loop
-    /// iteration, so it must stay branch-light.
+    /// One `lzcnt` over the non-empty bitmap — the decision loop consults
+    /// this through `ensure_activity` once per iteration, so it must stay
+    /// branch-light.
     #[inline]
     pub fn highest_priority(&self) -> Option<u8> {
         if self.nonempty == 0 {

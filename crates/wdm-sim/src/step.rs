@@ -49,7 +49,7 @@ pub enum Step {
         period: Option<Cycles>,
     },
     /// Complete an IRP (`IoCompleteRequest`): signals the IRP's completion
-    /// event and notifies the owning control application.
+    /// event, on which the owning control application waits.
     CompleteIrp(IrpId),
     /// Block on a dispatcher object (`KeWaitForSingleObject`, INFINITE).
     ///
@@ -157,10 +157,8 @@ impl Blackboard {
 ///
 /// Consecutive [`Step::Busy`] entries are deliberately *not* merged at
 /// construction time: each step is one simulated event, so merging would
-/// change `sim_events` and the label the interrupt path attributes to a
-/// preempted chunk. The kernel instead fast-forwards whole runs of busy
-/// steps at execution time when no preemption can land between them
-/// (see DESIGN.md §8), which is observationally identical.
+/// change `sim_events` and the labels the cause tool and the flame sampler
+/// attribute to each chunk.
 #[derive(Debug, Clone)]
 pub struct OpSeq {
     steps: Vec<Step>,

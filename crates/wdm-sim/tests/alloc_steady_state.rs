@@ -1,10 +1,10 @@
 //! Steady-state allocation audit for the kernel's per-event hot paths.
 //!
-//! Stepping a program through the batched interpreter (DESIGN.md §8) must
-//! cost no per-step heap traffic: the boxed program is moved, never
-//! re-boxed, and `StepCtx` lives on the stack. Observer notification, the
-//! kernel-fed flight ring and the clock ISR's timer-expiry and sleep-wake
-//! work must be just as heap-free. This binary installs a counting global
+//! Stepping a program through the kernel's step functions must cost no
+//! per-step heap traffic: the boxed program is moved, never re-boxed, and
+//! `StepCtx` lives on the stack. Observer notification, the kernel-fed
+//! flight ring and the clock ISR's timer-expiry and sleep-wake work must
+//! be just as heap-free. This binary installs a counting global
 //! allocator and pins that down: after a warm-up window (which is allowed to grow
 //! queues and heaps to their steady capacity), a measured window over each
 //! kernel must perform **zero** heap operations, event for event.
@@ -242,7 +242,7 @@ fn steady_state_hot_paths_are_allocation_free() {
     assert_alloc_free("pipeline", &mut k, 10_000);
     assert!(
         k.steps_executed > k.step_dispatches,
-        "the batched step loops must be engaged"
+        "the frame step loop must run service steps back to back"
     );
     let f = flight.borrow();
     assert!(f.total > 10_000, "the ring was fed: {} events", f.total);

@@ -415,9 +415,9 @@ fn equal_priority_thread_waits_for_quantum() {
 
 #[test]
 fn sleep_expires_at_tick_granularity() {
-    let mut k = Kernel::new(KernelConfig::default());
+    let (mut k, rec) = recorded_kernel();
     let slot = k.alloc_slots(2);
-    let _t = k.create_thread(
+    let t = k.create_thread(
         "sleeper",
         24,
         Box::new(OpSeq::new(vec![
@@ -433,6 +433,18 @@ fn sleep_expires_at_tick_granularity() {
     assert!(
         (2.5..4.0).contains(&woke_ms),
         "sleep should expire at the next tick: {woke_ms} ms"
+    );
+    // A sleep expiry is a wake like any other: the sleeper resumes exactly
+    // once, readied by the 3 ms tick's clock ISR at the end of its body.
+    let cfg = k.config();
+    let tick = Instant(3 * cfg.pit_period().0);
+    let rec = rec.borrow();
+    let resumes: Vec<&ThreadResume> = rec.resumes.iter().filter(|r| r.thread == t).collect();
+    assert_eq!(resumes.len(), 1, "one resume per wake");
+    assert_eq!(
+        resumes[0].readied,
+        tick + cfg.isr_dispatch_cost + cfg.pit_isr_cost,
+        "readied inside the 3 ms tick's clock ISR"
     );
 }
 
@@ -531,22 +543,30 @@ fn determinism_same_seed_same_trace() {
     assert_ne!(a.2, c.2, "different seeds should differ");
 }
 
+/// The IRP's observer is the paper's control application: it waits on
+/// the IRP's completion event and, once woken, reads the system buffer
+/// the completing driver filled.
 #[test]
 fn irp_completion_reaches_observer() {
-    #[derive(Default)]
-    struct IrpWatch(Vec<(IrpId, u64)>);
-    impl Observer for IrpWatch {
-        fn on_irp_complete(&mut self, irp: IrpId, board: &Blackboard, _now: Instant) {
-            self.0.push((irp, board.read(Slot(0))));
-        }
-    }
-    use wdm_sim::{step::Blackboard, time::Instant};
-
     let mut k = Kernel::new(KernelConfig::default());
-    let watch = Rc::new(RefCell::new(IrpWatch::default()));
-    k.add_observer(watch.clone());
-    let irp = k.create_irp(3, None);
+    let done = k.create_event(false);
+    let irp = k.create_irp(3, Some(done));
     let asb0 = k.irp(irp).asb_slot(0);
+    let seen = k.alloc_slots(1);
+    let mut waited = false;
+    let _app = k.create_thread(
+        "control-app",
+        28,
+        Box::new(FnProgram::new(move |ctx: &mut StepCtx<'_>| {
+            if !waited {
+                waited = true;
+                return Step::Wait(WaitObject::Event(done));
+            }
+            let v = ctx.board.read(asb0);
+            ctx.board.write(seen, v);
+            Step::Return
+        })),
+    );
     let _t = k.create_thread(
         "completer",
         24,
@@ -556,9 +576,7 @@ fn irp_completion_reaches_observer() {
         ])),
     );
     k.run_for(Cycles::from_ms(2.0));
-    let w = watch.borrow();
-    assert_eq!(w.0.len(), 1);
-    assert_eq!(w.0[0].0, irp);
-    assert!(w.0[0].1 > 0, "ASB[0] carries the timestamp");
+    assert!(k.slot(seen) > 0, "ASB[0] carries the timestamp");
+    assert_eq!(k.slot(seen), k.slot(asb0));
     assert_eq!(k.irp(irp).completion_count, 1);
 }

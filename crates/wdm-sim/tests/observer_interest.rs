@@ -26,7 +26,6 @@ struct OneKind {
     isr: u64,
     dpc: u64,
     resume: u64,
-    irp: u64,
     switch: u64,
 }
 
@@ -39,7 +38,7 @@ impl OneKind {
     }
 
     fn total(&self) -> u64 {
-        self.isr + self.dpc + self.resume + self.irp + self.switch
+        self.isr + self.dpc + self.resume + self.switch
     }
 }
 
@@ -56,17 +55,15 @@ impl Observer for OneKind {
     fn on_thread_resume(&mut self, _e: &ThreadResume) {
         self.resume += 1;
     }
-    fn on_irp_complete(&mut self, _irp: IrpId, _b: &Blackboard, _now: Instant) {
-        self.irp += 1;
-    }
     fn on_context_switch(&mut self, _f: Option<ThreadId>, _t: ThreadId, _n: Instant) {
         self.switch += 1;
     }
 }
 
-/// Drives a scenario that emits every event kind: PIT ISRs, a device
-/// interrupt with a DPC, an event-woken thread (resumes + switches), and
-/// an IRP completion.
+/// Drives a scenario that emits every hooked event kind: PIT ISRs, a
+/// device interrupt with a DPC and an event-woken thread (resumes +
+/// switches). An IRP completion rides along; it is a kernel call with no
+/// hook of its own.
 fn run_mixed_scenario(k: &mut Kernel) {
     let l_isr = k.intern("DEV", "_Isr");
     let l_dpc = k.intern("DEV", "_Dpc");
@@ -132,13 +129,11 @@ fn single_kind_observers_see_exactly_their_kind() {
     let isr_only = OneKind::new(Interest::ISR_ENTER);
     let dpc_only = OneKind::new(Interest::DPC_START);
     let resume_only = OneKind::new(Interest::THREAD_RESUME);
-    let irp_only = OneKind::new(Interest::IRP_COMPLETE);
     let switch_only = OneKind::new(Interest::CONTEXT_SWITCH);
     let everything = OneKind::new(Interest::ALL);
     k.add_observer(isr_only.clone());
     k.add_observer(dpc_only.clone());
     k.add_observer(resume_only.clone());
-    k.add_observer(irp_only.clone());
     k.add_observer(switch_only.clone());
     k.add_observer(everything.clone());
 
@@ -148,7 +143,6 @@ fn single_kind_observers_see_exactly_their_kind() {
     assert!(all.isr > 10, "PIT + device ISRs expected: {}", all.isr);
     assert!(all.dpc > 5, "device DPCs expected: {}", all.dpc);
     assert!(all.resume > 5, "event wakeups expected: {}", all.resume);
-    assert_eq!(all.irp, 1, "one IRP completion expected");
     assert!(all.switch > 5, "context switches expected: {}", all.switch);
 
     // Each narrow observer saw its kind at the full-interest count and
@@ -159,8 +153,6 @@ fn single_kind_observers_see_exactly_their_kind() {
     assert_eq!((o.dpc, o.total()), (all.dpc, all.dpc));
     let o = resume_only.borrow();
     assert_eq!((o.resume, o.total()), (all.resume, all.resume));
-    let o = irp_only.borrow();
-    assert_eq!((o.irp, o.total()), (all.irp, all.irp));
     let o = switch_only.borrow();
     assert_eq!((o.switch, o.total()), (all.switch, all.switch));
 }
@@ -196,7 +188,7 @@ fn uninterested_kinds_never_take_the_observer_list() {
     assert_eq!(k.notify_takes, 0, "no observers, no list traffic");
 
     // An ISR-only observer: every take is an ISR delivery; the (far more
-    // frequent) context switches and the DPC/resume/IRP deliveries never
+    // frequent) context switches and the DPC/resume deliveries never
     // touch the list.
     let mut k = Kernel::new(KernelConfig::default());
     let isr_only = OneKind::new(Interest::ISR_ENTER);
