@@ -251,7 +251,7 @@ fn assemble_cell(
 /// evicted` holds at any shard count.
 pub fn finish_blame(m: &mut ScenarioMeasurement, cfg: &RunConfig) {
     if let Some(opts) = cfg.blame {
-        let cap = opts.capacity();
+        let cap = opts.max_episodes;
         m.blame_episodes.sort_by_key(|e| std::cmp::Reverse(e.0));
         let dropped = m.blame_episodes.len().saturating_sub(cap) as u64;
         m.blame_episodes.truncate(cap);

@@ -36,7 +36,7 @@ const COMPONENTS: [&str; 7] = [
 /// the CLI (`--blame-mode`) and `BLAME_cells.json`.
 pub fn trigger_name(t: BlameTrigger) -> &'static str {
     match t {
-        BlameTrigger::TopK(_) => "topk",
+        BlameTrigger::TopK => "topk",
         BlameTrigger::ThresholdMs(_) => "threshold",
         BlameTrigger::BlockMax => "blockmax",
     }

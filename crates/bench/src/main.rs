@@ -130,7 +130,7 @@ impl Cli {
                     wdm_latency::BlameTrigger::ThresholdMs(self.blame_threshold_ms)
                 }
                 Some("blockmax") => wdm_latency::BlameTrigger::BlockMax,
-                _ => wdm_latency::BlameTrigger::TopK(self.blame_top),
+                _ => wdm_latency::BlameTrigger::TopK,
             };
             wdm_latency::BlameOptions {
                 trigger,

@@ -46,9 +46,10 @@ const TID_EPISODE: u64 = 3000;
 /// When a watched resume sample becomes an episode.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BlameTrigger {
-    /// Keep the K largest samples seen (the default forensic posture: the
-    /// tail is what needs explaining, and K bounds memory).
-    TopK(usize),
+    /// Every sample triggers, so the store keeps the largest
+    /// [`BlameOptions::max_episodes`] seen (the default forensic posture:
+    /// the tail is what needs explaining, and the cap bounds memory).
+    TopK,
     /// Every sample at or above an absolute threshold (ms) triggers; the
     /// store still retains only the largest [`BlameOptions::max_episodes`].
     ThresholdMs(f64),
@@ -62,26 +63,16 @@ pub enum BlameTrigger {
 pub struct BlameOptions {
     /// Trigger mode.
     pub trigger: BlameTrigger,
-    /// Hard bound on retained episodes (largest-K, counted eviction).
+    /// The one bound on retained episodes, per shard and per merged cell
+    /// alike (largest-K, counted eviction).
     pub max_episodes: usize,
 }
 
 impl Default for BlameOptions {
     fn default() -> BlameOptions {
         BlameOptions {
-            trigger: BlameTrigger::TopK(4),
+            trigger: BlameTrigger::TopK,
             max_episodes: 4,
-        }
-    }
-}
-
-impl BlameOptions {
-    /// Episodes the store retains: `max_episodes`, further capped at `K`
-    /// under [`BlameTrigger::TopK`]. Per shard and per merged cell alike.
-    pub fn capacity(&self) -> usize {
-        match self.trigger {
-            BlameTrigger::TopK(k) => k.min(self.max_episodes),
-            _ => self.max_episodes,
         }
     }
 }
@@ -259,7 +250,6 @@ impl BlameRecorder {
         flight: Option<Rc<RefCell<FlightRecorder>>>,
     ) -> BlameRecorder {
         assert!(opts.max_episodes > 0, "need room for at least one episode");
-        assert!(opts.capacity() > 0, "TopK(0) retains no episode");
         BlameRecorder {
             watched,
             opts,
@@ -276,7 +266,7 @@ impl BlameRecorder {
     /// Whether `latency_cycles` fires the trigger, updating trigger state.
     fn fires(&mut self, latency_cycles: u64, latency_ms: f64) -> bool {
         match self.opts.trigger {
-            BlameTrigger::TopK(_) => true, // Store retention does the work.
+            BlameTrigger::TopK => true, // Store retention does the work.
             BlameTrigger::ThresholdMs(t) => latency_ms >= t,
             BlameTrigger::BlockMax => {
                 let new_max = self.running_max.is_none_or(|m| latency_cycles > m);
@@ -296,7 +286,7 @@ impl BlameRecorder {
     /// either way one eviction is counted. Returns whether the arrival is
     /// to be stored.
     fn admit(&mut self, latency_cycles: u64) -> bool {
-        if self.episodes.len() < self.opts.capacity() {
+        if self.episodes.len() < self.opts.max_episodes {
             return true;
         }
         self.summary.evicted += 1;
@@ -459,7 +449,7 @@ window [600000, 1650000] cycles, latency 3.500 ms, 0 flight events
             &k,
             vec![(ThreadId(0), "rt24")],
             BlameOptions {
-                trigger: BlameTrigger::TopK(2),
+                trigger: BlameTrigger::TopK,
                 max_episodes: 2,
             },
             None,
@@ -489,31 +479,15 @@ window [600000, 1650000] cycles, latency 3.500 ms, 0 flight events
     }
 
     #[test]
-    fn capacity_is_one_rule_for_every_trigger() {
-        let cap = |trigger, max_episodes| {
-            BlameOptions {
-                trigger,
-                max_episodes,
-            }
-            .capacity()
-        };
-        assert_eq!(cap(BlameTrigger::TopK(2), 8), 2);
-        assert_eq!(cap(BlameTrigger::TopK(16), 8), 8);
-        assert_eq!(cap(BlameTrigger::ThresholdMs(1.0), 8), 8);
-        assert_eq!(cap(BlameTrigger::BlockMax, 3), 3);
-        assert_eq!(BlameOptions::default().capacity(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "TopK(0) retains no episode")]
+    #[should_panic(expected = "need room for at least one episode")]
     fn topk_zero_is_rejected_at_construction() {
         let k = Kernel::new(KernelConfig::default());
         let _ = BlameRecorder::new(
             &k,
             vec![(ThreadId(0), "rt24")],
             BlameOptions {
-                trigger: BlameTrigger::TopK(0),
-                max_episodes: 4,
+                trigger: BlameTrigger::TopK,
+                max_episodes: 0,
             },
             None,
         );

@@ -14,7 +14,7 @@
 
 use std::{cell::RefCell, rc::Rc};
 
-use wdm_osmodel::dist::{poisson_arrivals, Dist};
+use wdm_osmodel::dist::{poisson_arrivals, CompiledSampler, Dist, SamplerMode};
 use wdm_sim::{
     env::{EnvAction, EnvSource},
     ids::{ThreadId, WaitObject},
@@ -69,8 +69,7 @@ impl Observer for InteractiveRecords {
 /// The UI thread: wait for input, repaint (a burst of normal-priority CPU).
 struct UiThread {
     event: wdm_sim::ids::EventId,
-    repaint: Dist,
-    cpu_hz: u64,
+    repaint: CompiledSampler,
     label: wdm_sim::labels::Label,
     phase: u8,
 }
@@ -85,7 +84,7 @@ impl Program for UiThread {
             _ => {
                 self.phase = 0;
                 Step::Busy {
-                    cycles: Cycles::from_ms_at(self.repaint.sample(ctx.rng), self.cpu_hz),
+                    cycles: self.repaint.draw(ctx.rng),
                     label: self.label,
                 }
             }
@@ -139,8 +138,8 @@ impl InteractiveProbe {
                     median: 5.0,
                     sigma: 0.6,
                     cap: 25.0,
-                },
-                cpu_hz: cpu,
+                }
+                .compile(cpu, SamplerMode::Exact),
                 label: ui_l,
                 phase: 0,
             }),

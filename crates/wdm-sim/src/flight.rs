@@ -1,19 +1,23 @@
 //! Flight recorder: a span-oriented trace sink with Chrome trace export.
 //!
 //! [`FlightRecorder`] keeps the most recent kernel instrumentation events
-//! in a bounded ring, covering the full event vocabulary (calendar pops and
-//! quantum expiries included) and exporting **Chrome trace-event JSON**
-//! that loads directly in Perfetto / `chrome://tracing`. The paper explains
+//! in a bounded ring and exports them as **Chrome trace-event JSON** that
+//! loads directly in Perfetto / `chrome://tracing`. The paper explains
 //! long latencies with a cause tool that samples what the machine was
 //! doing (§2.3); the flight recorder is the always-on equivalent: attach it
 //! to a cell, re-run the minute, and read the timeline.
 //!
-//! The recorder is a **kernel-fed sink**. It is attached with
-//! [`Kernel::add_observer`] like any observer, but the kernel recognises it
-//! there and keeps it out of the `dyn Observer` lists: the six emit sites
-//! push straight into the ring, gated by the recorder's own interest mask.
-//! Its [`Observer`] impl carries only [`Observer::interest`], so every
-//! event has exactly one delivery path.
+//! The recorder is a **kernel-fed sink** that records every event kind. It
+//! is attached with [`Kernel::add_observer`] like any observer, but the
+//! kernel recognises it there and keeps it out of the `dyn Observer`
+//! lists; a kernel holds at most one. ISR entries, DPC starts and thread
+//! resumes are the observers' own values ([`IsrEnter`], [`DpcStart`],
+//! [`ThreadResume`]): their emit sites build one value, push a copy into
+//! the ring and hand `&e` to the hooks, so the ring stores exactly what
+//! the hooks saw. Context switches, calendar pops and quantum expiries
+//! have no hook; only the ring records them. The recorder's [`Observer`]
+//! impl carries only [`Observer::interest`], which names the three shared
+//! kinds so the kernel's one interest gate covers their sites.
 //!
 //! Each retained event is one 16-byte slot: its timestamp plus a packed
 //! word (layout below). An event with a field the word cannot hold is kept
@@ -22,52 +26,43 @@
 //! §15).
 //!
 //! Determinism contract: the recorder is strictly read-only. It draws no
-//! randomness and mutates no kernel state. With no recorder attached (or
-//! one narrowed to [`Interest::NONE`]) each potential event costs exactly
-//! one masked branch in the kernel hot loop.
+//! randomness and mutates no kernel state. With no recorder attached each
+//! potential event costs exactly one branch in the kernel hot loop.
 
 use std::collections::BTreeMap;
 
 use crate::{
-    ids::ThreadId,
+    ids::{DpcId, ThreadId, VectorId},
     kernel::Kernel,
-    observer::{CalendarPopKind, Interest, Observer},
+    labels::Label,
+    observer::{DpcStart, Interest, IsrEnter, Observer, ThreadResume},
     time::Instant,
 };
+
+/// Which calendar heap a due entry popped from (see [`crate::calendar`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CalendarPopKind {
+    /// A PIT tick became due and asserted the clock vector.
+    Tick,
+    /// An environment-source arrival fired.
+    Env,
+    /// A kernel timer deadline fired inside the clock ISR.
+    Timer,
+    /// A thread's sleep expired inside the clock ISR. (Traces print it as
+    /// `"wait"`; the name is pinned by the committed trace hashes.)
+    Wait,
+}
 
 /// One recorded kernel event, in arrival order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FlightEvent {
     /// An ISR entered (assert → first instruction is the latency span).
-    Isr {
-        /// Vector index.
-        vector: usize,
-        /// Hardware assertion time.
-        asserted: Instant,
-        /// First ISR instruction time.
-        started: Instant,
-    },
+    Isr(IsrEnter),
     /// A DPC started (queue → first instruction is the latency span).
-    Dpc {
-        /// DPC index.
-        dpc: usize,
-        /// Queue time.
-        queued: Instant,
-        /// First DPC instruction time.
-        started: Instant,
-    },
+    Dpc(DpcStart),
     /// A woken thread ran: a signaled wait or an expired sleep (ready →
     /// run is the span).
-    Resume {
-        /// The thread.
-        thread: ThreadId,
-        /// Its priority at resume.
-        priority: u8,
-        /// When it was readied.
-        readied: Instant,
-        /// When it ran.
-        started: Instant,
-    },
+    Resume(ThreadResume),
     /// A context switch; consecutive switches bound thread-run spans.
     Switch {
         /// Outgoing thread, if any (`None` = leaving idle).
@@ -77,7 +72,8 @@ pub enum FlightEvent {
         /// When.
         at: Instant,
     },
-    /// A due calendar entry popped.
+    /// A due calendar entry popped: a tick, an env arrival, a timer expiry
+    /// or a sleep wake.
     Pop {
         /// Which heap.
         kind: CalendarPopKind,
@@ -86,13 +82,14 @@ pub enum FlightEvent {
         /// When.
         at: Instant,
     },
-    /// A thread's quantum expired.
+    /// A thread's quantum expired (round-robin or in-place refresh).
     Quantum {
         /// The thread.
         thread: ThreadId,
         /// Priority after boost decay.
         priority: u8,
-        /// True if round-robined to a peer.
+        /// True if descheduled for a ready peer; false if it kept the CPU
+        /// with a fresh quantum.
         descheduled: bool,
         /// When.
         at: Instant,
@@ -103,9 +100,9 @@ impl FlightEvent {
     /// The event's timestamp (completion side).
     pub fn at(&self) -> Instant {
         match *self {
-            FlightEvent::Isr { started, .. } => started,
-            FlightEvent::Dpc { started, .. } => started,
-            FlightEvent::Resume { started, .. } => started,
+            FlightEvent::Isr(e) => e.started,
+            FlightEvent::Dpc(e) => e.started,
+            FlightEvent::Resume(e) => e.started,
             FlightEvent::Switch { at, .. } => at,
             FlightEvent::Pop { at, .. } => at,
             FlightEvent::Quantum { at, .. } => at,
@@ -122,14 +119,16 @@ const TID_VECTOR_BASE: u64 = 1000;
 const TID_DPC_BASE: u64 = 2000;
 
 // Slot word layout, least significant bit first:
-//   kind (3) | flag (1) | priority or pop kind (8) | object index (20) | span (32)
-// The span is `at - start` for ISR/DPC/resume events and `from + 1`
-// (0 = idle) for switches; the flag is a quantum expiry's `descheduled`.
+//   kind (3) | flag (1) | byte (8) | index (20) | span (32)
+// The byte is an ISR's vector, a priority or a pop kind; the index is an
+// ISR's interrupted label or the thread, DPC or popped object. The span is
+// `at - start` for ISR/DPC/resume events and `from + 1` (0 = idle) for
+// switches; the flag is a quantum expiry's `descheduled`.
 const KIND_MASK: u64 = 0b111;
 const FLAG_BIT: u64 = 1 << 3;
-const PRIO_SHIFT: u32 = 4;
+const BYTE_SHIFT: u32 = 4;
 const INDEX_SHIFT: u32 = 12;
-/// Object indices at or above this limit escape to the overflow map.
+/// Indices at or above this limit escape to the overflow map.
 const INDEX_LIMIT: usize = 1 << 20;
 const SPAN_SHIFT: u32 = 32;
 
@@ -160,11 +159,11 @@ struct Slot {
 impl Slot {
     /// Packs `e`, or `None` when one of its fields does not fit the word.
     fn pack(e: &FlightEvent) -> Option<Slot> {
-        let word = |kind: u64, flag: bool, prio: u8, index: usize, span: u64| {
+        let word = |kind: u64, flag: bool, byte: u8, index: usize, span: u64| {
             let flag = if flag { FLAG_BIT } else { 0 };
             (index < INDEX_LIMIT && span <= u64::from(u32::MAX)).then_some(
                 kind | flag
-                    | u64::from(prio) << PRIO_SHIFT
+                    | u64::from(byte) << BYTE_SHIFT
                     | (index as u64) << INDEX_SHIFT
                     | span << SPAN_SHIFT,
             )
@@ -172,16 +171,15 @@ impl Slot {
         let at = e.at().0;
         let span = |start: Instant| at.checked_sub(start.0);
         let word = match *e {
-            FlightEvent::Isr {
-                vector, asserted, ..
-            } => word(KIND_ISR, false, 0, vector, span(asserted)?),
-            FlightEvent::Dpc { dpc, queued, .. } => word(KIND_DPC, false, 0, dpc, span(queued)?),
-            FlightEvent::Resume {
-                thread,
-                priority,
-                readied,
-                ..
-            } => word(KIND_RESUME, false, priority, thread.0, span(readied)?),
+            FlightEvent::Isr(e) => {
+                let vector = u8::try_from(e.vector.0).ok()?;
+                let label = e.interrupted_label.0 as usize;
+                word(KIND_ISR, false, vector, label, span(e.asserted)?)
+            }
+            FlightEvent::Dpc(e) => word(KIND_DPC, false, 0, e.dpc.0, span(e.queued)?),
+            FlightEvent::Resume(e) => {
+                word(KIND_RESUME, false, e.priority, e.thread.0, span(e.readied)?)
+            }
             FlightEvent::Switch { from, to, .. } => {
                 let from = match from {
                     None => 0,
@@ -210,40 +208,41 @@ impl Slot {
     fn unpack(self) -> FlightEvent {
         let w = self.word;
         let at = Instant(self.at);
-        let prio = (w >> PRIO_SHIFT) as u8;
+        let byte = (w >> BYTE_SHIFT) as u8;
         let index = (w >> INDEX_SHIFT) as usize & (INDEX_LIMIT - 1);
         let span = w >> SPAN_SHIFT;
         let start = Instant(self.at - span);
         match w & KIND_MASK {
-            KIND_ISR => FlightEvent::Isr {
-                vector: index,
+            KIND_ISR => FlightEvent::Isr(IsrEnter {
+                vector: VectorId(usize::from(byte)),
                 asserted: start,
                 started: at,
-            },
-            KIND_DPC => FlightEvent::Dpc {
-                dpc: index,
+                interrupted_label: Label(index as u32),
+            }),
+            KIND_DPC => FlightEvent::Dpc(DpcStart {
+                dpc: DpcId(index),
                 queued: start,
                 started: at,
-            },
-            KIND_RESUME => FlightEvent::Resume {
+            }),
+            KIND_RESUME => FlightEvent::Resume(ThreadResume {
                 thread: ThreadId(index),
-                priority: prio,
+                priority: byte,
                 readied: start,
                 started: at,
-            },
+            }),
             KIND_SWITCH => FlightEvent::Switch {
                 from: span.checked_sub(1).map(|f| ThreadId(f as usize)),
                 to: ThreadId(index),
                 at,
             },
             KIND_POP => FlightEvent::Pop {
-                kind: POP_KINDS[usize::from(prio)],
+                kind: POP_KINDS[usize::from(byte)],
                 index: index as u32,
                 at,
             },
             KIND_QUANTUM => FlightEvent::Quantum {
                 thread: ThreadId(index),
-                priority: prio,
+                priority: byte,
                 descheduled: w & FLAG_BIT != 0,
                 at,
             },
@@ -265,49 +264,30 @@ pub struct FlightRecorder {
     /// Events too wide for a slot word, by arrival ordinal; an entry lives
     /// exactly as long as its escaped slot.
     overflow: BTreeMap<u64, FlightEvent>,
-    interest: Interest,
     /// Total events observed, evicted ones included.
     pub total: u64,
     /// Events evicted to honor the capacity bound.
     pub dropped: u64,
 }
 
-/// Every event kind a slot can encode: all but resume blame.
-fn recordable_kinds() -> Interest {
-    Interest::ISR_ENTER
-        | Interest::DPC_START
-        | Interest::THREAD_RESUME
-        | Interest::CONTEXT_SWITCH
-        | Interest::CALENDAR_POP
-        | Interest::QUANTUM_EXPIRY
-}
-
 impl FlightRecorder {
-    /// A recorder keeping the most recent `capacity` events of every kind
-    /// it can encode (all but resume blame).
+    /// A recorder keeping the most recent `capacity` events of every kind.
     pub fn new(capacity: usize) -> FlightRecorder {
-        FlightRecorder::with_interest(capacity, recordable_kinds())
-    }
-
-    /// A recorder narrowed to `interest`, less the kinds it cannot encode.
-    /// [`Interest::NONE`] yields a fully masked recorder the kernel never
-    /// pushes to — the configuration `tests/observer_interest.rs` uses to
-    /// prove attachment is free.
-    pub fn with_interest(capacity: usize, interest: Interest) -> FlightRecorder {
         assert!(capacity > 0, "flight recorder capacity must be positive");
         FlightRecorder {
             slots: Vec::with_capacity(capacity),
             capacity,
             next: 0,
             overflow: BTreeMap::new(),
-            interest: interest & recordable_kinds(),
             total: 0,
             dropped: 0,
         }
     }
 
     /// Appends one event, evicting the oldest at capacity. Called by the
-    /// kernel's emit sites only.
+    /// kernel's emit sites only, and kept out of line so that with no
+    /// recorder attached an emit site costs one inlined branch, not a call.
+    #[inline(never)]
     pub(crate) fn push(&mut self, e: FlightEvent) {
         // The kernel stamps every event with its `now`, so arrival order is
         // time order; `events_in` binary-searches on it.
@@ -474,14 +454,11 @@ pub fn chrome_events_slice(
             meta(TID_THREAD_BASE + i as u64, &name);
         }
         for v in 0..k.interrupts().len() {
-            let name = format!(
-                "vector {}",
-                k.interrupts().vector(crate::ids::VectorId(v)).name
-            );
+            let name = format!("vector {}", k.interrupts().vector(VectorId(v)).name);
             meta(TID_VECTOR_BASE + v as u64, &name);
         }
         for d in 0..k.num_dpcs() {
-            let name = format!("dpc {}", k.dpc(crate::ids::DpcId(d)).name);
+            let name = format!("dpc {}", k.dpc(DpcId(d)).name);
             meta(TID_DPC_BASE + d as u64, &name);
         }
 
@@ -502,39 +479,29 @@ pub fn chrome_events_slice(
 
         for e in events {
             match *e {
-                FlightEvent::Isr {
-                    vector,
-                    asserted,
-                    started,
-                } => out.push(format!(
+                FlightEvent::Isr(e) => out.push(format!(
                     "{{\"ph\":\"X\",\"name\":\"isr latency\",\"cat\":\"isr\",\"pid\":{pid},\
-                     \"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"vector\":{vector}}}}}",
-                    TID_VECTOR_BASE + vector as u64,
-                    json_f64(us(asserted)),
-                    json_f64(us(started) - us(asserted)),
+                     \"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"vector\":{}}}}}",
+                    TID_VECTOR_BASE + e.vector.0 as u64,
+                    json_f64(us(e.asserted)),
+                    json_f64(us(e.started) - us(e.asserted)),
+                    e.vector.0,
                 )),
-                FlightEvent::Dpc {
-                    dpc,
-                    queued,
-                    started,
-                } => out.push(format!(
+                FlightEvent::Dpc(e) => out.push(format!(
                     "{{\"ph\":\"X\",\"name\":\"dpc latency\",\"cat\":\"dpc\",\"pid\":{pid},\
-                     \"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"dpc\":{dpc}}}}}",
-                    TID_DPC_BASE + dpc as u64,
-                    json_f64(us(queued)),
-                    json_f64(us(started) - us(queued)),
+                     \"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"dpc\":{}}}}}",
+                    TID_DPC_BASE + e.dpc.0 as u64,
+                    json_f64(us(e.queued)),
+                    json_f64(us(e.started) - us(e.queued)),
+                    e.dpc.0,
                 )),
-                FlightEvent::Resume {
-                    thread,
-                    priority,
-                    readied,
-                    started,
-                } => out.push(format!(
+                FlightEvent::Resume(e) => out.push(format!(
                     "{{\"ph\":\"X\",\"name\":\"wake latency\",\"cat\":\"thread\",\"pid\":{pid},\
-                     \"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"priority\":{priority}}}}}",
-                    TID_THREAD_BASE + thread.0 as u64,
-                    json_f64(us(readied)),
-                    json_f64(us(started) - us(readied)),
+                     \"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"priority\":{}}}}}",
+                    TID_THREAD_BASE + e.thread.0 as u64,
+                    json_f64(us(e.readied)),
+                    json_f64(us(e.started) - us(e.readied)),
+                    e.priority,
                 )),
                 FlightEvent::Switch { from: _, to, at } => {
                     if let Some((prev, since)) = running.take() {
@@ -627,10 +594,12 @@ pub fn json_f64(v: f64) -> String {
 
 /// Only the mask: the kernel recognises a recorder at
 /// [`Kernel::add_observer`] time and pushes into its ring directly, so it
-/// implements no event hook.
+/// implements no event hook. The mask names the kinds the ring shares with
+/// the hooks, so their emit sites keep one gate; the ring-only kinds are
+/// pushed whenever a recorder is attached.
 impl Observer for FlightRecorder {
     fn interest(&self) -> Interest {
-        self.interest
+        Interest::ISR_ENTER | Interest::DPC_START | Interest::THREAD_RESUME
     }
 }
 
@@ -704,19 +673,6 @@ mod tests {
         let doc = chrome_document(&events);
         assert!(doc.starts_with("{\"traceEvents\":["));
         assert!(doc.trim_end().ends_with("\"displayTimeUnit\":\"ms\"}"));
-    }
-
-    #[test]
-    fn masked_recorder_sees_nothing() {
-        let mut k = Kernel::new(KernelConfig::default());
-        let rec = Rc::new(RefCell::new(FlightRecorder::with_interest(
-            64,
-            Interest::NONE,
-        )));
-        k.add_observer(rec.clone());
-        k.run_for(Cycles::from_ms(50.0));
-        assert_eq!(rec.borrow().total, 0);
-        assert_eq!(k.notify_takes, 0, "masked recorder must cost zero takes");
     }
 
     #[test]
@@ -824,48 +780,46 @@ mod tests {
         };
         let before = |at: Instant, span: u64| Instant(at.0 - span);
         let mut out = Vec::new();
-        let isr = |vector, at: Instant, span| FlightEvent::Isr {
-            vector,
-            asserted: before(at, span),
-            started: at,
+        let isr = |vector, label: usize, at: Instant, span| {
+            FlightEvent::Isr(IsrEnter {
+                vector: VectorId(vector),
+                asserted: before(at, span),
+                started: at,
+                interrupted_label: Label(label as u32),
+            })
         };
         let a = at(10);
-        out.push((isr(3, a, 1_234), false));
-        out.push((isr(limit - 1, a, u64::from(u32::MAX)), false));
-        out.push((isr(limit, at(5), 7), true));
-        out.push((isr(0, at(wide + 9), wide), true));
+        out.push((isr(3, 5, a, 1_234), false));
+        // The widest vector and label a slot holds, and one past each.
+        out.push((isr(255, limit - 1, a, u64::from(u32::MAX)), false));
+        out.push((isr(256, 0, at(5), 7), true));
+        out.push((isr(0, limit, at(5), 7), true));
+        out.push((isr(0, 0, at(wide + 9), wide), true));
+        // Asserted after it started: a negative span escapes.
         let a = at(1);
-        out.push((
-            FlightEvent::Isr {
-                vector: 1,
-                asserted: Instant(a.0 + 1),
-                started: a,
-            },
-            true,
-        ));
-        let a = at(3);
-        out.push((
-            FlightEvent::Dpc {
-                dpc: 7,
-                queued: before(a, 0),
-                started: a,
-            },
-            false,
-        ));
-        let a = at(wide + 3);
-        out.push((
-            FlightEvent::Dpc {
-                dpc: 2,
-                queued: before(a, wide + 1),
-                started: a,
-            },
-            true,
-        ));
-        let resume = |thread, priority, at: Instant| FlightEvent::Resume {
-            thread: ThreadId(thread),
-            priority,
-            readied: before(at, 400),
-            started: at,
+        let late = IsrEnter {
+            vector: VectorId(1),
+            asserted: Instant(a.0 + 1),
+            started: a,
+            interrupted_label: Label(0),
+        };
+        out.push((FlightEvent::Isr(late), true));
+        let dpc = |dpc, at: Instant, span| {
+            FlightEvent::Dpc(DpcStart {
+                dpc: DpcId(dpc),
+                queued: before(at, span),
+                started: at,
+            })
+        };
+        out.push((dpc(7, at(3), 0), false));
+        out.push((dpc(2, at(wide + 3), wide + 1), true));
+        let resume = |thread, priority, at: Instant| {
+            FlightEvent::Resume(ThreadResume {
+                thread: ThreadId(thread),
+                priority,
+                readied: before(at, 400),
+                started: at,
+            })
         };
         out.push((resume(5, 31, at(500)), false));
         out.push((resume(limit - 1, u8::MAX, at(500)), false));

@@ -31,17 +31,14 @@ use crate::{
     config::KernelConfig,
     dpc::DpcQueue,
     env::{EnvAction, EnvSource},
-    flight::{FlightEvent, FlightRecorder},
+    flight::{CalendarPopKind, FlightEvent, FlightRecorder},
     ids::{DpcId, EventId, IrpId, SemId, Slot, SourceId, ThreadId, TimerId, VectorId, WaitObject},
     interrupt::InterruptController,
     irp::Irp,
     irql::Irql,
     labels::{Label, SymbolTable},
     object::{KEvent, KSemaphore},
-    observer::{
-        BlameBreakdown, CalendarPop, CalendarPopKind, DpcStart, Interest, IsrEnter, Observer,
-        QuantumExpiry, ResumeBlame, ThreadResume,
-    },
+    observer::{BlameBreakdown, DpcStart, Interest, IsrEnter, Observer, ResumeBlame, ThreadResume},
     sched::ReadyQueues,
     step::{Blackboard, ExecState, Program, Step, StepCtx},
     thread::{Tcb, ThreadState},
@@ -188,16 +185,14 @@ pub struct Kernel {
     /// Per-kind observer lists, indexed by [`Interest::index`]: an observer
     /// interested in k kinds appears in k lists (Rc clones, built once at
     /// [`Kernel::add_observer`]). Delivery for a kind walks its dense list
-    /// with no per-observer mask branch. Flight recorders are never here.
+    /// with no per-observer mask branch. The flight recorder is never here.
     by_kind: [Vec<Rc<RefCell<dyn Observer>>>; Interest::KINDS],
-    /// Flight recorders, recognised at [`Kernel::add_observer`]: the emit
-    /// sites push into their rings directly, with no virtual call.
-    flight: Vec<Rc<RefCell<FlightRecorder>>>,
-    /// Union of the flight recorders' interest masks.
-    flight_interest: Interest,
-    /// Union of every registered observer's interest mask, recorders
-    /// included. An event kind outside this union costs one branch: no
-    /// event struct, no list walk, no ring push.
+    /// The flight recorder, recognised at [`Kernel::add_observer`]: the
+    /// emit sites push into its ring directly, with no virtual call.
+    flight: Option<Rc<RefCell<FlightRecorder>>>,
+    /// Union of every registered observer's interest mask, the recorder's
+    /// included. A hooked kind outside this union costs one branch: no
+    /// event value, no list walk, no ring push.
     interest_union: Interest,
     /// Set once a [`Interest::RESUME_BLAME`] observer watches every thread
     /// ([`Observer::resume_blame_threads`] is `None`): threads created
@@ -225,7 +220,7 @@ pub struct Kernel {
     pub step_dispatches: u64,
     /// Event deliveries that walked a non-empty observer list.
     /// `tests/observer_interest.rs` asserts this stays zero for event kinds
-    /// outside the registered interest union and for flight recorders,
+    /// outside the registered interest union and for the flight recorder,
     /// which the kernel feeds without a list.
     pub notify_takes: u64,
     /// Dispatch/context-switch overhead cycles, maintained only while an
@@ -287,8 +282,7 @@ impl Kernel {
             pending_sections: VecDeque::new(),
             env: Vec::new(),
             by_kind: std::array::from_fn(|_| Vec::new()),
-            flight: Vec::new(),
-            flight_interest: Interest::NONE,
+            flight: None,
             interest_union: Interest::NONE,
             blame_all_threads: false,
             resched: false,
@@ -424,21 +418,22 @@ impl Kernel {
     /// The observer's [`Interest`] mask is sniffed here, once; it must not
     /// change afterwards. Event kinds outside the mask are never delivered
     /// to it, and kinds outside the union of all masks are skipped before
-    /// the event struct is even built. A [`FlightRecorder`] is recognised
+    /// the event value is even built. A [`FlightRecorder`] is recognised
     /// here and fed directly by the emit sites instead of through the
     /// observer lists. For an observer arming [`Interest::RESUME_BLAME`],
     /// [`Observer::resume_blame_threads`] is read here too.
     ///
     /// # Panics
     ///
-    /// If `resume_blame_threads` lists an id that names no thread.
+    /// If a flight recorder is already attached, or if
+    /// `resume_blame_threads` lists an id that names no thread.
     pub fn add_observer<T: Observer + 'static>(&mut self, obs: ObserverHandle<T>) {
         let interest = obs.borrow().interest();
         self.interest_union |= interest;
         let any: Rc<dyn Any> = obs.clone();
         if let Ok(rec) = any.downcast::<RefCell<FlightRecorder>>() {
-            self.flight_interest |= interest;
-            self.flight.push(rec);
+            assert!(self.flight.is_none(), "one flight recorder per kernel");
+            self.flight = Some(rec);
             return;
         }
         if interest.contains(Interest::RESUME_BLAME) {
@@ -771,25 +766,21 @@ impl Kernel {
     fn fire_due_events(&mut self) {
         while let Some(t) = self.calendar.pop_due_tick(self.now) {
             self.ic.assert_line(self.pit_vector, t);
-            self.emit_calendar_pop(CalendarPopKind::Tick, 0);
+            self.record_pop(CalendarPopKind::Tick, 0);
         }
         while let Some(idx) = self.calendar.pop_due_env(self.now) {
             self.fire_env(idx);
-            self.emit_calendar_pop(CalendarPopKind::Env, idx as u32);
+            self.record_pop(CalendarPopKind::Env, idx as u32);
         }
     }
 
-    /// Reports a processed calendar pop to interested observers. Purely
-    /// observational — one masked branch when nobody listens, and never a
-    /// RNG draw or a simulation-state write either way.
+    /// Records a processed calendar pop in the flight ring, if one is
+    /// attached. Purely observational: never a RNG draw or a
+    /// simulation-state write.
     #[inline]
-    fn emit_calendar_pop(&mut self, kind: CalendarPopKind, index: u32) {
-        if self.wants(Interest::CALENDAR_POP) {
-            let at = self.now;
-            self.record_flight(Interest::CALENDAR_POP, FlightEvent::Pop { kind, index, at });
-            let e = CalendarPop { kind, index, at };
-            self.notify(Interest::CALENDAR_POP, |o, k| o.on_calendar_pop(k), &e);
-        }
+    fn record_pop(&self, kind: CalendarPopKind, index: u32) {
+        let at = self.now;
+        self.record(FlightEvent::Pop { kind, index, at });
     }
 
     fn schedule_env(&mut self, idx: usize, at: Instant) {
@@ -1118,21 +1109,13 @@ impl Kernel {
             0 => {
                 // Entry overhead done: the ISR's first instruction runs now.
                 if self.wants(Interest::ISR_ENTER) {
-                    let started = self.now;
-                    self.record_flight(
-                        Interest::ISR_ENTER,
-                        FlightEvent::Isr {
-                            vector: vector.0,
-                            asserted,
-                            started,
-                        },
-                    );
                     let e = IsrEnter {
                         vector,
                         asserted,
-                        started,
+                        started: self.now,
                         interrupted_label: interrupted,
                     };
+                    self.record(FlightEvent::Isr(e));
                     self.notify(Interest::ISR_ENTER, |o, k| o.on_isr_enter(k), &e);
                 }
                 if is_pit {
@@ -1246,20 +1229,12 @@ impl Kernel {
             };
             if !started {
                 if self.wants(Interest::DPC_START) {
-                    let started = self.now;
-                    self.record_flight(
-                        Interest::DPC_START,
-                        FlightEvent::Dpc {
-                            dpc: dpc.0,
-                            queued,
-                            started,
-                        },
-                    );
                     let e = DpcStart {
                         dpc,
                         queued,
-                        started,
+                        started: self.now,
                     };
+                    self.record(FlightEvent::Dpc(e));
                     self.notify(Interest::DPC_START, |o, k| o.on_dpc_start(k), &e);
                 }
                 self.dpcs[dpc.0].run_count += 1;
@@ -1446,15 +1421,7 @@ impl Kernel {
                                 readied,
                                 started: self.now,
                             };
-                            self.record_flight(
-                                Interest::THREAD_RESUME,
-                                FlightEvent::Resume {
-                                    thread: e.thread,
-                                    priority: e.priority,
-                                    readied: e.readied,
-                                    started: e.started,
-                                },
-                            );
+                            self.record(FlightEvent::Resume(e));
                             self.notify(Interest::THREAD_RESUME, |o, k| o.on_thread_resume(k), &e);
                         }
                         // Only watched threads carry a mark.
@@ -1521,24 +1488,12 @@ impl Kernel {
                 }
                 false
             };
-        if self.wants(Interest::QUANTUM_EXPIRY) {
-            let e = QuantumExpiry {
-                thread: t,
-                priority: self.threads.priority[i],
-                descheduled,
-                at: self.now,
-            };
-            self.record_flight(
-                Interest::QUANTUM_EXPIRY,
-                FlightEvent::Quantum {
-                    thread: e.thread,
-                    priority: e.priority,
-                    descheduled,
-                    at: e.at,
-                },
-            );
-            self.notify(Interest::QUANTUM_EXPIRY, |o, k| o.on_quantum_expiry(k), &e);
-        }
+        self.record(FlightEvent::Quantum {
+            thread: t,
+            priority: self.threads.priority[i],
+            descheduled,
+            at: self.now,
+        });
         descheduled
     }
 
@@ -1770,7 +1725,6 @@ impl Kernel {
             .ready
             .pop_highest()
             .expect("switch_in with empty ready queues");
-        let now = self.now;
         {
             let i = next.0;
             self.threads.state[i] = ThreadState::Running;
@@ -1786,23 +1740,11 @@ impl Kernel {
         }
         self.current_thread = Some(next);
         self.context_switches += 1;
-        // Context switches are the highest-rate event kind, so the
-        // interest-union branch here pays for the whole mask machinery.
-        if self.wants(Interest::CONTEXT_SWITCH) {
-            self.record_flight(
-                Interest::CONTEXT_SWITCH,
-                FlightEvent::Switch {
-                    from,
-                    to: next,
-                    at: now,
-                },
-            );
-            self.notify(
-                Interest::CONTEXT_SWITCH,
-                |o, &(from, to, now)| o.on_context_switch(from, to, now),
-                &(from, next, now),
-            );
-        }
+        self.record(FlightEvent::Switch {
+            from,
+            to: next,
+            at: self.now,
+        });
     }
 
     // --------------------------------------------------------------
@@ -1847,7 +1789,7 @@ impl Kernel {
                 let gen = self.timers.due_gen[i];
                 self.calendar.arm_timer(ti, next_due, gen);
             }
-            self.emit_calendar_pop(CalendarPopKind::Timer, ti);
+            self.record_pop(CalendarPopKind::Timer, ti);
         }
         // Sleeps, ascending thread index.
         due.clear();
@@ -1864,31 +1806,25 @@ impl Kernel {
             self.threads.wait_deadline[i] = None;
             self.threads.deadline_gen[i] += 1;
             self.ready_thread(ThreadId(i));
-            self.emit_calendar_pop(CalendarPopKind::Wait, ti);
+            self.record_pop(CalendarPopKind::Wait, ti);
         }
         due.clear();
         self.due_scratch = due;
     }
 
-    /// True if any registered observer or flight recorder consumes events
-    /// of `kind`. Call sites check this before building the event, so a
-    /// kind nobody wants costs exactly one branch.
+    /// True if any registered observer or the flight recorder consumes
+    /// events of `kind`. Call sites check this before building the event,
+    /// so a kind nobody wants costs exactly one branch.
     #[inline]
     fn wants(&self, kind: Interest) -> bool {
         self.interest_union.contains(kind)
     }
 
-    /// Pushes `e` into every attached flight recorder whose mask holds
-    /// `kind`. Call sites gate on [`Kernel::wants`] first.
+    /// Pushes `e` into the flight recorder, if one is attached.
     #[inline]
-    fn record_flight(&self, kind: Interest, e: FlightEvent) {
-        if self.flight_interest.contains(kind) {
-            for f in &self.flight {
-                let mut f = f.borrow_mut();
-                if f.interest().contains(kind) {
-                    f.push(e);
-                }
-            }
+    fn record(&self, e: FlightEvent) {
+        if let Some(f) = &self.flight {
+            f.borrow_mut().push(e);
         }
     }
 

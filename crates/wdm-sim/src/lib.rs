@@ -85,7 +85,9 @@ pub mod prelude {
         config::KernelConfig,
         dpc::DpcDiscipline,
         env::{samplers, EnvAction, EnvSource, Sampler},
-        flight::{chrome_document, chrome_events_slice, FlightEvent, FlightRecorder},
+        flight::{
+            chrome_document, chrome_events_slice, CalendarPopKind, FlightEvent, FlightRecorder,
+        },
         ids::{
             DpcId, EventId, IrpId, SemId, Slot, SourceId, ThreadId, TimerId, VectorId, WaitObject,
         },
@@ -95,8 +97,7 @@ pub mod prelude {
         labels::{Label, SymbolTable},
         metrics::{MetricValue, MetricsSnapshot},
         observer::{
-            BlameBreakdown, CalendarPop, CalendarPopKind, DpcStart, Interest, IsrEnter, Observer,
-            QuantumExpiry, ResumeBlame, ThreadResume,
+            BlameBreakdown, DpcStart, Interest, IsrEnter, Observer, ResumeBlame, ThreadResume,
         },
         step::{Blackboard, FnProgram, LoopSeq, OpSeq, Program, Step, StepCtx},
         thread::{ThreadState, RT_DEFAULT_PRIORITY, RT_HIGH_PRIORITY},

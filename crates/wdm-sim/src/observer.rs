@@ -3,8 +3,17 @@
 //! The paper instruments the OS "non-invasively" with the Pentium TSC:
 //! timestamps at ISR entry, DPC start and thread resume, plus an IDT hook
 //! that samples the interrupted context on every clock interrupt (§2.2,
-//! §2.3). Observers receive exactly those events. The latency measurement
+//! §2.3). Observers receive exactly those events, plus the exact blame
+//! decomposition of a resume ([`ResumeBlame`]). The latency measurement
 //! tools and the latency cause tool in `wdm-latency` are observers.
+//!
+//! [`IsrEnter`], [`DpcStart`] and [`ThreadResume`] are the only description
+//! of their events: each kernel emit site builds one value, pushes a copy
+//! into the flight ring when a recorder is attached
+//! (`FlightEvent::{Isr, Dpc, Resume}` wrap it, see [`crate::flight`]) and
+//! hands `&e` to the observers, so a trace holds exactly what the hooks
+//! saw. The kinds only the ring records (context switches, calendar pops,
+//! quantum expiries) have no hook.
 
 use crate::{
     ids::{DpcId, ThreadId, VectorId},
@@ -12,49 +21,8 @@ use crate::{
     time::Instant,
 };
 
-/// Which calendar heap a due entry popped from (see [`crate::calendar`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CalendarPopKind {
-    /// A PIT tick became due and asserted the clock vector.
-    Tick,
-    /// An environment-source arrival fired.
-    Env,
-    /// A kernel timer deadline fired inside the clock ISR.
-    Timer,
-    /// A thread's sleep expired inside the clock ISR. (Traces print it as
-    /// `"wait"`; the name is pinned by the committed trace hashes.)
-    Wait,
-}
-
-/// Emitted when a due calendar entry is popped and acted on.
-#[derive(Debug, Clone, Copy)]
-pub struct CalendarPop {
-    /// Which heap the entry came from.
-    pub kind: CalendarPopKind,
-    /// Object index within that heap's domain (env source, timer or thread
-    /// index; 0 for ticks, which carry no object).
-    pub index: u32,
-    /// When the pop was processed (simulated time).
-    pub at: Instant,
-}
-
-/// Emitted when a running thread's quantum reaches zero and the scheduler
-/// refreshes it — round-robining to a peer or continuing in place.
-#[derive(Debug, Clone, Copy)]
-pub struct QuantumExpiry {
-    /// The thread whose quantum expired.
-    pub thread: ThreadId,
-    /// Its priority after any wakeup-boost decay this expiry applied.
-    pub priority: u8,
-    /// True if the thread was descheduled in favor of a ready peer; false
-    /// if it had no competition and kept the CPU with a fresh quantum.
-    pub descheduled: bool,
-    /// When the expiry was processed.
-    pub at: Instant,
-}
-
 /// Emitted when an ISR begins executing its first instruction.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IsrEnter {
     /// Which vector.
     pub vector: VectorId,
@@ -69,7 +37,7 @@ pub struct IsrEnter {
 }
 
 /// Emitted when a DPC begins executing.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DpcStart {
     /// Which DPC object.
     pub dpc: DpcId,
@@ -82,7 +50,7 @@ pub struct DpcStart {
 /// Emitted when a woken thread executes its first instruction. Every wake
 /// emits one: a wait satisfied by a signal, and a sleep that expired on a
 /// clock tick. A thread's first dispatch after creation is not a wake.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadResume {
     /// Which thread.
     pub thread: ThreadId,
@@ -168,21 +136,15 @@ impl Interest {
     pub const DPC_START: Interest = Interest(1 << 1);
     /// [`Observer::on_thread_resume`].
     pub const THREAD_RESUME: Interest = Interest(1 << 2);
-    /// [`Observer::on_context_switch`].
-    pub const CONTEXT_SWITCH: Interest = Interest(1 << 3);
-    /// [`Observer::on_calendar_pop`].
-    pub const CALENDAR_POP: Interest = Interest(1 << 4);
-    /// [`Observer::on_quantum_expiry`].
-    pub const QUANTUM_EXPIRY: Interest = Interest(1 << 5);
     /// [`Observer::on_resume_blame`]. Arming this bit also turns on the
     /// kernel's per-priority thread-cycle ledger (the only event kind with
     /// a recording side; still one branch per charge site when off).
-    pub const RESUME_BLAME: Interest = Interest(1 << 6);
+    pub const RESUME_BLAME: Interest = Interest(1 << 3);
     /// Every event kind (the default for observers that do not narrow).
-    pub const ALL: Interest = Interest(0b0111_1111);
+    pub const ALL: Interest = Interest(0b1111);
 
     /// The number of distinct event kinds (bits in [`Interest::ALL`]).
-    pub const KINDS: usize = 7;
+    pub const KINDS: usize = 4;
 
     /// True if this mask includes any kind of `other`.
     pub const fn contains(self, other: Interest) -> bool {
@@ -240,8 +202,8 @@ pub trait Observer {
     ///
     /// Defaults to [`Interest::ALL`] so hand-written observers keep seeing
     /// everything. Override with the exact set of implemented hooks to keep
-    /// high-rate kinds (context switches above all) off the hot path; the
-    /// kernel will never call a hook outside the declared mask.
+    /// the other kinds off the hot path; the kernel will never call a hook
+    /// outside the declared mask.
     fn interest(&self) -> Interest {
         Interest::ALL
     }
@@ -255,16 +217,6 @@ pub trait Observer {
     /// A woken thread ran its first instruction: a signaled wait or an
     /// expired sleep (see [`ThreadResume`]).
     fn on_thread_resume(&mut self, _e: &ThreadResume) {}
-
-    /// A context switch occurred (for throughput/overhead accounting).
-    fn on_context_switch(&mut self, _from: Option<ThreadId>, _to: ThreadId, _now: Instant) {}
-
-    /// A due calendar entry popped (tick, env arrival, timer expiry or
-    /// sleep wake). High-rate; consume only from tracing/metrics sinks.
-    fn on_calendar_pop(&mut self, _e: &CalendarPop) {}
-
-    /// A thread's quantum expired (round-robin or in-place refresh).
-    fn on_quantum_expiry(&mut self, _e: &QuantumExpiry) {}
 
     /// A thread resumed, with the exact blame decomposition of its wait.
     /// Only fires for observers that arm [`Interest::RESUME_BLAME`].
@@ -311,18 +263,6 @@ mod tests {
             readied: Instant(0),
             started: Instant(1),
         });
-        n.on_context_switch(None, ThreadId(0), Instant(2));
-        n.on_calendar_pop(&CalendarPop {
-            kind: CalendarPopKind::Tick,
-            index: 0,
-            at: Instant(3),
-        });
-        n.on_quantum_expiry(&QuantumExpiry {
-            thread: ThreadId(0),
-            priority: 24,
-            descheduled: false,
-            at: Instant(4),
-        });
         n.on_resume_blame(&ResumeBlame {
             thread: ThreadId(0),
             priority: 24,
@@ -359,14 +299,11 @@ mod tests {
         assert!(m.contains(Interest::ISR_ENTER));
         assert!(m.contains(Interest::DPC_START));
         assert!(!m.contains(Interest::THREAD_RESUME));
-        assert!(!m.contains(Interest::CONTEXT_SWITCH));
+        assert!(!m.contains(Interest::RESUME_BLAME));
         assert!(Interest::NONE.is_empty());
         assert!(!Interest::NONE.contains(Interest::ALL));
         assert!(Interest::ALL.contains(Interest::RESUME_BLAME));
-        assert!(Interest::ALL.contains(Interest::CALENDAR_POP));
-        assert!(Interest::ALL.contains(Interest::QUANTUM_EXPIRY));
-        assert!(!m.contains(Interest::CALENDAR_POP));
-        assert!(!(Interest::CALENDAR_POP | Interest::QUANTUM_EXPIRY).contains(Interest::ISR_ENTER));
+        assert!(!(Interest::THREAD_RESUME | Interest::RESUME_BLAME).contains(Interest::ISR_ENTER));
         let mut u = Interest::NONE;
         u |= Interest::THREAD_RESUME;
         assert!(u.contains(Interest::THREAD_RESUME) && !u.contains(Interest::ISR_ENTER));
@@ -381,9 +318,6 @@ mod tests {
             Interest::ISR_ENTER,
             Interest::DPC_START,
             Interest::THREAD_RESUME,
-            Interest::CONTEXT_SWITCH,
-            Interest::CALENDAR_POP,
-            Interest::QUANTUM_EXPIRY,
             Interest::RESUME_BLAME,
         ];
         assert_eq!(kinds.len(), Interest::KINDS);

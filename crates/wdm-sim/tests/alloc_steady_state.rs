@@ -143,9 +143,6 @@ impl Observer for CountingObserver {
     fn on_thread_resume(&mut self, _e: &ThreadResume) {
         self.events += 1;
     }
-    fn on_context_switch(&mut self, _f: Option<ThreadId>, _t: ThreadId, _n: Instant) {
-        self.events += 1;
-    }
 }
 
 /// Arms `timer` to fire every millisecond from a one-shot thread.
@@ -163,7 +160,7 @@ fn arm_periodic(k: &mut Kernel, timer: TimerId) {
 
 /// Timer -> DPC -> `SetEvent` -> waiting thread, with two full-interest
 /// observers installed, so the notify path takes and walks the observer
-/// list on every ISR entry, DPC start, thread resume and context switch.
+/// list on every ISR entry, DPC start and thread resume.
 fn notify_kernel() -> (Kernel, Rc<RefCell<CountingObserver>>) {
     let mut k = Kernel::new(KernelConfig::default());
     let obs = Rc::new(RefCell::new(CountingObserver::default()));

@@ -11,7 +11,6 @@ struct Recorder {
     isrs: Vec<IsrEnter>,
     dpcs: Vec<DpcStart>,
     resumes: Vec<ThreadResume>,
-    switches: u64,
 }
 
 impl Observer for Recorder {
@@ -23,14 +22,6 @@ impl Observer for Recorder {
     }
     fn on_thread_resume(&mut self, e: &ThreadResume) {
         self.resumes.push(*e);
-    }
-    fn on_context_switch(
-        &mut self,
-        _f: Option<ThreadId>,
-        _t: ThreadId,
-        _now: wdm_sim::time::Instant,
-    ) {
-        self.switches += 1;
     }
 }
 

@@ -10,10 +10,11 @@
 //!    its presence does not perturb what a full-interest observer sees.
 //! 2. *Cost*: `Kernel::notify_takes` counts only interested deliveries,
 //!    so it stays at zero when no observer is interested in any emitted
-//!    kind — a fully masked flight recorder included.
-//! 3. *Kernel-fed recorder*: a `FlightRecorder` never sits in an observer
-//!    list (a full-interest recorder alone costs zero takes), yet records
-//!    exactly what the hooks deliver.
+//!    kind.
+//! 3. *Kernel-fed recorder*: the one `FlightRecorder` a kernel may hold
+//!    never sits in an observer list (a recorder alone costs zero takes),
+//!    yet its ring stores exactly the values the hooks receive, next to
+//!    the kinds only the ring records.
 
 use std::{cell::RefCell, rc::Rc};
 
@@ -26,7 +27,6 @@ struct OneKind {
     isr: u64,
     dpc: u64,
     resume: u64,
-    switch: u64,
 }
 
 impl OneKind {
@@ -38,7 +38,7 @@ impl OneKind {
     }
 
     fn total(&self) -> u64 {
-        self.isr + self.dpc + self.resume + self.switch
+        self.isr + self.dpc + self.resume
     }
 }
 
@@ -55,15 +55,12 @@ impl Observer for OneKind {
     fn on_thread_resume(&mut self, _e: &ThreadResume) {
         self.resume += 1;
     }
-    fn on_context_switch(&mut self, _f: Option<ThreadId>, _t: ThreadId, _n: Instant) {
-        self.switch += 1;
-    }
 }
 
 /// Drives a scenario that emits every hooked event kind: PIT ISRs, a
-/// device interrupt with a DPC and an event-woken thread (resumes +
-/// switches). An IRP completion rides along; it is a kernel call with no
-/// hook of its own.
+/// device interrupt with a DPC and an event-woken thread (resumes, with
+/// context switches for the ring). An IRP completion rides along; it is a
+/// kernel call with no hook of its own.
 fn run_mixed_scenario(k: &mut Kernel) {
     let l_isr = k.intern("DEV", "_Isr");
     let l_dpc = k.intern("DEV", "_Dpc");
@@ -129,12 +126,10 @@ fn single_kind_observers_see_exactly_their_kind() {
     let isr_only = OneKind::new(Interest::ISR_ENTER);
     let dpc_only = OneKind::new(Interest::DPC_START);
     let resume_only = OneKind::new(Interest::THREAD_RESUME);
-    let switch_only = OneKind::new(Interest::CONTEXT_SWITCH);
     let everything = OneKind::new(Interest::ALL);
     k.add_observer(isr_only.clone());
     k.add_observer(dpc_only.clone());
     k.add_observer(resume_only.clone());
-    k.add_observer(switch_only.clone());
     k.add_observer(everything.clone());
 
     run_mixed_scenario(&mut k);
@@ -143,7 +138,6 @@ fn single_kind_observers_see_exactly_their_kind() {
     assert!(all.isr > 10, "PIT + device ISRs expected: {}", all.isr);
     assert!(all.dpc > 5, "device DPCs expected: {}", all.dpc);
     assert!(all.resume > 5, "event wakeups expected: {}", all.resume);
-    assert!(all.switch > 5, "context switches expected: {}", all.switch);
 
     // Each narrow observer saw its kind at the full-interest count and
     // nothing else.
@@ -153,8 +147,6 @@ fn single_kind_observers_see_exactly_their_kind() {
     assert_eq!((o.dpc, o.total()), (all.dpc, all.dpc));
     let o = resume_only.borrow();
     assert_eq!((o.resume, o.total()), (all.resume, all.resume));
-    let o = switch_only.borrow();
-    assert_eq!((o.switch, o.total()), (all.switch, all.switch));
 }
 
 /// Interest masks are observation-only: registering narrow observers (or
@@ -187,9 +179,8 @@ fn uninterested_kinds_never_take_the_observer_list() {
     run_mixed_scenario(&mut k);
     assert_eq!(k.notify_takes, 0, "no observers, no list traffic");
 
-    // An ISR-only observer: every take is an ISR delivery; the (far more
-    // frequent) context switches and the DPC/resume deliveries never
-    // touch the list.
+    // An ISR-only observer: every take is an ISR delivery; the DPC and
+    // resume deliveries never touch the list.
     let mut k = Kernel::new(KernelConfig::default());
     let isr_only = OneKind::new(Interest::ISR_ENTER);
     k.add_observer(isr_only.clone());
@@ -227,21 +218,9 @@ fn uninterested_kinds_never_take_the_observer_list() {
     k.add_observer(OneKind::new(Interest::NONE));
     run_mixed_scenario(&mut k);
     assert_eq!(k.notify_takes, 0, "a NONE observer costs nothing per event");
-
-    // A flight recorder attached with an empty mask costs nothing either.
-    let mut k = Kernel::new(KernelConfig::default());
-    k.add_observer(Rc::new(RefCell::new(FlightRecorder::with_interest(
-        1024,
-        Interest::NONE,
-    ))));
-    run_mixed_scenario(&mut k);
-    assert_eq!(
-        k.notify_takes, 0,
-        "a fully masked recorder costs nothing per event"
-    );
 }
 
-/// Rebuilds, from the hooks, the `FlightEvent` sequence a recorder keeps.
+/// Keeps, as flight events, every value the hooks receive.
 #[derive(Default)]
 struct HookTrace {
     events: Vec<FlightEvent>,
@@ -249,52 +228,16 @@ struct HookTrace {
 
 impl Observer for HookTrace {
     fn interest(&self) -> Interest {
-        Interest::ISR_ENTER
-            | Interest::DPC_START
-            | Interest::THREAD_RESUME
-            | Interest::CONTEXT_SWITCH
-            | Interest::CALENDAR_POP
-            | Interest::QUANTUM_EXPIRY
+        Interest::ISR_ENTER | Interest::DPC_START | Interest::THREAD_RESUME
     }
     fn on_isr_enter(&mut self, e: &IsrEnter) {
-        self.events.push(FlightEvent::Isr {
-            vector: e.vector.0,
-            asserted: e.asserted,
-            started: e.started,
-        });
+        self.events.push(FlightEvent::Isr(*e));
     }
     fn on_dpc_start(&mut self, e: &DpcStart) {
-        self.events.push(FlightEvent::Dpc {
-            dpc: e.dpc.0,
-            queued: e.queued,
-            started: e.started,
-        });
+        self.events.push(FlightEvent::Dpc(*e));
     }
     fn on_thread_resume(&mut self, e: &ThreadResume) {
-        self.events.push(FlightEvent::Resume {
-            thread: e.thread,
-            priority: e.priority,
-            readied: e.readied,
-            started: e.started,
-        });
-    }
-    fn on_context_switch(&mut self, from: Option<ThreadId>, to: ThreadId, at: Instant) {
-        self.events.push(FlightEvent::Switch { from, to, at });
-    }
-    fn on_calendar_pop(&mut self, e: &CalendarPop) {
-        self.events.push(FlightEvent::Pop {
-            kind: e.kind,
-            index: e.index,
-            at: e.at,
-        });
-    }
-    fn on_quantum_expiry(&mut self, e: &QuantumExpiry) {
-        self.events.push(FlightEvent::Quantum {
-            thread: e.thread,
-            priority: e.priority,
-            descheduled: e.descheduled,
-            at: e.at,
-        });
+        self.events.push(FlightEvent::Resume(*e));
     }
 }
 
@@ -314,34 +257,41 @@ fn run_round_robin(k: &mut Kernel) {
     k.run_for(Cycles::from_ms(200.0));
 }
 
-/// Runs `scenario` with a full-interest recorder alone, then beside a hook
-/// observer; returns what the hooks saw after checking both rings hold
-/// exactly that and only the hook observer walked a list.
+/// Runs `scenario` with a recorder alone, then beside a hook observer.
+/// Checks that both rings are equal, that the ring's ISR/DPC/resume
+/// subsequence is exactly the values the hooks received (interrupted
+/// labels included), and that `notify_takes` counts one take per hook
+/// delivery. Returns the ring.
 fn assert_recorder_matches_hooks(scenario: fn(&mut Kernel)) -> Vec<FlightEvent> {
     let mut k = Kernel::new(KernelConfig::default());
-    let alone = Rc::new(RefCell::new(FlightRecorder::with_interest(
-        1 << 16,
-        Interest::ALL,
-    )));
+    let alone = Rc::new(RefCell::new(FlightRecorder::new(1 << 16)));
     k.add_observer(alone.clone());
     scenario(&mut k);
     assert_eq!(k.notify_takes, 0, "the recorder is fed without a list");
 
     let mut k = Kernel::new(KernelConfig::default());
     let hooks = Rc::new(RefCell::new(HookTrace::default()));
-    let rec = Rc::new(RefCell::new(FlightRecorder::with_interest(
-        1 << 16,
-        Interest::ALL,
-    )));
+    let rec = Rc::new(RefCell::new(FlightRecorder::new(1 << 16)));
     k.add_observer(rec.clone());
     k.add_observer(hooks.clone());
     scenario(&mut k);
-    let seen = hooks.borrow().events.clone();
     assert_eq!(rec.borrow().dropped, 0, "the ring held the whole run");
-    assert_eq!(rec.borrow().events().collect::<Vec<_>>(), seen);
-    assert_eq!(alone.borrow().events().collect::<Vec<_>>(), seen);
-    assert_eq!(k.notify_takes, seen.len() as u64, "only the hooks take");
-    seen
+    let ring: Vec<FlightEvent> = rec.borrow().events().collect();
+    assert_eq!(alone.borrow().events().collect::<Vec<_>>(), ring);
+    let shared: Vec<FlightEvent> = ring
+        .iter()
+        .copied()
+        .filter(|e| {
+            matches!(
+                e,
+                FlightEvent::Isr(_) | FlightEvent::Dpc(_) | FlightEvent::Resume(_)
+            )
+        })
+        .collect();
+    let seen = &hooks.borrow().events;
+    assert_eq!(&shared, seen, "the ring stores exactly what the hooks saw");
+    assert_eq!(k.notify_takes, seen.len() as u64, "one take per delivery");
+    ring
 }
 
 #[test]
@@ -349,9 +299,12 @@ fn kernel_fed_recorder_takes_no_list_and_records_what_the_hooks_see() {
     let mixed = assert_recorder_matches_hooks(run_mixed_scenario);
     let round_robin = assert_recorder_matches_hooks(run_round_robin);
     let seen = |f: fn(&FlightEvent) -> bool| mixed.iter().chain(&round_robin).any(f);
-    assert!(seen(|e| matches!(e, FlightEvent::Isr { .. })));
-    assert!(seen(|e| matches!(e, FlightEvent::Dpc { .. })));
-    assert!(seen(|e| matches!(e, FlightEvent::Resume { .. })));
+    assert!(seen(
+        |e| matches!(e, FlightEvent::Isr(i) if i.interrupted_label != Label::IDLE)
+    ));
+    assert!(seen(|e| matches!(e, FlightEvent::Dpc(_))));
+    assert!(seen(|e| matches!(e, FlightEvent::Resume(_))));
+    // The kinds only the ring records.
     assert!(seen(|e| matches!(e, FlightEvent::Switch { .. })));
     assert!(seen(|e| matches!(e, FlightEvent::Pop { .. })));
     assert!(seen(|e| matches!(
@@ -361,4 +314,12 @@ fn kernel_fed_recorder_takes_no_list_and_records_what_the_hooks_see() {
             ..
         }
     )));
+}
+
+#[test]
+#[should_panic(expected = "one flight recorder per kernel")]
+fn a_second_flight_recorder_is_rejected() {
+    let mut k = Kernel::new(KernelConfig::default());
+    k.add_observer(Rc::new(RefCell::new(FlightRecorder::new(64))));
+    k.add_observer(Rc::new(RefCell::new(FlightRecorder::new(64))));
 }
