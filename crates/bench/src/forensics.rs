@@ -153,6 +153,7 @@ pub fn run_flame(cfg: &RunConfig, dir: &Path) -> io::Result<(AllCells, Vec<PathB
 mod tests {
     use super::*;
     use wdm_latency::BlameOptions;
+    use wdm_sim::metrics::MetricValue;
 
     fn tiny_cfg() -> RunConfig {
         RunConfig {
@@ -187,6 +188,14 @@ mod tests {
             .iter()
             .chain(&cells.win98)
             .any(|m| !m.blame_episodes.is_empty()));
+        // With no trace export, every cell's ring keeps only what an episode
+        // window can still read: a few hundred events, not its capacity.
+        for m in cells.nt.iter().chain(&cells.win98) {
+            match m.metrics.get("sim.flight.ring_peak") {
+                Some(MetricValue::Gauge(v)) => assert!(*v <= 4096.0, "ring peak {v}"),
+                other => panic!("ring gauge missing: {other:?}"),
+            }
+        }
     }
 
     #[test]

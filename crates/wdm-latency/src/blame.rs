@@ -18,6 +18,16 @@
 //! rendered post-run as a Perfetto trace with the episode window
 //! highlighted on its own track.
 //!
+//! A window reads `[readied − pad, started + pad]`, the pad being one PIT
+//! tick, and at capture nothing after `started` exists yet. A watched
+//! thread is readied again only after it resumes, so once every watched
+//! thread has resumed, no later window starts before the earliest of
+//! their latest resumes minus the pad. After each watched resume, and
+//! after that resume's own capture, the recorder releases every ring
+//! event stamped before that floor: the ring holds a few hundred events
+//! instead of filling its capacity, and every window is what a ring that
+//! never releases would give (DESIGN.md §15).
+//!
 //! Determinism contract: the recorder is read-only — it draws no
 //! randomness and mutates no kernel state — so arming it never changes a
 //! digest; disarmed, the `Interest::RESUME_BLAME` bit stays clear and the
@@ -222,10 +232,15 @@ pub struct BlameSummary {
 pub struct BlameRecorder {
     /// Watched measurement threads with their series tags.
     watched: Vec<(ThreadId, &'static str)>,
+    /// Latest resume of each watched thread, by `watched` index.
+    latest: Vec<Option<Instant>>,
     opts: BlameOptions,
     cpu_hz: u64,
-    /// Shared flight ring to snapshot on admission; `None` records
-    /// episodes with empty windows (blame decomposition still works).
+    /// One PIT tick: the window padding on each side of an episode.
+    pad: Cycles,
+    /// Shared flight ring to snapshot on admission and release after each
+    /// watched resume; `None` records episodes with empty windows (blame
+    /// decomposition still works).
     flight: Option<Rc<RefCell<FlightRecorder>>>,
     /// Running maximum for [`BlameTrigger::BlockMax`].
     running_max: Option<u64>,
@@ -241,8 +256,11 @@ pub struct BlameRecorder {
 
 impl BlameRecorder {
     /// Creates the recorder watching `watched` threads. `flight`, when
-    /// given, is the same recorder attached to the kernel — the blame tool
-    /// snapshots (never mutates) its ring.
+    /// given, is the same recorder attached to the kernel: the blame tool
+    /// copies episode windows out of its ring and releases the events no
+    /// later window can read (an exported ring ignores the release). A
+    /// releasing ring serves this one blame recorder: another's windows
+    /// could start before this one's floor.
     pub fn new(
         k: &Kernel,
         watched: Vec<(ThreadId, &'static str)>,
@@ -251,9 +269,11 @@ impl BlameRecorder {
     ) -> BlameRecorder {
         assert!(opts.max_episodes > 0, "need room for at least one episode");
         BlameRecorder {
+            latest: vec![None; watched.len()],
             watched,
             opts,
             cpu_hz: k.config().cpu_hz,
+            pad: k.config().pit_period(),
             flight,
             running_max: None,
             next_ordinal: 0,
@@ -302,23 +322,10 @@ impl BlameRecorder {
         self.episodes.remove(min_i);
         true
     }
-}
 
-impl Observer for BlameRecorder {
-    fn interest(&self) -> Interest {
-        Interest::RESUME_BLAME
-    }
-
-    /// Only the watched measurement threads: the kernel skips the ledger
-    /// snapshot and the decomposition for every other resume.
-    fn resume_blame_threads(&self) -> Option<Vec<ThreadId>> {
-        Some(self.watched.iter().map(|&(t, _)| t).collect())
-    }
-
-    fn on_resume_blame(&mut self, e: &ResumeBlame) {
-        let Some(&(_, tag)) = self.watched.iter().find(|&&(t, _)| t == e.thread) else {
-            return;
-        };
+    /// Folds one watched resume into the summary and, when it triggers and
+    /// the store admits it, captures its episode.
+    fn record(&mut self, e: &ResumeBlame, tag: &'static str) {
         let latency_cycles = (e.started - e.readied).0;
         debug_assert_eq!(
             e.breakdown.total(),
@@ -350,14 +357,11 @@ impl Observer for BlameRecorder {
         }
         // Snapshot the flight ring around the window, one tick of padding
         // each side (the cause tool's convention).
-        let pad = Cycles(self.cpu_hz / 1000);
+        let lo = Instant(e.readied.0.saturating_sub(self.pad.0));
         let window = self
             .flight
             .as_ref()
-            .map(|f| {
-                f.borrow()
-                    .events_in(Instant(e.readied.0.saturating_sub(pad.0)), e.started + pad)
-            })
+            .map(|f| f.borrow().events_in(lo, e.started + self.pad))
             .unwrap_or_default();
         self.episodes.push(BlameEpisode {
             ordinal,
@@ -370,6 +374,34 @@ impl Observer for BlameRecorder {
             breakdown: e.breakdown,
             window,
         });
+    }
+}
+
+impl Observer for BlameRecorder {
+    fn interest(&self) -> Interest {
+        Interest::RESUME_BLAME
+    }
+
+    /// Only the watched measurement threads: the kernel skips the ledger
+    /// snapshot and the decomposition for every other resume.
+    fn resume_blame_threads(&self) -> Option<Vec<ThreadId>> {
+        Some(self.watched.iter().map(|&(t, _)| t).collect())
+    }
+
+    fn on_resume_blame(&mut self, e: &ResumeBlame) {
+        let Some(i) = self.watched.iter().position(|&(t, _)| t == e.thread) else {
+            return;
+        };
+        self.latest[i] = Some(e.started);
+        self.record(e, self.watched[i].1);
+        // Release after the capture: this resume's own window may start
+        // before the new floor. `None` sorts first, so nothing is released
+        // until every watched thread has resumed once.
+        if let (Some(flight), Some(Some(earliest))) = (&self.flight, self.latest.iter().min()) {
+            flight
+                .borrow_mut()
+                .release_before(Instant(earliest.0.saturating_sub(self.pad.0)));
+        }
     }
 }
 
@@ -670,6 +702,93 @@ window [600000, 1650000] cycles, latency 3.500 ms, 0 flight events
                 "one delivery per watched resume"
             );
         }
+    }
+
+    /// A waiter woken by a signaler between ticks of a 100 Hz PIT, run
+    /// for 100 ms with every resume captured over `ring`.
+    fn hundred_hz_episodes(
+        ring: FlightRecorder,
+    ) -> (Vec<BlameEpisode>, Rc<RefCell<FlightRecorder>>) {
+        let mut k = Kernel::new(KernelConfig {
+            pit_hz: 100,
+            ..KernelConfig::default()
+        });
+        let one_ms = k.config().cpu_hz / 1000;
+        let work = k.intern("APP", "_Work");
+        let evt = k.create_event(false);
+        let waiter = k.create_thread(
+            "meas",
+            24,
+            Box::new(LoopSeq::new(vec![
+                Step::Wait(WaitObject::Event(evt)),
+                Step::Busy {
+                    cycles: Cycles(one_ms / 10),
+                    label: work,
+                },
+            ])),
+        );
+        // The previous wake's context switches land ~2.4 ms before each
+        // readying: inside a 10 ms pad, outside a 1 ms one.
+        k.create_thread(
+            "signaler",
+            8,
+            Box::new(LoopSeq::new(vec![
+                Step::Busy {
+                    cycles: Cycles(23 * one_ms / 10),
+                    label: work,
+                },
+                Step::SetEvent(evt),
+            ])),
+        );
+        let flight = Rc::new(RefCell::new(ring));
+        k.add_observer(flight.clone());
+        let rec = Rc::new(RefCell::new(BlameRecorder::new(
+            &k,
+            vec![(waiter, "rt24")],
+            BlameOptions {
+                trigger: BlameTrigger::ThresholdMs(0.0),
+                max_episodes: usize::MAX,
+            },
+            Some(flight.clone()),
+        )));
+        k.add_observer(rec.clone());
+        k.run_for(Cycles::from_ms(100.0));
+        let episodes = rec.borrow().episodes.clone();
+        (episodes, flight)
+    }
+
+    /// The window pad is one PIT tick of the kernel's own configuration,
+    /// for the capture window and the release floor alike: at 100 Hz an
+    /// episode window reaches 10 ms back from the readying, and a
+    /// releasing ring still gives every window whole.
+    #[test]
+    fn window_pad_is_one_pit_tick() {
+        let (episodes, ring) = hundred_hz_episodes(FlightRecorder::exported(1 << 16));
+        let ring = ring.borrow();
+        let one_ms = KernelConfig::default().cpu_hz / 1000;
+        let pad = 10 * one_ms;
+        assert_eq!(ring.dropped, 0);
+        assert!(episodes.len() > 20, "{} episodes", episodes.len());
+        let mut beyond_one_ms = 0;
+        for ep in &episodes {
+            let lo = Instant(ep.readied.0.saturating_sub(pad));
+            // Events stamped `started` may still land after the capture.
+            let before: Vec<FlightEvent> = ep
+                .window
+                .iter()
+                .copied()
+                .filter(|e| e.at() < ep.started)
+                .collect();
+            assert_eq!(before, ring.events_in(lo, Instant(ep.started.0 - 1)));
+            beyond_one_ms += usize::from(before[0].at().0 + one_ms < ep.readied.0);
+        }
+        assert!(beyond_one_ms > 0, "some window reaches past 1 ms");
+
+        let (released, ring) = hundred_hz_episodes(FlightRecorder::new(1 << 16));
+        assert!(ring.borrow().released > 0);
+        let windows =
+            |eps: &[BlameEpisode]| eps.iter().map(|e| e.window.clone()).collect::<Vec<_>>();
+        assert_eq!(windows(&released), windows(&episodes));
     }
 
     /// End-to-end on a live kernel: a DPC-signaled wake with a competing

@@ -217,8 +217,9 @@ pub struct MeasureOptions {
     /// this threshold (ms).
     pub cause_threshold_ms: Option<f64>,
     /// Attach a flight recorder and export its ring as Chrome trace events
-    /// in [`ScenarioMeasurement::trace_events`]. Never changes measured
-    /// values: the recorder is read-only and draws no randomness.
+    /// in [`ScenarioMeasurement::trace_events`]. The ring is exported
+    /// whole, so it never releases events. Never changes measured values:
+    /// the recorder is read-only and draws no randomness.
     pub flight: Option<FlightOptions>,
     /// Always `true`: staging (DESIGN.md §14) is the only recording path,
     /// and [`measure_scenario`] never reads this. Kept only because
@@ -227,7 +228,8 @@ pub struct MeasureOptions {
     pub batch_record: bool,
     /// Arm tail-episode forensics on the rt24/rt28 measurement threads
     /// (DESIGN.md §15). A flight recorder is attached implicitly when
-    /// [`Self::flight`] is unset, so episode windows are never empty.
+    /// [`Self::flight`] is unset, so episode windows are never empty; it
+    /// keeps only the events a later episode window can read.
     /// Digest-neutral: the recorder is read-only.
     pub blame: Option<BlameOptions>,
     /// Arm the virtual-time flame sampler at this rate (samples per
@@ -272,12 +274,18 @@ pub fn measure_scenario(
         t
     });
     // Blame capture needs a ring to snapshot; arm a default-sized one when
-    // forensics is on and the caller didn't ask for trace export.
+    // forensics is on and the caller didn't ask for trace export. That one
+    // keeps only what an episode window can still read; a ring exported
+    // whole never releases.
     let flight_opts = opts
         .flight
         .or_else(|| opts.blame.map(|_| FlightOptions::default()));
     let flight = flight_opts.map(|f| {
-        let r = Rc::new(RefCell::new(FlightRecorder::new(f.capacity)));
+        let ring = match opts.flight {
+            Some(_) => FlightRecorder::exported(f.capacity),
+            None => FlightRecorder::new(f.capacity),
+        };
+        let r = Rc::new(RefCell::new(ring));
         scenario.kernel.add_observer(r.clone());
         (r, f.pid)
     });
@@ -644,6 +652,31 @@ mod tests {
         assert!(base.metrics.get("sim.flight.ring_peak").is_none());
         assert!(base.blame_episodes.is_empty());
         assert!(base.flame.is_empty());
+        // The implied ring releases what no episode window can read; a
+        // traced ring is exported whole and never releases, yet both give
+        // the same episodes.
+        let traced = measure_scenario(
+            OsKind::Win98,
+            WorkloadKind::Games,
+            11,
+            hours,
+            &MeasureOptions {
+                flight: Some(FlightOptions::default()),
+                blame: Some(crate::blame::BlameOptions::default()),
+                ..MeasureOptions::default()
+            },
+        );
+        assert_eq!(traced.blame_episodes, armed.blame_episodes);
+        let peak = |m: &ScenarioMeasurement| match m.metrics.get("sim.flight.ring_peak") {
+            Some(MetricValue::Gauge(v)) => *v,
+            other => panic!("ring gauge missing: {other:?}"),
+        };
+        assert!(
+            peak(&armed) <= 4096.0 && peak(&traced) > 4096.0,
+            "released {} vs exported {}",
+            peak(&armed),
+            peak(&traced)
+        );
     }
 
     #[test]

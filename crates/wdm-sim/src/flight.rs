@@ -21,9 +21,18 @@
 //!
 //! Each retained event is one 16-byte slot: its timestamp plus a packed
 //! word (layout below). An event with a field the word cannot hold is kept
-//! whole in an overflow map keyed by its arrival ordinal, pruned when the
-//! ring evicts its slot, so every event round-trips exactly (DESIGN.md
+//! whole in an overflow map keyed by its arrival ordinal, pruned when its
+//! slot leaves the ring, so every event round-trips exactly (DESIGN.md
 //! §15).
+//!
+//! The ring is reserved whole at construction but touched only up to twice
+//! the most events it has held at once. A reader that knows no later query
+//! can reach an event may drop it early with
+//! [`FlightRecorder::release_before`], as the blame recorder does after
+//! each watched resume; a recorder whose whole ring is exported
+//! ([`FlightRecorder::exported`]) ignores releases. Releases and capacity
+//! evictions both take the oldest events, so the retained events are
+//! always a suffix of what a ring that never releases would hold.
 //!
 //! Determinism contract: the recorder is strictly read-only. It draws no
 //! randomness and mutates no kernel state. With no recorder attached each
@@ -254,33 +263,60 @@ impl Slot {
 /// A bounded ring of recent kernel events with Chrome trace export.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    /// Slot `n % capacity` holds arrival ordinal `n`. Grows to `capacity`
-    /// (reserved up front, so pushes never reallocate), then overwrites the
-    /// oldest slot in place.
+    /// The ring runs over the prefix `slots[..room]`, oldest event at
+    /// `head`. Reserved whole up front, so pushes never reallocate; only
+    /// the first `slots.len()` slots were ever written.
     slots: Vec<Slot>,
+    /// Slots the ring runs over: doubles, after an in-place rotation puts
+    /// the oldest event at index 0, whenever the ring fills below
+    /// `capacity`.
+    room: usize,
+    head: usize,
+    /// Retained events.
+    len: usize,
     capacity: usize,
-    /// Where the next event lands.
-    next: usize,
+    /// The whole ring is exported, so [`Self::release_before`] is a no-op.
+    exported: bool,
+    /// High-water mark of `len`.
+    peak: usize,
     /// Events too wide for a slot word, by arrival ordinal; an entry lives
     /// exactly as long as its escaped slot.
     overflow: BTreeMap<u64, FlightEvent>,
-    /// Total events observed, evicted ones included.
+    /// Total events observed, evicted and released ones included.
     pub total: u64,
     /// Events evicted to honor the capacity bound.
     pub dropped: u64,
+    /// Events dropped by [`Self::release_before`]; `total == len() +
+    /// dropped + released`.
+    pub released: u64,
 }
 
 impl FlightRecorder {
-    /// A recorder keeping the most recent `capacity` events of every kind.
+    /// A recorder keeping the most recent `capacity` events of every kind,
+    /// less any a reader releases.
     pub fn new(capacity: usize) -> FlightRecorder {
         assert!(capacity > 0, "flight recorder capacity must be positive");
         FlightRecorder {
             slots: Vec::with_capacity(capacity),
+            room: 1,
+            head: 0,
+            len: 0,
             capacity,
-            next: 0,
+            exported: false,
+            peak: 0,
             overflow: BTreeMap::new(),
             total: 0,
             dropped: 0,
+            released: 0,
+        }
+    }
+
+    /// A recorder whose whole ring is exported (a cell trace): it keeps the
+    /// most recent `capacity` events and ignores [`Self::release_before`].
+    pub fn exported(capacity: usize) -> FlightRecorder {
+        FlightRecorder {
+            exported: true,
+            ..FlightRecorder::new(capacity)
         }
     }
 
@@ -290,7 +326,7 @@ impl FlightRecorder {
     #[inline(never)]
     pub(crate) fn push(&mut self, e: FlightEvent) {
         // The kernel stamps every event with its `now`, so arrival order is
-        // time order; `events_in` binary-searches on it.
+        // time order; `events_in` and `release_before` rely on it.
         debug_assert!(
             self.newest().is_none_or(|b| b.at <= e.at().0),
             "flight ring must stay time-ordered"
@@ -303,43 +339,80 @@ impl FlightRecorder {
                 word: KIND_ESCAPED,
             }
         });
-        if self.slots.len() < self.capacity {
+        if self.len == self.room {
+            if self.room < self.capacity {
+                // Amortized O(1): the ring doubles each time.
+                self.slots.rotate_left(self.head);
+                self.head = 0;
+                self.room = (2 * self.room).min(self.capacity);
+            } else {
+                self.pop_oldest();
+                self.dropped += 1;
+            }
+        }
+        // Writes move through `slots` in order, so the next index is at
+        // most its length.
+        let i = self.wrap(self.head + self.len);
+        if i == self.slots.len() {
             self.slots.push(slot);
         } else {
-            if self.slots[self.next].escaped() {
-                self.overflow.remove(&(ordinal - self.capacity as u64));
-            }
-            self.slots[self.next] = slot;
-            self.dropped += 1;
+            self.slots[i] = slot;
         }
-        self.next += 1;
-        if self.next == self.capacity {
-            self.next = 0;
-        }
+        self.len += 1;
+        self.peak = self.peak.max(self.len);
         self.total += 1;
     }
 
+    /// Drops every retained event stamped before `t`; a no-op on an
+    /// exported recorder. A caller releases only what no later query can
+    /// read: [`Self::events_in`] then returns what it would have without
+    /// the release.
+    pub fn release_before(&mut self, t: Instant) {
+        if self.exported {
+            return;
+        }
+        while self.len > 0 && self.slots[self.head].at < t.0 {
+            self.pop_oldest();
+            self.released += 1;
+        }
+    }
+
+    /// Drops the oldest retained event with its overflow entry.
+    fn pop_oldest(&mut self) {
+        if self.slots[self.head].escaped() {
+            self.overflow.remove(&self.first_ordinal());
+        }
+        self.head = self.wrap(self.head + 1);
+        self.len -= 1;
+    }
+
+    /// `i` folded into `0..room`, for `i < 2 * room`.
+    fn wrap(&self, i: usize) -> usize {
+        if i >= self.room {
+            i - self.room
+        } else {
+            i
+        }
+    }
+
     fn newest(&self) -> Option<Slot> {
-        let i = self
-            .next
-            .checked_sub(1)
-            .unwrap_or(self.slots.len().wrapping_sub(1));
-        self.slots.get(i).copied()
+        let (older, newer) = self.halves();
+        newer.last().or(older.last()).copied()
     }
 
     /// The retained slots, oldest first, as the ring's two contiguous runs.
     fn halves(&self) -> (&[Slot], &[Slot]) {
-        if self.slots.len() < self.capacity {
-            (&self.slots, &[])
+        let end = self.head + self.len;
+        if end <= self.room {
+            (&self.slots[self.head..end], &[])
         } else {
-            let (newer, older) = self.slots.split_at(self.next);
-            (older, newer)
+            (&self.slots[self.head..], &self.slots[..end - self.room])
         }
     }
 
     /// Arrival ordinal of the oldest retained event.
     fn first_ordinal(&self) -> u64 {
-        self.total - self.slots.len() as u64
+        self.total - self.len as u64
     }
 
     fn decode(&self, s: Slot, ordinal: u64) -> FlightEvent {
@@ -362,20 +435,19 @@ impl FlightRecorder {
 
     /// Number of retained events.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.len
     }
 
-    /// True if nothing was recorded.
+    /// True if no event is retained.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.len == 0
     }
 
     /// Peak ring occupancy so far — the source for the
-    /// `sim.flight.ring_peak` gauge. The ring only ever grows toward its
-    /// capacity (eviction happens on push), so the peak is the smaller of
-    /// the total observed and the capacity.
+    /// `sim.flight.ring_peak` gauge. For a ring that never releases it is
+    /// the smaller of the total observed and the capacity.
     pub fn peak_depth(&self) -> u64 {
-        self.total.min(self.capacity as u64)
+        self.peak as u64
     }
 
     /// Copies out the retained events whose timestamp falls in
@@ -759,12 +831,73 @@ mod tests {
         for (e, _) in samples(1 << 40).into_iter().chain(samples(1 << 41)) {
             r.push(e);
         }
-        assert!(r.dropped > 0 && r.next != 0, "ring wrapped mid-slice");
+        let (older, newer) = r.halves();
+        assert!(r.dropped > 0 && !newer.is_empty(), "ring wrapped mid-slice");
         assert!(
-            r.slots.iter().any(|s| s.escaped()),
+            older.iter().chain(newer).any(|s| s.escaped()),
             "escaped slots retained"
         );
         assert_events_in_matches_filter(&r);
+
+        // A releasing ring below its capacity, checked at every push where
+        // it has wrapped inside its room with escaped slots retained.
+        let mut r = FlightRecorder::new(1 << 10);
+        let stream: Vec<FlightEvent> = (0..4u64)
+            .flat_map(|round| samples((1 << 40) + round * (1 << 36)))
+            .map(|(e, _)| e)
+            .collect();
+        let mut checked = 0;
+        for (n, &e) in stream.iter().enumerate() {
+            r.push(e);
+            if n % 5 == 4 {
+                r.release_before(stream[n - 3].at());
+            }
+            let (older, newer) = r.halves();
+            if !newer.is_empty() && older.iter().chain(newer).any(|s| s.escaped()) {
+                assert!(r.released > 0 && r.room < r.capacity);
+                assert_events_in_matches_filter(&r);
+                checked += 1;
+            }
+        }
+        assert!(checked > 0, "the releasing ring wrapped inside its room");
+    }
+
+    #[test]
+    fn release_before_drops_exactly_the_older_events() {
+        let stream: Vec<FlightEvent> = samples(1 << 40).into_iter().map(|(e, _)| e).collect();
+        let fill = |mut r: FlightRecorder| {
+            for &e in &stream {
+                r.push(e);
+            }
+            r
+        };
+        let mut r = fill(FlightRecorder::new(64));
+        let mut exported = fill(FlightRecorder::exported(64));
+        // Every stamp in order, some shared by several events: a release at
+        // `t` keeps the events stamped `t`.
+        for t in stream.iter().map(FlightEvent::at) {
+            r.release_before(t);
+            exported.release_before(t);
+            let kept: Vec<FlightEvent> = stream.iter().copied().filter(|e| e.at() >= t).collect();
+            assert_eq!(r.events().collect::<Vec<_>>(), kept, "release before {t:?}");
+            let escaped = kept.iter().filter(|e| Slot::pack(e).is_none()).count();
+            assert_eq!(r.overflow.len(), escaped, "released escapes pruned");
+            assert_eq!(r.total, r.len() as u64 + r.dropped + r.released);
+            assert_eq!(
+                exported.events().collect::<Vec<_>>(),
+                stream,
+                "exported keeps all"
+            );
+        }
+        r.release_before(Instant(u64::MAX));
+        assert!(r.is_empty() && r.overflow.is_empty());
+        assert_eq!(r.released, stream.len() as u64);
+        assert_eq!(
+            r.peak_depth(),
+            stream.len() as u64,
+            "the peak outlives release"
+        );
+        assert_eq!((exported.released, exported.len()), (0, stream.len()));
     }
 
     /// One instance of every event variant and every slot escape, time
@@ -897,28 +1030,58 @@ mod tests {
             }
         }
         // Several rounds through a ring that wraps every few events and one
-        // that wraps once a round: escaped slots get evicted, and their
-        // overflow entries must go with them.
+        // that wraps once a round, each plain, releasing (every fifth push,
+        // up to the event before it, as a blame recorder's floor trails the
+        // newest event) and exported: escaped slots get evicted or released,
+        // and their overflow entries must go with them. A `Vec` model keeps
+        // the same suffix of the stream.
         let stream: Vec<FlightEvent> = (0..4u64)
             .flat_map(|round| samples((1 << 40) + round * (1 << 36)))
             .map(|(e, _)| e)
             .collect();
         for capacity in [3, 64] {
-            let mut r = FlightRecorder::new(capacity);
-            for (n, &e) in stream.iter().enumerate() {
-                r.push(e);
-                let kept = &stream[(n + 1).saturating_sub(capacity)..=n];
-                assert_eq!(
-                    r.events().collect::<Vec<_>>(),
-                    kept,
-                    "cap {capacity}, push {n}"
-                );
-                let escaped = r.slots.iter().filter(|s| s.escaped()).count();
-                assert_eq!(r.overflow.len(), escaped, "overflow pruned with its slots");
-                assert!(r.overflow.keys().all(|&o| o >= r.first_ordinal()));
+            for (releasing, exported) in [(false, false), (true, false), (true, true)] {
+                let mut r = if exported {
+                    FlightRecorder::exported(capacity)
+                } else {
+                    FlightRecorder::new(capacity)
+                };
+                let mut model: Vec<FlightEvent> = Vec::new();
+                let mut rotations = 0;
+                for (n, &e) in stream.iter().enumerate() {
+                    let full = r.len() == r.room;
+                    rotations += usize::from(full && r.room < capacity && r.head != 0);
+                    r.push(e);
+                    model.push(e);
+                    if model.len() > capacity {
+                        model.remove(0);
+                    }
+                    if releasing && n % 5 == 4 {
+                        let t = stream[n - 1].at();
+                        r.release_before(t);
+                        if !exported {
+                            model.retain(|e| e.at() >= t);
+                        }
+                    }
+                    let case = format!("cap {capacity}, releasing {releasing}, push {n}");
+                    assert_eq!(r.events().collect::<Vec<_>>(), model, "{case}");
+                    assert_eq!(r.total, r.len() as u64 + r.dropped + r.released);
+                    let (older, newer) = r.halves();
+                    let escaped = older.iter().chain(newer).filter(|s| s.escaped()).count();
+                    assert_eq!(r.overflow.len(), escaped, "overflow pruned with its slots");
+                    assert!(r.overflow.keys().all(|&o| o >= r.first_ordinal()));
+                }
+                assert_eq!(r.total, stream.len() as u64);
+                if releasing && !exported {
+                    assert!(r.released > 0, "cap {capacity}: releases took events");
+                } else {
+                    assert_eq!(r.released, 0);
+                    assert_eq!(r.dropped, (stream.len() - capacity) as u64);
+                }
+                if releasing && !exported && capacity == 64 {
+                    assert!(rotations > 0, "grew in place from a wrapped ring");
+                }
             }
-            assert_eq!(r.total, stream.len() as u64);
-            assert_eq!(r.dropped, (stream.len() - capacity) as u64);
         }
     }
 
