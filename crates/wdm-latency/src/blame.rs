@@ -33,7 +33,7 @@
 //! digest; disarmed, the `Interest::RESUME_BLAME` bit stays clear and the
 //! kernel's masked-interest branch is the only cost. Armed, the kernel
 //! snapshots its ledgers and decomposes resumes only for the watched
-//! threads (`Observer::resume_blame_threads`).
+//! threads, the recorder's `Subscription::resume_blame`.
 
 use std::{cell::RefCell, rc::Rc};
 
@@ -43,7 +43,7 @@ use wdm_sim::{
     },
     ids::ThreadId,
     kernel::Kernel,
-    observer::{BlameBreakdown, Interest, Observer, ResumeBlame},
+    observer::{BlameBreakdown, Objects, Observer, ResumeBlame, Subscription},
     time::{Cycles, Instant},
 };
 
@@ -378,20 +378,21 @@ impl BlameRecorder {
 }
 
 impl Observer for BlameRecorder {
-    fn interest(&self) -> Interest {
-        Interest::RESUME_BLAME
-    }
-
     /// Only the watched measurement threads: the kernel skips the ledger
     /// snapshot and the decomposition for every other resume.
-    fn resume_blame_threads(&self) -> Option<Vec<ThreadId>> {
-        Some(self.watched.iter().map(|&(t, _)| t).collect())
+    fn subscription(&self) -> Subscription {
+        Subscription {
+            resume_blame: Objects::Only(self.watched.iter().map(|&(t, _)| t).collect()),
+            ..Subscription::NONE
+        }
     }
 
     fn on_resume_blame(&mut self, e: &ResumeBlame) {
-        let Some(i) = self.watched.iter().position(|&(t, _)| t == e.thread) else {
-            return;
-        };
+        let i = self
+            .watched
+            .iter()
+            .position(|&(t, _)| t == e.thread)
+            .expect("the kernel routes only watched threads");
         self.latest[i] = Some(e.started);
         self.record(e, self.watched[i].1);
         // Release after the capture: this resume's own window may start
@@ -573,27 +574,24 @@ window [600000, 1650000] cycles, latency 3.500 ms, 0 flight events
         assert_eq!(lats, vec![100, 200]);
     }
 
+    /// Both waiters resume on every DPC, but only the watched one's
+    /// resumes reach the recorder.
     #[test]
     fn unwatched_threads_are_ignored() {
-        let k = Kernel::new(KernelConfig::default());
-        let mut rec = BlameRecorder::new(
+        let (mut k, [rt24, rt28]) = two_waiter_kernel();
+        let rec = Rc::new(RefCell::new(BlameRecorder::new(
             &k,
-            vec![(ThreadId(0), "rt24")],
+            vec![(rt24, "rt24")],
             BlameOptions::default(),
             None,
-        );
-        rec.on_resume_blame(&ResumeBlame {
-            thread: ThreadId(9),
-            priority: 24,
-            readied: Instant(0),
-            started: Instant(1000),
-            breakdown: BlameBreakdown {
-                idle: 1000,
-                ..BlameBreakdown::default()
-            },
-        });
-        assert_eq!(rec.summary.watched_resumes, 0);
-        assert!(rec.episodes.is_empty());
+        )));
+        let log = Rc::new(RefCell::new(ResumeLog::default()));
+        k.add_observer(rec.clone());
+        k.add_observer(log.clone());
+        k.run_for(Cycles::from_ms(20.0));
+        let count = |t| log.borrow().events.iter().filter(|e| e.thread == t).count() as u64;
+        assert!(count(rt28) > 0, "the unwatched waiter resumed");
+        assert_eq!(rec.borrow().summary.watched_resumes, count(rt24));
     }
 
     /// Every resume-blame event the kernel delivers, all threads.
@@ -603,8 +601,11 @@ window [600000, 1650000] cycles, latency 3.500 ms, 0 flight events
     }
 
     impl Observer for ResumeLog {
-        fn interest(&self) -> Interest {
-            Interest::RESUME_BLAME
+        fn subscription(&self) -> Subscription {
+            Subscription {
+                resume_blame: Objects::All,
+                ..Subscription::NONE
+            }
         }
         fn on_resume_blame(&mut self, e: &ResumeBlame) {
             self.events.push(*e);
@@ -678,7 +679,13 @@ window [600000, 1650000] cycles, latency 3.500 ms, 0 flight events
                 },
                 None,
             )));
-            assert_eq!(rec.borrow().resume_blame_threads(), Some(vec![watched]));
+            assert_eq!(
+                rec.borrow().subscription(),
+                Subscription {
+                    resume_blame: Objects::Only(vec![watched]),
+                    ..Subscription::NONE
+                }
+            );
             k.add_observer(rec.clone());
             k.run_for(run_ms);
             let want: Vec<_> = all

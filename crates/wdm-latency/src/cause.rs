@@ -18,7 +18,7 @@ use wdm_sim::{
     ids::{ThreadId, VectorId},
     kernel::Kernel,
     labels::{Label, SymbolTable},
-    observer::{Interest, IsrEnter, Observer, ThreadResume},
+    observer::{IsrEnter, Objects, Observer, Subscription, ThreadResume},
     time::{Cycles, Instant},
 };
 
@@ -103,6 +103,8 @@ pub struct CauseTool {
     watched_thread: ThreadId,
     threshold_ms: f64,
     cpu_hz: u64,
+    /// One PIT tick: the window padding on each side of an episode.
+    pad: Cycles,
     buffer: VecDeque<HookSample>,
     capacity: usize,
     /// Captured episodes.
@@ -126,6 +128,7 @@ impl CauseTool {
             watched_thread,
             threshold_ms,
             cpu_hz: k.config().cpu_hz,
+            pad: k.config().pit_period(),
             buffer: VecDeque::with_capacity(capacity),
             capacity,
             episodes: Vec::new(),
@@ -140,14 +143,17 @@ impl CauseTool {
 }
 
 impl Observer for CauseTool {
-    fn interest(&self) -> Interest {
-        Interest::ISR_ENTER | Interest::THREAD_RESUME
+    /// The PIT hook and the watched thread's resumes.
+    fn subscription(&self) -> Subscription {
+        Subscription {
+            isr_enter: Objects::Only(vec![self.pit_vector]),
+            thread_resume: Objects::Only(vec![self.watched_thread]),
+            ..Subscription::NONE
+        }
     }
 
     fn on_isr_enter(&mut self, e: &IsrEnter) {
-        if e.vector != self.pit_vector {
-            return;
-        }
+        debug_assert_eq!(e.vector, self.pit_vector, "routed the PIT only");
         // The hook runs before the OS ISR: record the interrupted context.
         if self.buffer.len() == self.capacity {
             self.buffer.pop_front();
@@ -159,18 +165,18 @@ impl Observer for CauseTool {
     }
 
     fn on_thread_resume(&mut self, e: &ThreadResume) {
-        if e.thread != self.watched_thread {
-            return;
-        }
+        debug_assert_eq!(
+            e.thread, self.watched_thread,
+            "routed the watched thread only"
+        );
         let latency_ms = (e.started - e.readied).as_ms_at(self.cpu_hz);
         if latency_ms < self.threshold_ms || self.episodes.len() >= self.max_episodes {
             return;
         }
         // Dump the buffer: samples within the latency window, padded by one
         // tick on each side so the surrounding context is visible.
-        let pad = Cycles(self.cpu_hz / 1000);
-        let lo = Instant(e.readied.0.saturating_sub(pad.0));
-        let hi = e.started + pad;
+        let lo = Instant(e.readied.0.saturating_sub(self.pad.0));
+        let hi = e.started + self.pad;
         let samples: Vec<HookSample> = self
             .buffer
             .iter()
@@ -198,10 +204,10 @@ mod tests {
         step::{LoopSeq, OpSeq, Step},
     };
 
-    /// Builds a machine where a VMM section reliably delays a measurement
-    /// thread, and checks the episode attributes the delay to the section.
-    #[test]
-    fn episode_attributes_blame_to_section_label() {
+    /// A machine where a VMM section reliably delays a measurement
+    /// thread: returns the kernel, the measurement thread, a thread that
+    /// never waits, and the section's label.
+    fn section_machine() -> (Kernel, ThreadId, ThreadId, Label) {
         let mut k = Kernel::new(KernelConfig::default());
         let vmm = k.intern("VMM", "_mmCalcFrameBadness");
         let evt = k.create_event(false);
@@ -219,7 +225,7 @@ mod tests {
             Box::new(OpSeq::new(vec![Step::SetEvent(evt), Step::Return])),
         );
         let timer = k.create_timer(Some(dpc));
-        let _armer = k.create_thread(
+        let armer = k.create_thread(
             "armer",
             16,
             Box::new(OpSeq::new(vec![Step::SetTimer {
@@ -237,6 +243,13 @@ mod tests {
                 label: vmm,
             },
         ));
+        (k, waiter, armer, vmm)
+    }
+
+    /// The episode attributes the section's delay to the section.
+    #[test]
+    fn episode_attributes_blame_to_section_label() {
+        let (mut k, waiter, _, vmm) = section_machine();
         let tool = Rc::new(RefCell::new(CauseTool::new(&k, waiter, 2.0, 128)));
         k.add_observer(tool.clone());
         k.run_for(Cycles::from_ms(200.0));
@@ -285,16 +298,54 @@ mod tests {
         assert!(tool.episodes.is_empty());
     }
 
+    /// The measurement thread's long latencies never reach a tool that
+    /// watches a thread which never waits: its route carries no resume.
     #[test]
     fn other_threads_are_ignored() {
-        let k = Kernel::new(KernelConfig::default());
-        let mut tool = CauseTool::new(&k, ThreadId(3), 0.5, 16);
-        tool.on_thread_resume(&ThreadResume {
-            thread: ThreadId(4),
-            priority: 28,
-            readied: Instant(0),
-            started: Instant(Cycles::from_ms(10.0).0),
+        let (mut k, waiter, armer, _) = section_machine();
+        let tool = |t| Rc::new(RefCell::new(CauseTool::new(&k, t, 0.5, 128)));
+        let (measuring, idle) = (tool(waiter), tool(armer));
+        k.add_observer(measuring.clone());
+        k.add_observer(idle.clone());
+        k.run_for(Cycles::from_ms(200.0));
+        assert!(!measuring.borrow().episodes.is_empty());
+        let idle = idle.borrow();
+        assert!(idle.episodes.is_empty());
+        assert_eq!(idle.buffer_len(), measuring.borrow().buffer_len());
+    }
+
+    /// The window pad is one PIT tick of the kernel's own configuration:
+    /// at 100 Hz an episode keeps a hook sample 5 ms before the readying,
+    /// and drops one 12 ms before it.
+    #[test]
+    fn window_pad_is_one_pit_tick() {
+        let k = Kernel::new(KernelConfig {
+            pit_hz: 100,
+            ..KernelConfig::default()
         });
-        assert!(tool.episodes.is_empty());
+        let one_ms = k.config().cpu_hz / 1000;
+        let mut tool = CauseTool::new(&k, ThreadId(0), 1.0, 16);
+        let readied = Instant(50 * one_ms);
+        let sample = |before_ms: u64, label| HookSample {
+            at: Instant(readied.0 - before_ms * one_ms),
+            label,
+        };
+        let (outside, inside) = (sample(12, Label::IDLE), sample(5, Label::KERNEL));
+        for s in [outside, inside] {
+            tool.on_isr_enter(&IsrEnter {
+                vector: k.pit_vector(),
+                asserted: s.at,
+                started: s.at,
+                interrupted_label: s.label,
+            });
+        }
+        tool.on_thread_resume(&ThreadResume {
+            thread: ThreadId(0),
+            priority: 24,
+            readied,
+            started: Instant(readied.0 + 2 * one_ms),
+        });
+        assert_eq!(tool.episodes.len(), 1);
+        assert_eq!(tool.episodes[0].samples, vec![inside]);
     }
 }

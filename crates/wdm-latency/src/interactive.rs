@@ -20,7 +20,7 @@ use wdm_sim::{
     ids::{ThreadId, WaitObject},
     irql::Irql,
     kernel::Kernel,
-    observer::{Interest, Observer, ThreadResume},
+    observer::{Objects, Observer, Subscription, ThreadResume},
     step::{OpSeq, Program, Step, StepCtx},
     time::Cycles,
 };
@@ -50,14 +50,16 @@ impl InteractiveRecords {
 }
 
 impl Observer for InteractiveRecords {
-    fn interest(&self) -> Interest {
-        Interest::THREAD_RESUME
+    /// The UI thread's resumes.
+    fn subscription(&self) -> Subscription {
+        Subscription {
+            thread_resume: Objects::Only(vec![self.ui_thread]),
+            ..Subscription::NONE
+        }
     }
 
     fn on_thread_resume(&mut self, e: &ThreadResume) {
-        if e.thread != self.ui_thread {
-            return;
-        }
+        debug_assert_eq!(e.thread, self.ui_thread, "routed the UI thread only");
         // Cycle-domain end to end: the sample never round-trips through ms
         // (the histogram re-derives cycles internally; DESIGN.md §12).
         if self.stage.push(0, e.started, e.started - e.readied) {

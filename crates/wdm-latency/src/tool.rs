@@ -24,7 +24,7 @@ use std::{cell::RefCell, collections::VecDeque, rc::Rc};
 use wdm_sim::{
     ids::{DpcId, EventId, IrpId, ThreadId, TimerId, VectorId, WaitObject},
     kernel::Kernel,
-    observer::{DpcStart, Interest, IsrEnter, Observer, ThreadResume},
+    observer::{DpcStart, IsrEnter, Objects, Observer, Subscription, ThreadResume},
     step::{Program, Step, StepCtx},
     time::{Cycles, Instant},
 };
@@ -434,14 +434,18 @@ impl TruthCollector {
 }
 
 impl Observer for TruthCollector {
-    fn interest(&self) -> Interest {
-        Interest::ISR_ENTER | Interest::DPC_START | Interest::THREAD_RESUME
+    /// The PIT vector, the two tools' DPCs and their two threads.
+    fn subscription(&self) -> Subscription {
+        Subscription {
+            isr_enter: Objects::Only(vec![self.pit_vector]),
+            dpc_start: Objects::Only(vec![self.thread28.dpc, self.thread24.dpc]),
+            thread_resume: Objects::Only(vec![self.thread28.thread, self.thread24.thread]),
+            resume_blame: Objects::None,
+        }
     }
 
     fn on_isr_enter(&mut self, e: &IsrEnter) {
-        if e.vector != self.pit_vector {
-            return;
-        }
+        debug_assert_eq!(e.vector, self.pit_vector, "routed the PIT only");
         let full = self.stage.push(PIT_INT, e.started, e.started - e.asserted);
         push_recent(&mut self.pit_ring, (e.asserted, e.started));
         if full {
@@ -455,9 +459,7 @@ impl Observer for TruthCollector {
             push_recent(&mut self.thread24.ring, (queued, started));
             return;
         }
-        if e.dpc != self.thread28.dpc {
-            return;
-        }
+        debug_assert_eq!(e.dpc, self.thread28.dpc, "routed the tool DPCs only");
         push_recent(&mut self.thread28.ring, (queued, started));
         let mut full = self.stage.push(DPC_LAT, started, started - queued);
         if let Some((asserted, isr_started)) = pit_entry_before(&self.pit_ring, queued) {
@@ -475,10 +477,12 @@ impl Observer for TruthCollector {
     fn on_thread_resume(&mut self, e: &ThreadResume) {
         let t = if e.thread == self.thread28.thread {
             &self.thread28
-        } else if e.thread == self.thread24.thread {
-            &self.thread24
         } else {
-            return;
+            debug_assert_eq!(
+                e.thread, self.thread24.thread,
+                "routed the tool threads only"
+            );
+            &self.thread24
         };
         let mut full = self.stage.push(t.sid, e.started, e.started - e.readied);
         // The signal came from inside the DPC's execution: find the DPC

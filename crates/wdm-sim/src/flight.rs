@@ -16,8 +16,9 @@
 //! the ring and hand `&e` to the hooks, so the ring stores exactly what
 //! the hooks saw. Context switches, calendar pops and quantum expiries
 //! have no hook; only the ring records them. The recorder's [`Observer`]
-//! impl carries only [`Observer::interest`], which names the three shared
-//! kinds so the kernel's one interest gate covers their sites.
+//! impl carries only [`Observer::subscription`], which names every object
+//! of the three shared kinds so the kernel's one interest gate covers
+//! their sites.
 //!
 //! Each retained event is one 16-byte slot: its timestamp plus a packed
 //! word (layout below). An event with a field the word cannot hold is kept
@@ -29,10 +30,12 @@
 //! the most events it has held at once. A reader that knows no later query
 //! can reach an event may drop it early with
 //! [`FlightRecorder::release_before`], as the blame recorder does after
-//! each watched resume; a recorder whose whole ring is exported
-//! ([`FlightRecorder::exported`]) ignores releases. Releases and capacity
-//! evictions both take the oldest events, so the retained events are
-//! always a suffix of what a ring that never releases would hold.
+//! each watched resume: the ring is time-ordered, so a binary search finds
+//! the cut and the oldest slot advances past it in one step. A recorder
+//! whose whole ring is exported ([`FlightRecorder::exported`]) ignores
+//! releases. Releases and capacity evictions both take the oldest events,
+//! so the retained events are always a suffix of what a ring that never
+//! releases would hold.
 //!
 //! Determinism contract: the recorder is strictly read-only. It draws no
 //! randomness and mutates no kernel state. With no recorder attached each
@@ -44,7 +47,7 @@ use crate::{
     ids::{DpcId, ThreadId, VectorId},
     kernel::Kernel,
     labels::Label,
-    observer::{DpcStart, Interest, IsrEnter, Observer, ThreadResume},
+    observer::{DpcStart, IsrEnter, Objects, Observer, Subscription, ThreadResume},
     time::Instant,
 };
 
@@ -167,6 +170,10 @@ struct Slot {
 
 impl Slot {
     /// Packs `e`, or `None` when one of its fields does not fit the word.
+    /// Inlined into [`FlightRecorder::push`] and from there into each
+    /// kernel emit site, where the variant is known, so a site packs only
+    /// its own variant.
+    #[inline(always)]
     fn pack(e: &FlightEvent) -> Option<Slot> {
         let word = |kind: u64, flag: bool, byte: u8, index: usize, span: u64| {
             let flag = if flag { FLAG_BIT } else { 0 };
@@ -321,69 +328,104 @@ impl FlightRecorder {
     }
 
     /// Appends one event, evicting the oldest at capacity. Called by the
-    /// kernel's emit sites only, and kept out of line so that with no
-    /// recorder attached an emit site costs one inlined branch, not a call.
-    #[inline(never)]
+    /// kernel's emit sites only, behind their recorder branch, and inlined
+    /// there, so each site packs its own variant in line. The ring write
+    /// stays one out-of-line call: inlined too, it grew every emit site
+    /// and slowed runs with no recorder attached.
+    #[inline(always)]
     pub(crate) fn push(&mut self, e: FlightEvent) {
+        let slot = match Slot::pack(&e) {
+            Some(slot) => slot,
+            None => self.escape(e),
+        };
+        self.push_slot(slot);
+    }
+
+    /// Writes the next arrival's slot, making room first when full.
+    #[inline(never)]
+    fn push_slot(&mut self, slot: Slot) {
         // The kernel stamps every event with its `now`, so arrival order is
         // time order; `events_in` and `release_before` rely on it.
         debug_assert!(
-            self.newest().is_none_or(|b| b.at <= e.at().0),
+            self.newest().is_none_or(|b| b.at <= slot.at),
             "flight ring must stay time-ordered"
         );
-        let ordinal = self.total;
-        let slot = Slot::pack(&e).unwrap_or_else(|| {
-            self.overflow.insert(ordinal, e);
-            Slot {
-                at: e.at().0,
-                word: KIND_ESCAPED,
-            }
-        });
         if self.len == self.room {
-            if self.room < self.capacity {
-                // Amortized O(1): the ring doubles each time.
-                self.slots.rotate_left(self.head);
-                self.head = 0;
-                self.room = (2 * self.room).min(self.capacity);
-            } else {
-                self.pop_oldest();
-                self.dropped += 1;
-            }
+            self.make_room();
         }
         // Writes move through `slots` in order, so the next index is at
         // most its length.
         let i = self.wrap(self.head + self.len);
-        if i == self.slots.len() {
-            self.slots.push(slot);
-        } else {
+        if i < self.slots.len() {
             self.slots[i] = slot;
+        } else {
+            self.slots.push(slot);
         }
         self.len += 1;
         self.peak = self.peak.max(self.len);
         self.total += 1;
     }
 
+    /// Keeps `e`, the next arrival, whole in the overflow map under its
+    /// ordinal and returns its escaped slot.
+    #[cold]
+    #[inline(never)]
+    fn escape(&mut self, e: FlightEvent) -> Slot {
+        self.overflow.insert(self.total, e);
+        Slot {
+            at: e.at().0,
+            word: KIND_ESCAPED,
+        }
+    }
+
+    /// Frees one slot of a full ring: doubles the room while it is below
+    /// the capacity, else evicts the oldest event.
+    #[cold]
+    #[inline(never)]
+    fn make_room(&mut self) {
+        if self.room < self.capacity {
+            // Amortized O(1): the ring doubles each time.
+            self.slots.rotate_left(self.head);
+            self.head = 0;
+            self.room = (2 * self.room).min(self.capacity);
+        } else {
+            self.drop_oldest(1);
+            self.dropped += 1;
+        }
+    }
+
     /// Drops every retained event stamped before `t`; a no-op on an
     /// exported recorder. A caller releases only what no later query can
     /// read: [`Self::events_in`] then returns what it would have without
-    /// the release.
+    /// the release. The ring is time-ordered (asserted in `push`), so a
+    /// binary search over its two halves finds the cut: O(log ring).
     pub fn release_before(&mut self, t: Instant) {
         if self.exported {
             return;
         }
-        while self.len > 0 && self.slots[self.head].at < t.0 {
-            self.pop_oldest();
-            self.released += 1;
+        let (older, newer) = self.halves();
+        let mut n = older.partition_point(|s| s.at < t.0);
+        if n == older.len() {
+            n += newer.partition_point(|s| s.at < t.0);
         }
+        self.drop_oldest(n);
+        self.released += n as u64;
     }
 
-    /// Drops the oldest retained event with its overflow entry.
-    fn pop_oldest(&mut self) {
-        if self.slots[self.head].escaped() {
-            self.overflow.remove(&self.first_ordinal());
+    /// Drops the `n <= len` oldest retained events with their overflow
+    /// entries.
+    fn drop_oldest(&mut self, n: usize) {
+        if !self.overflow.is_empty() {
+            let cut = self.first_ordinal() + n as u64;
+            while let Some(entry) = self.overflow.first_entry() {
+                if *entry.key() >= cut {
+                    break;
+                }
+                entry.remove();
+            }
         }
-        self.head = self.wrap(self.head + 1);
-        self.len -= 1;
+        self.head = self.wrap(self.head + n);
+        self.len -= n;
     }
 
     /// `i` folded into `0..room`, for `i < 2 * room`.
@@ -664,14 +706,19 @@ pub fn json_f64(v: f64) -> String {
     }
 }
 
-/// Only the mask: the kernel recognises a recorder at
+/// Only the subscription: the kernel recognises a recorder at
 /// [`Kernel::add_observer`] time and pushes into its ring directly, so it
-/// implements no event hook. The mask names the kinds the ring shares with
-/// the hooks, so their emit sites keep one gate; the ring-only kinds are
-/// pushed whenever a recorder is attached.
+/// implements no event hook. The subscription names every object of the
+/// kinds the ring shares with the hooks, so their emit sites keep one
+/// gate; the ring-only kinds are pushed whenever a recorder is attached.
 impl Observer for FlightRecorder {
-    fn interest(&self) -> Interest {
-        Interest::ISR_ENTER | Interest::DPC_START | Interest::THREAD_RESUME
+    fn subscription(&self) -> Subscription {
+        Subscription {
+            isr_enter: Objects::All,
+            dpc_start: Objects::All,
+            thread_resume: Objects::All,
+            resume_blame: Objects::None,
+        }
     }
 }
 
@@ -1020,6 +1067,39 @@ mod tests {
         }
     }
 
+    /// The release the ring had before its binary search, one pop per
+    /// released event: the reference `release_before` must match.
+    fn release_by_pops(r: &mut FlightRecorder, t: Instant) {
+        if r.exported {
+            return;
+        }
+        while r.len > 0 && r.slots[r.head].at < t.0 {
+            if r.slots[r.head].escaped() {
+                r.overflow.remove(&r.first_ordinal());
+            }
+            r.head = r.wrap(r.head + 1);
+            r.len -= 1;
+            r.released += 1;
+        }
+    }
+
+    /// Everything a release can touch, for comparing two rings.
+    type RingState = (
+        Vec<FlightEvent>,
+        Vec<(u64, FlightEvent)>,
+        [usize; 4],
+        [u64; 3],
+    );
+
+    fn ring_state(r: &FlightRecorder) -> RingState {
+        (
+            r.events().collect(),
+            r.overflow.iter().map(|(&o, &e)| (o, e)).collect(),
+            [r.head, r.len, r.room, r.peak],
+            [r.total, r.dropped, r.released],
+        )
+    }
+
     #[test]
     fn every_variant_and_escape_round_trips() {
         let one_round = samples(1 << 40);
@@ -1034,7 +1114,8 @@ mod tests {
         // up to the event before it, as a blame recorder's floor trails the
         // newest event) and exported: escaped slots get evicted or released,
         // and their overflow entries must go with them. A `Vec` model keeps
-        // the same suffix of the stream.
+        // the same suffix of the stream, and a twin ring released one pop
+        // per event keeps the same state, slot for slot.
         let stream: Vec<FlightEvent> = (0..4u64)
             .flat_map(|round| samples((1 << 40) + round * (1 << 36)))
             .map(|(e, _)| e)
@@ -1046,12 +1127,18 @@ mod tests {
                 } else {
                     FlightRecorder::new(capacity)
                 };
+                let mut popped = if exported {
+                    FlightRecorder::exported(capacity)
+                } else {
+                    FlightRecorder::new(capacity)
+                };
                 let mut model: Vec<FlightEvent> = Vec::new();
                 let mut rotations = 0;
                 for (n, &e) in stream.iter().enumerate() {
                     let full = r.len() == r.room;
                     rotations += usize::from(full && r.room < capacity && r.head != 0);
                     r.push(e);
+                    popped.push(e);
                     model.push(e);
                     if model.len() > capacity {
                         model.remove(0);
@@ -1059,11 +1146,13 @@ mod tests {
                     if releasing && n % 5 == 4 {
                         let t = stream[n - 1].at();
                         r.release_before(t);
+                        release_by_pops(&mut popped, t);
                         if !exported {
                             model.retain(|e| e.at() >= t);
                         }
                     }
                     let case = format!("cap {capacity}, releasing {releasing}, push {n}");
+                    assert_eq!(ring_state(&r), ring_state(&popped), "{case}");
                     assert_eq!(r.events().collect::<Vec<_>>(), model, "{case}");
                     assert_eq!(r.total, r.len() as u64 + r.dropped + r.released);
                     let (older, newer) = r.halves();
@@ -1080,6 +1169,30 @@ mod tests {
                 }
                 if releasing && !exported && capacity == 64 {
                     assert!(rotations > 0, "grew in place from a wrapped ring");
+                }
+                // Every cut of the final ring, oldest stamp to past the
+                // newest, on fresh twins of it.
+                if exported {
+                    continue;
+                }
+                for t in stream
+                    .iter()
+                    .map(FlightEvent::at)
+                    .chain([Instant(u64::MAX)])
+                {
+                    let (mut a, mut b) =
+                        (FlightRecorder::new(capacity), FlightRecorder::new(capacity));
+                    for (n, &e) in stream.iter().enumerate() {
+                        a.push(e);
+                        b.push(e);
+                        if releasing && n % 5 == 4 {
+                            a.release_before(stream[n - 1].at());
+                            release_by_pops(&mut b, stream[n - 1].at());
+                        }
+                    }
+                    a.release_before(t);
+                    release_by_pops(&mut b, t);
+                    assert_eq!(ring_state(&a), ring_state(&b), "cap {capacity}, cut {t:?}");
                 }
             }
         }

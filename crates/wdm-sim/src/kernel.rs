@@ -38,7 +38,9 @@ use crate::{
     irql::Irql,
     labels::{Label, SymbolTable},
     object::{KEvent, KSemaphore},
-    observer::{BlameBreakdown, DpcStart, Interest, IsrEnter, Observer, ResumeBlame, ThreadResume},
+    observer::{
+        BlameBreakdown, DpcStart, Interest, IsrEnter, Objects, Observer, ResumeBlame, ThreadResume,
+    },
     sched::ReadyQueues,
     step::{Blackboard, ExecState, Program, Step, StepCtx},
     thread::{Tcb, ThreadState},
@@ -139,15 +141,73 @@ impl CycleAccount {
     }
 }
 
-/// Snapshot of the blame ledgers at the instant a thread was readied,
-/// stored inline in its [`Tcb`] (fixed-size copies, no allocation). The
-/// resume emit subtracts it from the live ledgers to produce the exact
-/// [`BlameBreakdown`] for the window.
+/// Snapshot of the blame ledgers at the instant a watched thread was
+/// readied, after its wakeup boost, kept in the kernel's mark table (a
+/// fixed-size copy, no allocation). The resume emit subtracts it from the
+/// live ledgers to produce the exact [`BlameBreakdown`] for the window.
+///
+/// Of the per-priority ledger it keeps only the two sums the breakdown
+/// reads, split at the readied priority: a readied thread's priority
+/// cannot change before its resume fires, because only a quantum expiry
+/// decays it and the resume is emitted when the thread's dispatch
+/// overhead completes, before its first quantum check.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct BlameMark {
-    pub(crate) account: CycleAccount,
-    pub(crate) overhead: u64,
-    pub(crate) prio: [u64; 32],
+struct BlameMark {
+    account: CycleAccount,
+    overhead: u64,
+    /// Program cycles of priorities above `priority`.
+    above: u64,
+    /// Program cycles of priorities at or below `priority`.
+    at_or_below: u64,
+    priority: u8,
+}
+
+type ObserverRc = Rc<RefCell<dyn Observer>>;
+
+/// One hooked kind's delivery routes: for each object id (vector, DPC or
+/// thread), the observers subscribed to it, in registration order.
+#[derive(Default)]
+struct Routes {
+    /// Observers subscribed to every object of the kind, in registration
+    /// order: the route an object created later starts with.
+    every: Vec<ObserverRc>,
+    by_object: Vec<Vec<ObserverRc>>,
+}
+
+impl Routes {
+    /// Opens the route of a newly created object.
+    fn add_object(&mut self) {
+        self.by_object.push(self.every.clone());
+    }
+
+    /// Appends `obs` to the routes of the objects `objects` names.
+    ///
+    /// # Panics
+    ///
+    /// If an id names no object of the kind.
+    fn subscribe(&mut self, obs: &ObserverRc, objects: Objects<usize>, kind: &str) {
+        match objects {
+            Objects::None => {}
+            Objects::All => {
+                self.every.push(obs.clone());
+                for route in &mut self.by_object {
+                    route.push(obs.clone());
+                }
+            }
+            Objects::Only(mut ids) => {
+                ids.sort_unstable();
+                ids.dedup();
+                let n = self.by_object.len();
+                for id in ids {
+                    assert!(
+                        id < n,
+                        "subscription names {kind} {id} but the kernel has {n} {kind}s"
+                    );
+                    self.by_object[id].push(obs.clone());
+                }
+            }
+        }
+    }
 }
 
 /// Shared handle to an observer; keep a clone to read results after a run.
@@ -182,22 +242,22 @@ pub struct Kernel {
     /// [`Kernel::fire_env`], which takes the slot to split borrows without
     /// allocating a placeholder source per arrival.
     env: Vec<Option<EnvSource>>,
-    /// Per-kind observer lists, indexed by [`Interest::index`]: an observer
-    /// interested in k kinds appears in k lists (Rc clones, built once at
-    /// [`Kernel::add_observer`]). Delivery for a kind walks its dense list
-    /// with no per-observer mask branch. The flight recorder is never here.
-    by_kind: [Vec<Rc<RefCell<dyn Observer>>>; Interest::KINDS],
+    /// Per-kind delivery routes, indexed by [`Interest::index`]: each
+    /// object's subscribed observers (Rc clones, built at
+    /// [`Kernel::add_observer`] and at object creation). Delivery walks
+    /// the event's object route only. The flight recorder is never here.
+    routes: [Routes; Interest::KINDS],
     /// The flight recorder, recognised at [`Kernel::add_observer`]: the
     /// emit sites push into its ring directly, with no virtual call.
     flight: Option<Rc<RefCell<FlightRecorder>>>,
-    /// Union of every registered observer's interest mask, the recorder's
+    /// Union of every registered observer's kinds, the recorder's
     /// included. A hooked kind outside this union costs one branch: no
-    /// event value, no list walk, no ring push.
+    /// event value, no route lookup, no ring push.
     interest_union: Interest,
-    /// Set once a [`Interest::RESUME_BLAME`] observer watches every thread
-    /// ([`Observer::resume_blame_threads`] is `None`): threads created
-    /// afterwards are watched too.
-    blame_all_threads: bool,
+    /// Blame ledger marks by thread. Only a thread with a non-empty
+    /// [`Interest::RESUME_BLAME`] route (a watched thread) is ever
+    /// marked, at ready time; its resume takes the mark.
+    blame_marks: Vec<Option<BlameMark>>,
     resched: bool,
     current_label: Label,
     /// Cycle accounting by hierarchy level.
@@ -218,10 +278,12 @@ pub struct Kernel {
     /// `Return`, so `steps_executed / step_dispatches` (perfbench's
     /// `kernel.steps_per_dispatch`) counts only those service-step runs.
     pub step_dispatches: u64,
-    /// Event deliveries that walked a non-empty observer list.
-    /// `tests/observer_interest.rs` asserts this stays zero for event kinds
-    /// outside the registered interest union and for the flight recorder,
-    /// which the kernel feeds without a list.
+    /// Event deliveries routed to at least one observer: one per event
+    /// whose object route is non-empty, however many observers it holds.
+    /// `tests/observer_interest.rs` asserts this counts exactly the routed
+    /// events, stays zero for event kinds outside the registered interest
+    /// union, and ignores the flight recorder, which the kernel feeds
+    /// without a route.
     pub notify_takes: u64,
     /// Dispatch/context-switch overhead cycles, maintained only while an
     /// observer arms [`Interest::RESUME_BLAME`]. Together with
@@ -258,6 +320,8 @@ impl Kernel {
         let pit = Pit::from_hz(config.pit_hz, config.cpu_hz);
         let seed = config.seed;
         let dpc_discipline = config.dpc_discipline;
+        let mut routes: [Routes; Interest::KINDS] = Default::default();
+        routes[Interest::ISR_ENTER.index()].add_object(); // The PIT vector.
         Kernel {
             config,
             now: Instant::ZERO,
@@ -281,10 +345,10 @@ impl Kernel {
             frames: Vec::new(),
             pending_sections: VecDeque::new(),
             env: Vec::new(),
-            by_kind: std::array::from_fn(|_| Vec::new()),
+            routes,
             flight: None,
             interest_union: Interest::NONE,
-            blame_all_threads: false,
+            blame_marks: Vec::new(),
             resched: false,
             current_label: Label::IDLE,
             account: CycleAccount::default(),
@@ -360,6 +424,7 @@ impl Kernel {
             program: Some(program),
             run_count: 0,
         });
+        self.routes[Interest::DPC_START.index()].add_object();
         id
     }
 
@@ -371,7 +436,9 @@ impl Kernel {
         program: Box<dyn Program>,
     ) -> ThreadId {
         let id = ThreadId(self.threads.push(name, priority, program));
-        self.threads[id.0].blame_watched = self.blame_all_threads;
+        self.routes[Interest::THREAD_RESUME.index()].add_object();
+        self.routes[Interest::RESUME_BLAME.index()].add_object();
+        self.blame_marks.push(None);
         self.ready.push_back(id, priority);
         self.resched = true;
         id
@@ -382,6 +449,7 @@ impl Kernel {
         let id = self.ic.install(name, irql);
         debug_assert_eq!(id.0, self.isr_bodies.len());
         self.isr_bodies.push(IsrBody::User { program: Some(isr) });
+        self.routes[Interest::ISR_ENTER.index()].add_object();
         id
     }
 
@@ -415,53 +483,31 @@ impl Kernel {
 
     /// Registers an observer. Keep a clone of the handle to read results.
     ///
-    /// The observer's [`Interest`] mask is sniffed here, once; it must not
-    /// change afterwards. Event kinds outside the mask are never delivered
-    /// to it, and kinds outside the union of all masks are skipped before
-    /// the event value is even built. A [`FlightRecorder`] is recognised
-    /// here and fed directly by the emit sites instead of through the
-    /// observer lists. For an observer arming [`Interest::RESUME_BLAME`],
-    /// [`Observer::resume_blame_threads`] is read here too.
+    /// The observer's [`crate::observer::Subscription`] is read here, once;
+    /// it must not change afterwards. An event reaches the observer only
+    /// if the subscription names its kind and its object (vector, DPC or
+    /// thread), and kinds outside the union of all subscriptions are
+    /// skipped before the event value is even built. A [`FlightRecorder`]
+    /// is recognised here and fed directly by the emit sites instead of
+    /// through the routes.
     ///
     /// # Panics
     ///
-    /// If a flight recorder is already attached, or if
-    /// `resume_blame_threads` lists an id that names no thread.
+    /// If a flight recorder is already attached, or if the subscription
+    /// lists an id that names no existing object of its kind.
     pub fn add_observer<T: Observer + 'static>(&mut self, obs: ObserverHandle<T>) {
-        let interest = obs.borrow().interest();
-        self.interest_union |= interest;
+        let subscription = obs.borrow().subscription();
+        self.interest_union |= subscription.interest();
         let any: Rc<dyn Any> = obs.clone();
         if let Ok(rec) = any.downcast::<RefCell<FlightRecorder>>() {
             assert!(self.flight.is_none(), "one flight recorder per kernel");
             self.flight = Some(rec);
             return;
         }
-        if interest.contains(Interest::RESUME_BLAME) {
-            match obs.borrow().resume_blame_threads() {
-                None => {
-                    self.blame_all_threads = true;
-                    for i in 0..self.threads.len() {
-                        self.threads[i].blame_watched = true;
-                    }
-                }
-                Some(watched) => {
-                    for t in watched {
-                        assert!(
-                            t.0 < self.threads.len(),
-                            "resume_blame_threads names thread {} but the kernel has {} threads",
-                            t.0,
-                            self.threads.len()
-                        );
-                        self.threads[t.0].blame_watched = true;
-                    }
-                }
-            }
-        }
-        let obs: Rc<RefCell<dyn Observer>> = obs;
-        for i in 0..Interest::KINDS {
-            if interest.contains(Interest::kind_at(i)) {
-                self.by_kind[i].push(obs.clone());
-            }
+        let obs: ObserverRc = obs;
+        let names = ["vector", "dpc", "thread", "thread"];
+        for (i, objects) in subscription.into_kinds().into_iter().enumerate() {
+            self.routes[i].subscribe(&obs, objects, names[i]);
         }
     }
 
@@ -666,19 +712,29 @@ impl Kernel {
         }
     }
 
+    /// The per-priority ledger's program cycles above `priority` and at or
+    /// below it.
+    fn blame_split(&self, priority: u8) -> (u64, u64) {
+        let (low, high) = self.blame_prio_cycles.split_at(usize::from(priority) + 1);
+        (high.iter().sum(), low.iter().sum())
+    }
+
     /// Builds the exact blame decomposition for a resume window from the
     /// ledger deltas since `mark` (taken when the thread was readied).
     fn build_resume_blame(&self, t: ThreadId, readied: Instant, mark: &BlameMark) -> ResumeBlame {
         let a = &self.account;
         let m = &mark.account;
         let priority = self.threads.priority[t.0];
+        debug_assert_eq!(
+            priority, mark.priority,
+            "a readied thread's priority moved before its resume"
+        );
         // Priorities above the resumed thread's preempted it; the rest ran
-        // as peers. Each ledger entry only grows, so the difference of the
-        // two integer sums is the sum of the per-priority deltas.
-        let split = usize::from(priority) + 1;
-        let sum = |p: &[u64]| p.iter().sum::<u64>();
-        let preempt = sum(&self.blame_prio_cycles[split..]) - sum(&mark.prio[split..]);
-        let quantum = sum(&self.blame_prio_cycles[..split]) - sum(&mark.prio[..split]);
+        // as peers. Each ledger entry only grows, so the difference of two
+        // integer sums is the sum of the per-priority deltas.
+        let (above, at_or_below) = self.blame_split(priority);
+        let preempt = above - mark.above;
+        let quantum = at_or_below - mark.at_or_below;
         ResumeBlame {
             thread: t,
             priority,
@@ -1116,7 +1172,7 @@ impl Kernel {
                         interrupted_label: interrupted,
                     };
                     self.record(FlightEvent::Isr(e));
-                    self.notify(Interest::ISR_ENTER, |o, k| o.on_isr_enter(k), &e);
+                    self.notify(Interest::ISR_ENTER, vector.0, |o, k| o.on_isr_enter(k), &e);
                 }
                 if is_pit {
                     // The clock ISR body: fixed cost plus per-due-timer work.
@@ -1235,7 +1291,7 @@ impl Kernel {
                         started: self.now,
                     };
                     self.record(FlightEvent::Dpc(e));
-                    self.notify(Interest::DPC_START, |o, k| o.on_dpc_start(k), &e);
+                    self.notify(Interest::DPC_START, dpc.0, |o, k| o.on_dpc_start(k), &e);
                 }
                 self.dpcs[dpc.0].run_count += 1;
                 {
@@ -1422,12 +1478,16 @@ impl Kernel {
                                 started: self.now,
                             };
                             self.record(FlightEvent::Resume(e));
-                            self.notify(Interest::THREAD_RESUME, |o, k| o.on_thread_resume(k), &e);
+                            self.notify(
+                                Interest::THREAD_RESUME,
+                                i,
+                                |o, k| o.on_thread_resume(k),
+                                &e,
+                            );
                         }
                         // Only watched threads carry a mark.
-                        let mark = self.threads[i].blame_mark.take();
                         if self.wants(Interest::RESUME_BLAME) {
-                            if let Some(mark) = mark {
+                            if let Some(mark) = self.blame_marks[i].take() {
                                 let e = self.build_resume_blame(t, readied, &mark);
                                 debug_assert_eq!(
                                     e.breakdown.total(),
@@ -1436,6 +1496,7 @@ impl Kernel {
                                 );
                                 self.notify(
                                     Interest::RESUME_BLAME,
+                                    i,
                                     |o, k| o.on_resume_blame(k),
                                     &e,
                                 );
@@ -1673,18 +1734,6 @@ impl Kernel {
             tcb.readied_at = Some(now);
             tcb.waits_satisfied += 1;
         }
-        // Blame armed on a watched thread: snapshot the cycle ledgers at
-        // ready time. The resume emit takes the deltas, which sum
-        // bit-exactly to the window because every elapsed cycle lands in
-        // exactly one ledger bucket (DESIGN.md §15). Plain copies — no
-        // allocation.
-        if self.wants(Interest::RESUME_BLAME) && self.threads[i].blame_watched {
-            self.threads[i].blame_mark = Some(BlameMark {
-                account: self.account,
-                overhead: self.blame_overhead_cycles,
-                prio: self.blame_prio_cycles,
-            });
-        }
         // NT dispatcher: dynamic-band threads get a wakeup boost; the
         // real-time band never does.
         let base = self.threads[i].base_priority;
@@ -1692,6 +1741,23 @@ impl Kernel {
             self.threads.priority[i] = (base + boost).min(15).max(self.threads.priority[i]);
         }
         let priority = self.threads.priority[i];
+        // Blame armed on a watched thread: snapshot the cycle ledgers at
+        // ready time, split at the boosted priority the resume will carry.
+        // The resume emit takes the deltas, which sum bit-exactly to the
+        // window because every elapsed cycle lands in exactly one ledger
+        // bucket (DESIGN.md §15). Plain copies — no allocation.
+        if self.wants(Interest::RESUME_BLAME)
+            && !self.routes[Interest::RESUME_BLAME.index()].by_object[i].is_empty()
+        {
+            let (above, at_or_below) = self.blame_split(priority);
+            self.blame_marks[i] = Some(BlameMark {
+                account: self.account,
+                overhead: self.blame_overhead_cycles,
+                above,
+                at_or_below,
+                priority,
+            });
+        }
         self.ready.push_back(t, priority);
         let current_priority = self.current_thread.map(|c| self.threads.priority[c.0]);
         if current_priority.is_none() || Some(priority) > current_priority {
@@ -1820,28 +1886,36 @@ impl Kernel {
         self.interest_union.contains(kind)
     }
 
-    /// Pushes `e` into the flight recorder, if one is attached.
-    #[inline]
+    /// Pushes `e` into the flight recorder, if one is attached. Inlined
+    /// with the ring's push, so each emit site packs its own variant behind
+    /// the one recorder branch.
+    #[inline(always)]
     fn record(&self, e: FlightEvent) {
         if let Some(f) = &self.flight {
             f.borrow_mut().push(e);
         }
     }
 
-    /// Invokes `f` on every observer interested in `kind`, walking the
-    /// kind's dense list (built at [`Kernel::add_observer`]) in place, so
-    /// there is no per-observer mask branch. Callers gate on
-    /// [`Kernel::wants`] first; `notify_takes` counts every walk of a
-    /// non-empty list so `tests/observer_interest.rs` can assert
-    /// uninterested kinds never reach one.
+    /// Invokes `f` on every observer subscribed to `object` for `kind`, in
+    /// registration order, walking the object's route (built at
+    /// [`Kernel::add_observer`] and at object creation) in place. Callers
+    /// gate on [`Kernel::wants`] first; `notify_takes` counts every walk
+    /// of a non-empty route so `tests/observer_interest.rs` can assert it
+    /// equals the routed deliveries.
     #[inline]
-    fn notify<E, F: Fn(&mut dyn Observer, &E)>(&mut self, kind: Interest, f: F, e: &E) {
-        let list = &self.by_kind[kind.index()];
-        if list.is_empty() {
+    fn notify<E, F: Fn(&mut dyn Observer, &E)>(
+        &mut self,
+        kind: Interest,
+        object: usize,
+        f: F,
+        e: &E,
+    ) {
+        let route = &self.routes[kind.index()].by_object[object];
+        if route.is_empty() {
             return;
         }
         self.notify_takes += 1;
-        for o in list {
+        for o in route {
             f(&mut *o.borrow_mut(), e);
         }
     }

@@ -97,7 +97,8 @@ pub mod prelude {
         labels::{Label, SymbolTable},
         metrics::{MetricValue, MetricsSnapshot},
         observer::{
-            BlameBreakdown, DpcStart, Interest, IsrEnter, Observer, ResumeBlame, ThreadResume,
+            BlameBreakdown, DpcStart, Interest, IsrEnter, Objects, Observer, ResumeBlame,
+            Subscription, ThreadResume,
         },
         step::{Blackboard, FnProgram, LoopSeq, OpSeq, Program, Step, StepCtx},
         thread::{ThreadState, RT_DEFAULT_PRIORITY, RT_HIGH_PRIORITY},

@@ -14,6 +14,11 @@
 //! hands `&e` to the observers, so a trace holds exactly what the hooks
 //! saw. The kinds only the ring records (context switches, calendar pops,
 //! quantum expiries) have no hook.
+//!
+//! An observer pays only for the objects it reads: its [`Subscription`]
+//! names, per hooked kind, the vectors, DPCs or threads whose events it
+//! consumes, and the kernel hands each event only to the observers
+//! subscribed to its object.
 
 use crate::{
     ids::{DpcId, ThreadId, VectorId},
@@ -117,13 +122,14 @@ pub struct ResumeBlame {
     pub breakdown: BlameBreakdown,
 }
 
-/// Bitmask of event kinds an [`Observer`] consumes — one bit per hook.
+/// Bitmask of hooked event kinds — one bit per hook.
 ///
-/// The kernel folds every registered observer's mask into a union at
+/// An observer's kinds are those its [`Subscription`] names objects for
+/// ([`Subscription::interest`]). The kernel folds every registered
+/// observer's kinds into a union at
 /// [`crate::kernel::Kernel::add_observer`] time. An event kind with no
-/// interested observer costs one branch in the hot loop: no event struct is
-/// built and no observer list is walked. Within a delivery, only observers
-/// whose mask contains the kind are called.
+/// subscribed observer costs one branch in the hot loop: no event struct
+/// is built and no route is looked up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interest(u8);
 
@@ -140,7 +146,7 @@ impl Interest {
     /// kernel's per-priority thread-cycle ledger (the only event kind with
     /// a recording side; still one branch per charge site when off).
     pub const RESUME_BLAME: Interest = Interest(1 << 3);
-    /// Every event kind (the default for observers that do not narrow).
+    /// Every event kind.
     pub const ALL: Interest = Interest(0b1111);
 
     /// The number of distinct event kinds (bits in [`Interest::ALL`]).
@@ -157,17 +163,11 @@ impl Interest {
     }
 
     /// The kind index of a single-kind mask (its bit position) — the key
-    /// into the kernel's per-kind observer lists. Only meaningful for the
+    /// into the kernel's per-kind route tables. Only meaningful for the
     /// single-bit constants above.
     pub const fn index(self) -> usize {
         debug_assert!(self.0.count_ones() == 1, "index() needs a single kind");
         self.0.trailing_zeros() as usize
-    }
-
-    /// The single-kind mask at `i` — the inverse of [`Interest::index`].
-    pub const fn kind_at(i: usize) -> Interest {
-        debug_assert!(i < Interest::KINDS);
-        Interest(1 << i)
     }
 }
 
@@ -193,47 +193,113 @@ impl core::ops::BitAnd for Interest {
     }
 }
 
+/// The objects of one hooked kind whose events an observer reads: the
+/// vectors of ISR entries, the DPCs of DPC starts, the threads of
+/// resumes and resume blames.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Objects<Id> {
+    /// No object: the observer does not consume the kind.
+    None,
+    /// Every object, including objects created after the observer
+    /// attaches.
+    All,
+    /// Exactly these objects. Each must exist when the observer attaches.
+    Only(Vec<Id>),
+}
+
+/// What an observer consumes: per hooked kind, the objects whose events
+/// it reads. Read once, at [`crate::kernel::Kernel::add_observer`] time.
+///
+/// The kernel hands each event only to the observers subscribed to its
+/// object, in registration order, so an observer never pays for an
+/// object it does not read (DESIGN.md §10).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Subscription {
+    /// Vectors whose ISR entries reach [`Observer::on_isr_enter`].
+    pub isr_enter: Objects<VectorId>,
+    /// DPCs whose starts reach [`Observer::on_dpc_start`].
+    pub dpc_start: Objects<DpcId>,
+    /// Threads whose resumes reach [`Observer::on_thread_resume`].
+    pub thread_resume: Objects<ThreadId>,
+    /// Threads whose resumes are decomposed and reach
+    /// [`Observer::on_resume_blame`]. Any object here arms the kernel's
+    /// blame ledgers; only these threads get a ledger mark at ready time.
+    pub resume_blame: Objects<ThreadId>,
+}
+
+impl Subscription {
+    /// No kind, no object.
+    pub const NONE: Subscription = Subscription {
+        isr_enter: Objects::None,
+        dpc_start: Objects::None,
+        thread_resume: Objects::None,
+        resume_blame: Objects::None,
+    };
+
+    /// Every kind, every object, present and future: the trait default.
+    pub const ALL: Subscription = Subscription {
+        isr_enter: Objects::All,
+        dpc_start: Objects::All,
+        thread_resume: Objects::All,
+        resume_blame: Objects::All,
+    };
+
+    /// The kinds this subscription names objects for — a kind declared
+    /// with an empty [`Objects::Only`] list counts.
+    pub fn interest(&self) -> Interest {
+        let bit = |named: bool, kind: Interest| if named { kind } else { Interest::NONE };
+        bit(self.isr_enter != Objects::None, Interest::ISR_ENTER)
+            | bit(self.dpc_start != Objects::None, Interest::DPC_START)
+            | bit(self.thread_resume != Objects::None, Interest::THREAD_RESUME)
+            | bit(self.resume_blame != Objects::None, Interest::RESUME_BLAME)
+    }
+
+    /// The objects per kind as raw ids, indexed by [`Interest::index`].
+    pub(crate) fn into_kinds(self) -> [Objects<usize>; Interest::KINDS] {
+        fn raw<Id>(o: Objects<Id>, id: impl Fn(Id) -> usize) -> Objects<usize> {
+            match o {
+                Objects::None => Objects::None,
+                Objects::All => Objects::All,
+                Objects::Only(ids) => Objects::Only(ids.into_iter().map(id).collect()),
+            }
+        }
+        [
+            raw(self.isr_enter, |v| v.0),
+            raw(self.dpc_start, |d| d.0),
+            raw(self.thread_resume, |t| t.0),
+            raw(self.resume_blame, |t| t.0),
+        ]
+    }
+}
+
 /// Receives kernel instrumentation events.
 ///
 /// All methods default to no-ops so observers implement only what they need.
 pub trait Observer {
-    /// Which event kinds this observer consumes. Sniffed once, at
-    /// [`crate::kernel::Kernel::add_observer`] time.
+    /// Which kinds this observer consumes and, per kind, the objects it
+    /// reads. Read once, at [`crate::kernel::Kernel::add_observer`] time.
     ///
-    /// Defaults to [`Interest::ALL`] so hand-written observers keep seeing
-    /// everything. Override with the exact set of implemented hooks to keep
-    /// the other kinds off the hot path; the kernel will never call a hook
-    /// outside the declared mask.
-    fn interest(&self) -> Interest {
-        Interest::ALL
+    /// Defaults to [`Subscription::ALL`] so hand-written observers keep
+    /// seeing everything. Override with the exact kinds and objects the
+    /// hooks read: the kernel never calls a hook for a kind or an object
+    /// outside the subscription.
+    fn subscription(&self) -> Subscription {
+        Subscription::ALL
     }
 
-    /// An ISR entered. Fires for every vector, including the PIT.
+    /// An ISR entered, on a vector the subscription names.
     fn on_isr_enter(&mut self, _e: &IsrEnter) {}
 
-    /// A DPC started executing.
+    /// A DPC the subscription names started executing.
     fn on_dpc_start(&mut self, _e: &DpcStart) {}
 
-    /// A woken thread ran its first instruction: a signaled wait or an
-    /// expired sleep (see [`ThreadResume`]).
+    /// A woken thread the subscription names ran its first instruction: a
+    /// signaled wait or an expired sleep (see [`ThreadResume`]).
     fn on_thread_resume(&mut self, _e: &ThreadResume) {}
 
-    /// A thread resumed, with the exact blame decomposition of its wait.
-    /// Only fires for observers that arm [`Interest::RESUME_BLAME`].
+    /// A thread the subscription names for [`Subscription::resume_blame`]
+    /// resumed, with the exact blame decomposition of its wait.
     fn on_resume_blame(&mut self, _e: &ResumeBlame) {}
-
-    /// The threads whose resumes this observer wants decomposed, read once
-    /// at [`crate::kernel::Kernel::add_observer`] time and only when the
-    /// mask arms [`Interest::RESUME_BLAME`]. `None` (the default) means
-    /// every thread, including threads created later. The kernel snapshots
-    /// the blame ledgers at ready time and delivers
-    /// [`Observer::on_resume_blame`] only for the union of the registered
-    /// sets; the ledgers themselves charge every cycle either way, so a
-    /// watched window decomposes bit-identically. Every listed id must
-    /// name an existing thread.
-    fn resume_blame_threads(&self) -> Option<Vec<ThreadId>> {
-        None
-    }
 }
 
 #[cfg(test)]
@@ -289,8 +355,27 @@ mod tests {
 
     #[test]
     fn default_interest_is_all() {
-        assert_eq!(Nop.interest(), Interest::ALL);
-        assert_eq!(Nop.resume_blame_threads(), None, "default: every thread");
+        assert_eq!(Nop.subscription(), Subscription::ALL);
+        assert_eq!(Nop.subscription().interest(), Interest::ALL);
+        assert!(Subscription::NONE.interest().is_empty());
+        let pit_only = Subscription {
+            isr_enter: Objects::Only(vec![VectorId(0)]),
+            resume_blame: Objects::Only(Vec::new()),
+            ..Subscription::NONE
+        };
+        assert_eq!(
+            pit_only.interest(),
+            Interest::ISR_ENTER | Interest::RESUME_BLAME
+        );
+        assert_eq!(
+            pit_only.into_kinds(),
+            [
+                Objects::Only(vec![0]),
+                Objects::None,
+                Objects::None,
+                Objects::Only(Vec::new()),
+            ]
+        );
     }
 
     #[test]
@@ -321,10 +406,24 @@ mod tests {
             Interest::RESUME_BLAME,
         ];
         assert_eq!(kinds.len(), Interest::KINDS);
+        // `Subscription::into_kinds` orders the kinds by the index the
+        // kernel keys its route tables with.
+        let every = |i| {
+            let mut s = Subscription::NONE;
+            match i {
+                0 => s.isr_enter = Objects::All,
+                1 => s.dpc_start = Objects::All,
+                2 => s.thread_resume = Objects::All,
+                _ => s.resume_blame = Objects::All,
+            }
+            s
+        };
         for (i, k) in kinds.into_iter().enumerate() {
             assert_eq!(k.index(), i);
-            assert_eq!(Interest::kind_at(i), k);
             assert!(Interest::ALL.contains(k));
+            assert_eq!(every(i).interest(), k);
+            let routed = every(i).into_kinds().map(|o| o == Objects::All);
+            assert_eq!(routed, std::array::from_fn(|j| j == i));
         }
     }
 }

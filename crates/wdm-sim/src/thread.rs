@@ -58,13 +58,6 @@ pub struct Tcb {
     pub dispatch_count: u64,
     /// Number of waits satisfied.
     pub waits_satisfied: u64,
-    /// Blame-ledger snapshot taken when the thread was last readied, set
-    /// only while an observer arms `Interest::RESUME_BLAME` (inline copy,
-    /// no allocation).
-    pub(crate) blame_mark: Option<crate::kernel::BlameMark>,
-    /// Whether an observer arming `Interest::RESUME_BLAME` watches this
-    /// thread; only watched threads get a `blame_mark`.
-    pub(crate) blame_watched: bool,
 }
 
 impl Tcb {
@@ -81,8 +74,6 @@ impl Tcb {
             saved_exec: None,
             dispatch_count: 0,
             waits_satisfied: 0,
-            blame_mark: None,
-            blame_watched: false,
         }
     }
 }

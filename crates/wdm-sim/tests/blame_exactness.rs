@@ -23,8 +23,11 @@ struct BlameLog {
 }
 
 impl Observer for BlameLog {
-    fn interest(&self) -> Interest {
-        Interest::RESUME_BLAME
+    fn subscription(&self) -> Subscription {
+        Subscription {
+            resume_blame: Objects::All,
+            ..Subscription::NONE
+        }
     }
     fn on_resume_blame(&mut self, e: &ResumeBlame) {
         self.events.push(*e);
@@ -38,11 +41,11 @@ struct WatchLog {
 }
 
 impl Observer for WatchLog {
-    fn interest(&self) -> Interest {
-        Interest::RESUME_BLAME
-    }
-    fn resume_blame_threads(&self) -> Option<Vec<ThreadId>> {
-        Some(self.watched.clone())
+    fn subscription(&self) -> Subscription {
+        Subscription {
+            resume_blame: Objects::Only(self.watched.clone()),
+            ..Subscription::NONE
+        }
     }
     fn on_resume_blame(&mut self, e: &ResumeBlame) {
         self.events.push(*e);
@@ -374,7 +377,7 @@ fn watched_threads_decompose_like_the_all_threads_ledger() {
 }
 
 #[test]
-#[should_panic(expected = "resume_blame_threads names thread 9 but the kernel has 4 threads")]
+#[should_panic(expected = "subscription names thread 9 but the kernel has 4 threads")]
 fn watching_a_missing_thread_panics_at_attach() {
     let sc = QUIET;
     let mut k = build(sc, None, 0);
