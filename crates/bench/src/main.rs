@@ -4,12 +4,16 @@
 //!
 //! ```text
 //! repro <artifact> [--minutes N | --full] [--seed S] [--threads T]
-//!                  [--shards K] [--out DIR]
+//!                  [--shards K] [--out DIR] [--trace]
+//!                  [--blame-mode topk|threshold|blockmax]
+//!                  [--blame-threshold-ms T] [--blame-top K]
+//!                  [--flame-hz HZ] [--quiet | --verbose]
 //!
 //! artifacts:
 //!   table1 table2 table3 table4 figure4 figure5 figure6 figure7
 //!   throughput validate-mttf sched feasibility win2000 microbench
-//!   interactive stability ablations digest all
+//!   interactive stability ablations digest trace metrics
+//!   blame flame all
 //! ```
 //!
 //! `--full` collects for the paper's §3.1 durations (4–12.5 simulated hours
@@ -20,7 +24,11 @@
 //! cell's window into up to K independent whole-minute simulations so the
 //! fan-out has 8 x K jobs to balance (DESIGN.md §9); a given K is
 //! byte-identical at every thread count, and `--shards 1` (the default) is
-//! bit-identical to the unsharded harness.
+//! bit-identical to the unsharded harness. `--trace` attaches a flight
+//! recorder to every cell, the `--blame-*` flags and `--flame-hz` tune the
+//! forensics of `blame` and `flame` (DESIGN.md §15), and `--quiet` /
+//! `--verbose` set how much progress reaches stderr; none of them changes a
+//! measured value.
 
 use wdm_bench::{
     cells::{measure_all, summary_digest, Duration, RunConfig},

@@ -97,6 +97,10 @@ impl Episode {
     }
 }
 
+/// Maximum episodes a [`CauseTool`] keeps (post-mortem analysis is manual
+/// in the paper; keep a bounded set).
+const MAX_EPISODES: usize = 64;
+
 /// The cause tool: IDT hook + threshold-triggered episode capture.
 pub struct CauseTool {
     pit_vector: VectorId,
@@ -109,9 +113,6 @@ pub struct CauseTool {
     capacity: usize,
     /// Captured episodes.
     pub episodes: Vec<Episode>,
-    /// Maximum episodes to keep (post-mortem analysis is manual in the
-    /// paper; keep a bounded set).
-    pub max_episodes: usize,
 }
 
 impl CauseTool {
@@ -132,7 +133,6 @@ impl CauseTool {
             buffer: VecDeque::with_capacity(capacity),
             capacity,
             episodes: Vec::new(),
-            max_episodes: 64,
         }
     }
 
@@ -170,7 +170,7 @@ impl Observer for CauseTool {
             "routed the watched thread only"
         );
         let latency_ms = (e.started - e.readied).as_ms_at(self.cpu_hz);
-        if latency_ms < self.threshold_ms || self.episodes.len() >= self.max_episodes {
+        if latency_ms < self.threshold_ms || self.episodes.len() >= MAX_EPISODES {
             return;
         }
         // Dump the buffer: samples within the latency window, padded by one

@@ -20,33 +20,25 @@
 //! of the three shared kinds so the kernel's one interest gate covers
 //! their sites.
 //!
-//! Each retained event is one 16-byte slot: its timestamp plus a packed
-//! word (layout below). An event with a field the word cannot hold is kept
-//! whole in an overflow map keyed by its arrival ordinal, pruned when its
-//! slot leaves the ring, so every event round-trips exactly (DESIGN.md
-//! §15).
-//!
-//! The ring is reserved whole at construction but touched only up to twice
-//! the most events it has held at once. A reader that knows no later query
-//! can reach an event may drop it early with
-//! [`FlightRecorder::release_before`], as the blame recorder does after
-//! each watched resume: the ring is time-ordered, so a binary search finds
-//! the cut and the oldest slot advances past it in one step. A recorder
-//! whose whole ring is exported ([`FlightRecorder::exported`]) ignores
-//! releases. Releases and capacity evictions both take the oldest events,
-//! so the retained events are always a suffix of what a ring that never
-//! releases would hold.
+//! The ring holds the [`FlightEvent`] values themselves, so every event
+//! round-trips exactly (DESIGN.md §15). It is reserved whole at
+//! construction but touched only up to twice the most events it has held
+//! at once. A reader that knows no later query can reach an event may drop
+//! it early with [`FlightRecorder::release_before`], as the blame recorder
+//! does after each watched resume: the ring is time-ordered, so a binary
+//! search finds the cut and the oldest event advances past it in one step.
+//! A recorder whose whole ring is exported ([`FlightRecorder::exported`])
+//! ignores releases. Releases and capacity evictions both take the oldest
+//! events, so the retained events are always a suffix of what a ring that
+//! never releases would hold.
 //!
 //! Determinism contract: the recorder is strictly read-only. It draws no
 //! randomness and mutates no kernel state. With no recorder attached each
 //! potential event costs exactly one branch in the kernel hot loop.
 
-use std::collections::BTreeMap;
-
 use crate::{
     ids::{DpcId, ThreadId, VectorId},
     kernel::Kernel,
-    labels::Label,
     observer::{DpcStart, IsrEnter, Objects, Observer, Subscription, ThreadResume},
     time::Instant,
 };
@@ -130,150 +122,14 @@ const TID_THREAD_BASE: u64 = 1;
 const TID_VECTOR_BASE: u64 = 1000;
 const TID_DPC_BASE: u64 = 2000;
 
-// Slot word layout, least significant bit first:
-//   kind (3) | flag (1) | byte (8) | index (20) | span (32)
-// The byte is an ISR's vector, a priority or a pop kind; the index is an
-// ISR's interrupted label or the thread, DPC or popped object. The span is
-// `at - start` for ISR/DPC/resume events and `from + 1` (0 = idle) for
-// switches; the flag is a quantum expiry's `descheduled`.
-const KIND_MASK: u64 = 0b111;
-const FLAG_BIT: u64 = 1 << 3;
-const BYTE_SHIFT: u32 = 4;
-const INDEX_SHIFT: u32 = 12;
-/// Indices at or above this limit escape to the overflow map.
-const INDEX_LIMIT: usize = 1 << 20;
-const SPAN_SHIFT: u32 = 32;
-
-const KIND_ISR: u64 = 0;
-const KIND_DPC: u64 = 1;
-const KIND_RESUME: u64 = 2;
-const KIND_SWITCH: u64 = 3;
-const KIND_POP: u64 = 4;
-const KIND_QUANTUM: u64 = 5;
-/// The event lives whole in the overflow map under the slot's ordinal.
-const KIND_ESCAPED: u64 = 7;
-
-/// Pop kinds by their packed code (`CalendarPopKind as u8`).
-const POP_KINDS: [CalendarPopKind; 4] = [
-    CalendarPopKind::Tick,
-    CalendarPopKind::Env,
-    CalendarPopKind::Timer,
-    CalendarPopKind::Wait,
-];
-
-/// One ring slot: the event's timestamp and its packed description.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    at: u64,
-    word: u64,
-}
-
-impl Slot {
-    /// Packs `e`, or `None` when one of its fields does not fit the word.
-    /// Inlined into [`FlightRecorder::push`] and from there into each
-    /// kernel emit site, where the variant is known, so a site packs only
-    /// its own variant.
-    #[inline(always)]
-    fn pack(e: &FlightEvent) -> Option<Slot> {
-        let word = |kind: u64, flag: bool, byte: u8, index: usize, span: u64| {
-            let flag = if flag { FLAG_BIT } else { 0 };
-            (index < INDEX_LIMIT && span <= u64::from(u32::MAX)).then_some(
-                kind | flag
-                    | u64::from(byte) << BYTE_SHIFT
-                    | (index as u64) << INDEX_SHIFT
-                    | span << SPAN_SHIFT,
-            )
-        };
-        let at = e.at().0;
-        let span = |start: Instant| at.checked_sub(start.0);
-        let word = match *e {
-            FlightEvent::Isr(e) => {
-                let vector = u8::try_from(e.vector.0).ok()?;
-                let label = e.interrupted_label.0 as usize;
-                word(KIND_ISR, false, vector, label, span(e.asserted)?)
-            }
-            FlightEvent::Dpc(e) => word(KIND_DPC, false, 0, e.dpc.0, span(e.queued)?),
-            FlightEvent::Resume(e) => {
-                word(KIND_RESUME, false, e.priority, e.thread.0, span(e.readied)?)
-            }
-            FlightEvent::Switch { from, to, .. } => {
-                let from = match from {
-                    None => 0,
-                    Some(f) => u64::try_from(f.0).ok()?.checked_add(1)?,
-                };
-                word(KIND_SWITCH, false, 0, to.0, from)
-            }
-            FlightEvent::Pop { kind, index, .. } => {
-                word(KIND_POP, false, kind as u8, usize::try_from(index).ok()?, 0)
-            }
-            FlightEvent::Quantum {
-                thread,
-                priority,
-                descheduled,
-                ..
-            } => word(KIND_QUANTUM, descheduled, priority, thread.0, 0),
-        }?;
-        Some(Slot { at, word })
-    }
-
-    fn escaped(self) -> bool {
-        self.word & KIND_MASK == KIND_ESCAPED
-    }
-
-    /// The event a non-escaped slot packs.
-    fn unpack(self) -> FlightEvent {
-        let w = self.word;
-        let at = Instant(self.at);
-        let byte = (w >> BYTE_SHIFT) as u8;
-        let index = (w >> INDEX_SHIFT) as usize & (INDEX_LIMIT - 1);
-        let span = w >> SPAN_SHIFT;
-        let start = Instant(self.at - span);
-        match w & KIND_MASK {
-            KIND_ISR => FlightEvent::Isr(IsrEnter {
-                vector: VectorId(usize::from(byte)),
-                asserted: start,
-                started: at,
-                interrupted_label: Label(index as u32),
-            }),
-            KIND_DPC => FlightEvent::Dpc(DpcStart {
-                dpc: DpcId(index),
-                queued: start,
-                started: at,
-            }),
-            KIND_RESUME => FlightEvent::Resume(ThreadResume {
-                thread: ThreadId(index),
-                priority: byte,
-                readied: start,
-                started: at,
-            }),
-            KIND_SWITCH => FlightEvent::Switch {
-                from: span.checked_sub(1).map(|f| ThreadId(f as usize)),
-                to: ThreadId(index),
-                at,
-            },
-            KIND_POP => FlightEvent::Pop {
-                kind: POP_KINDS[usize::from(byte)],
-                index: index as u32,
-                at,
-            },
-            KIND_QUANTUM => FlightEvent::Quantum {
-                thread: ThreadId(index),
-                priority: byte,
-                descheduled: w & FLAG_BIT != 0,
-                at,
-            },
-            _ => unreachable!("escaped slots decode through the overflow map"),
-        }
-    }
-}
-
 /// A bounded ring of recent kernel events with Chrome trace export.
 #[derive(Debug)]
+#[cfg_attr(test, derive(Clone, PartialEq))]
 pub struct FlightRecorder {
     /// The ring runs over the prefix `slots[..room]`, oldest event at
     /// `head`. Reserved whole up front, so pushes never reallocate; only
     /// the first `slots.len()` slots were ever written.
-    slots: Vec<Slot>,
+    slots: Vec<FlightEvent>,
     /// Slots the ring runs over: doubles, after an in-place rotation puts
     /// the oldest event at index 0, whenever the ring fills below
     /// `capacity`.
@@ -286,9 +142,6 @@ pub struct FlightRecorder {
     exported: bool,
     /// High-water mark of `len`.
     peak: usize,
-    /// Events too wide for a slot word, by arrival ordinal; an entry lives
-    /// exactly as long as its escaped slot.
-    overflow: BTreeMap<u64, FlightEvent>,
     /// Total events observed, evicted and released ones included.
     pub total: u64,
     /// Events evicted to honor the capacity bound.
@@ -311,7 +164,6 @@ impl FlightRecorder {
             capacity,
             exported: false,
             peak: 0,
-            overflow: BTreeMap::new(),
             total: 0,
             dropped: 0,
             released: 0,
@@ -328,26 +180,15 @@ impl FlightRecorder {
     }
 
     /// Appends one event, evicting the oldest at capacity. Called by the
-    /// kernel's emit sites only, behind their recorder branch, and inlined
-    /// there, so each site packs its own variant in line. The ring write
-    /// stays one out-of-line call: inlined too, it grew every emit site
-    /// and slowed runs with no recorder attached.
-    #[inline(always)]
-    pub(crate) fn push(&mut self, e: FlightEvent) {
-        let slot = match Slot::pack(&e) {
-            Some(slot) => slot,
-            None => self.escape(e),
-        };
-        self.push_slot(slot);
-    }
-
-    /// Writes the next arrival's slot, making room first when full.
+    /// kernel's emit sites only, behind their recorder branch. Kept out of
+    /// line: inlined, it grew every emit site and slowed runs with no
+    /// recorder attached.
     #[inline(never)]
-    fn push_slot(&mut self, slot: Slot) {
+    pub(crate) fn push(&mut self, e: FlightEvent) {
         // The kernel stamps every event with its `now`, so arrival order is
         // time order; `events_in` and `release_before` rely on it.
         debug_assert!(
-            self.newest().is_none_or(|b| b.at <= slot.at),
+            self.newest().is_none_or(|t| t <= e.at()),
             "flight ring must stay time-ordered"
         );
         if self.len == self.room {
@@ -357,25 +198,13 @@ impl FlightRecorder {
         // most its length.
         let i = self.wrap(self.head + self.len);
         if i < self.slots.len() {
-            self.slots[i] = slot;
+            self.slots[i] = e;
         } else {
-            self.slots.push(slot);
+            self.slots.push(e);
         }
         self.len += 1;
         self.peak = self.peak.max(self.len);
         self.total += 1;
-    }
-
-    /// Keeps `e`, the next arrival, whole in the overflow map under its
-    /// ordinal and returns its escaped slot.
-    #[cold]
-    #[inline(never)]
-    fn escape(&mut self, e: FlightEvent) -> Slot {
-        self.overflow.insert(self.total, e);
-        Slot {
-            at: e.at().0,
-            word: KIND_ESCAPED,
-        }
     }
 
     /// Frees one slot of a full ring: doubles the room while it is below
@@ -404,26 +233,16 @@ impl FlightRecorder {
             return;
         }
         let (older, newer) = self.halves();
-        let mut n = older.partition_point(|s| s.at < t.0);
+        let mut n = older.partition_point(|e| e.at() < t);
         if n == older.len() {
-            n += newer.partition_point(|s| s.at < t.0);
+            n += newer.partition_point(|e| e.at() < t);
         }
         self.drop_oldest(n);
         self.released += n as u64;
     }
 
-    /// Drops the `n <= len` oldest retained events with their overflow
-    /// entries.
+    /// Drops the `n <= len` oldest retained events.
     fn drop_oldest(&mut self, n: usize) {
-        if !self.overflow.is_empty() {
-            let cut = self.first_ordinal() + n as u64;
-            while let Some(entry) = self.overflow.first_entry() {
-                if *entry.key() >= cut {
-                    break;
-                }
-                entry.remove();
-            }
-        }
         self.head = self.wrap(self.head + n);
         self.len -= n;
     }
@@ -437,13 +256,13 @@ impl FlightRecorder {
         }
     }
 
-    fn newest(&self) -> Option<Slot> {
+    fn newest(&self) -> Option<Instant> {
         let (older, newer) = self.halves();
-        newer.last().or(older.last()).copied()
+        newer.last().or(older.last()).map(FlightEvent::at)
     }
 
-    /// The retained slots, oldest first, as the ring's two contiguous runs.
-    fn halves(&self) -> (&[Slot], &[Slot]) {
+    /// The retained events, oldest first, as the ring's two contiguous runs.
+    fn halves(&self) -> (&[FlightEvent], &[FlightEvent]) {
         let end = self.head + self.len;
         if end <= self.room {
             (&self.slots[self.head..end], &[])
@@ -452,27 +271,10 @@ impl FlightRecorder {
         }
     }
 
-    /// Arrival ordinal of the oldest retained event.
-    fn first_ordinal(&self) -> u64 {
-        self.total - self.len as u64
-    }
-
-    fn decode(&self, s: Slot, ordinal: u64) -> FlightEvent {
-        if s.escaped() {
-            self.overflow[&ordinal]
-        } else {
-            s.unpack()
-        }
-    }
-
     /// The retained events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = FlightEvent> + '_ {
         let (older, newer) = self.halves();
-        older
-            .iter()
-            .chain(newer)
-            .zip(self.first_ordinal()..)
-            .map(|(&s, ordinal)| self.decode(s, ordinal))
+        older.iter().chain(newer).copied()
     }
 
     /// Number of retained events.
@@ -496,24 +298,17 @@ impl FlightRecorder {
     /// `[lo, hi]`, oldest first — the episode-capture window of the blame
     /// tool. The ring is time-ordered (asserted in `push`), so two binary
     /// searches per contiguous half find the window's ends and only the
-    /// window is decoded: O(log ring + window). Empty when `lo > hi`.
+    /// window is copied: O(log ring + window). Empty when `lo > hi`.
     pub fn events_in(&self, lo: Instant, hi: Instant) -> Vec<FlightEvent> {
         let mut out = Vec::new();
         if lo > hi {
             return out;
         }
         let (older, newer) = self.halves();
-        let mut ordinal = self.first_ordinal();
         for half in [older, newer] {
-            let start = half.partition_point(|s| s.at < lo.0);
-            let end = half.partition_point(|s| s.at <= hi.0);
-            out.extend(
-                half[start..end]
-                    .iter()
-                    .zip(ordinal + start as u64..)
-                    .map(|(&s, o)| self.decode(s, o)),
-            );
-            ordinal += half.len() as u64;
+            let start = half.partition_point(|e| e.at() < lo);
+            let end = half.partition_point(|e| e.at() <= hi);
+            out.extend_from_slice(&half[start..end]);
         }
         out
     }
@@ -725,7 +520,7 @@ impl Observer for FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{config::KernelConfig, kernel::Kernel, time::Cycles};
+    use crate::{config::KernelConfig, kernel::Kernel, labels::Label, time::Cycles};
     use std::{cell::RefCell, rc::Rc};
 
     fn run_kernel_with(capacity: usize, ms: f64) -> (Kernel, Rc<RefCell<FlightRecorder>>) {
@@ -872,26 +667,21 @@ mod tests {
         assert!(r.total > 8 * 32, "ring wrapped: {} events", r.total);
         assert_events_in_matches_filter(&r);
 
-        // A wrapped ring whose retained slots include escaped events, with
-        // the wrap point landing inside the window.
-        let mut r = FlightRecorder::new(24);
-        for (e, _) in samples(1 << 40).into_iter().chain(samples(1 << 41)) {
+        // A wrapped ring of every variant, the wrap point landing inside
+        // the window.
+        let mut r = FlightRecorder::new(20);
+        for e in samples(1 << 40).into_iter().chain(samples(1 << 41)) {
             r.push(e);
         }
-        let (older, newer) = r.halves();
+        let (_, newer) = r.halves();
         assert!(r.dropped > 0 && !newer.is_empty(), "ring wrapped mid-slice");
-        assert!(
-            older.iter().chain(newer).any(|s| s.escaped()),
-            "escaped slots retained"
-        );
         assert_events_in_matches_filter(&r);
 
         // A releasing ring below its capacity, checked at every push where
-        // it has wrapped inside its room with escaped slots retained.
+        // it has wrapped inside its room.
         let mut r = FlightRecorder::new(1 << 10);
         let stream: Vec<FlightEvent> = (0..4u64)
             .flat_map(|round| samples((1 << 40) + round * (1 << 36)))
-            .map(|(e, _)| e)
             .collect();
         let mut checked = 0;
         for (n, &e) in stream.iter().enumerate() {
@@ -899,8 +689,8 @@ mod tests {
             if n % 5 == 4 {
                 r.release_before(stream[n - 3].at());
             }
-            let (older, newer) = r.halves();
-            if !newer.is_empty() && older.iter().chain(newer).any(|s| s.escaped()) {
+            let (_, newer) = r.halves();
+            if !newer.is_empty() {
                 assert!(r.released > 0 && r.room < r.capacity);
                 assert_events_in_matches_filter(&r);
                 checked += 1;
@@ -911,7 +701,7 @@ mod tests {
 
     #[test]
     fn release_before_drops_exactly_the_older_events() {
-        let stream: Vec<FlightEvent> = samples(1 << 40).into_iter().map(|(e, _)| e).collect();
+        let stream = samples(1 << 40);
         let fill = |mut r: FlightRecorder| {
             for &e in &stream {
                 r.push(e);
@@ -927,8 +717,6 @@ mod tests {
             exported.release_before(t);
             let kept: Vec<FlightEvent> = stream.iter().copied().filter(|e| e.at() >= t).collect();
             assert_eq!(r.events().collect::<Vec<_>>(), kept, "release before {t:?}");
-            let escaped = kept.iter().filter(|e| Slot::pack(e).is_none()).count();
-            assert_eq!(r.overflow.len(), escaped, "released escapes pruned");
             assert_eq!(r.total, r.len() as u64 + r.dropped + r.released);
             assert_eq!(
                 exported.events().collect::<Vec<_>>(),
@@ -937,7 +725,7 @@ mod tests {
             );
         }
         r.release_before(Instant(u64::MAX));
-        assert!(r.is_empty() && r.overflow.is_empty());
+        assert!(r.is_empty());
         assert_eq!(r.released, stream.len() as u64);
         assert_eq!(
             r.peak_depth(),
@@ -947,124 +735,67 @@ mod tests {
         assert_eq!((exported.released, exported.len()), (0, stream.len()));
     }
 
-    /// One instance of every event variant and every slot escape, time
-    /// ordered from `t0`, each with whether it must escape to the overflow
-    /// map. Several share a timestamp.
-    fn samples(t0: u64) -> Vec<(FlightEvent, bool)> {
-        let limit = INDEX_LIMIT;
-        let wide = 1u64 << 32;
-        let mut t = t0;
-        let mut at = |dt: u64| {
-            t += dt;
-            Instant(t)
-        };
-        let before = |at: Instant, span: u64| Instant(at.0 - span);
-        let mut out = Vec::new();
-        let isr = |vector, label: usize, at: Instant, span| {
+    /// One instance of every event variant and pop kind, time ordered from
+    /// `t0`. Several share a timestamp.
+    fn samples(t0: u64) -> Vec<FlightEvent> {
+        let t = |dt: u64| Instant(t0 + dt);
+        let isr = |vector, label| {
             FlightEvent::Isr(IsrEnter {
                 vector: VectorId(vector),
-                asserted: before(at, span),
-                started: at,
-                interrupted_label: Label(label as u32),
+                asserted: t(3),
+                started: t(10),
+                interrupted_label: Label(label),
             })
         };
-        let a = at(10);
-        out.push((isr(3, 5, a, 1_234), false));
-        // The widest vector and label a slot holds, and one past each.
-        out.push((isr(255, limit - 1, a, u64::from(u32::MAX)), false));
-        out.push((isr(256, 0, at(5), 7), true));
-        out.push((isr(0, limit, at(5), 7), true));
-        out.push((isr(0, 0, at(wide + 9), wide), true));
-        // Asserted after it started: a negative span escapes.
-        let a = at(1);
-        let late = IsrEnter {
-            vector: VectorId(1),
-            asserted: Instant(a.0 + 1),
-            started: a,
-            interrupted_label: Label(0),
-        };
-        out.push((FlightEvent::Isr(late), true));
-        let dpc = |dpc, at: Instant, span| {
+        let dpc = |dpc, queued, started| {
             FlightEvent::Dpc(DpcStart {
                 dpc: DpcId(dpc),
-                queued: before(at, span),
-                started: at,
+                queued: t(queued),
+                started: t(started),
             })
         };
-        out.push((dpc(7, at(3), 0), false));
-        out.push((dpc(2, at(wide + 3), wide + 1), true));
-        let resume = |thread, priority, at: Instant| {
+        let resume = |thread, priority| {
             FlightEvent::Resume(ThreadResume {
                 thread: ThreadId(thread),
                 priority,
-                readied: before(at, 400),
-                started: at,
+                readied: t(116),
+                started: t(516),
             })
         };
-        out.push((resume(5, 31, at(500)), false));
-        out.push((resume(limit - 1, u8::MAX, at(500)), false));
-        out.push((resume(limit, 24, at(500)), true));
         let switch = |from: Option<usize>, to, at| FlightEvent::Switch {
             from: from.map(ThreadId),
             to: ThreadId(to),
-            at,
+            at: t(at),
         };
-        let a = at(2);
-        out.push((switch(None, 2, a), false));
-        out.push((switch(Some(0), 0, a), false));
-        out.push((switch(Some(u32::MAX as usize - 1), limit - 1, at(2)), false));
-        out.push((switch(Some(u32::MAX as usize), 1, at(2)), true));
-        out.push((switch(Some(usize::MAX), 1, at(2)), true));
-        out.push((switch(None, limit, at(2)), true));
-        let a = at(4);
-        for (n, kind) in POP_KINDS.into_iter().enumerate() {
-            out.push((
-                FlightEvent::Pop {
-                    kind,
-                    index: n as u32,
-                    at: a,
-                },
-                false,
-            ));
-        }
-        out.push((
-            FlightEvent::Pop {
-                kind: CalendarPopKind::Timer,
-                index: limit as u32 - 1,
-                at: at(1),
-            },
-            false,
-        ));
-        out.push((
-            FlightEvent::Pop {
-                kind: CalendarPopKind::Env,
-                index: u32::MAX,
-                at: at(1),
-            },
-            true,
-        ));
+        let pop = |kind, index, at| FlightEvent::Pop {
+            kind,
+            index,
+            at: t(at),
+        };
         let quantum = |thread, priority, descheduled, at| FlightEvent::Quantum {
             thread: ThreadId(thread),
             priority,
             descheduled,
-            at,
+            at: t(at),
         };
-        out.push((quantum(4, 0, true, at(9)), false));
-        out.push((quantum(limit - 1, 31, false, at(9)), false));
-        out.push((quantum(limit, 12, true, at(9)), true));
-        out
-    }
-
-    #[test]
-    fn slot_is_sixteen_bytes() {
-        assert_eq!(std::mem::size_of::<Slot>(), 16);
-    }
-
-    #[test]
-    fn pop_kind_codes_round_trip() {
-        for kind in POP_KINDS {
-            assert_eq!(POP_KINDS[kind as usize], kind);
-        }
+        vec![
+            isr(3, 5),
+            isr(0, 0),
+            dpc(7, 13, 13),
+            dpc(2, 0, 16),
+            resume(5, 31),
+            resume(1, 24),
+            switch(None, 2, 518),
+            switch(Some(0), 0, 518),
+            switch(Some(2), 1, 520),
+            pop(CalendarPopKind::Tick, 0, 524),
+            pop(CalendarPopKind::Env, 1, 524),
+            pop(CalendarPopKind::Timer, 2, 524),
+            pop(CalendarPopKind::Wait, 3, 524),
+            pop(CalendarPopKind::Timer, 9, 525),
+            quantum(4, 0, true, 534),
+            quantum(1, 31, false, 543),
+        ]
     }
 
     /// The release the ring had before its binary search, one pop per
@@ -1073,65 +804,33 @@ mod tests {
         if r.exported {
             return;
         }
-        while r.len > 0 && r.slots[r.head].at < t.0 {
-            if r.slots[r.head].escaped() {
-                r.overflow.remove(&r.first_ordinal());
-            }
+        while r.len > 0 && r.slots[r.head].at() < t {
             r.head = r.wrap(r.head + 1);
             r.len -= 1;
             r.released += 1;
         }
     }
 
-    /// Everything a release can touch, for comparing two rings.
-    type RingState = (
-        Vec<FlightEvent>,
-        Vec<(u64, FlightEvent)>,
-        [usize; 4],
-        [u64; 3],
-    );
-
-    fn ring_state(r: &FlightRecorder) -> RingState {
-        (
-            r.events().collect(),
-            r.overflow.iter().map(|(&o, &e)| (o, e)).collect(),
-            [r.head, r.len, r.room, r.peak],
-            [r.total, r.dropped, r.released],
-        )
-    }
-
     #[test]
-    fn every_variant_and_escape_round_trips() {
-        let one_round = samples(1 << 40);
-        for (e, escapes) in &one_round {
-            assert_eq!(Slot::pack(e).is_none(), *escapes, "{e:?}");
-            if let Some(s) = Slot::pack(e) {
-                assert_eq!(s.unpack(), *e);
-            }
-        }
-        // Several rounds through a ring that wraps every few events and one
-        // that wraps once a round, each plain, releasing (every fifth push,
-        // up to the event before it, as a blame recorder's floor trails the
-        // newest event) and exported: escaped slots get evicted or released,
-        // and their overflow entries must go with them. A `Vec` model keeps
-        // the same suffix of the stream, and a twin ring released one pop
-        // per event keeps the same state, slot for slot.
+    fn every_variant_round_trips() {
+        // Several rounds of every variant through a ring that wraps every
+        // few events and one that wraps once a round, each plain, releasing
+        // (every fifth push, up to the event before it, as a blame
+        // recorder's floor trails the newest event) and exported. A `Vec`
+        // model keeps the same suffix of the stream, a twin ring released
+        // one pop per event keeps the same state, slot for slot, and the
+        // ring never writes more than twice its peak occupancy.
         let stream: Vec<FlightEvent> = (0..4u64)
             .flat_map(|round| samples((1 << 40) + round * (1 << 36)))
-            .map(|(e, _)| e)
             .collect();
         for capacity in [3, 64] {
             for (releasing, exported) in [(false, false), (true, false), (true, true)] {
-                let mut r = if exported {
-                    FlightRecorder::exported(capacity)
+                let ring = if exported {
+                    FlightRecorder::exported
                 } else {
-                    FlightRecorder::new(capacity)
+                    FlightRecorder::new
                 };
-                let mut popped = if exported {
-                    FlightRecorder::exported(capacity)
-                } else {
-                    FlightRecorder::new(capacity)
-                };
+                let (mut r, mut popped) = (ring(capacity), ring(capacity));
                 let mut model: Vec<FlightEvent> = Vec::new();
                 let mut rotations = 0;
                 for (n, &e) in stream.iter().enumerate() {
@@ -1143,6 +842,16 @@ mod tests {
                     if model.len() > capacity {
                         model.remove(0);
                     }
+                    let case = format!("cap {capacity}, releasing {releasing}, push {n}");
+                    // Only touched pages count, so growing the written prefix
+                    // no further than twice the peak keeps a releasing ring's
+                    // footprint at its occupancy, not its capacity.
+                    assert!(
+                        r.slots.len() as u64 <= 2 * r.peak_depth(),
+                        "{case}: wrote {} slots at peak {}",
+                        r.slots.len(),
+                        r.peak_depth()
+                    );
                     if releasing && n % 5 == 4 {
                         let t = stream[n - 1].at();
                         r.release_before(t);
@@ -1151,14 +860,9 @@ mod tests {
                             model.retain(|e| e.at() >= t);
                         }
                     }
-                    let case = format!("cap {capacity}, releasing {releasing}, push {n}");
-                    assert_eq!(ring_state(&r), ring_state(&popped), "{case}");
+                    assert_eq!(r, popped, "{case}");
                     assert_eq!(r.events().collect::<Vec<_>>(), model, "{case}");
                     assert_eq!(r.total, r.len() as u64 + r.dropped + r.released);
-                    let (older, newer) = r.halves();
-                    let escaped = older.iter().chain(newer).filter(|s| s.escaped()).count();
-                    assert_eq!(r.overflow.len(), escaped, "overflow pruned with its slots");
-                    assert!(r.overflow.keys().all(|&o| o >= r.first_ordinal()));
                 }
                 assert_eq!(r.total, stream.len() as u64);
                 if releasing && !exported {
@@ -1171,28 +875,13 @@ mod tests {
                     assert!(rotations > 0, "grew in place from a wrapped ring");
                 }
                 // Every cut of the final ring, oldest stamp to past the
-                // newest, on fresh twins of it.
-                if exported {
-                    continue;
-                }
-                for t in stream
-                    .iter()
-                    .map(FlightEvent::at)
-                    .chain([Instant(u64::MAX)])
-                {
-                    let (mut a, mut b) =
-                        (FlightRecorder::new(capacity), FlightRecorder::new(capacity));
-                    for (n, &e) in stream.iter().enumerate() {
-                        a.push(e);
-                        b.push(e);
-                        if releasing && n % 5 == 4 {
-                            a.release_before(stream[n - 1].at());
-                            release_by_pops(&mut b, stream[n - 1].at());
-                        }
-                    }
+                // newest, on copies of it and its twin.
+                let past = Instant(u64::MAX);
+                for t in stream.iter().map(FlightEvent::at).chain([past]) {
+                    let (mut a, mut b) = (r.clone(), popped.clone());
                     a.release_before(t);
                     release_by_pops(&mut b, t);
-                    assert_eq!(ring_state(&a), ring_state(&b), "cap {capacity}, cut {t:?}");
+                    assert_eq!(a, b, "cap {capacity}, cut {t:?}");
                 }
             }
         }

@@ -1886,9 +1886,9 @@ impl Kernel {
         self.interest_union.contains(kind)
     }
 
-    /// Pushes `e` into the flight recorder, if one is attached. Inlined
-    /// with the ring's push, so each emit site packs its own variant behind
-    /// the one recorder branch.
+    /// Pushes `e` into the flight recorder, if one is attached. Inlined,
+    /// so an emit site with no recorder pays one branch; the push itself is
+    /// one out-of-line call.
     #[inline(always)]
     fn record(&self, e: FlightEvent) {
         if let Some(f) = &self.flight {
