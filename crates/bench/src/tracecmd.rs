@@ -14,10 +14,11 @@
 //! streamed run and deterministic enough for CI to diff against a
 //! committed reference.
 
-use std::io;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use wdm_sim::flight::chrome_document;
+use wdm_sim::flight::write_chrome_document;
 
 use crate::{
     cells::{measure_all_timed, AllCells, Duration, RunConfig, TimedCells},
@@ -66,18 +67,25 @@ pub fn run_trace(cfg: &RunConfig, dir: &Path) -> io::Result<(TimedCells, Vec<Pat
     let t = measure_all_timed(&traced);
     std::fs::create_dir_all(dir)?;
     let mut written = Vec::new();
-    let mut combined: Vec<String> = Vec::new();
-    for m in t.cells.nt.iter().chain(&t.cells.win98) {
+    let cells = || t.cells.nt.iter().chain(&t.cells.win98);
+    for m in cells() {
         let path = dir.join(format!("TRACE_{}.json", cell_stem(m)));
-        std::fs::write(&path, chrome_document(&m.trace_events))?;
+        write_trace(&path, &m.trace_events)?;
         written.push(path);
-        combined.extend(m.trace_events.iter().cloned());
     }
-    combined.extend(spans::drain());
+    let harness = spans::drain();
     let path = dir.join("TRACE_cells.json");
-    std::fs::write(&path, chrome_document(&combined))?;
+    write_trace(&path, cells().flat_map(|m| &m.trace_events).chain(&harness))?;
     written.push(path);
     Ok((t, written))
+}
+
+/// Streams `events` to `path` as one trace document: the cells' rendered
+/// events are written where they lie, never joined or copied.
+fn write_trace<'a>(path: &Path, events: impl IntoIterator<Item = &'a String>) -> io::Result<()> {
+    let mut w = BufWriter::new(File::create(path)?);
+    write_chrome_document(&mut w, events)?;
+    w.flush()
 }
 
 #[cfg(test)]

@@ -20,21 +20,29 @@
 //! of the three shared kinds so the kernel's one interest gate covers
 //! their sites.
 //!
-//! The ring holds the [`FlightEvent`] values themselves, so every event
-//! round-trips exactly (DESIGN.md §15). It is reserved whole at
-//! construction but touched only up to twice the most events it has held
-//! at once. A reader that knows no later query can reach an event may drop
-//! it early with [`FlightRecorder::release_before`], as the blame recorder
-//! does after each watched resume: the ring is time-ordered, so a binary
-//! search finds the cut and the oldest event advances past it in one step.
-//! A recorder whose whole ring is exported ([`FlightRecorder::exported`])
+//! The ring is a `VecDeque` of the [`FlightEvent`] values themselves, so
+//! every event round-trips exactly (DESIGN.md §15). It starts empty and
+//! doubles as it fills; its capacity bounds the events it keeps and
+//! reserves nothing, so a ring that never holds more than a few hundred
+//! events allocates for at most twice that. The kernel writes each event
+//! in place, into the slot `FlightRecorder::slot` appends. A reader that
+//! knows no later query can reach an event may drop it early with
+//! [`FlightRecorder::release_before`], as the blame recorder does after
+//! each watched resume: a floor no later than the oldest retained event
+//! returns at once, and otherwise the ring is time-ordered, so a binary
+//! search finds the cut and the older events drain in one step. A
+//! recorder whose whole ring is exported ([`FlightRecorder::exported`])
 //! ignores releases. Releases and capacity evictions both take the oldest
 //! events, so the retained events are always a suffix of what a ring that
 //! never releases would hold.
 //!
 //! Determinism contract: the recorder is strictly read-only. It draws no
 //! randomness and mutates no kernel state. With no recorder attached each
-//! potential event costs exactly one branch in the kernel hot loop.
+//! potential event costs exactly one branch in the kernel hot loop, and
+//! no event is built.
+
+use std::collections::VecDeque;
+use std::io::{self, Write};
 
 use crate::{
     ids::{DpcId, ThreadId, VectorId},
@@ -126,21 +134,15 @@ const TID_DPC_BASE: u64 = 2000;
 #[derive(Debug)]
 #[cfg_attr(test, derive(Clone, PartialEq))]
 pub struct FlightRecorder {
-    /// The ring runs over the prefix `slots[..room]`, oldest event at
-    /// `head`. Reserved whole up front, so pushes never reallocate; only
-    /// the first `slots.len()` slots were ever written.
-    slots: Vec<FlightEvent>,
-    /// Slots the ring runs over: doubles, after an in-place rotation puts
-    /// the oldest event at index 0, whenever the ring fills below
-    /// `capacity`.
-    room: usize,
-    head: usize,
-    /// Retained events.
-    len: usize,
+    /// Retained events, oldest first. Starts empty and doubles as it fills,
+    /// so it allocates for at most max(4, twice its peak occupancy) events.
+    ring: VecDeque<FlightEvent>,
+    /// Most events retained at once; at this bound a new event evicts the
+    /// oldest.
     capacity: usize,
     /// The whole ring is exported, so [`Self::release_before`] is a no-op.
     exported: bool,
-    /// High-water mark of `len`.
+    /// High-water mark of `ring.len()`.
     peak: usize,
     /// Total events observed, evicted and released ones included.
     pub total: u64,
@@ -157,10 +159,7 @@ impl FlightRecorder {
     pub fn new(capacity: usize) -> FlightRecorder {
         assert!(capacity > 0, "flight recorder capacity must be positive");
         FlightRecorder {
-            slots: Vec::with_capacity(capacity),
-            room: 1,
-            head: 0,
-            len: 0,
+            ring: VecDeque::new(),
             capacity,
             exported: false,
             peak: 0,
@@ -179,112 +178,63 @@ impl FlightRecorder {
         }
     }
 
-    /// Appends one event, evicting the oldest at capacity. Called by the
-    /// kernel's emit sites only, behind their recorder branch. Kept out of
-    /// line: inlined, it grew every emit site and slowed runs with no
-    /// recorder attached.
+    /// Appends a slot stamped `at`, evicting the oldest event at capacity,
+    /// and returns it for the caller to write the event into. Called by
+    /// the kernel's emit sites only, behind their recorder branch. Kept out
+    /// of line: the caller's stores go through the returned reference, so
+    /// no event is built before the branch, and each emit site stays one
+    /// call.
     #[inline(never)]
-    pub(crate) fn push(&mut self, e: FlightEvent) {
+    pub(crate) fn slot(&mut self, at: Instant) -> &mut FlightEvent {
         // The kernel stamps every event with its `now`, so arrival order is
         // time order; `events_in` and `release_before` rely on it.
         debug_assert!(
-            self.newest().is_none_or(|t| t <= e.at()),
+            self.ring.back().is_none_or(|e| e.at() <= at),
             "flight ring must stay time-ordered"
         );
-        if self.len == self.room {
-            self.make_room();
-        }
-        // Writes move through `slots` in order, so the next index is at
-        // most its length.
-        let i = self.wrap(self.head + self.len);
-        if i < self.slots.len() {
-            self.slots[i] = e;
-        } else {
-            self.slots.push(e);
-        }
-        self.len += 1;
-        self.peak = self.peak.max(self.len);
-        self.total += 1;
-    }
-
-    /// Frees one slot of a full ring: doubles the room while it is below
-    /// the capacity, else evicts the oldest event.
-    #[cold]
-    #[inline(never)]
-    fn make_room(&mut self) {
-        if self.room < self.capacity {
-            // Amortized O(1): the ring doubles each time.
-            self.slots.rotate_left(self.head);
-            self.head = 0;
-            self.room = (2 * self.room).min(self.capacity);
-        } else {
-            self.drop_oldest(1);
+        if self.ring.len() == self.capacity {
+            self.ring.pop_front();
             self.dropped += 1;
         }
+        self.ring.push_back(FlightEvent::Pop {
+            kind: CalendarPopKind::Tick,
+            index: 0,
+            at,
+        });
+        self.peak = self.peak.max(self.ring.len());
+        self.total += 1;
+        self.ring.back_mut().expect("a slot was just appended")
     }
 
     /// Drops every retained event stamped before `t`; a no-op on an
     /// exported recorder. A caller releases only what no later query can
     /// read: [`Self::events_in`] then returns what it would have without
-    /// the release. The ring is time-ordered (asserted in `push`), so a
-    /// binary search over its two halves finds the cut: O(log ring).
+    /// the release. O(1) when the oldest retained event is not older than
+    /// `t` (a blame recorder's floor moves only when its laggard thread
+    /// resumes); otherwise the ring is time-ordered (asserted in `slot`),
+    /// so a binary search finds the cut: O(log ring).
     pub fn release_before(&mut self, t: Instant) {
-        if self.exported {
+        if self.exported || self.ring.front().is_none_or(|e| e.at() >= t) {
             return;
         }
-        let (older, newer) = self.halves();
-        let mut n = older.partition_point(|e| e.at() < t);
-        if n == older.len() {
-            n += newer.partition_point(|e| e.at() < t);
-        }
-        self.drop_oldest(n);
+        let n = self.ring.partition_point(|e| e.at() < t);
+        self.ring.drain(..n);
         self.released += n as u64;
-    }
-
-    /// Drops the `n <= len` oldest retained events.
-    fn drop_oldest(&mut self, n: usize) {
-        self.head = self.wrap(self.head + n);
-        self.len -= n;
-    }
-
-    /// `i` folded into `0..room`, for `i < 2 * room`.
-    fn wrap(&self, i: usize) -> usize {
-        if i >= self.room {
-            i - self.room
-        } else {
-            i
-        }
-    }
-
-    fn newest(&self) -> Option<Instant> {
-        let (older, newer) = self.halves();
-        newer.last().or(older.last()).map(FlightEvent::at)
-    }
-
-    /// The retained events, oldest first, as the ring's two contiguous runs.
-    fn halves(&self) -> (&[FlightEvent], &[FlightEvent]) {
-        let end = self.head + self.len;
-        if end <= self.room {
-            (&self.slots[self.head..end], &[])
-        } else {
-            (&self.slots[self.head..], &self.slots[..end - self.room])
-        }
     }
 
     /// The retained events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = FlightEvent> + '_ {
-        let (older, newer) = self.halves();
-        older.iter().chain(newer).copied()
+        self.ring.iter().copied()
     }
 
     /// Number of retained events.
     pub fn len(&self) -> usize {
-        self.len
+        self.ring.len()
     }
 
     /// True if no event is retained.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.ring.is_empty()
     }
 
     /// Peak ring occupancy so far — the source for the
@@ -296,21 +246,16 @@ impl FlightRecorder {
 
     /// Copies out the retained events whose timestamp falls in
     /// `[lo, hi]`, oldest first — the episode-capture window of the blame
-    /// tool. The ring is time-ordered (asserted in `push`), so two binary
-    /// searches per contiguous half find the window's ends and only the
-    /// window is copied: O(log ring + window). Empty when `lo > hi`.
+    /// tool. The ring is time-ordered (asserted in `slot`), so two binary
+    /// searches find the window's ends and only the window is copied:
+    /// O(log ring + window). Empty when `lo > hi`.
     pub fn events_in(&self, lo: Instant, hi: Instant) -> Vec<FlightEvent> {
-        let mut out = Vec::new();
         if lo > hi {
-            return out;
+            return Vec::new();
         }
-        let (older, newer) = self.halves();
-        for half in [older, newer] {
-            let start = half.partition_point(|e| e.at() < lo);
-            let end = half.partition_point(|e| e.at() <= hi);
-            out.extend_from_slice(&half[start..end]);
-        }
-        out
+        let start = self.ring.partition_point(|e| e.at() < lo);
+        let end = self.ring.partition_point(|e| e.at() <= hi);
+        self.ring.range(start..end).copied().collect()
     }
 
     /// Renders the retained events as Chrome trace-event JSON objects, one
@@ -460,16 +405,30 @@ fn pop_kind_name(kind: CalendarPopKind) -> &'static str {
 /// Wraps serialized trace-event objects (from one or more recorders and the
 /// harness's own spans) into a complete Chrome trace-event document.
 pub fn chrome_document(events: &[String]) -> String {
-    let mut out = String::from("{\"traceEvents\":[\n");
-    for (i, e) in events.iter().enumerate() {
-        out.push_str(e);
-        if i + 1 < events.len() {
-            out.push(',');
+    let mut out = Vec::new();
+    write_chrome_document(&mut out, events).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("trace events are strings")
+}
+
+/// Writes the document [`chrome_document`] returns into `w`, one event at
+/// a time, so a caller can stream events it already holds to a file
+/// without joining or copying them.
+pub fn write_chrome_document<W, I>(w: &mut W, events: I) -> io::Result<()>
+where
+    W: Write,
+    I: IntoIterator,
+    I::Item: AsRef<str>,
+{
+    w.write_all(b"{\"traceEvents\":[\n")?;
+    let mut events = events.into_iter().peekable();
+    while let Some(e) = events.next() {
+        w.write_all(e.as_ref().as_bytes())?;
+        if events.peek().is_some() {
+            w.write_all(b",")?;
         }
-        out.push('\n');
+        w.write_all(b"\n")?;
     }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}\n");
-    out
+    w.write_all(b"],\"displayTimeUnit\":\"ms\"}\n")
 }
 
 /// JSON string literal with the escapes our names can need.
@@ -522,6 +481,13 @@ mod tests {
     use super::*;
     use crate::{config::KernelConfig, kernel::Kernel, labels::Label, time::Cycles};
     use std::{cell::RefCell, rc::Rc};
+
+    impl FlightRecorder {
+        /// Appends `e` as an emit site does.
+        fn push(&mut self, e: FlightEvent) {
+            *self.slot(e.at()) = e;
+        }
+    }
 
     fn run_kernel_with(capacity: usize, ms: f64) -> (Kernel, Rc<RefCell<FlightRecorder>>) {
         let mut k = Kernel::new(KernelConfig::default());
@@ -660,25 +626,26 @@ mod tests {
 
     #[test]
     fn events_in_copies_the_window() {
-        // A wrapped ring, so the retained window starts mid-stream.
+        // A ring that has cycled past its bound, so the retained window
+        // starts mid-stream.
         let (_k, rec) = run_kernel_with(32, 200.0);
         let r = rec.borrow();
         assert_eq!(r.len(), 32);
-        assert!(r.total > 8 * 32, "ring wrapped: {} events", r.total);
+        assert!(r.total > 8 * 32, "ring cycled: {} events", r.total);
         assert_events_in_matches_filter(&r);
 
-        // A wrapped ring of every variant, the wrap point landing inside
-        // the window.
+        // A ring of every variant whose events run past the end of its
+        // buffer and on from the start, the split landing inside the window.
         let mut r = FlightRecorder::new(20);
-        for e in samples(1 << 40).into_iter().chain(samples(1 << 41)) {
+        for e in (1..4).flat_map(|round| samples(round << 40)) {
             r.push(e);
         }
-        let (_, newer) = r.halves();
-        assert!(r.dropped > 0 && !newer.is_empty(), "ring wrapped mid-slice");
+        let (_, newer) = r.ring.as_slices();
+        assert!(r.dropped > 0 && !newer.is_empty(), "ring split mid-slice");
         assert_events_in_matches_filter(&r);
 
         // A releasing ring below its capacity, checked at every push where
-        // it has wrapped inside its room.
+        // its events are split across the end of its buffer.
         let mut r = FlightRecorder::new(1 << 10);
         let stream: Vec<FlightEvent> = (0..4u64)
             .flat_map(|round| samples((1 << 40) + round * (1 << 36)))
@@ -689,14 +656,14 @@ mod tests {
             if n % 5 == 4 {
                 r.release_before(stream[n - 3].at());
             }
-            let (_, newer) = r.halves();
+            let (_, newer) = r.ring.as_slices();
             if !newer.is_empty() {
-                assert!(r.released > 0 && r.room < r.capacity);
+                assert!(r.released > 0 && r.ring.capacity() < r.capacity);
                 assert_events_in_matches_filter(&r);
                 checked += 1;
             }
         }
-        assert!(checked > 0, "the releasing ring wrapped inside its room");
+        assert!(checked > 0, "the releasing ring split below its capacity");
     }
 
     #[test]
@@ -733,6 +700,27 @@ mod tests {
             "the peak outlives release"
         );
         assert_eq!((exported.released, exported.len()), (0, stream.len()));
+    }
+
+    #[test]
+    fn release_at_or_before_the_oldest_stamp_keeps_the_ring() {
+        let stream = samples(1 << 40);
+        let mut r = FlightRecorder::new(64);
+        r.release_before(Instant(u64::MAX));
+        assert_eq!(r.released, 0, "an empty ring releases nothing");
+        for &e in &stream {
+            r.push(e);
+        }
+        // Cut past the first few, so the oldest retained event is not the
+        // oldest ever pushed; a floor at or before it then changes nothing.
+        r.release_before(stream[3].at());
+        let (kept, released) = (r.clone(), r.released);
+        let oldest = r.events().next().expect("events retained").at();
+        assert!(released > 0 && oldest == stream[3].at());
+        for t in [oldest, Instant(oldest.0 - 1), stream[0].at(), Instant(0)] {
+            r.release_before(t);
+            assert_eq!(r, kept, "release before {t:?}");
+        }
     }
 
     /// One instance of every event variant and pop kind, time ordered from
@@ -804,22 +792,21 @@ mod tests {
         if r.exported {
             return;
         }
-        while r.len > 0 && r.slots[r.head].at() < t {
-            r.head = r.wrap(r.head + 1);
-            r.len -= 1;
+        while r.ring.front().is_some_and(|e| e.at() < t) {
+            r.ring.pop_front();
             r.released += 1;
         }
     }
 
     #[test]
     fn every_variant_round_trips() {
-        // Several rounds of every variant through a ring that wraps every
-        // few events and one that wraps once a round, each plain, releasing
+        // Several rounds of every variant through a ring that cycles every
+        // few events and one that cycles once a round, each plain, releasing
         // (every fifth push, up to the event before it, as a blame
         // recorder's floor trails the newest event) and exported. A `Vec`
         // model keeps the same suffix of the stream, a twin ring released
-        // one pop per event keeps the same state, slot for slot, and the
-        // ring never writes more than twice its peak occupancy.
+        // one pop per event keeps the same state, event for event, and the
+        // ring never allocates more than twice its peak occupancy.
         let stream: Vec<FlightEvent> = (0..4u64)
             .flat_map(|round| samples((1 << 40) + round * (1 << 36)))
             .collect();
@@ -832,10 +819,10 @@ mod tests {
                 };
                 let (mut r, mut popped) = (ring(capacity), ring(capacity));
                 let mut model: Vec<FlightEvent> = Vec::new();
-                let mut rotations = 0;
+                let mut split_growths = 0;
                 for (n, &e) in stream.iter().enumerate() {
-                    let full = r.len() == r.room;
-                    rotations += usize::from(full && r.room < capacity && r.head != 0);
+                    let full = r.len() == r.ring.capacity() && r.len() < capacity;
+                    split_growths += usize::from(full && !r.ring.as_slices().1.is_empty());
                     r.push(e);
                     popped.push(e);
                     model.push(e);
@@ -843,13 +830,13 @@ mod tests {
                         model.remove(0);
                     }
                     let case = format!("cap {capacity}, releasing {releasing}, push {n}");
-                    // Only touched pages count, so growing the written prefix
-                    // no further than twice the peak keeps a releasing ring's
-                    // footprint at its occupancy, not its capacity.
+                    // Growing no further than twice the peak keeps a
+                    // releasing ring's footprint at its occupancy, not its
+                    // capacity.
                     assert!(
-                        r.slots.len() as u64 <= 2 * r.peak_depth(),
-                        "{case}: wrote {} slots at peak {}",
-                        r.slots.len(),
+                        r.ring.capacity() as u64 <= (2 * r.peak_depth()).max(4),
+                        "{case}: allocated {} slots at peak {}",
+                        r.ring.capacity(),
                         r.peak_depth()
                     );
                     if releasing && n % 5 == 4 {
@@ -872,7 +859,7 @@ mod tests {
                     assert_eq!(r.dropped, (stream.len() - capacity) as u64);
                 }
                 if releasing && !exported && capacity == 64 {
-                    assert!(rotations > 0, "grew in place from a wrapped ring");
+                    assert!(split_growths > 0, "grew from a split ring");
                 }
                 // Every cut of the final ring, oldest stamp to past the
                 // newest, on copies of it and its twin.

@@ -1886,13 +1886,15 @@ impl Kernel {
         self.interest_union.contains(kind)
     }
 
-    /// Pushes `e` into the flight recorder, if one is attached. Inlined,
-    /// so an emit site with no recorder pays one branch; the push itself is
-    /// one out-of-line call.
+    /// Writes `e` into the flight recorder, if one is attached. Inlined,
+    /// so an emit site with no recorder pays one branch and builds nothing:
+    /// the event's fields are stored through the reference the out-of-line
+    /// `FlightRecorder::slot` returns, so they cannot be hoisted above the
+    /// branch.
     #[inline(always)]
     fn record(&self, e: FlightEvent) {
         if let Some(f) = &self.flight {
-            f.borrow_mut().push(e);
+            *f.borrow_mut().slot(e.at()) = e;
         }
     }
 

@@ -7,7 +7,10 @@
 //! be just as heap-free. This binary installs a counting global
 //! allocator and pins that down: after a warm-up window (which is allowed to grow
 //! queues and heaps to their steady capacity), a measured window over each
-//! kernel must perform **zero** heap operations, event for event.
+//! kernel must perform **zero** heap operations, event for event. A flight
+//! ring below its bound is the one structure that still grows, and
+//! `ring_growth_is_amortized` holds N events of growth to log2(N) + 2 heap
+//! operations.
 //!
 //! The counter is per thread: the kernel runs on the test's own thread,
 //! while the test harness's threads allocate on their own schedule and
@@ -232,9 +235,10 @@ fn assert_alloc_free(label: &str, k: &mut Kernel, min_events: u64) {
 
 #[test]
 fn steady_state_hot_paths_are_allocation_free() {
-    // The ring is reserved whole at construction, so pushes never allocate.
+    // The ring grows until it holds its bound of events, which the warm-up
+    // reaches; from then on each event evicts the oldest in place.
     let mut k = pipeline_kernel();
-    let flight = Rc::new(RefCell::new(FlightRecorder::new(1 << 16)));
+    let flight = Rc::new(RefCell::new(FlightRecorder::new(1 << 10)));
     k.add_observer(flight.clone());
     assert_alloc_free("pipeline", &mut k, 10_000);
     assert!(
@@ -243,7 +247,7 @@ fn steady_state_hot_paths_are_allocation_free() {
     );
     let f = flight.borrow();
     assert!(f.total > 10_000, "the ring was fed: {} events", f.total);
-    assert_eq!(f.dropped, 0, "the ring never wrapped");
+    assert!(f.dropped > 0, "the ring reached its bound and evicted");
 
     let (mut k, obs) = notify_kernel();
     assert_alloc_free("notify", &mut k, 1_000);
@@ -254,5 +258,28 @@ fn steady_state_hot_paths_are_allocation_free() {
     assert!(
         k.timer(TimerId(0)).fire_count > 500,
         "the timer fired each round"
+    );
+}
+
+#[test]
+fn ring_growth_is_amortized() {
+    // An empty ring attached to a warmed kernel doubles as it fills, so
+    // feeding it N events costs at most log2(N) + 2 heap operations, never
+    // one per event.
+    const N: u64 = 1 << 16;
+    let mut k = pipeline_kernel();
+    k.run_for(Cycles::from_ms(200.0));
+    let flight = Rc::new(RefCell::new(FlightRecorder::new(N as usize)));
+    k.add_observer(flight.clone());
+    let ops_before = heap_ops();
+    while flight.borrow().total < N {
+        k.run_for(Cycles::from_ms(10.0));
+    }
+    let ops = heap_ops() - ops_before;
+    let bound = N.ilog2() as u64 + 2;
+    assert!(
+        ops <= bound,
+        "feeding {} events took {ops} heap operations (bound {bound})",
+        flight.borrow().total
     );
 }
