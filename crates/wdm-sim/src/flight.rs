@@ -28,13 +28,12 @@
 //! in place, into the slot `FlightRecorder::slot` appends. A reader that
 //! knows no later query can reach an event may drop it early with
 //! [`FlightRecorder::release_before`], as the blame recorder does after
-//! each watched resume: a floor no later than the oldest retained event
-//! returns at once, and otherwise the ring is time-ordered, so a binary
-//! search finds the cut and the older events drain in one step. A
-//! recorder whose whole ring is exported ([`FlightRecorder::exported`])
-//! ignores releases. Releases and capacity evictions both take the oldest
-//! events, so the retained events are always a suffix of what a ring that
-//! never releases would hold.
+//! each watched resume. The ring is time-ordered, so a binary search
+//! finds the cut and the older events drain in one step. A recorder whose
+//! whole ring is exported ([`FlightRecorder::exported`]) ignores releases.
+//! Releases and capacity evictions both take the oldest events, so the
+//! retained events are always a suffix of what a ring that never releases
+//! would hold.
 //!
 //! Determinism contract: the recorder is strictly read-only. It draws no
 //! randomness and mutates no kernel state. With no recorder attached each
@@ -209,12 +208,10 @@ impl FlightRecorder {
     /// Drops every retained event stamped before `t`; a no-op on an
     /// exported recorder. A caller releases only what no later query can
     /// read: [`Self::events_in`] then returns what it would have without
-    /// the release. O(1) when the oldest retained event is not older than
-    /// `t` (a blame recorder's floor moves only when its laggard thread
-    /// resumes); otherwise the ring is time-ordered (asserted in `slot`),
-    /// so a binary search finds the cut: O(log ring).
+    /// the release. The ring is time-ordered (asserted in `slot`), so a
+    /// binary search finds the cut: O(log ring).
     pub fn release_before(&mut self, t: Instant) {
-        if self.exported || self.ring.front().is_none_or(|e| e.at() >= t) {
+        if self.exported {
             return;
         }
         let n = self.ring.partition_point(|e| e.at() < t);
@@ -677,9 +674,10 @@ mod tests {
         };
         let mut r = fill(FlightRecorder::new(64));
         let mut exported = fill(FlightRecorder::exported(64));
-        // Every stamp in order, some shared by several events: a release at
-        // `t` keeps the events stamped `t`.
-        for t in stream.iter().map(FlightEvent::at) {
+        // A floor before every event, then every stamp in order, some
+        // shared by several events: a release at `t` keeps the events
+        // stamped `t`.
+        for t in std::iter::once(Instant(0)).chain(stream.iter().map(FlightEvent::at)) {
             r.release_before(t);
             exported.release_before(t);
             let kept: Vec<FlightEvent> = stream.iter().copied().filter(|e| e.at() >= t).collect();
@@ -700,27 +698,6 @@ mod tests {
             "the peak outlives release"
         );
         assert_eq!((exported.released, exported.len()), (0, stream.len()));
-    }
-
-    #[test]
-    fn release_at_or_before_the_oldest_stamp_keeps_the_ring() {
-        let stream = samples(1 << 40);
-        let mut r = FlightRecorder::new(64);
-        r.release_before(Instant(u64::MAX));
-        assert_eq!(r.released, 0, "an empty ring releases nothing");
-        for &e in &stream {
-            r.push(e);
-        }
-        // Cut past the first few, so the oldest retained event is not the
-        // oldest ever pushed; a floor at or before it then changes nothing.
-        r.release_before(stream[3].at());
-        let (kept, released) = (r.clone(), r.released);
-        let oldest = r.events().next().expect("events retained").at();
-        assert!(released > 0 && oldest == stream[3].at());
-        for t in [oldest, Instant(oldest.0 - 1), stream[0].at(), Instant(0)] {
-            r.release_before(t);
-            assert_eq!(r, kept, "release before {t:?}");
-        }
     }
 
     /// One instance of every event variant and pop kind, time ordered from
