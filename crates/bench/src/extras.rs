@@ -418,7 +418,7 @@ pub fn ablate_dpc_discipline(minutes: f64, seed: u64) -> String {
         let cpu = k.config().cpu_hz;
         for i in 0..4 {
             let dpc = k.create_dpc(
-                &format!("storm-{i}"),
+                format!("storm-{i}"),
                 Box::new(wdm_workloads::programs::DeviceDpc::new(
                     wdm_osmodel::Dist::Uniform { lo: 0.2, hi: 1.5 },
                     cpu,
@@ -426,7 +426,7 @@ pub fn ablate_dpc_discipline(minutes: f64, seed: u64) -> String {
                 )),
             );
             let v = k.install_vector(
-                &format!("storm-{i}"),
+                format!("storm-{i}"),
                 wdm_sim::irql::Irql(10 + i as u8),
                 Box::new(wdm_workloads::programs::DeviceIsr::new(
                     wdm_osmodel::Dist::Constant(0.01),
@@ -436,7 +436,7 @@ pub fn ablate_dpc_discipline(minutes: f64, seed: u64) -> String {
                 )),
             );
             k.add_env_source(wdm_sim::env::EnvSource::new(
-                &format!("storm-arrivals-{i}"),
+                format!("storm-arrivals-{i}"),
                 wdm_osmodel::dist::poisson_arrivals(150.0, cpu),
                 wdm_sim::env::EnvAction::AssertInterrupt(v),
             ));

@@ -232,7 +232,7 @@ fn timer_heavy_digest(seed: u64) -> String {
     for i in 0..24usize {
         let slot = k.alloc_slots(1);
         let dpc = k.create_dpc(
-            &format!("cal-dpc-{i}"),
+            format!("cal-dpc-{i}"),
             Box::new(OpSeq::new(vec![Step::ReadTsc(slot), Step::Return])),
         );
         timers.push(k.create_timer(Some(dpc)));
@@ -242,7 +242,7 @@ fn timer_heavy_digest(seed: u64) -> String {
     for w in 0..8usize {
         let wake = k.create_event(false);
         let dpc = k.create_dpc(
-            &format!("wake-dpc-{w}"),
+            format!("wake-dpc-{w}"),
             Box::new(OpSeq::new(vec![Step::SetEvent(wake), Step::Return])),
         );
         timers.push(k.create_timer(Some(dpc)));
@@ -281,7 +281,7 @@ fn timer_heavy_digest(seed: u64) -> String {
     for (w, (&t, &wake)) in timers.iter().skip(24).zip(&wakes).enumerate() {
         let slot = k.alloc_slots(1);
         threads.push(k.create_thread(
-            &format!("timer-waiter-{w}"),
+            format!("timer-waiter-{w}"),
             24,
             Box::new(LoopSeq::new(vec![
                 Step::SetTimer {
@@ -297,7 +297,7 @@ fn timer_heavy_digest(seed: u64) -> String {
 
     for w in 0..3usize {
         threads.push(k.create_thread(
-            &format!("sleeper-{w}"),
+            format!("sleeper-{w}"),
             5,
             Box::new(LoopSeq::new(vec![Step::Sleep(Cycles::from_ms(
                 2.1 + w as f64 * 1.13,

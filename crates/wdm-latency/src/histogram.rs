@@ -28,8 +28,9 @@ pub const FIG4_EDGES_MS: [f64; 11] = [
 /// (DESIGN.md §14). The ms conversion happens only at read time.
 #[derive(Debug, Clone)]
 pub struct LatencyHistogram {
-    /// Bin upper edges, in ms, strictly increasing.
-    edges_ms: Vec<f64>,
+    /// Bin upper edges, in ms, strictly increasing. Borrowed: every
+    /// series of a job shares one axis.
+    edges_ms: &'static [f64],
     /// `counts[0]` = samples <= edges[0]; `counts[i]` = samples in
     /// `(edges[i-1], edges[i]]`; last = overflow.
     counts: Vec<u64>,
@@ -73,14 +74,14 @@ impl LatencyHistogram {
 
     /// Creates a histogram with custom bin edges (ms, strictly
     /// increasing).
-    pub fn with_edges(edges_ms: &[f64]) -> LatencyHistogram {
+    pub fn with_edges(edges_ms: &'static [f64]) -> LatencyHistogram {
         assert!(!edges_ms.is_empty(), "need at least one bin edge");
         assert!(
             edges_ms.windows(2).all(|w| w[0] < w[1]),
             "bin edges must be strictly increasing"
         );
         LatencyHistogram {
-            edges_ms: edges_ms.to_vec(),
+            edges_ms,
             counts: vec![0; edges_ms.len() + 1],
             count: 0,
             sum_cycles: 0,
@@ -189,7 +190,7 @@ impl LatencyHistogram {
             self.cycles_hz
         );
         self.cycles_hz = cpu_hz;
-        for &edge in &self.edges_ms {
+        for &edge in self.edges_ms {
             match cycle_edge_for(edge, cpu_hz) {
                 Some(ce) => self.edges_cycles.push(ce),
                 // No representable cycle count converts above this edge;
@@ -249,8 +250,8 @@ impl LatencyHistogram {
     }
 
     /// Bin edges (ms).
-    pub fn edges_ms(&self) -> &[f64] {
-        &self.edges_ms
+    pub fn edges_ms(&self) -> &'static [f64] {
+        self.edges_ms
     }
 
     /// Raw bin counts (underflow, bins…, overflow).
@@ -381,20 +382,54 @@ fn cycle_bin(binade_start: &[u32; 66], edges_cycles: &[u64], c: u64) -> usize {
 }
 
 /// The smallest cycle count whose ms conversion at `cpu_hz` exceeds
-/// `edge_ms`, or `None` if no representable `u64` does. Binary search over
-/// the monotone non-decreasing `Cycles::as_ms_at`.
+/// `edge_ms`, or `None` if no representable `u64` does.
+///
+/// The rounded inverse conversion `edge_ms * cpu_hz / 1e3` lands within a
+/// few float roundings of the answer, so the search brackets the answer
+/// by galloping away from it (steps of 1, 2, 4, … cycles) and bisects
+/// only inside that bracket. `Cycles::as_ms_at` is monotone
+/// non-decreasing, so the result is the one a binary search over all of
+/// `u64` finds, in a handful of conversions instead of 64.
 fn cycle_edge_for(edge_ms: f64, cpu_hz: u64) -> Option<u64> {
-    if Cycles(0).as_ms_at(cpu_hz) > edge_ms {
+    let above = |c: u64| Cycles(c).as_ms_at(cpu_hz) > edge_ms;
+    if above(0) {
         return Some(0);
     }
     if Cycles(u64::MAX).as_ms_at(cpu_hz) <= edge_ms {
         return None;
     }
-    // Invariant: as_ms_at(lo) <= edge < as_ms_at(hi).
-    let (mut lo, mut hi) = (0u64, u64::MAX);
+    // Invariant: !above(lo) and above(hi); the checks above settle the
+    // ends of `u64`, and stopping at `u64::MAX` also ends the climb for
+    // a NaN edge. The float-to-int cast saturates.
+    let guess = (edge_ms * cpu_hz as f64 / 1e3).round() as u64;
+    let (mut lo, mut hi);
+    let mut step = 1u64;
+    if above(guess) {
+        hi = guess;
+        loop {
+            let c = hi.saturating_sub(step);
+            if !above(c) {
+                lo = c;
+                break;
+            }
+            hi = c;
+            step = step.saturating_mul(2);
+        }
+    } else {
+        lo = guess;
+        loop {
+            let c = lo.saturating_add(step);
+            if c == u64::MAX || above(c) {
+                hi = c;
+                break;
+            }
+            lo = c;
+            step = step.saturating_mul(2);
+        }
+    }
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
-        if Cycles(mid).as_ms_at(cpu_hz) > edge_ms {
+        if above(mid) {
             hi = mid;
         } else {
             lo = mid;
@@ -828,6 +863,61 @@ mod tests {
         a.record_cycles(Cycles(1_000), 300_000_000);
         b.record_cycles(Cycles(2_000), 600_000_000);
         a.merge(&b);
+    }
+
+    /// The binary search over all of `u64` that `cycle_edge_for`'s
+    /// bracketed search must agree with.
+    fn cycle_edge_by_full_search(edge_ms: f64, cpu_hz: u64) -> Option<u64> {
+        if Cycles(0).as_ms_at(cpu_hz) > edge_ms {
+            return Some(0);
+        }
+        if Cycles(u64::MAX).as_ms_at(cpu_hz) <= edge_ms {
+            return None;
+        }
+        let (mut lo, mut hi) = (0u64, u64::MAX);
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if Cycles(mid).as_ms_at(cpu_hz) > edge_ms {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        Some(hi)
+    }
+
+    #[test]
+    fn bracketed_cycle_edge_matches_the_full_search() {
+        // Clock rates from 1 Hz to 10 GHz: a geometric sweep with each
+        // rate's neighbours, plus the simulator's rates.
+        let mut rates = vec![299_999_999u64, 300_000_000, 300_000_001, 1_000_000_000];
+        let mut hz = 1.0f64;
+        while hz <= 1e10 {
+            let r = hz as u64;
+            rates.extend([r.saturating_sub(1).max(1), r, r + 1]);
+            hz *= 1.37;
+        }
+        rates.push(10_000_000_000);
+        for &hz in &rates {
+            for &edge in &FIG4_EDGES_MS {
+                assert_eq!(
+                    cycle_edge_for(edge, hz),
+                    cycle_edge_by_full_search(edge, hz),
+                    "{edge} ms at {hz} Hz"
+                );
+            }
+        }
+        // An edge below zero: every count exceeds it. An edge past the
+        // last representable count: none does. A NaN edge still ends.
+        for hz in [1u64, 300_000_000, 10_000_000_000, u64::MAX] {
+            assert_eq!(cycle_edge_for(-1.0, hz), Some(0));
+            assert_eq!(cycle_edge_by_full_search(-1.0, hz), Some(0));
+            let beyond = Cycles(u64::MAX).as_ms_at(hz) * 2.0;
+            assert_eq!(cycle_edge_for(beyond, hz), None);
+            assert_eq!(cycle_edge_by_full_search(beyond, hz), None);
+            let nan = cycle_edge_by_full_search(f64::NAN, hz);
+            assert_eq!(cycle_edge_for(f64::NAN, hz), nan);
+        }
     }
 
     #[test]

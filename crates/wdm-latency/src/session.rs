@@ -317,16 +317,11 @@ pub fn measure_scenario(
     session.flush();
     let batch_flushes = session.batch_flushes();
     let staged_samples = session.staged_samples();
-    // Read before `r28` takes its long-lived mutable borrow below.
     let stage_peak = session.peak_staged();
 
-    // Move the collected series out of the session rather than cloning:
-    // hours-long cells hold millions of histogram bins and block maxima per
-    // series, and the session is dropped right after this anyway. The
-    // collector keeps running until `scenario` drops, so the vacated slots
-    // are backfilled with cheap empty series of the same name.
-    let cpu_hz = scenario.kernel.config().cpu_hz;
-    let mut truth = session.truth.borrow_mut();
+    // Everything that reads the kernel happens while it is alive: the
+    // cause tool's episodes, the trace events and the blame episodes
+    // render thread, vector and DPC names, which do not survive it.
     let episodes = cause
         .map(|c| {
             c.borrow()
@@ -336,14 +331,7 @@ pub fn measure_scenario(
                 .collect()
         })
         .unwrap_or_default();
-    let mut r28 = session.rt28_results().borrow_mut();
-    let take = |s: &mut LatencySeries| {
-        let name = s.name.clone();
-        std::mem::replace(s, LatencySeries::new(&name, cpu_hz))
-    };
-    // Render trace events while the kernel is alive so thread/vector/DPC
-    // names resolve; the recorder ring is dropped with the scenario.
-    // A blame-implied recorder renders no export — the caller did not ask
+    // A blame-implied recorder renders no export: the caller did not ask
     // for a cell trace, only for episode windows.
     let trace_events = if opts.flight.is_some() {
         flight
@@ -356,7 +344,6 @@ pub fn measure_scenario(
     } else {
         Vec::new()
     };
-    // Episode reports and traces render here too, for the same reason.
     let blame_pid = flight_opts.map(|f| f.pid).unwrap_or(2);
     let blame_episodes: Vec<BlameEpisodePayload> = blame
         .as_ref()
@@ -381,30 +368,45 @@ pub fn measure_scenario(
     };
     let flight_peak = flight.as_ref().map(|(r, _)| r.borrow().peak_depth());
     let metrics = scenario.kernel.metrics_snapshot();
+    let ops_completed = scenario.total_ops();
+    let usage = scenario.usage;
+    let k = &scenario.kernel;
+    let (account, sim_events, steps_executed, step_dispatches) =
+        (k.account, k.sim_events, k.steps_executed, k.step_dispatches);
+    let waits_24 = k.thread(session.rt24.thread).waits_satisfied;
+    let waits_28 = k.thread(session.rt28.thread).waits_satisfied;
+
+    // Dropping the scenario drops the kernel's handles on the collector
+    // and on the rt28 tool's results, so the series move out of them.
+    drop(scenario);
+    let unique = "the kernel held the only other handle";
+    let truth = Rc::into_inner(session.truth).expect(unique).into_inner();
+    let r28 = session.rt28.results.expect("the rt28 tool records");
+    let r28 = Rc::into_inner(r28).expect(unique).into_inner();
     let mut m = ScenarioMeasurement {
         os,
         workload,
         collected_hours: sim_hours,
-        usage: scenario.usage,
-        int_to_isr: take(&mut truth.dpc28.round_int),
-        int_to_isr_all_ticks: take(&mut truth.pit_int),
-        isr_to_dpc: take(&mut truth.dpc28.isr_to_dpc),
-        int_to_dpc: take(&mut truth.dpc28.int),
-        dpc_lat: take(&mut truth.dpc28.lat),
-        thread_lat_28: take(&mut truth.thread28.lat),
-        thread_int_28: take(&mut truth.thread28.int),
-        thread_lat_24: take(&mut truth.thread24.lat),
-        thread_int_24: take(&mut truth.thread24.int),
-        tool_dpc_to_thread_28: take(&mut r28.dpc_to_thread),
-        tool_est_int_to_dpc: take(&mut r28.est_int_to_dpc),
-        ops_completed: scenario.total_ops(),
-        account: scenario.kernel.account,
+        usage,
+        int_to_isr: truth.dpc28.round_int,
+        int_to_isr_all_ticks: truth.pit_int,
+        isr_to_dpc: truth.dpc28.isr_to_dpc,
+        int_to_dpc: truth.dpc28.int,
+        dpc_lat: truth.dpc28.lat,
+        thread_lat_28: truth.thread28.lat,
+        thread_int_28: truth.thread28.int,
+        thread_lat_24: truth.thread24.lat,
+        thread_int_24: truth.thread24.int,
+        tool_dpc_to_thread_28: r28.dpc_to_thread,
+        tool_est_int_to_dpc: r28.est_int_to_dpc,
+        ops_completed,
+        account,
         episodes,
-        waits_24: scenario.kernel.thread(session.rt24.thread).waits_satisfied,
-        waits_28: scenario.kernel.thread(session.rt28.thread).waits_satisfied,
-        sim_events: scenario.kernel.sim_events,
-        steps_executed: scenario.kernel.steps_executed,
-        step_dispatches: scenario.kernel.step_dispatches,
+        waits_24,
+        waits_28,
+        sim_events,
+        steps_executed,
+        step_dispatches,
         metrics,
         trace_events,
         blame_episodes,

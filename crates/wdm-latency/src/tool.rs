@@ -217,7 +217,7 @@ impl LatencyTool {
         let event = k.create_event(false);
         // LatDpcRoutine (§2.2.3): stamp ASB[1], signal the thread.
         let dpc = k.create_dpc(
-            &format!("{name}-lat-dpc"),
+            format!("{name}-lat-dpc"),
             Box::new(wdm_sim::step::OpSeq::new(vec![
                 Step::ReadTsc(asb1),
                 Step::SetEvent(event),
@@ -226,7 +226,7 @@ impl LatencyTool {
         );
         let timer = k.create_timer(Some(dpc));
         let thread = k.create_thread(
-            &format!("{name}-lat-thread"),
+            format!("{name}-lat-thread"),
             priority,
             Box::new(LatThreadFunc {
                 event,
@@ -237,7 +237,7 @@ impl LatencyTool {
         );
         let results = record.then(|| Rc::new(RefCell::new(ToolResults::new(name, cpu_hz))));
         let _control = k.create_thread(
-            &format!("{name}-control-app"),
+            format!("{name}-control-app"),
             9, // A normal-priority user process.
             Box::new(ControlApp {
                 timer,

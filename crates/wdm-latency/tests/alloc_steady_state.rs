@@ -9,7 +9,8 @@
 //! sample. A second window pins the batched path (DESIGN.md §14):
 //! `draw_batch` into a fixed buffer, 200k samples staged through a
 //! [`SampleStage`] and flushed (partition + fold + reset), also at zero
-//! heap operations.
+//! heap operations. A third test pins the heap operations of one grid
+//! job's set-up, which every shard job pays again.
 //!
 //! The counter is per thread: the measured code runs on the test's own
 //! thread, while the test harness's threads allocate on their own schedule
@@ -187,4 +188,65 @@ fn record_heavy_window_is_allocation_free() {
         stage.batch_flushes()
     );
     assert_eq!(staged_series.hist.count(), 2 * warm_samples + staged_window);
+}
+
+/// Heap operations (allocations, reallocations and frees) one grid job
+/// makes before its first simulated event: `build_scenario` plus
+/// `MeasurementSession::install`, per cell at seed 4242. A sharded run
+/// pays them once per job, so each cell's count is pinned here with a
+/// small margin for the standard library's growth policy.
+///
+/// Before symbols were interned by a scan, routes became bitmasks, the
+/// histogram axis was borrowed and object names became `Cow`s, the same
+/// set-up took, per cell (build + install):
+///
+/// | cell | NT4 | Win98 |
+/// |---|---|---|
+/// | Business | 133 + 119 | 121 + 120 |
+/// | Workstation | 133 + 119 | 121 + 120 |
+/// | Games | 160 + 122 | 148 + 123 |
+/// | Web | 143 + 119 | 131 + 120 |
+#[test]
+fn cell_setup_heap_ops_are_pinned() {
+    use wdm_latency::MeasurementSession;
+    use wdm_osmodel::personality::OsKind;
+    use wdm_workloads::{build_scenario, ScenarioOptions, WorkloadKind};
+
+    /// (build, install) heap operations per cell, grid order.
+    const PINNED: [(OsKind, WorkloadKind, u64, u64); 8] = [
+        (OsKind::Nt4, WorkloadKind::Business, 91, 91),
+        (OsKind::Nt4, WorkloadKind::Workstation, 91, 91),
+        (OsKind::Nt4, WorkloadKind::Games, 104, 94),
+        (OsKind::Nt4, WorkloadKind::Web, 95, 91),
+        (OsKind::Win98, WorkloadKind::Business, 80, 92),
+        (OsKind::Win98, WorkloadKind::Workstation, 80, 92),
+        (OsKind::Win98, WorkloadKind::Games, 93, 95),
+        (OsKind::Win98, WorkloadKind::Web, 84, 92),
+    ];
+    const MARGIN: u64 = 4;
+    for (os, w, build_pin, install_pin) in PINNED {
+        let before = heap_ops();
+        let mut sc = build_scenario(os, w, 4242, &ScenarioOptions::default());
+        let built = heap_ops() - before;
+        let before = heap_ops();
+        let session = MeasurementSession::install(&mut sc.kernel, 1.0);
+        let installed = heap_ops() - before;
+        assert!(
+            built <= build_pin + MARGIN && installed <= install_pin + MARGIN,
+            "{os:?} {w:?}: build_scenario made {built} heap ops (pinned {build_pin}), \
+             install made {installed} (pinned {install_pin})"
+        );
+
+        // Re-interning a pair the scenario already holds only scans the
+        // table.
+        let (labels, before) = (sc.kernel.symbols().len(), heap_ops());
+        let pit = sc.kernel.intern("HAL", "_HalpClockInterrupt");
+        let idle = sc.kernel.intern("HAL", "_IdleLoop");
+        let ops = heap_ops() - before;
+        assert_eq!(ops, 0, "{os:?} {w:?}: re-interning made {ops} heap ops");
+        assert_eq!(sc.kernel.symbols().len(), labels);
+        assert_eq!(sc.kernel.symbols().render(pit), "HAL!_HalpClockInterrupt");
+        assert_eq!(idle, wdm_sim::labels::Label::IDLE);
+        drop(session);
+    }
 }

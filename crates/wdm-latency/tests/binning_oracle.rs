@@ -67,7 +67,9 @@ fn clock_rate() -> impl Strategy<Value = u64> {
 /// Records every sample at `cpu_hz` and asserts the histogram equals the
 /// ms-domain definition computed here, sample by sample.
 fn assert_matches_ms_definition(edges: &[f64], cpu_hz: u64, samples: &[u64]) {
-    let mut h = LatencyHistogram::with_edges(edges);
+    // A histogram borrows its axis for the life of the program, so each
+    // random axis is leaked: a few bytes per case.
+    let mut h = LatencyHistogram::with_edges(edges.to_vec().leak());
     let mut counts = vec![0u64; edges.len() + 1];
     let (mut max, mut min, mut sum) = (0.0f64, f64::INFINITY, 0u128);
     for &c in samples {

@@ -17,7 +17,10 @@
 //! calendar borrows just those slices, not the tables (see
 //! [`crate::calendar::Calendar`]).
 
-use std::ops::{Index, IndexMut};
+use std::{
+    borrow::Cow,
+    ops::{Index, IndexMut},
+};
 
 use crate::{
     ids::DpcId,
@@ -58,7 +61,12 @@ pub struct ThreadTable {
 
 impl ThreadTable {
     /// Appends a ready thread at the given priority; returns its index.
-    pub fn push(&mut self, name: &str, priority: u8, program: Box<dyn Program>) -> usize {
+    pub fn push(
+        &mut self,
+        name: impl Into<Cow<'static, str>>,
+        priority: u8,
+        program: Box<dyn Program>,
+    ) -> usize {
         assert!(
             (1..=MAX_PRIORITY).contains(&priority),
             "thread priority must be 1..=31"
@@ -231,7 +239,7 @@ mod tests {
     fn columns_stay_parallel() {
         let mut t = ThreadTable::default();
         for p in 1..=8 {
-            t.push(&format!("t{p}"), p, dummy());
+            t.push(format!("t{p}"), p, dummy());
         }
         assert_eq!(t.len(), 8);
         assert_eq!(t.state.len(), 8);

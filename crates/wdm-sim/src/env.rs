@@ -8,6 +8,8 @@
 //! process: when it fires, its action is applied and the next arrival is
 //! sampled.
 
+use std::borrow::Cow;
+
 use rand::rngs::StdRng;
 
 use crate::{
@@ -60,7 +62,7 @@ impl core::fmt::Debug for EnvAction {
 /// An arrival process feeding the kernel with environment events.
 pub struct EnvSource {
     /// Debug name ("ide-interrupts", "vmm-sections", ...).
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// Inter-arrival gap sampler.
     pub arrival: Sampler,
     /// Action applied at each arrival.
@@ -75,9 +77,13 @@ pub struct EnvSource {
 
 impl EnvSource {
     /// Creates an enabled source.
-    pub fn new(name: &str, arrival: Sampler, action: EnvAction) -> EnvSource {
+    pub fn new(
+        name: impl Into<Cow<'static, str>>,
+        arrival: Sampler,
+        action: EnvAction,
+    ) -> EnvSource {
         EnvSource {
-            name: name.to_string(),
+            name: name.into(),
             arrival,
             action,
             enabled: true,

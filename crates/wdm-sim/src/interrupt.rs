@@ -9,6 +9,8 @@
 //! disabled as well as the bus latency necessary to resolve the
 //! interrupt".
 
+use std::borrow::Cow;
+
 use crate::{
     ids::VectorId,
     irql::Irql,
@@ -27,7 +29,7 @@ pub struct Vector {
     /// for latency measurement.
     pub pending_since: Option<Instant>,
     /// Human-readable name ("PIT", "IDE", "NIC", ...).
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// Total assertions observed.
     pub assert_count: u64,
     /// Assertions coalesced because the line was already pending.
@@ -57,7 +59,7 @@ impl InterruptController {
     ///
     /// If `irql` is not in `DISPATCH < irql <= HIGH`. The upper bound is
     /// what makes a cli window (which runs at HIGH) mask every vector.
-    pub fn install(&mut self, name: &str, irql: Irql) -> VectorId {
+    pub fn install(&mut self, name: impl Into<Cow<'static, str>>, irql: Irql) -> VectorId {
         assert!(
             irql > Irql::DISPATCH,
             "interrupt vectors must be above DISPATCH level"
@@ -70,7 +72,7 @@ impl InterruptController {
         self.vectors.push(Vector {
             irql,
             pending_since: None,
-            name: name.to_string(),
+            name: name.into(),
             assert_count: 0,
             coalesced_count: 0,
         });

@@ -21,7 +21,7 @@
 //! the next decision point (hardware event, busy-chunk completion, quantum
 //! expiry). Everything is deterministic given the configuration seed.
 
-use std::{any::Any, cell::RefCell, collections::VecDeque, rc::Rc};
+use std::{any::Any, borrow::Cow, cell::RefCell, collections::VecDeque, rc::Rc};
 
 use rand::{rngs::StdRng, RngCore, SeedableRng};
 
@@ -51,7 +51,7 @@ use crate::{
 /// A DPC object: a routine plus queueing metadata.
 pub struct DpcObject {
     /// Debug name.
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// The routine; taken out while executing.
     program: Option<Box<dyn Program>>,
     /// Executions so far.
@@ -164,46 +164,51 @@ struct BlameMark {
 
 type ObserverRc = Rc<RefCell<dyn Observer>>;
 
+/// Observers a kernel can route to: one bit each in a route mask. The
+/// flight recorder takes no bit.
+const MAX_OBSERVERS: usize = u64::BITS as usize;
+
 /// One hooked kind's delivery routes: for each object id (vector, DPC or
-/// thread), the observers subscribed to it, in registration order.
+/// thread), the mask of observers subscribed to it. Bit `i` is the `i`th
+/// registered observer, so walking the set bits from the lowest visits
+/// them in registration order.
 #[derive(Default)]
 struct Routes {
-    /// Observers subscribed to every object of the kind, in registration
-    /// order: the route an object created later starts with.
-    every: Vec<ObserverRc>,
-    by_object: Vec<Vec<ObserverRc>>,
+    /// Observers subscribed to every object of the kind: the mask an
+    /// object created later starts with.
+    every: u64,
+    by_object: Vec<u64>,
 }
 
 impl Routes {
     /// Opens the route of a newly created object.
     fn add_object(&mut self) {
-        self.by_object.push(self.every.clone());
+        self.by_object.push(self.every);
     }
 
-    /// Appends `obs` to the routes of the objects `objects` names.
+    /// Sets `bit` in the routes of the objects `objects` names. An id
+    /// listed twice sets the same bit twice.
     ///
     /// # Panics
     ///
     /// If an id names no object of the kind.
-    fn subscribe(&mut self, obs: &ObserverRc, objects: Objects<usize>, kind: &str) {
+    fn subscribe(&mut self, bit: u64, objects: Objects<usize>, kind: &str) {
         match objects {
             Objects::None => {}
             Objects::All => {
-                self.every.push(obs.clone());
+                self.every |= bit;
                 for route in &mut self.by_object {
-                    route.push(obs.clone());
+                    *route |= bit;
                 }
             }
-            Objects::Only(mut ids) => {
-                ids.sort_unstable();
-                ids.dedup();
+            Objects::Only(ids) => {
                 let n = self.by_object.len();
                 for id in ids {
                     assert!(
                         id < n,
                         "subscription names {kind} {id} but the kernel has {n} {kind}s"
                     );
-                    self.by_object[id].push(obs.clone());
+                    self.by_object[id] |= bit;
                 }
             }
         }
@@ -242,10 +247,13 @@ pub struct Kernel {
     /// [`Kernel::fire_env`], which takes the slot to split borrows without
     /// allocating a placeholder source per arrival.
     env: Vec<Option<EnvSource>>,
+    /// Every registered observer but the flight recorder, in registration
+    /// order: the targets of the route masks' bits.
+    observers: Vec<ObserverRc>,
     /// Per-kind delivery routes, indexed by [`Interest::index`]: each
-    /// object's subscribed observers (Rc clones, built at
-    /// [`Kernel::add_observer`] and at object creation). Delivery walks
-    /// the event's object route only. The flight recorder is never here.
+    /// object's mask over `observers` (built at [`Kernel::add_observer`]
+    /// and at object creation). Delivery walks the event's object mask
+    /// only.
     routes: [Routes; Interest::KINDS],
     /// The flight recorder, recognised at [`Kernel::add_observer`]: the
     /// emit sites push into its ring directly, with no virtual call.
@@ -256,7 +264,9 @@ pub struct Kernel {
     interest_union: Interest,
     /// Blame ledger marks by thread. Only a thread with a non-empty
     /// [`Interest::RESUME_BLAME`] route (a watched thread) is ever
-    /// marked, at ready time; its resume takes the mark.
+    /// marked, at ready time; its resume takes the mark. Empty until a
+    /// resume-blame subscription attaches, then one slot per thread, so
+    /// every resume indexes it while blame is armed.
     blame_marks: Vec<Option<BlameMark>>,
     resched: bool,
     current_label: Label,
@@ -345,6 +355,7 @@ impl Kernel {
             frames: Vec::new(),
             pending_sections: VecDeque::new(),
             env: Vec::new(),
+            observers: Vec::new(),
             routes,
             flight: None,
             interest_union: Interest::NONE,
@@ -417,10 +428,14 @@ impl Kernel {
     }
 
     /// Creates a DPC object.
-    pub fn create_dpc(&mut self, name: &str, program: Box<dyn Program>) -> DpcId {
+    pub fn create_dpc(
+        &mut self,
+        name: impl Into<Cow<'static, str>>,
+        program: Box<dyn Program>,
+    ) -> DpcId {
         let id = DpcId(self.dpcs.len());
         self.dpcs.push(DpcObject {
-            name: name.to_string(),
+            name: name.into(),
             program: Some(program),
             run_count: 0,
         });
@@ -431,21 +446,28 @@ impl Kernel {
     /// Creates a kernel thread, initially ready.
     pub fn create_thread(
         &mut self,
-        name: &str,
+        name: impl Into<Cow<'static, str>>,
         priority: u8,
         program: Box<dyn Program>,
     ) -> ThreadId {
         let id = ThreadId(self.threads.push(name, priority, program));
         self.routes[Interest::THREAD_RESUME.index()].add_object();
         self.routes[Interest::RESUME_BLAME.index()].add_object();
-        self.blame_marks.push(None);
+        if self.wants(Interest::RESUME_BLAME) {
+            self.blame_marks.push(None);
+        }
         self.ready.push_back(id, priority);
         self.resched = true;
         id
     }
 
     /// Installs a device interrupt vector with a user ISR.
-    pub fn install_vector(&mut self, name: &str, irql: Irql, isr: Box<dyn Program>) -> VectorId {
+    pub fn install_vector(
+        &mut self,
+        name: impl Into<Cow<'static, str>>,
+        irql: Irql,
+        isr: Box<dyn Program>,
+    ) -> VectorId {
         let id = self.ic.install(name, irql);
         debug_assert_eq!(id.0, self.isr_bodies.len());
         self.isr_bodies.push(IsrBody::User { program: Some(isr) });
@@ -491,10 +513,15 @@ impl Kernel {
     /// is recognised here and fed directly by the emit sites instead of
     /// through the routes.
     ///
+    /// Every other observer takes the next bit of the route masks, so a
+    /// kernel routes to at most 64 of them; the flight recorder takes no
+    /// bit.
+    ///
     /// # Panics
     ///
-    /// If a flight recorder is already attached, or if the subscription
-    /// lists an id that names no existing object of its kind.
+    /// If a flight recorder is already attached, if 64 observers besides
+    /// it are, or if the subscription lists an id that names no existing
+    /// object of its kind.
     pub fn add_observer<T: Observer + 'static>(&mut self, obs: ObserverHandle<T>) {
         let subscription = obs.borrow().subscription();
         self.interest_union |= subscription.interest();
@@ -504,11 +531,19 @@ impl Kernel {
             self.flight = Some(rec);
             return;
         }
-        let obs: ObserverRc = obs;
+        assert!(
+            self.observers.len() < MAX_OBSERVERS,
+            "a kernel routes at most {MAX_OBSERVERS} observers besides its flight recorder"
+        );
+        if subscription.resume_blame != Objects::None {
+            self.blame_marks.resize(self.threads.len(), None);
+        }
+        let bit = 1 << self.observers.len();
         let names = ["vector", "dpc", "thread", "thread"];
         for (i, objects) in subscription.into_kinds().into_iter().enumerate() {
-            self.routes[i].subscribe(&obs, objects, names[i]);
+            self.routes[i].subscribe(bit, objects, names[i]);
         }
+        self.observers.push(obs);
     }
 
     // ------------------------------------------------------------------
@@ -1747,7 +1782,7 @@ impl Kernel {
         // window because every elapsed cycle lands in exactly one ledger
         // bucket (DESIGN.md §15). Plain copies — no allocation.
         if self.wants(Interest::RESUME_BLAME)
-            && !self.routes[Interest::RESUME_BLAME.index()].by_object[i].is_empty()
+            && self.routes[Interest::RESUME_BLAME.index()].by_object[i] != 0
         {
             let (above, at_or_below) = self.blame_split(priority);
             self.blame_marks[i] = Some(BlameMark {
@@ -1899,11 +1934,12 @@ impl Kernel {
     }
 
     /// Invokes `f` on every observer subscribed to `object` for `kind`, in
-    /// registration order, walking the object's route (built at
-    /// [`Kernel::add_observer`] and at object creation) in place. Callers
-    /// gate on [`Kernel::wants`] first; `notify_takes` counts every walk
-    /// of a non-empty route so `tests/observer_interest.rs` can assert it
-    /// equals the routed deliveries.
+    /// registration order, walking the set bits of the object's route
+    /// mask (built at [`Kernel::add_observer`] and at object creation)
+    /// from the lowest. Callers gate on [`Kernel::wants`] first;
+    /// `notify_takes` counts every walk of a non-empty route so
+    /// `tests/observer_interest.rs` can assert it equals the routed
+    /// deliveries.
     #[inline]
     fn notify<E, F: Fn(&mut dyn Observer, &E)>(
         &mut self,
@@ -1912,13 +1948,15 @@ impl Kernel {
         f: F,
         e: &E,
     ) {
-        let route = &self.routes[kind.index()].by_object[object];
-        if route.is_empty() {
+        let mut route = self.routes[kind.index()].by_object[object];
+        if route == 0 {
             return;
         }
         self.notify_takes += 1;
-        for o in route {
+        while route != 0 {
+            let o = &self.observers[route.trailing_zeros() as usize];
             f(&mut *o.borrow_mut(), e);
+            route &= route - 1;
         }
     }
 }

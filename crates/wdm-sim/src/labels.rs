@@ -6,8 +6,11 @@
 //! Labels are interned into a [`SymbolTable`] so they are cheap to copy and
 //! compare; the cause tool resolves them back to names for episode reports
 //! like Table 4.
-
-use std::collections::HashMap;
+//!
+//! Interning is a linear scan of the interned names with `&str` compares:
+//! a kernel interns a few dozen labels, all at set-up, so a scan beats
+//! hashing an owned key, and only a new label allocates. Labels are
+//! numbered in first-interned order, which flame and trace output keep.
 
 /// An interned `module!function` execution label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -27,7 +30,6 @@ impl Label {
 pub struct SymbolTable {
     names: Vec<(String, String)>,
     parents: Vec<Option<Label>>,
-    index: HashMap<(String, String), Label>,
 }
 
 impl SymbolTable {
@@ -36,7 +38,6 @@ impl SymbolTable {
         let mut t = SymbolTable {
             names: Vec::new(),
             parents: Vec::new(),
-            index: HashMap::new(),
         };
         let idle = t.intern("HAL", "_IdleLoop");
         let kernel = t.intern("NTOSKRNL", "_KiDispatch");
@@ -47,7 +48,8 @@ impl SymbolTable {
 
     /// Interns a `module!function` pair, returning its label.
     ///
-    /// Interning the same pair twice returns the same label.
+    /// Interning the same pair twice returns the same label, and touches
+    /// no heap.
     pub fn intern(&mut self, module: &str, function: &str) -> Label {
         self.intern_with_parent(module, function, None)
     }
@@ -63,17 +65,19 @@ impl SymbolTable {
         function: &str,
         parent: Option<Label>,
     ) -> Label {
-        let key = (module.to_string(), function.to_string());
-        if let Some(&l) = self.index.get(&key) {
+        let found = self
+            .names
+            .iter()
+            .position(|(m, f)| f == function && m == module);
+        if let Some(i) = found {
             if let Some(p) = parent {
-                self.parents[l.0 as usize].get_or_insert(p);
+                self.parents[i].get_or_insert(p);
             }
-            return l;
+            return Label(i as u32);
         }
         let l = Label(self.names.len() as u32);
-        self.names.push(key.clone());
+        self.names.push((module.to_owned(), function.to_owned()));
         self.parents.push(parent);
-        self.index.insert(key, l);
         l
     }
 
@@ -197,6 +201,18 @@ mod tests {
         let b2 = t.intern_with_parent("M", "_B", Some(c));
         assert_eq!(b, b2);
         assert_eq!(t.parent(b), Some(a), "first registration wins");
+    }
+
+    #[test]
+    fn labels_number_in_first_interned_order() {
+        let mut t = SymbolTable::new();
+        let b = t.intern("B", "_b");
+        let a = t.intern("A", "_a");
+        let c = t.intern_chain(&[("A", "_a"), ("C", "_c")]);
+        assert_eq!([b, a, c], [Label(2), Label(3), Label(4)]);
+        assert_eq!(t.intern("B", "_b"), b);
+        assert_eq!(t.intern("HAL", "_IdleLoop"), Label::IDLE);
+        assert_eq!(t.len(), 5);
     }
 
     #[test]

@@ -203,7 +203,8 @@ pub enum Objects<Id> {
     /// Every object, including objects created after the observer
     /// attaches.
     All,
-    /// Exactly these objects. Each must exist when the observer attaches.
+    /// Exactly these objects. Each must exist when the observer attaches;
+    /// an id listed twice still delivers each of its events once.
     Only(Vec<Id>),
 }
 
@@ -212,7 +213,8 @@ pub enum Objects<Id> {
 ///
 /// The kernel hands each event only to the observers subscribed to its
 /// object, in registration order, so an observer never pays for an
-/// object it does not read (DESIGN.md §10).
+/// object it does not read (DESIGN.md §10). A kernel routes to at most
+/// 64 observers besides its flight recorder.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Subscription {
     /// Vectors whose ISR entries reach [`Observer::on_isr_enter`].

@@ -12,6 +12,8 @@
 //! sleep deadlines) live in the parallel columns of
 //! [`crate::arena::ThreadTable`]. Threads always run at PASSIVE level.
 
+use std::borrow::Cow;
+
 use crate::{
     step::{ExecState, Program},
     time::Instant,
@@ -42,7 +44,7 @@ pub enum ThreadState {
 /// scheduling columns live in [`crate::arena::ThreadTable`]).
 pub struct Tcb {
     /// Debug name.
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// Base priority boosts decay back to.
     pub base_priority: u8,
     /// The thread's code. Taken out while the kernel steps it.
@@ -64,9 +66,9 @@ impl Tcb {
     /// Creates the cold record for a new thread; `priority` seeds the base
     /// priority boosts decay back to. Range checking and the hot-column
     /// defaults are handled by [`crate::arena::ThreadTable::push`].
-    pub fn new(name: &str, priority: u8, program: Box<dyn Program>) -> Tcb {
+    pub fn new(name: impl Into<Cow<'static, str>>, priority: u8, program: Box<dyn Program>) -> Tcb {
         Tcb {
-            name: name.to_string(),
+            name: name.into(),
             base_priority: priority,
             program: Some(program),
             started: false,

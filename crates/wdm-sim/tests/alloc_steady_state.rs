@@ -112,7 +112,7 @@ fn pipeline_kernel() -> Kernel {
     );
     for i in 0..2u64 {
         k.create_thread(
-            &format!("hog-{i}"),
+            format!("hog-{i}"),
             (6 + i) as u8,
             Box::new(LoopSeq::new(vec![
                 Step::Busy {

@@ -201,7 +201,7 @@ fn build(sc: Scenario, blame: Option<Rc<RefCell<BlameLog>>>, flame_period: u64) 
     );
     for i in 0..2u64 {
         k.create_thread(
-            &format!("hog-{i}"),
+            format!("hog-{i}"),
             (6 + i) as u8,
             Box::new(LoopSeq::new(vec![
                 Step::Busy {

@@ -203,7 +203,7 @@ fn far_future_timers_and_sleepers_add_no_tick_work() {
             }
             for i in 0..1000 {
                 k.create_thread(
-                    &format!("far-sleeper-{i}"),
+                    format!("far-sleeper-{i}"),
                     4,
                     Box::new(OpSeq::new(vec![Step::Sleep(far)])),
                 );
@@ -297,7 +297,7 @@ fn build_rig() -> TimerRig {
     let mut workers = Vec::new();
     for i in 0..WORKERS {
         let dpc = kernel.create_dpc(
-            &format!("cal-worker-{i}"),
+            format!("cal-worker-{i}"),
             Box::new(OpSeq::new(vec![Step::Return])),
         );
         worker_dpcs.push(dpc);
@@ -308,7 +308,7 @@ fn build_rig() -> TimerRig {
     // timer entries (their own wakeups are not part of the oracle).
     for w in 0..2usize {
         kernel.create_thread(
-            &format!("sleeper-{w}"),
+            format!("sleeper-{w}"),
             5 + w as u8,
             Box::new(LoopSeq::new(vec![Step::Sleep(Cycles(
                 1_700_001 + 400_001 * w as u64,

@@ -76,7 +76,7 @@ fn semaphore_release_count_wakes_that_many() {
     for i in 0..3 {
         let s = Slot(slots.0 + i);
         k.create_thread(
-            &format!("w{i}"),
+            format!("w{i}"),
             20,
             Box::new(OpSeq::new(vec![
                 Step::Wait(WaitObject::Semaphore(sem)),

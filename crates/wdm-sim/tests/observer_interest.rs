@@ -20,6 +20,9 @@
 //!    never sits on a route (a recorder alone costs zero takes), yet its
 //!    ring stores exactly the values the hooks receive, next to the kinds
 //!    only the ring records.
+//! 5. *Route masks*: a route is one bit per observer, so a kernel takes at
+//!    most 64 observers besides its recorder, which takes no bit, and an
+//!    id listed twice still delivers once per event.
 
 use std::{cell::RefCell, rc::Rc};
 
@@ -497,4 +500,72 @@ fn a_second_flight_recorder_is_rejected() {
     let mut k = Kernel::new(KernelConfig::default());
     k.add_observer(Rc::new(RefCell::new(FlightRecorder::new(64))));
     k.add_observer(Rc::new(RefCell::new(FlightRecorder::new(64))));
+}
+
+#[test]
+#[should_panic(expected = "a kernel routes at most 64 observers besides its flight recorder")]
+fn a_65th_observer_is_rejected() {
+    let mut k = Kernel::new(KernelConfig::default());
+    for _ in 0..65 {
+        k.add_observer(HookTrace::new(Subscription::NONE));
+    }
+}
+
+/// An id listed twice sets its route bit twice: the observer still gets
+/// each of the object's events once, and each event is one take.
+#[test]
+fn an_id_listed_twice_delivers_once_per_event() {
+    let mut k = Kernel::new(KernelConfig::default());
+    let everything = HookTrace::new(hooks());
+    k.add_observer(everything.clone());
+    let m = build_mixed_scenario(&mut k);
+    let pit = k.pit_vector();
+    let twice = HookTrace::new(Subscription {
+        isr_enter: Objects::Only(vec![m.vector, pit, m.vector, pit]),
+        dpc_start: Objects::Only(vec![m.dpc, m.dpc]),
+        thread_resume: Objects::Only(vec![m.worker, m.completer, m.worker]),
+        ..Subscription::NONE
+    });
+    k.add_observer(twice.clone());
+    run_mixed(&mut k);
+    let all = everything.borrow().events.clone();
+    assert!(all.len() > 20, "the scenario emits: {}", all.len());
+    assert_eq!(twice.borrow().events, all);
+    assert_eq!(k.notify_takes, all.len() as u64, "one take per event");
+}
+
+/// A recorder attached first or last leaves all 64 route bits to the
+/// other observers, and the observer on the last bit gets its events.
+#[test]
+fn an_attached_flight_recorder_takes_no_route_bit() {
+    let ring = || Rc::new(RefCell::new(FlightRecorder::new(1 << 16)));
+    let mut k = Kernel::new(KernelConfig::default());
+    let rec = ring();
+    k.add_observer(rec.clone());
+    for _ in 0..63 {
+        k.add_observer(HookTrace::new(Subscription::NONE));
+    }
+    let last = HookTrace::new(hooks());
+    k.add_observer(last.clone());
+    run_mixed_scenario(&mut k);
+    let seen = &last.borrow().events;
+    assert!(!seen.is_empty(), "the 64th bit delivers");
+    assert_eq!(k.notify_takes, seen.len() as u64);
+    let shared: Vec<FlightEvent> = rec
+        .borrow()
+        .events()
+        .filter(|e| {
+            matches!(
+                e,
+                FlightEvent::Isr(_) | FlightEvent::Dpc(_) | FlightEvent::Resume(_)
+            )
+        })
+        .collect();
+    assert_eq!(&shared, seen, "the ring records beside the last bit");
+
+    let mut k = Kernel::new(KernelConfig::default());
+    for _ in 0..64 {
+        k.add_observer(HookTrace::new(Subscription::NONE));
+    }
+    k.add_observer(ring());
 }

@@ -95,11 +95,12 @@ pub fn build_scenario(
     // Devices: vector + DPC + Poisson arrival source. Durations are scaled
     // by the personality (legacy drivers do more interrupt-context work).
     for d in &spec.devices {
-        let isr_label = k.intern(&d.name.to_uppercase(), "_Isr");
+        let module = d.name.to_uppercase();
+        let isr_label = k.intern(&module, "_Isr");
         let dpc = d.dpc_ms.as_ref().map(|dist| {
-            let dpc_label = k.intern(&d.name.to_uppercase(), "_DpcForIsr");
+            let dpc_label = k.intern(&module, "_DpcForIsr");
             k.create_dpc(
-                &format!("{}-dpc", d.name),
+                format!("{}-dpc", d.name),
                 Box::new(DeviceDpc::new(
                     dist.scaled(personality.driver_dpc_scale),
                     cpu,
@@ -127,7 +128,7 @@ pub fn build_scenario(
             } => bursty_arrivals(on_rate_hz, off_rate_hz, mean_on_ms, mean_off_ms, cpu),
         };
         k.add_env_source(EnvSource::new(
-            &format!("{}-arrivals", d.name),
+            format!("{}-arrivals", d.name),
             arrivals,
             EnvAction::AssertInterrupt(v),
         ));

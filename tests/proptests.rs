@@ -243,7 +243,7 @@ proptest! {
         for i in 0..n_threads {
             let prio = 4 + ((seed as usize + i) % 20) as u8; // 4..=23
             k.create_thread(
-                &format!("fuzz-{i}"),
+                format!("fuzz-{i}"),
                 prio,
                 Box::new(LoopSeq::new(steps.clone())),
             );
