@@ -138,7 +138,7 @@ mod tests {
         let mut k = Kernel::new(KernelConfig::default());
         let q = WorkItemQueue::install(&mut k, 100.0, Dist::Constant(2.0));
         k.run_for(Cycles::from_ms(500.0));
-        assert_eq!(k.thread_priority(q.worker), RT_DEFAULT_PRIORITY);
+        assert_eq!(k.thread(q.worker).priority, RT_DEFAULT_PRIORITY);
         // 100 posts/s x 2 ms = ~20% CPU in the worker.
         let frac = k.account.thread as f64 / k.now().0 as f64;
         assert!(frac > 0.1, "worker should consume visible CPU: {frac}");

@@ -19,17 +19,21 @@
 //! # Lazy cancellation
 //!
 //! Re-`KeSetTimer` on an armed timer would need an O(n) heap search to
-//! remove its stale entry eagerly. Instead each armed object carries a
-//! *generation* counter, bumped on every deadline transition; a heap entry
-//! records the generation at arm time and is simply skipped at pop time if
-//! the generations no longer match. A stale counter triggers an in-place
-//! compaction when stale entries dominate, bounding memory without
-//! perturbing fire order or the RNG call sequence. Sleep deadlines never go
-//! stale: nothing wakes a sleeper early.
+//! remove its stale entry eagerly. Instead each timer carries a
+//! *generation* counter (`KTimer::generation`), bumped on every set and
+//! fire; a heap entry records the generation at arm time and is simply
+//! skipped at pop time if the generations no longer match. A stale counter
+//! triggers an in-place compaction when stale entries dominate, bounding
+//! memory without perturbing fire order or the RNG call sequence. Sleep
+//! entries carry no generation: nothing wakes a sleeper before its
+//! deadline, so a sleeper holds at most one entry and it is always live.
 
 use std::{cmp::Reverse, collections::BinaryHeap};
 
-use crate::{time::Instant, timer::Pit};
+use crate::{
+    time::Instant,
+    timer::{KTimer, Pit},
+};
 
 /// One armed deadline: the object's index and the generation its deadline
 /// field carried when the entry was pushed.
@@ -229,11 +233,10 @@ pub struct Calendar {
     /// makes same-instant arrivals fire in schedule order.
     env: BinaryHeap<Reverse<(u64, u64, usize)>>,
     env_seq: u64,
-    /// Armed KTimer deadlines, validated against the timer table's
-    /// `due_gen` column.
+    /// Armed KTimer deadlines, validated against each timer's generation.
     timers: DeadlineHeap,
-    /// Thread sleep deadlines, validated against the thread table's
-    /// `deadline_gen` column.
+    /// Thread sleep deadlines. Always live, so pushed at generation 0 and
+    /// never validated.
     waits: DeadlineHeap,
     /// Peak total armed entries across all three queues (stale entries
     /// included — they occupy memory). Source for the
@@ -317,38 +320,35 @@ impl Calendar {
         self.note_peak();
     }
 
-    /// Arms a thread-sleep calendar entry at its current generation.
-    pub fn arm_wait(&mut self, idx: u32, deadline: Instant, gen: u64) {
-        self.waits.push(deadline, idx, gen);
+    /// Arms a thread-sleep calendar entry.
+    pub fn arm_wait(&mut self, idx: u32, deadline: Instant) {
+        self.waits.push(deadline, idx, 0);
         self.note_peak();
     }
 
     /// Records that an armed timer's live entry went stale (re-set), then
-    /// compacts if stale entries dominate. `due_gen` is the timer table's
-    /// generation column (an entry is live iff its recorded generation
-    /// still matches).
-    pub fn timer_invalidated(&mut self, due_gen: &[u64]) {
+    /// compacts if stale entries dominate. `timers` is the kernel's timer
+    /// table, indexed by entry index.
+    pub fn timer_invalidated(&mut self, timers: &[KTimer]) {
         self.timers.note_stale();
-        self.timers.maintain(|i, g| due_gen[i as usize] == g);
+        self.timers.maintain(live(timers));
     }
 
     /// Number of timers due at `now`: an O(due) prefix count over the
     /// timer heap (the clock ISR body cost model multiplies by this).
-    pub fn due_timer_count(&mut self, now: Instant, due_gen: &[u64]) -> usize {
-        self.timers.count_due(now, |i, g| due_gen[i as usize] == g)
+    pub fn due_timer_count(&mut self, now: Instant, timers: &[KTimer]) -> usize {
+        self.timers.count_due(now, live(timers))
     }
 
     /// Pops the timers due at `now` into `out`, ascending by timer index.
-    pub fn take_due_timers(&mut self, now: Instant, due_gen: &[u64], out: &mut Vec<u32>) {
-        self.timers
-            .pop_due_into(now, |i, g| due_gen[i as usize] == g, out);
+    pub fn take_due_timers(&mut self, now: Instant, timers: &[KTimer], out: &mut Vec<u32>) {
+        self.timers.pop_due_into(now, live(timers), out);
     }
 
     /// Pops the threads whose sleep expired at `now` into `out`, ascending
     /// by thread index.
-    pub fn take_due_waits(&mut self, now: Instant, deadline_gen: &[u64], out: &mut Vec<u32>) {
-        self.waits
-            .pop_due_into(now, |i, g| deadline_gen[i as usize] == g, out);
+    pub fn take_due_waits(&mut self, now: Instant, out: &mut Vec<u32>) {
+        self.waits.pop_due_into(now, |_, _| true, out);
     }
 
     /// Total due entries processed across both deadline heaps — pops,
@@ -359,6 +359,12 @@ impl Calendar {
     pub fn tick_work(&self) -> u64 {
         self.timers.examined() + self.waits.examined()
     }
+}
+
+/// Timer-entry validity: an entry is live iff the generation it recorded
+/// is still its timer's.
+fn live(timers: &[KTimer]) -> impl FnMut(u32, u64) -> bool + '_ {
+    |i, g| timers[i as usize].generation == g
 }
 
 #[cfg(test)]
@@ -468,7 +474,7 @@ mod tests {
         assert_eq!(c.peak_entries(), 0);
         c.schedule_env(0, Instant(10));
         c.arm_timer(0, Instant(20), 0);
-        c.arm_wait(0, Instant(30), 0);
+        c.arm_wait(0, Instant(30));
         assert_eq!(c.peak_entries(), 3);
         assert_eq!(c.pop_due_env(Instant(10)), Some(0));
         c.schedule_env(0, Instant(40));

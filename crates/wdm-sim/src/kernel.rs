@@ -26,7 +26,6 @@ use std::{any::Any, borrow::Cow, cell::RefCell, collections::VecDeque, rc::Rc};
 use rand::{rngs::StdRng, RngCore, SeedableRng};
 
 use crate::{
-    arena::{ThreadTable, TimerTable},
     calendar::Calendar,
     config::KernelConfig,
     dpc::DpcQueue,
@@ -56,13 +55,6 @@ pub struct DpcObject {
     program: Option<Box<dyn Program>>,
     /// Executions so far.
     pub run_count: u64,
-}
-
-/// ISR body for a vector: a user program, or the kernel's internal clock
-/// ISR for the PIT vector.
-enum IsrBody {
-    User { program: Option<Box<dyn Program>> },
-    Pit,
 }
 
 /// One level of the preemption stack above the running thread.
@@ -226,7 +218,10 @@ pub struct Kernel {
     symbols: SymbolTable,
     board: Blackboard,
     ic: InterruptController,
-    isr_bodies: Vec<IsrBody>,
+    /// Each vector's ISR program, indexed by `VectorId`; taken out while
+    /// the ISR runs. The PIT vector's slot stays `None`: its body is the
+    /// kernel's clock tick work.
+    isr_programs: Vec<Option<Box<dyn Program>>>,
     /// All time-based wakeups: PIT tick, env arrivals, timer deadlines,
     /// thread sleeps (see [`crate::calendar`]).
     calendar: Calendar,
@@ -234,11 +229,11 @@ pub struct Kernel {
     pit_label: Label,
     dpcs: Vec<DpcObject>,
     dpc_queue: DpcQueue,
-    timers: TimerTable,
+    timers: Vec<KTimer>,
     events: Vec<KEvent>,
     sems: Vec<KSemaphore>,
     irps: Vec<Irp>,
-    threads: ThreadTable,
+    threads: Vec<Tcb>,
     ready: ReadyQueues,
     current_thread: Option<ThreadId>,
     frames: Vec<Frame>,
@@ -339,17 +334,17 @@ impl Kernel {
             symbols,
             board: Blackboard::new(),
             ic,
-            isr_bodies: vec![IsrBody::Pit],
+            isr_programs: vec![None],
             calendar: Calendar::new(pit),
             pit_vector,
             pit_label,
             dpcs: Vec::new(),
             dpc_queue: DpcQueue::new(dpc_discipline),
-            timers: TimerTable::default(),
+            timers: Vec::new(),
             events: Vec::new(),
             sems: Vec::new(),
             irps: Vec::new(),
-            threads: ThreadTable::default(),
+            threads: Vec::new(),
             ready: ReadyQueues::new(),
             current_thread: None,
             frames: Vec::new(),
@@ -424,7 +419,9 @@ impl Kernel {
 
     /// Creates a kernel timer, optionally bound to a DPC queued at expiry.
     pub fn create_timer(&mut self, dpc: Option<DpcId>) -> TimerId {
-        TimerId(self.timers.push(dpc))
+        let id = TimerId(self.timers.len());
+        self.timers.push(KTimer::new(dpc));
+        id
     }
 
     /// Creates a DPC object.
@@ -450,7 +447,8 @@ impl Kernel {
         priority: u8,
         program: Box<dyn Program>,
     ) -> ThreadId {
-        let id = ThreadId(self.threads.push(name, priority, program));
+        let id = ThreadId(self.threads.len());
+        self.threads.push(Tcb::new(name, priority, program));
         self.routes[Interest::THREAD_RESUME.index()].add_object();
         self.routes[Interest::RESUME_BLAME.index()].add_object();
         if self.wants(Interest::RESUME_BLAME) {
@@ -469,8 +467,8 @@ impl Kernel {
         isr: Box<dyn Program>,
     ) -> VectorId {
         let id = self.ic.install(name, irql);
-        debug_assert_eq!(id.0, self.isr_bodies.len());
-        self.isr_bodies.push(IsrBody::User { program: Some(isr) });
+        debug_assert_eq!(id.0, self.isr_programs.len());
+        self.isr_programs.push(Some(isr));
         self.routes[Interest::ISR_ENTER.index()].add_object();
         id
     }
@@ -480,7 +478,7 @@ impl Kernel {
         let gap = src.next_gap(&mut self.rng);
         let id = SourceId(self.env.len());
         self.env.push(Some(src));
-        self.schedule_env(id.0, self.now + gap);
+        self.calendar.schedule_env(id.0, self.now + gap);
         id
     }
 
@@ -565,21 +563,10 @@ impl Kernel {
         self.pit_vector
     }
 
-    /// Read access to a thread's cold record (name, program, stats). The
-    /// hot scheduling fields live in SoA columns; use
-    /// [`Kernel::thread_state`] / [`Kernel::thread_priority`] for those.
+    /// Read access to a thread's record: its scheduling state and
+    /// (possibly boosted) priority, name, program and stats.
     pub fn thread(&self, id: ThreadId) -> &Tcb {
         &self.threads[id.0]
-    }
-
-    /// A thread's scheduling state.
-    pub fn thread_state(&self, id: ThreadId) -> ThreadState {
-        self.threads.state[id.0]
-    }
-
-    /// A thread's current (possibly boosted) priority.
-    pub fn thread_priority(&self, id: ThreadId) -> u8 {
-        self.threads.priority[id.0]
     }
 
     /// Number of created threads.
@@ -759,7 +746,7 @@ impl Kernel {
     fn build_resume_blame(&self, t: ThreadId, readied: Instant, mark: &BlameMark) -> ResumeBlame {
         let a = &self.account;
         let m = &mark.account;
-        let priority = self.threads.priority[t.0];
+        let priority = self.threads[t.0].priority;
         debug_assert_eq!(
             priority, mark.priority,
             "a readied thread's priority moved before its resume"
@@ -843,8 +830,9 @@ impl Kernel {
                     // running thread's chunk is guaranteed `Busy` here, so
                     // this is the only check `quantum_end` needs.
                     let t = self.current_thread.expect("thread activity");
-                    if !self.threads.in_overhead[t.0] {
-                        next = next.min(self.now + self.threads.quantum_remaining[t.0]);
+                    let tcb = &self.threads[t.0];
+                    if !tcb.in_overhead {
+                        next = next.min(self.now + tcb.quantum_remaining);
                     }
                 }
             }
@@ -872,10 +860,6 @@ impl Kernel {
     fn record_pop(&self, kind: CalendarPopKind, index: u32) {
         let at = self.now;
         self.record(FlightEvent::Pop { kind, index, at });
-    }
-
-    fn schedule_env(&mut self, idx: usize, at: Instant) {
-        self.calendar.schedule_env(idx, at);
     }
 
     fn fire_env(&mut self, idx: usize) {
@@ -907,14 +891,14 @@ impl Kernel {
                     self.env[idx] = Some(src);
                     self.do_release_semaphore(s, n);
                     let gap = self.next_env_gap(idx);
-                    self.schedule_env(idx, now + gap);
+                    self.calendar.schedule_env(idx, now + gap);
                     return;
                 }
             }
             self.env[idx] = Some(src);
         }
         let gap = self.next_env_gap(idx);
-        self.schedule_env(idx, now + gap);
+        self.calendar.schedule_env(idx, now + gap);
     }
 
     /// Draws the next inter-arrival gap for a source (split-borrow helper).
@@ -973,8 +957,9 @@ impl Kernel {
                 self.account.idle += delta.0;
             }
         } else if let Some(t) = self.current_thread {
-            let i = t.0;
-            if let ExecState::Busy { remaining, label } = &mut self.threads.exec[i] {
+            let blame = self.wants(Interest::RESUME_BLAME);
+            let tcb = &mut self.threads[t.0];
+            if let ExecState::Busy { remaining, label } = &mut tcb.exec {
                 if *remaining < delta {
                     debug_assert!(false, "thread busy overrun");
                     self.busy_overruns += 1;
@@ -982,19 +967,18 @@ impl Kernel {
                 *remaining = remaining.saturating_sub(delta);
                 self.current_label = *label;
                 span_label = *label;
-                if !self.threads.in_overhead[i] {
-                    self.threads.quantum_remaining[i] =
-                        self.threads.quantum_remaining[i].saturating_sub(delta);
+                if !tcb.in_overhead {
+                    tcb.quantum_remaining = tcb.quantum_remaining.saturating_sub(delta);
                 }
                 self.account.thread += delta.0;
                 // Blame armed: split the thread charge into dispatch
                 // overhead vs program work by the running priority, so a
                 // resume window's components reconstruct it exactly.
-                if self.wants(Interest::RESUME_BLAME) {
-                    if self.threads.in_overhead[i] {
+                if blame {
+                    if tcb.in_overhead {
                         self.blame_overhead_cycles += delta.0;
                     } else {
-                        self.blame_prio_cycles[self.threads.priority[i] as usize] += delta.0;
+                        self.blame_prio_cycles[tcb.priority as usize] += delta.0;
                     }
                 }
             } else {
@@ -1051,8 +1035,8 @@ impl Kernel {
             // 3. Run the top frame if present.
             if !self.frames.is_empty() {
                 match self.frame_progress() {
-                    FrameOutcome::Running(end) => return Activity::Frame(end),
-                    FrameOutcome::Changed => continue,
+                    Progress::Running(end) => return Activity::Frame(end),
+                    Progress::Changed => continue,
                 }
             }
 
@@ -1084,8 +1068,8 @@ impl Kernel {
                 continue;
             };
             match self.thread_progress(t) {
-                ThreadOutcome::Running(end) => return Activity::Thread(end),
-                ThreadOutcome::Changed => continue,
+                Progress::Running(end) => return Activity::Thread(end),
+                Progress::Changed => continue,
             }
         }
     }
@@ -1121,10 +1105,7 @@ impl Kernel {
         let asserted = self.ic.acknowledge(v);
         let interrupted = self.current_label;
         let is_pit = v == self.pit_vector;
-        let program = match &mut self.isr_bodies[v.0] {
-            IsrBody::User { program } => program.take(),
-            IsrBody::Pit => None,
-        };
+        let program = self.isr_programs[v.0].take();
         let cost = self.config.isr_dispatch_cost;
         let irql = self.ic.vector(v).irql;
         let kind = FrameKind::Isr {
@@ -1151,7 +1132,7 @@ impl Kernel {
     // Frame execution
     // --------------------------------------------------------------
 
-    fn frame_progress(&mut self) -> FrameOutcome {
+    fn frame_progress(&mut self) -> Progress {
         let top = self
             .frames
             .last_mut()
@@ -1159,7 +1140,7 @@ impl Kernel {
         // A busy chunk still running?
         if let ExecState::Busy { remaining, .. } = top.exec {
             if !remaining.is_zero() {
-                return FrameOutcome::Running(self.now + remaining);
+                return Progress::Running(self.now + remaining);
             }
         }
         // Busy complete (or NeedStep): advance the frame's state machine.
@@ -1167,14 +1148,14 @@ impl Kernel {
             FrameKind::Cli | FrameKind::Section => {
                 // Single busy chunk; done.
                 self.frames.pop();
-                FrameOutcome::Changed
+                Progress::Changed
             }
             FrameKind::Isr { .. } => self.isr_progress(),
             FrameKind::DpcDrain { .. } => self.dpc_progress(),
         }
     }
 
-    fn isr_progress(&mut self) -> FrameOutcome {
+    fn isr_progress(&mut self) -> Progress {
         // Work out the transition without holding the frame borrow across
         // kernel calls.
         let idx = self.frames.len() - 1;
@@ -1211,7 +1192,7 @@ impl Kernel {
                 }
                 if is_pit {
                     // The clock ISR body: fixed cost plus per-due-timer work.
-                    let due = self.due_timer_count();
+                    let due = self.calendar.due_timer_count(self.now, &self.timers);
                     let body = Cycles(
                         self.config.pit_isr_cost.0 + self.config.timer_expiry_cost.0 * due as u64,
                     );
@@ -1228,7 +1209,7 @@ impl Kernel {
                     f.exec = ExecState::NeedStep;
                     self.begin_frame_program(idx);
                 }
-                FrameOutcome::Changed
+                Progress::Changed
             }
             1 => {
                 if is_pit {
@@ -1242,7 +1223,7 @@ impl Kernel {
                         remaining: cost,
                         label: Label::KERNEL,
                     };
-                    FrameOutcome::Changed
+                    Progress::Changed
                 } else {
                     // User ISR: pull steps until busy or return.
                     self.run_frame_steps(idx)
@@ -1258,16 +1239,14 @@ impl Kernel {
                     ..
                 } = f.kind
                 {
-                    if let IsrBody::User { program, .. } = &mut self.isr_bodies[vector.0] {
-                        *program = Some(p);
-                    }
+                    self.isr_programs[vector.0] = Some(p);
                 }
-                FrameOutcome::Changed
+                Progress::Changed
             }
         }
     }
 
-    fn dpc_progress(&mut self) -> FrameOutcome {
+    fn dpc_progress(&mut self) -> Progress {
         let idx = self.frames.len() - 1;
         // Is a DPC currently active in this drain?
         let has_current = {
@@ -1284,7 +1263,7 @@ impl Kernel {
             match self.dpc_queue.pop() {
                 None => {
                     self.frames.pop();
-                    FrameOutcome::Changed
+                    Progress::Changed
                 }
                 Some(entry) => {
                     let program = self.dpcs[entry.dpc.0].program.take();
@@ -1303,7 +1282,7 @@ impl Kernel {
                         remaining: cost,
                         label: Label::KERNEL,
                     };
-                    FrameOutcome::Changed
+                    Progress::Changed
                 }
             }
         } else {
@@ -1342,7 +1321,7 @@ impl Kernel {
                     *exec = ExecState::NeedStep;
                 }
                 self.begin_frame_program(idx);
-                FrameOutcome::Changed
+                Progress::Changed
             } else {
                 self.run_frame_steps(idx)
             }
@@ -1389,12 +1368,12 @@ impl Kernel {
     /// to back and with no service charge: nothing a service step does
     /// (queue a DPC, ready a thread, arm a timer) can preempt code running
     /// at or above DISPATCH.
-    fn run_frame_steps(&mut self, idx: usize) -> FrameOutcome {
+    fn run_frame_steps(&mut self, idx: usize) -> Progress {
         let mut program = self.take_frame_program(idx);
         let Some(p) = program.as_mut() else {
             // No program (should not happen for user frames): retire.
             self.retire_frame_body(idx);
-            return FrameOutcome::Changed;
+            return Progress::Changed;
         };
         self.step_dispatches += 1;
         let mut guard = 0u32;
@@ -1415,12 +1394,12 @@ impl Kernel {
                         label,
                     };
                     self.put_frame_program(idx, program);
-                    return FrameOutcome::Changed;
+                    return Progress::Changed;
                 }
                 Step::Return => {
                     self.put_frame_program(idx, program);
                     self.retire_frame_body(idx);
-                    return FrameOutcome::Changed;
+                    return Progress::Changed;
                 }
                 Step::Wait(_) | Step::Sleep(_) => {
                     panic!("blocking step in ISR/DPC context (IRQL >= DISPATCH)")
@@ -1458,57 +1437,50 @@ impl Kernel {
     // Thread execution
     // --------------------------------------------------------------
 
-    fn thread_progress(&mut self, t: ThreadId) -> ThreadOutcome {
+    fn thread_progress(&mut self, t: ThreadId) -> Progress {
+        let i = t.0;
         // Charge pending dispatch/switch overhead first, stashing any
         // interrupted program busy chunk.
-        {
-            let i = t.0;
-            let d = self.threads.pending_overhead[i];
-            if !d.is_zero() {
-                self.threads.pending_overhead[i] = Cycles::ZERO;
-                self.threads.in_overhead[i] = true;
-                let saved = self.threads.exec[i];
-                self.threads[i].saved_exec = Some(saved);
-                self.threads.exec[i] = ExecState::Busy {
-                    remaining: d,
-                    label: Label::KERNEL,
-                };
-            }
+        let tcb = &mut self.threads[i];
+        let d = tcb.pending_overhead;
+        if !d.is_zero() {
+            tcb.pending_overhead = Cycles::ZERO;
+            tcb.in_overhead = true;
+            tcb.saved_exec = Some(tcb.exec);
+            tcb.exec = ExecState::Busy {
+                remaining: d,
+                label: Label::KERNEL,
+            };
         }
-        match self.threads.exec[t.0] {
+        match tcb.exec {
             ExecState::Busy { remaining, .. } if !remaining.is_zero() => {
                 // Overhead does not count against the quantum; program work
                 // does, and an exhausted quantum preempts mid-chunk. The
                 // expiry helper is a no-op while quantum remains, so gate
                 // the call on the (hot) non-zero check.
-                if !self.threads.in_overhead[t.0]
-                    && self.threads.quantum_remaining[t.0].is_zero()
+                if !tcb.in_overhead
+                    && tcb.quantum_remaining.is_zero()
                     && self.maybe_expire_quantum(t)
                 {
-                    return ThreadOutcome::Changed;
+                    return Progress::Changed;
                 }
-                ThreadOutcome::Running(self.now + remaining)
+                Progress::Running(self.now + remaining)
             }
             ExecState::Busy { .. } => {
                 // Chunk complete.
-                let i = t.0;
-                if self.threads.in_overhead[i] {
-                    self.threads.in_overhead[i] = false;
-                    let saved = self.threads[i]
-                        .saved_exec
-                        .take()
-                        .unwrap_or(ExecState::NeedStep);
-                    self.threads.exec[i] = saved;
+                if tcb.in_overhead {
+                    tcb.in_overhead = false;
+                    tcb.exec = tcb.saved_exec.take().unwrap_or(ExecState::NeedStep);
                     // Dispatch complete: if the thread was readied from a
                     // wait, its first post-wait instruction runs now.
-                    if let Some(readied) = self.threads[i].readied_at.take() {
+                    if let Some(readied) = tcb.readied_at.take() {
                         // The ring push lands before `RESUME_BLAME` is
                         // delivered: a blame capture's window includes
                         // this resume.
                         if self.wants(Interest::THREAD_RESUME) {
                             let e = ThreadResume {
                                 thread: t,
-                                priority: self.threads.priority[i],
+                                priority: self.threads[i].priority,
                                 readied,
                                 started: self.now,
                             };
@@ -1539,15 +1511,15 @@ impl Kernel {
                         }
                     }
                 } else {
-                    self.threads.exec[i] = ExecState::NeedStep;
+                    tcb.exec = ExecState::NeedStep;
                 }
                 // Quantum check at chunk boundaries.
                 self.maybe_expire_quantum(t);
-                ThreadOutcome::Changed
+                Progress::Changed
             }
             ExecState::NeedStep => {
                 if self.maybe_expire_quantum(t) {
-                    return ThreadOutcome::Changed;
+                    return Progress::Changed;
                 }
                 self.run_thread_step(t)
             }
@@ -1558,35 +1530,29 @@ impl Kernel {
     /// Returns true if the thread was descheduled.
     fn maybe_expire_quantum(&mut self, t: ThreadId) -> bool {
         let i = t.0;
-        if !self.threads.quantum_remaining[i].is_zero() {
+        if !self.threads[i].quantum_remaining.is_zero() {
             return false;
         }
-        let priority = self.threads.priority[i];
+        let priority = self.threads[i].priority;
         let descheduled =
-            if self.ready.len_at(priority) > 0 || self.ready.highest_priority() > Some(priority) {
-                self.threads.state[i] = ThreadState::Ready;
-                self.threads.quantum_remaining[i] = self.config.quantum;
-                // Wakeup boosts decay one level per expired quantum.
-                if self.threads.priority[i] > self.threads[i].base_priority {
-                    self.threads.priority[i] -= 1;
-                }
-                let priority = self.threads.priority[i];
-                self.ready.push_back(t, priority);
-                self.current_thread = None;
-                self.resched = true;
-                true
-            } else {
-                // No competition: refresh the quantum in place, decaying any
-                // boost.
-                self.threads.quantum_remaining[i] = self.config.quantum;
-                if self.threads.priority[i] > self.threads[i].base_priority {
-                    self.threads.priority[i] -= 1;
-                }
-                false
-            };
+            self.ready.len_at(priority) > 0 || self.ready.highest_priority() > Some(priority);
+        // A fresh quantum either way (in place when nothing competes), and
+        // wakeup boosts decay one level per expired quantum.
+        let tcb = &mut self.threads[i];
+        tcb.quantum_remaining = self.config.quantum;
+        if tcb.priority > tcb.base_priority {
+            tcb.priority -= 1;
+        }
+        let priority = tcb.priority;
+        if descheduled {
+            tcb.state = ThreadState::Ready;
+            self.ready.push_back(t, priority);
+            self.current_thread = None;
+            self.resched = true;
+        }
         self.record(FlightEvent::Quantum {
             thread: t,
-            priority: self.threads.priority[i],
+            priority,
             descheduled,
             at: self.now,
         });
@@ -1596,7 +1562,7 @@ impl Kernel {
     /// Runs one step of the thread's program. Every step returns to the
     /// decision loop: a `Busy` step parks in the thread, a kernel call is
     /// charged as a service chunk, and a blocking step deschedules.
-    fn run_thread_step(&mut self, t: ThreadId) -> ThreadOutcome {
+    fn run_thread_step(&mut self, t: ThreadId) -> Progress {
         self.step_dispatches += 1;
         let mut program = self.threads[t.0]
             .program
@@ -1617,11 +1583,11 @@ impl Kernel {
         self.steps_executed += 1;
         match step {
             Step::Busy { cycles, label } => {
-                self.threads.exec[t.0] = ExecState::Busy {
+                self.threads[t.0].exec = ExecState::Busy {
                     remaining: cycles,
                     label,
                 };
-                ThreadOutcome::Running(self.now + cycles)
+                Progress::Running(self.now + cycles)
             }
             Step::Wait(obj) => {
                 if self.try_acquire(obj) {
@@ -1629,18 +1595,18 @@ impl Kernel {
                     self.charge_service(t)
                 } else {
                     self.block_thread(t, Some(obj), None);
-                    ThreadOutcome::Changed
+                    Progress::Changed
                 }
             }
             Step::Sleep(d) => {
                 let deadline = self.now + d;
                 self.block_thread(t, None, Some(deadline));
-                ThreadOutcome::Changed
+                Progress::Changed
             }
             Step::Return => {
                 // Returned from the thread function: park the thread.
                 self.block_thread(t, None, None);
-                ThreadOutcome::Changed
+                Progress::Changed
             }
             other => {
                 self.apply_service_step(other);
@@ -1652,22 +1618,20 @@ impl Kernel {
     /// Charges the per-call kernel service cost to the running thread and
     /// yields back to the main loop. Guarantees forward progress for
     /// programs made of instantaneous kernel calls.
-    fn charge_service(&mut self, t: ThreadId) -> ThreadOutcome {
-        self.threads.exec[t.0] = ExecState::Busy {
+    fn charge_service(&mut self, t: ThreadId) -> Progress {
+        self.threads[t.0].exec = ExecState::Busy {
             remaining: self.config.service_call_cost,
             label: Label::KERNEL,
         };
-        ThreadOutcome::Changed
+        Progress::Changed
     }
 
     fn block_thread(&mut self, t: ThreadId, obj: Option<WaitObject>, deadline: Option<Instant>) {
-        let i = t.0;
-        self.threads.state[i] = ThreadState::Waiting;
-        self.threads.wait_deadline[i] = deadline;
+        let tcb = &mut self.threads[t.0];
+        tcb.state = ThreadState::Waiting;
+        tcb.wait_deadline = deadline;
         if let Some(d) = deadline {
-            self.threads.deadline_gen[i] += 1;
-            let gen = self.threads.deadline_gen[i];
-            self.calendar.arm_wait(i as u32, d, gen);
+            self.calendar.arm_wait(t.0 as u32, d);
         }
         match obj {
             Some(WaitObject::Event(e)) => self.events[e.0].enqueue_waiter(t),
@@ -1712,15 +1676,15 @@ impl Kernel {
     }
 
     fn do_set_timer(&mut self, timer: TimerId, due: Cycles, period: Option<Cycles>) {
-        let now = self.now;
         // Re-arming orphans the previous calendar entry, if any.
-        if self.timers.due[timer.0].is_some() {
-            self.calendar.timer_invalidated(&self.timers.due_gen);
+        if self.timers[timer.0].due.is_some() {
+            self.calendar.timer_invalidated(&self.timers);
         }
-        self.timers.set(timer.0, now, due, period);
-        let deadline = self.timers.due[timer.0].expect("set arms the timer");
+        let t = &mut self.timers[timer.0];
+        t.set(self.now, due, period);
+        let deadline = t.due.expect("set arms the timer");
         self.calendar
-            .arm_timer(timer.0 as u32, deadline, self.timers.due_gen[timer.0]);
+            .arm_timer(timer.0 as u32, deadline, t.generation);
     }
 
     fn do_set_event(&mut self, e: EventId) {
@@ -1749,33 +1713,27 @@ impl Kernel {
     /// Makes a waiting thread ready and requests a dispatch if it outranks
     /// the running thread.
     fn ready_thread(&mut self, t: ThreadId) {
-        let now = self.now;
         let boost = self.config.dynamic_boost;
         let i = t.0;
+        let tcb = &mut self.threads[i];
         debug_assert_eq!(
-            self.threads.state[i],
+            tcb.state,
             ThreadState::Waiting,
             "readying a non-waiting thread"
         );
-        self.threads.state[i] = ThreadState::Ready;
+        tcb.state = ThreadState::Ready;
         // Only a sleep arms a deadline, and only its expiry wakes it: the
         // expiry path consumes the deadline before calling here.
-        debug_assert!(
-            self.threads.wait_deadline[i].is_none(),
-            "signal woke a sleeper"
-        );
-        {
-            let tcb = &mut self.threads[i];
-            tcb.readied_at = Some(now);
-            tcb.waits_satisfied += 1;
-        }
+        debug_assert!(tcb.wait_deadline.is_none(), "signal woke a sleeper");
+        tcb.readied_at = Some(self.now);
+        tcb.waits_satisfied += 1;
         // NT dispatcher: dynamic-band threads get a wakeup boost; the
         // real-time band never does.
-        let base = self.threads[i].base_priority;
+        let base = tcb.base_priority;
         if boost > 0 && base < crate::thread::RT_BAND_START {
-            self.threads.priority[i] = (base + boost).min(15).max(self.threads.priority[i]);
+            tcb.priority = (base + boost).min(15).max(tcb.priority);
         }
-        let priority = self.threads.priority[i];
+        let priority = tcb.priority;
         // Blame armed on a watched thread: snapshot the cycle ledgers at
         // ready time, split at the boosted priority the resume will carry.
         // The resume emit takes the deltas, which sum bit-exactly to the
@@ -1794,7 +1752,7 @@ impl Kernel {
             });
         }
         self.ready.push_back(t, priority);
-        let current_priority = self.current_thread.map(|c| self.threads.priority[c.0]);
+        let current_priority = self.current_thread.map(|c| self.threads[c.0].priority);
         if current_priority.is_none() || Some(priority) > current_priority {
             self.resched = true;
         }
@@ -1807,11 +1765,11 @@ impl Kernel {
         match (self.current_thread, highest) {
             (_, None) => {}
             (Some(c), Some(h)) => {
-                let cp = self.threads.priority[c.0];
+                let cp = self.threads[c.0].priority;
                 if h > cp {
                     // Preempt: the current thread keeps its turn (head) and
                     // its remaining quantum.
-                    self.threads.state[c.0] = ThreadState::Ready;
+                    self.threads[c.0].state = ThreadState::Ready;
                     self.ready.push_front(c, cp);
                     self.switch_in(Some(c));
                 }
@@ -1828,16 +1786,16 @@ impl Kernel {
             .expect("switch_in with empty ready queues");
         {
             let i = next.0;
-            self.threads.state[i] = ThreadState::Running;
+            self.threads[i].state = ThreadState::Running;
             self.threads[i].dispatch_count += 1;
-            if self.threads.quantum_remaining[i].is_zero() {
-                self.threads.quantum_remaining[i] = self.config.quantum;
+            if self.threads[i].quantum_remaining.is_zero() {
+                self.threads[i].quantum_remaining = self.config.quantum;
             }
             let mut overhead = self.config.dispatch_cost;
             if from != Some(next) {
                 overhead += self.config.context_switch_cost;
             }
-            self.threads.pending_overhead[i] = overhead;
+            self.threads[i].pending_overhead = overhead;
         }
         self.current_thread = Some(next);
         self.context_switches += 1;
@@ -1851,11 +1809,6 @@ impl Kernel {
     // --------------------------------------------------------------
     // Clock tick work (runs in the PIT ISR body)
     // --------------------------------------------------------------
-
-    fn due_timer_count(&mut self) -> usize {
-        let now = self.now;
-        self.calendar.due_timer_count(now, &self.timers.due_gen)
-    }
 
     /// Fires due timers (queueing their DPCs) and wakes expired sleepers.
     /// Runs at the end of the clock ISR body.
@@ -1871,42 +1824,35 @@ impl Kernel {
         let now = self.now;
         // Timers, ascending timer index.
         let mut due = std::mem::take(&mut self.due_scratch);
-        self.calendar
-            .take_due_timers(now, &self.timers.due_gen, &mut due);
+        self.calendar.take_due_timers(now, &self.timers, &mut due);
         for &ti in &due {
-            let i = ti as usize;
-            debug_assert!(
-                self.timers.is_due(i, now),
-                "stale entry survived validation"
-            );
-            let dpc = self.timers.fire(i, now);
-            if let Some(d) = dpc {
+            let t = &mut self.timers[ti as usize];
+            debug_assert!(t.is_due(now), "stale entry survived validation");
+            if let Some(d) = t.fire(now) {
                 self.dpc_queue.insert(d, now);
             }
             // A periodic timer re-armed itself inside `fire`; push the new
             // deadline. (Like the old per-index scan, it fires at most
             // once per tick even if the new deadline is already due.)
-            if let Some(next_due) = self.timers.due[i] {
-                let gen = self.timers.due_gen[i];
-                self.calendar.arm_timer(ti, next_due, gen);
+            if let Some(next_due) = t.due {
+                self.calendar.arm_timer(ti, next_due, t.generation);
             }
             self.record_pop(CalendarPopKind::Timer, ti);
         }
-        // Sleeps, ascending thread index.
+        // Sleeps, ascending thread index. Every popped entry is live:
+        // nothing wakes a sleeper before its deadline.
         due.clear();
-        self.calendar
-            .take_due_waits(now, &self.threads.deadline_gen, &mut due);
+        self.calendar.take_due_waits(now, &mut due);
         for &ti in &due {
-            let i = ti as usize;
+            let tcb = &mut self.threads[ti as usize];
             debug_assert_eq!(
-                self.threads.state[i],
+                tcb.state,
                 ThreadState::Waiting,
                 "armed deadline on a non-waiting thread"
             );
-            debug_assert!(matches!(self.threads.wait_deadline[i], Some(d) if d <= now));
-            self.threads.wait_deadline[i] = None;
-            self.threads.deadline_gen[i] += 1;
-            self.ready_thread(ThreadId(i));
+            debug_assert!(matches!(tcb.wait_deadline, Some(d) if d <= now));
+            tcb.wait_deadline = None;
+            self.ready_thread(ThreadId(ti as usize));
             self.record_pop(CalendarPopKind::Wait, ti);
         }
         due.clear();
@@ -1992,15 +1938,11 @@ enum Activity {
     Thread(Instant),
 }
 
-enum FrameOutcome {
-    /// The frame is running a busy chunk that ends at the given time.
+/// What a frame or thread step function left on the CPU.
+enum Progress {
+    /// A busy chunk is running and ends at the given time.
     Running(Instant),
-    /// The frame state changed; re-evaluate the stack.
-    Changed,
-}
-
-enum ThreadOutcome {
-    Running(Instant),
+    /// The frame stack or thread state changed; re-evaluate.
     Changed,
 }
 

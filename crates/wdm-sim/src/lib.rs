@@ -58,7 +58,6 @@
 //! assert!(!watch.borrow().0.is_empty());
 //! ```
 
-pub mod arena;
 pub mod calendar;
 pub mod config;
 pub mod dpc;

@@ -7,21 +7,25 @@
 //! timer may carry an associated DPC, queued at expiry from the clock ISR —
 //! exactly the PIT ISR → DPC hop in Figure 3.
 //!
-//! [`KTimer`] holds only the *cold* per-timer record. The due time and its
-//! validity generation — walked by the clock ISR and the event calendar
-//! every tick — live in the parallel columns of
-//! [`crate::arena::TimerTable`], which also owns the set/fire state machine
-//! spanning both halves.
+//! A [`KTimer`] is one timer's whole record: its due time, the generation
+//! the event calendar validates the timer's lazily cancelled entries
+//! against (see [`crate::calendar`]), its period, DPC and stats, and the
+//! `set`/`is_due`/`fire` state machine over them. The kernel keeps one
+//! `Vec<KTimer>` indexed by `TimerId`.
 
 use crate::{
     ids::DpcId,
     time::{Cycles, Instant},
 };
 
-/// The cold part of a kernel timer object (see module docs: the due-time
-/// columns live in [`crate::arena::TimerTable`]).
+/// A kernel timer object.
 #[derive(Debug)]
 pub struct KTimer {
+    /// Absolute due time if armed.
+    pub(crate) due: Option<Instant>,
+    /// Generation of `due`: bumped on every set and fire, so the event
+    /// calendar can lazily invalidate stale deadline entries.
+    pub(crate) generation: u64,
     /// Re-arm interval for periodic timers (NT 4.0 added these).
     pub period: Option<Cycles>,
     /// DPC queued when the timer fires, if any.
@@ -34,10 +38,39 @@ impl KTimer {
     /// Creates an unarmed timer, optionally bound to a DPC.
     pub fn new(dpc: Option<DpcId>) -> KTimer {
         KTimer {
+            due: None,
+            generation: 0,
             period: None,
             dpc,
             fire_count: 0,
         }
+    }
+
+    /// Arms the timer (`KeSetTimerEx`). Re-arming replaces the previous
+    /// due time.
+    pub(crate) fn set(&mut self, now: Instant, due_in: Cycles, period: Option<Cycles>) {
+        self.due = Some(now + due_in);
+        self.generation += 1;
+        self.period = period;
+    }
+
+    /// True if the timer is due at or before `now`.
+    pub(crate) fn is_due(&self, now: Instant) -> bool {
+        matches!(self.due, Some(d) if d <= now)
+    }
+
+    /// Fires the timer: bumps stats and re-arms a periodic timer. Returns
+    /// the DPC to queue, if any.
+    pub(crate) fn fire(&mut self, now: Instant) -> Option<DpcId> {
+        debug_assert!(self.is_due(now));
+        self.fire_count += 1;
+        self.generation += 1;
+        // Periodic timers re-arm relative to the *due* time, not the
+        // firing tick, so they do not drift.
+        self.due = self
+            .period
+            .map(|p| self.due.expect("fired timer must have been armed") + p);
+        self.dpc
     }
 }
 
@@ -89,6 +122,38 @@ mod tests {
         assert_eq!(t.dpc, Some(DpcId(3)));
         assert_eq!(t.period, None);
         assert_eq!(t.fire_count, 0);
+    }
+
+    #[test]
+    fn timer_set_fire_oneshot() {
+        let mut t = KTimer::new(Some(DpcId(3)));
+        t.set(Instant(1000), Cycles(500), None);
+        assert!(!t.is_due(Instant(1499)));
+        assert!(t.is_due(Instant(1500)));
+        assert_eq!(t.fire(Instant(1500)), Some(DpcId(3)));
+        assert_eq!(t.due, None);
+        assert_eq!(t.fire_count, 1);
+    }
+
+    #[test]
+    fn periodic_timer_rearms_without_drift() {
+        let mut t = KTimer::new(None);
+        t.set(Instant(0), Cycles(100), Some(Cycles(100)));
+        // Fired late (at 130), but the next due time stays on the grid.
+        assert!(t.is_due(Instant(130)));
+        t.fire(Instant(130));
+        assert_eq!(t.due, Some(Instant(200)));
+    }
+
+    #[test]
+    fn generations_bump_on_every_transition() {
+        let mut t = KTimer::new(None);
+        t.set(Instant(0), Cycles(10), None); // gen 1
+        t.fire(Instant(10)); // gen 2
+        t.set(Instant(20), Cycles(10), None); // gen 3
+        t.set(Instant(25), Cycles(10), None); // gen 4: re-arm
+        assert_eq!(t.generation, 4);
+        assert_eq!(t.due, Some(Instant(35)));
     }
 
     #[test]

@@ -483,7 +483,7 @@ fn returned_thread_parks_and_stops_scheduling() {
     );
     k.run_for(Cycles::from_ms(5.0));
     // The program's implicit `Return` parks the thread for good.
-    assert_eq!(k.thread_state(t), ThreadState::Waiting);
+    assert_eq!(k.thread(t).state, ThreadState::Waiting);
     // CPU went idle after the 1 ms of work (minus overheads).
     assert!(k.account.idle > Cycles::from_ms(3.0).0);
 }

@@ -112,6 +112,6 @@ fn rt_threads_are_never_boosted() {
         }])),
     );
     k.run_for(Cycles::from_ms(20.0));
-    assert_eq!(k.thread_priority(t), 24, "RT priority must stay fixed");
+    assert_eq!(k.thread(t).priority, 24, "RT priority must stay fixed");
     assert!(k.thread(t).waits_satisfied > 5);
 }

@@ -81,16 +81,6 @@ impl PumpState {
     pub fn filled(&self) -> u64 {
         self.completed + self.missed + self.pending.len() as u64
     }
-
-    /// Miss fraction over everything processed.
-    pub fn miss_rate(&self) -> f64 {
-        let done = self.completed + self.missed;
-        if done == 0 {
-            0.0
-        } else {
-            self.missed as f64 / done as f64
-        }
-    }
 }
 
 /// Shared handle to the pump state.

@@ -60,21 +60,6 @@ pub enum ArrivalSpec {
     },
 }
 
-impl ArrivalSpec {
-    /// The long-run average rate (per second).
-    pub fn mean_rate_hz(&self) -> f64 {
-        match *self {
-            ArrivalSpec::Poisson(r) => r,
-            ArrivalSpec::Bursty {
-                on_rate_hz,
-                off_rate_hz,
-                mean_on_ms,
-                mean_off_ms,
-            } => (on_rate_hz * mean_on_ms + off_rate_hz * mean_off_ms) / (mean_on_ms + mean_off_ms),
-        }
-    }
-}
-
 /// A simulated device: an interrupt arrival process plus ISR/DPC work.
 #[derive(Debug, Clone)]
 pub struct DeviceSpec {
